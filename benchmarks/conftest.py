@@ -2,8 +2,10 @@
 
 Every figure/table benchmark regenerates the paper's rows/series, prints
 them (visible with ``pytest -s`` or in the benchmark logs) and writes them
-under ``benchmarks/results/`` so EXPERIMENTS.md can reference stable
-artifacts.  Set ``REPRO_FULL=1`` for paper-scale runs; the default quick
+to ``.bench_results/`` at the repository root, which git ignores.  Only
+``pytest --record-results`` rewrites the tracked reference copies under
+``benchmarks/results/``, so an ordinary test run leaves the work tree
+clean.  Set ``REPRO_FULL=1`` for paper-scale runs; the default quick
 mode shrinks network counts so the whole harness runs in minutes.
 
 The sweeps honour ``REPRO_WORKERS`` (worker processes) and
@@ -20,10 +22,31 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
 _BENCH_DIR = pathlib.Path(__file__).parent
+
+#: Tracked reference results, rewritten only under ``--record-results``.
+RESULTS_DIR = _BENCH_DIR / "results"
+
+#: Default destination of :func:`report`; listed in ``.gitignore``.
+LOCAL_RESULTS_DIR = _BENCH_DIR.parent / ".bench_results"
+
+# Set from the command line in pytest_configure.
+_record_results = False
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-results",
+        action="store_true",
+        default=False,
+        help="rewrite the tracked files under benchmarks/results/ "
+        "(default: write results to .bench_results/, which git ignores)",
+    )
+
+
+def pytest_configure(config):
+    global _record_results
+    _record_results = bool(config.getoption("record_results", False))
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -67,17 +90,20 @@ def pytest_collection_modifyitems(items):
 
 
 def report(name: str, text: str, data=None) -> None:
-    """Print *text* and persist it as ``benchmarks/results/<name>.txt``.
+    """Print *text* and persist it as ``<name>.txt`` in the results
+    directory: ``.bench_results/`` by default, ``benchmarks/results/``
+    under ``--record-results``.
 
     When *data* is given (any JSON-serializable value), a
-    machine-readable twin lands at ``results/<name>.json`` so dashboards
+    machine-readable twin lands at ``<name>.json`` so dashboards
     and regression diffs can consume the numbers without scraping the
     rendered table.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    results_dir = RESULTS_DIR if _record_results else LOCAL_RESULTS_DIR
+    results_dir.mkdir(exist_ok=True)
+    (results_dir / f"{name}.txt").write_text(text + "\n")
     if data is not None:
-        (RESULTS_DIR / f"{name}.json").write_text(
+        (results_dir / f"{name}.json").write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n"
         )
     print(f"\n{text}\n")

@@ -16,6 +16,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The native search kernel is compiled from source at import time.
+    package_data={"repro.routing._native": ["kernel.c"]},
     python_requires=">=3.9",
     install_requires=["numpy"],
 )

@@ -7,8 +7,8 @@ evaluations.  The reference implementations traverse Python objects —
 ``network.node(n).is_user`` and ``ledger.has_at_least()`` are dict
 lookups per edge, and every channel rate goes through a tuple-keyed
 memo.  :class:`CompiledNetwork` flattens one ``(QuantumNetwork,
-LinkModel)`` pair into numpy arrays once, after which the search kernel
-runs masked array operations over whole CSR rows:
+LinkModel)`` pair into numpy arrays once, after which every search
+runs over flat arrays:
 
 * **CSR adjacency** — ``indptr``/``adj_nodes``/``adj_edges`` with
   neighbours in ascending node-id order (the exact order the reference
@@ -18,22 +18,27 @@ runs masked array operations over whole CSR rows:
   width, filled through the same scalar
   :func:`~repro.quantum.noise.channel_success_probability` the
   reference :class:`~repro.routing.metrics.ChannelRateCache` uses, so
-  every rate is bit-identical, plus slot-aligned copies so a whole CSR
-  row's candidate rates come from one vector multiply;
+  every rate is bit-identical, plus slot-aligned copies the masked
+  rows below are built from;
 * **masked-row relaxation** — feasibility is folded into precomputed
   per-(width, flags-version, destination) rate rows with infeasible
   slots zeroed (one vectorised build, cached), so relaxing a popped
   node's row is a bare multiply + strict-improvement compare per slot
   with no per-edge lookups; pushes happen in ascending slot order with
   sequential tie-break counters, replaying the reference push sequence
-  move for move.  Rows of ``_VECTOR_ROW_MIN``+ slots (hub nodes)
-  relax through numpy array ops over the row slice; shorter rows use
-  a scalar loop over the same masked values, the measured win at mesh
-  degrees where array-dispatch overhead dominates.  The relax-time
-  ``visited`` test the reference performs is provably redundant under
-  the strict ``candidate > best`` rule (every rate factor is <= 1, so
-  a candidate can never beat a settled node's rate), which is what
-  reduces the row mask to feasibility x improvement only;
+  move for move.  The relax-time ``visited`` test the reference
+  performs is provably redundant under the strict ``candidate > best``
+  rule (every rate factor is <= 1, so a candidate can never beat a
+  settled node's rate), which is what reduces the row mask to
+  feasibility x improvement only;
+* **a native relax loop** — the search itself runs in ``kernel.c``
+  (package :mod:`repro.routing._native`), compiled once per user cache
+  and called through :mod:`ctypes`.  It repeats the Python
+  :meth:`CompiledNetwork._kernel` step for step with IEEE-754 doubles
+  and no contracted multiplies, so paths and rates are bit-identical;
+  the Python kernel stays as its differential oracle and as the
+  automatic fallback when no C compiler works
+  (:func:`native_kernel_active` tells which one runs);
 * **version-tokened feasibility flags** — per-width relay flags are
   patched from the ledger's feasibility journal in O(changes) and carry
   a version that only advances when some flag actually flips, giving
@@ -46,20 +51,11 @@ Callers no longer drive the kernel per ``(demand, width)``:
 :class:`WidthSearchBatch` binds one snapshot + one demand + the widths
 under consideration, and :func:`search_widths` (or
 ``WidthSearchBatch.search_widths``) answers every width of the batch in
-one call.  Batches of at least :func:`fused_width_min` widths (default
-2; env knob ``REPRO_FUSED_WIDTH_MIN``) answer every memo-missing width
-through one **fused multi-width Dijkstra pass**: a flattened
-``(n_widths, n_nodes)`` distance/parent matrix, one shared heap whose
-entries carry the width in the slot id, the banned sets resolved and
-each width's rate row masked once for the whole pass.  The pop/push
-subsequence of each width is provably identical to the standalone
-kernel (one global monotone tie-break counter preserves every
-same-width comparison), so fused answers are bit-exact and land in the
-same memo slots; smaller batches — and any run with the knob raised —
-take the scalar per-width path, the fused kernel's parity oracle.
-All batch searches — every width and every Yen deviation —
-share the snapshot's scratch buffers, per-width rate rows, feasibility
-flags and a **search-result memo** keyed on the exact kernel inputs
+one call, resolving the banned sets once and running one kernel call
+per width that the memo misses.  All batch searches — every width
+and every Yen deviation — share the snapshot's scratch buffers,
+per-width rate rows, feasibility flags and a **search-result memo**
+keyed on the exact kernel inputs
 ``(source, destination, width, flags-version, swap, banned sets)``.
 Identical queries (Algorithm 2 re-runs the same spur searches across
 widths and refill rounds; ``route_online`` repeats them across
@@ -100,6 +96,7 @@ but never use one after its snapshot's network mutated.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -110,6 +107,7 @@ from repro.exceptions import ConfigurationError, RoutingError
 from repro.network.demands import Demand
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel, channel_success_probability
+from repro.routing import _native
 from repro.routing.paths import PathCandidate
 
 EdgeKey = Tuple[int, int]
@@ -120,13 +118,11 @@ ROUTING_CORE_ENV = "REPRO_ROUTING_CORE"
 #: Valid core names; ``compiled`` is the default.
 ROUTING_CORES = ("compiled", "reference")
 
-#: Environment variable overriding the fused-kernel width threshold.
+#: Environment variable read by :func:`fused_width_min` (kept for the
+#: benchmark's run metadata; it no longer selects a kernel).
 FUSED_WIDTH_MIN_ENV = "REPRO_FUSED_WIDTH_MIN"
 
-#: Width count from which ``WidthSearchBatch.search_widths`` runs the
-#: fused multi-width kernel; smaller batches (and any value the env
-#: knob raises this to) fall back to the scalar per-width path, which
-#: doubles as the fused kernel's parity oracle.
+#: Default of :func:`fused_width_min`.
 FUSED_WIDTH_MIN_DEFAULT = 2
 
 # Last (raw env value, parsed core) pair: the switch is consulted on
@@ -154,13 +150,6 @@ _MISS = object()
 
 #: Shared empty frozenset: the common no-bans search skips building one.
 _EMPTY: FrozenSet[int] = frozenset()
-
-#: Row length from which the kernel relaxes a CSR row with array ops
-#: instead of the scalar masked loop.  Measured on the regression
-#: fixture: below ~32 slots the fixed dispatch cost of the numpy calls
-#: exceeds the whole scalar loop (typical mesh degrees are 4-10), so
-#: vectorised relaxation only pays on hub-heavy rows.
-_VECTOR_ROW_MIN = 32
 
 
 def active_routing_core() -> str:
@@ -192,15 +181,20 @@ def active_routing_core() -> str:
     return core
 
 
-def fused_width_min() -> int:
-    """The width count from which batched searches fuse their frontiers.
+def native_kernel_active() -> bool:
+    """True when searches run the native relax loop, False when they
+    fall back to the Python :meth:`CompiledNetwork._kernel` (no working
+    C compiler, or a test forced the fallback)."""
+    return _native.KERNEL is not None
 
-    Reads ``REPRO_FUSED_WIDTH_MIN`` (default
-    :data:`FUSED_WIDTH_MIN_DEFAULT`) per call, like the core switch, so
-    tests and CI can force the scalar per-width fallback — the fused
-    kernel's parity oracle — by raising the threshold above any batch
-    size.  Values below 2 are rejected: a single-width batch has
-    nothing to fuse.
+
+def fused_width_min() -> int:
+    """The validated value of ``REPRO_FUSED_WIDTH_MIN`` (default
+    :data:`FUSED_WIDTH_MIN_DEFAULT`).
+
+    It no longer selects a kernel: every width of a batch runs the same
+    single-width search, so the value only reaches the benchmark's run
+    metadata.  Values that are not integers >= 2 are still rejected.
     """
     global _fused_memo, _env_raw
     if _env_raw is None:
@@ -259,24 +253,17 @@ class CompiledNetwork:
         "_static_relay",
         "_flags_serial",
         "_flags_versions",
-        "_flags_lists",
         "_width_columns",
         "_row_rate_cache",
-        "_row_list_cache",
         "_base_row_cache",
         "_masked_row_cache",
         "_in_slots",
-        "_in_slots_lists",
-        "edge_slots_list",
         "_search_memo",
+        "_native_scratch",
         "_best",
         "_pred",
         "_visited",
         "_stamp",
-        "_multi_best",
-        "_multi_pred",
-        "_multi_visited",
-        "_multi_stamp",
     )
 
     def __init__(self, network: QuantumNetwork, link_model: LinkModel):
@@ -315,14 +302,14 @@ class CompiledNetwork:
                 adj_nodes.append(index_of[nbr])
                 adj_edges.append(edge_index[_ekey(nid, nbr)])
             indptr.append(len(adj_nodes))
-        # Both layouts are kept: numpy arrays feed the vectorised row
-        # masking/relaxation, while the plain lists serve the kernel's
-        # scalar reads (a list index is ~3x cheaper than an ndarray
-        # scalar index, and the hot loop does several per pop).
+        # Both layouts are kept: int64 arrays feed the row masking and
+        # the native kernel, while the plain lists serve the Python
+        # fallback kernel's scalar reads (a list index is ~3x cheaper
+        # than an ndarray scalar index).
         self.indptr_list: List[int] = indptr
         self.adj_nodes_list: List[int] = adj_nodes
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.adj_nodes = np.asarray(adj_nodes, dtype=np.intp)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.adj_nodes = np.asarray(adj_nodes, dtype=np.int64)
         self.adj_edges = np.asarray(adj_edges, dtype=np.intp)
         # Each undirected edge occupies exactly two CSR slots (one per
         # endpoint row); grouping the stable eid argsort two-by-two maps
@@ -332,8 +319,6 @@ class CompiledNetwork:
             self.edge_slots = order.reshape(len(edge_keys), 2)
         else:
             self.edge_slots = np.zeros((0, 2), dtype=np.intp)
-        self.edge_slots_list: List[List[int]] = self.edge_slots.tolist()
-        n = len(node_ids)
         # Per-width relay-feasibility flags, patched incrementally from
         # the owning ledger's feasibility journal (see relay_feasible):
         # width -> [ledger, epoch, consumed_length, flags, version].
@@ -345,35 +330,31 @@ class CompiledNetwork:
         # to equal versions across ledgers, restores and routing calls,
         # which is what keeps the search/masked-row memos hitting.
         self._flags_versions: Dict[int, Dict[bytes, int]] = {}
-        self._flags_lists: Dict[int, List[bool]] = {}
         self._width_columns: Dict[int, np.ndarray] = {}
         self._row_rate_cache: Dict[int, np.ndarray] = {}
-        self._row_list_cache: Dict[int, List[float]] = {}
-        self._base_row_cache: Dict[
-            Tuple[int, int], Tuple[np.ndarray, List[float]]
-        ] = {}
+        self._base_row_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self._masked_row_cache: Dict[
-            Tuple[int, int, int, FrozenSet[int]],
-            Tuple[np.ndarray, List[float]],
+            Tuple[int, int, int, FrozenSet[int]], Tuple[np.ndarray, int]
         ] = {}
         self._in_slots: Dict[int, np.ndarray] = {}
-        self._in_slots_lists: Dict[int, List[int]] = {}
         self._search_memo: Dict[tuple, object] = {}
-        # Dijkstra scratch: plain lists, reset via the touched set (and
-        # a stamp for visited), so back-to-back searches skip the O(n)
-        # clear.  Heap entries therefore stay native floats, which also
-        # compare faster than float64 scalars.
-        self._best: List[float] = [0.0] * n
-        self._pred: List[int] = [0] * n
-        self._visited: List[int] = [0] * n
+        # Scratch of each kernel, allocated on its first search (see
+        # _native_search and _kernel) and reset through the touched
+        # nodes, so back-to-back searches skip the O(n) clear.
+        self._native_scratch: Optional[tuple] = None
+        self._best: List[float] = []
+        self._pred: List[int] = []
+        self._visited: List[int] = []
         self._stamp = 0
-        # Fused multi-width scratch: the same stamp/touched discipline
-        # over flattened (width, node) slots, grown lazily to the
-        # largest batch seen (see _kernel_multi).
-        self._multi_best: List[float] = []
-        self._multi_pred: List[int] = []
-        self._multi_visited: List[int] = []
-        self._multi_stamp = 0
+
+    def __getstate__(self):
+        """Copy/pickle state without raw buffer addresses: a copy gets
+        its own native scratch and masked rows on first use instead of
+        pointing into the original's buffers."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_native_scratch"] = None
+        state["_masked_row_cache"] = {}
+        return None, state
 
     @property
     def num_nodes(self) -> int:
@@ -414,15 +395,6 @@ class CompiledNetwork:
             rows = self.width_rates(width)[self.adj_edges]
             self._row_rate_cache[width] = rows
         return rows
-
-    def _row_list(self, width: int) -> List[float]:
-        """``_row_rates(width).tolist()``, filled once (``tolist``
-        round-trips float64 bits exactly)."""
-        lst = self._row_list_cache.get(width)
-        if lst is None:
-            lst = self._row_rates(width).tolist()
-            self._row_list_cache[width] = lst
-        return lst
 
     def relay_feasible(self, ledger, width: int) -> np.ndarray:
         """Per-node "may relay at this width" flags for one search batch.
@@ -514,7 +486,7 @@ class CompiledNetwork:
         # snapshot the last search ran against, and back-to-back calls
         # start from the same full capacities.  The content-addressed
         # version map then re-issues the old version, and with it every
-        # memoised search, masked row and flags list.
+        # memoised search and masked row.
         version = self._flags_version_for(width, flags)
         self._relay_cache[width] = [ledger, epoch, length, flags, version]
         return flags, version
@@ -538,19 +510,6 @@ class CompiledNetwork:
             by_content[key] = version
         return version
 
-    def _flags_list(self, flags: np.ndarray, version: int) -> List[bool]:
-        """``flags.tolist()`` cached per version (the kernel reads flags
-        one scalar at a time; a list read beats an ndarray read ~3x).
-        Exact for the same reason the masked-row cache is: the version
-        advances whenever the flag contents change."""
-        lst = self._flags_lists.get(version)
-        if lst is None:
-            if len(self._flags_lists) >= 512:
-                self._flags_lists.clear()
-            lst = flags.tolist()
-            self._flags_lists[version] = lst
-        return lst
-
     def endpoint_feasible(self, ledger, node_id: int, width: int) -> bool:
         """True iff *node_id* can commit *width* qubits as an endpoint."""
         if ledger is None:
@@ -569,34 +528,25 @@ class CompiledNetwork:
             self._in_slots[node_idx] = slots
         return slots
 
-    def _slots_into_list(self, node_idx: int) -> List[int]:
-        """``_slots_into(node_idx).tolist()``, filled once."""
-        slots = self._in_slots_lists.get(node_idx)
-        if slots is None:
-            slots = self._slots_into(node_idx).tolist()
-            self._in_slots_lists[node_idx] = slots
-        return slots
-
     def _base_row(
         self, width: int, flags: np.ndarray, version: int
-    ) -> Tuple[np.ndarray, List[float]]:
+    ) -> np.ndarray:
         """Destination-agnostic masked rate row per (width, version).
 
         The expensive part of a masked row — folding the relay flags
-        into the rate row and converting to the list layout — does not
-        depend on the destination or the banned set, so it is built once
-        per (width, flags version) and the per-destination / per-ban
-        variants patch a copy (a handful of slots each).
+        into the rate row — does not depend on the destination or the
+        banned set, so it is built once per (width, flags version) and
+        the per-destination / per-ban variants patch a copy (a handful
+        of slots each).
         """
         key = (width, version)
-        pair = self._base_row_cache.get(key)
-        if pair is None:
+        row = self._base_row_cache.get(key)
+        if row is None:
             if len(self._base_row_cache) >= _MASKED_ROW_CACHE_LIMIT:
                 self._base_row_cache.clear()
-            masked = np.where(flags[self.adj_nodes], self._row_rates(width), 0.0)
-            pair = (masked, masked.tolist())
-            self._base_row_cache[key] = pair
-        return pair
+            row = np.where(flags[self.adj_nodes], self._row_rates(width), 0.0)
+            self._base_row_cache[key] = row
+        return row
 
     def _masked_row_rates(
         self,
@@ -604,9 +554,10 @@ class CompiledNetwork:
         flags: np.ndarray,
         version: int,
         destination_idx: int,
-        banned_edge_ids: FrozenSet[int] = frozenset(),
-    ) -> Tuple[np.ndarray, List[float]]:
-        """Slot-aligned candidate rates with infeasible slots zeroed.
+        banned_edge_ids: FrozenSet[int] = _EMPTY,
+    ) -> Tuple[np.ndarray, int]:
+        """Slot-aligned candidate rates with infeasible slots zeroed, and
+        the row's data address (the native kernel's argument).
 
         The feasibility mask is folded straight into the rate row: a
         slot whose neighbour may not relay (and is not the destination,
@@ -615,83 +566,116 @@ class CompiledNetwork:
         test rejects exactly like the reference's explicit skip (``best``
         is never below 0).  This reduces relaxing a row to one multiply
         + one compare per slot with no per-edge feasibility lookups.
-        Returns the row as ``(ndarray, list)`` — same values, two
-        layouts — so the kernel can pick array ops or the scalar loop
-        per row without converting.  Banned edges (Yen's deviation
-        searches) zero both slots of each named edge on top of the base
-        row.  Cached per (width, flags version, destination, banned
-        set) — exact because the version changes whenever the flag
-        contents do, and a hit for a banned variant is common: the same
-        root-prefix bans recur across every width of the sweep and
-        every refill round.
+        Banned edges (Yen's deviation searches) zero both slots of each
+        named edge on top of the destination row.  Cached per (width,
+        flags version, destination, banned set) — exact because the
+        version changes whenever the flag contents do, and a hit for a
+        banned variant is common: the same root-prefix bans recur
+        across every width of the sweep and every refill round.
         """
         key = (width, version, destination_idx, banned_edge_ids)
-        pair = self._masked_row_cache.get(key)
-        if pair is None:
+        entry = self._masked_row_cache.get(key)
+        if entry is None:
             if len(self._masked_row_cache) >= _MASKED_ROW_CACHE_LIMIT:
                 self._masked_row_cache.clear()
             if banned_edge_ids:
-                base_np, base_list = self._masked_row_rates(
+                row = self._masked_row_rates(
                     width, flags, version, destination_idx
-                )
-                masked = base_np.copy()
-                masked_list = base_list.copy()
-                for eid in sorted(banned_edge_ids):
-                    s0, s1 = self.edge_slots_list[eid]
-                    masked[s0] = 0.0
-                    masked[s1] = 0.0
-                    masked_list[s0] = 0.0
-                    masked_list[s1] = 0.0
+                )[0].copy()
+                row[self.edge_slots[sorted(banned_edge_ids)]] = 0.0
             else:
-                base_np, base_list = self._base_row(width, flags, version)
-                rows = self._row_rates(width)
-                rows_list = self._row_list(width)
+                row = self._base_row(width, flags, version).copy()
                 into_destination = self._slots_into(destination_idx)
-                masked = base_np.copy()
-                masked[into_destination] = rows[into_destination]
-                masked_list = base_list.copy()
-                for slot in self._slots_into_list(destination_idx):
-                    masked_list[slot] = rows_list[slot]
-            pair = (masked, masked_list)
-            self._masked_row_cache[key] = pair
-        return pair
+                row[into_destination] = self._row_rates(width)[
+                    into_destination
+                ]
+            entry = self._masked_row_cache[key] = (row, row.ctypes.data)
+        return entry
+
+    def _native_search(
+        self,
+        kernel,
+        source: int,
+        destination: int,
+        masked_address: int,
+        flags: np.ndarray,
+        swap2: float,
+        banned_idx: FrozenSet[int],
+    ) -> Optional[Tuple[List[int], float]]:
+        """:meth:`_kernel` run by the native relax loop (``kernel.c``).
+
+        Same arguments and result as the Python kernel, but the masked
+        row is passed by its data address (see
+        :meth:`_masked_row_rates`) and the flags stay an array.  The
+        scratch buffers are allocated on the first call and sized for
+        the worst case: each row relaxes at most once, so a search
+        pushes at most ``nnz`` entries after the source's.
+        """
+        scratch = self._native_scratch
+        if scratch is None:
+            n = len(self.node_ids)
+            nnz = self.adj_nodes.size
+            path = (ctypes.c_int64 * n)()
+            rate = (ctypes.c_double * 1)()
+            buffers = (
+                self.indptr,
+                self.adj_nodes,
+                np.zeros(n, dtype=np.float64),  # best
+                np.zeros(n, dtype=np.int64),  # pred
+                np.zeros(n, dtype=np.uint8),  # visited
+                np.zeros((nnz + 1) * _native.HEAP_ENTRY_BYTES, np.uint8),
+                np.zeros(nnz + n + 1, dtype=np.int64),  # touched
+            )
+            scratch = self._native_scratch = (
+                tuple(buf.ctypes.data for buf in buffers)
+                + (ctypes.addressof(path), ctypes.addressof(rate)),
+                path,
+                rate,
+                buffers,
+            )
+        addresses, path, rate, _ = scratch
+        banned = (ctypes.c_int64 * len(banned_idx))(*banned_idx)
+        length = kernel(
+            *addresses, masked_address, flags.ctypes.data, source,
+            destination, swap2, banned, len(banned_idx),
+        )
+        if not length:
+            return None
+        return path[:length], rate[0]
 
     def _kernel(
         self,
         source: int,
         destination: int,
-        masked_np: np.ndarray,
-        masked_list: List[float],
-        flags_list: List[bool],
+        masked: List[float],
+        flags: List[bool],
         swap2: float,
         banned_idx: Sequence[int],
     ) -> Optional[Tuple[List[int], float]]:
-        """Algorithm 1's modified Dijkstra over masked rate rows.
+        """Algorithm 1's modified Dijkstra over masked rate rows, in
+        Python: the native kernel's oracle and its fallback.
 
         *source*/*destination*/*banned_idx* are node **indices**;
-        ``masked_np``/``masked_list`` are the same slot-aligned rate row
-        with infeasible slots zeroed, in both layouts (see
-        :meth:`_masked_row_rates`).  Returns ``(index_path, rate)`` or
+        ``masked`` is the slot-aligned rate row with infeasible slots
+        zeroed (see :meth:`_masked_row_rates`) and ``flags`` the relay
+        flags, both as lists.  Returns ``(index_path, rate)`` or
         ``None``.
 
         The relaxation replays the reference implementation move for
         move: each popped node's CSR row is relaxed slot-ascending with
         sequential tie-break counters — the same push sequence, so the
-        returned path is bit-identical, not merely rate-equal.  Rows of
-        at least ``_VECTOR_ROW_MIN`` slots relax through array ops
-        (masked multiply + nonzero survivor scan); shorter rows use a
-        scalar loop over the list layout, because at typical mesh
-        degrees the fixed dispatch cost of the array calls exceeds the
-        whole loop.  Both branches make identical update decisions:
-        a zeroed slot can never pass the strict ``candidate > best``
-        test (``best`` is never below 0), so pre-skipping zeros in the
-        vector branch equals comparing them in the scalar branch.
-        Banned nodes are excluded by pinning their ``best`` to ``+inf``
-        (the strict test then never updates or pushes them), which also
+        returned path is bit-identical, not merely rate-equal.  Banned
+        nodes are excluded by pinning their ``best`` to ``+inf`` (the
+        strict test then never updates or pushes them), which also
         covers the reference's relax-time visited test: every rate
         factor is <= 1, so a settled node's rate is never strictly
         beaten.
         """
+        if not self._best:
+            n = len(self.node_ids)
+            self._best = [0.0] * n
+            self._pred = [0] * n
+            self._visited = [0] * n
         self._stamp += 1
         stamp = self._stamp
         visited = self._visited
@@ -701,7 +685,6 @@ class CompiledNetwork:
         adj = self.adj_nodes_list
         heappush = heapq.heappush
         heappop = heapq.heappop
-        vector_min = _VECTOR_ROW_MIN
         touched = [source]
         found = False
         try:
@@ -723,33 +706,18 @@ class CompiledNetwork:
                     break
                 rate = -negative_rate
                 if node != source:
-                    if not flags_list[node]:
+                    if not flags[node]:
                         continue
                     rate = rate * swap2
-                lo = indptr[node]
-                hi = indptr[node + 1]
-                if hi - lo >= vector_min:
-                    cand = rate * masked_np[lo:hi]
-                    hits = cand.nonzero()[0]
-                    for off, c in zip(hits.tolist(),
-                                      cand.take(hits).tolist()):
-                        nbr = adj[lo + off]
-                        if c > best[nbr]:
-                            best[nbr] = c
-                            pred[nbr] = node
-                            heappush(heap, (-c, counter, nbr))
-                            counter += 1
-                            touched.append(nbr)
-                else:
-                    for slot in range(lo, hi):
-                        c = rate * masked_list[slot]
-                        nbr = adj[slot]
-                        if c > best[nbr]:
-                            best[nbr] = c
-                            pred[nbr] = node
-                            heappush(heap, (-c, counter, nbr))
-                            counter += 1
-                            touched.append(nbr)
+                for slot in range(indptr[node], indptr[node + 1]):
+                    c = rate * masked[slot]
+                    nbr = adj[slot]
+                    if c > best[nbr]:
+                        best[nbr] = c
+                        pred[nbr] = node
+                        heappush(heap, (-c, counter, nbr))
+                        counter += 1
+                        touched.append(nbr)
             if not found:
                 return None
             path = [destination]
@@ -762,133 +730,80 @@ class CompiledNetwork:
                 best[i] = 0.0
         return path, rate_found
 
-    def _kernel_multi(
-        self,
-        source: int,
-        destination: int,
-        masked_nps: Sequence[np.ndarray],
-        masked_lists: Sequence[List[float]],
-        flags_lists: Sequence[List[bool]],
-        swap2: float,
-        banned_idx: Sequence[int],
-    ) -> List[Optional[Tuple[List[int], float]]]:
-        """One fused Dijkstra pass answering every width of a batch.
+    def _resolve_bans(
+        self, banned_nodes: FrozenSet[int], banned_edges: FrozenSet[EdgeKey]
+    ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+        """Banned node ids and edge keys as node indices and edge ids.
 
-        The per-width rows in ``masked_nps``/``masked_lists``/
-        ``flags_lists`` are aligned; the pass carries one flattened
-        ``(n_widths, n_nodes)`` best/pred/visited matrix (slot
-        ``w * n + node``) and a single shared heap whose entries encode
-        the width in the slot id, so the widths advance through one
-        frontier and share the heap, the CSR layout and the scratch
-        reset instead of each paying its own pass.
-
-        Bit-exactness per width: a heap entry is ``(-rate, counter,
-        slot)`` with one global monotone counter.  Restricted to one
-        width's entries, the counter is a monotone relabelling of the
-        standalone kernel's per-width counter, so every comparison
-        between two same-width entries resolves exactly as it would
-        standalone, and a pop of width *w* reads and writes only width
-        *w*'s slots.  By induction the pop/push subsequence of each
-        width — and therefore its best/pred state and returned path —
-        is identical to :meth:`_kernel` run per width, float for float.
-        A width whose destination has been popped is finished; its
-        stale heap entries are skipped rather than relaxed, exactly as
-        the standalone kernel's early break discards them.
+        Entries outside the network are dropped: they are unreachable
+        anyway.
         """
-        n = len(self.node_ids)
-        k = len(masked_lists)
-        size = k * n
-        best = self._multi_best
-        if len(best) < size:
-            self._multi_best = best = [0.0] * size
-            self._multi_pred = [0] * size
-            self._multi_visited = [0] * size
-        pred = self._multi_pred
-        visited = self._multi_visited
-        self._multi_stamp += 1
-        stamp = self._multi_stamp
-        indptr = self.indptr_list
-        adj = self.adj_nodes_list
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        vector_min = _VECTOR_ROW_MIN
-        results: List[Optional[Tuple[List[int], float]]] = [None] * k
-        done = [False] * k
-        remaining = k
-        touched: List[int] = []
-        heap: List[Tuple[float, int, int]] = []
-        counter = 0
-        try:
-            if banned_idx:
-                inf = float("inf")
-                for base in range(0, size, n):
-                    for i in banned_idx:
-                        key = base + i
-                        best[key] = inf
-                        touched.append(key)
-            for base in range(0, size, n):
-                key = base + source
-                best[key] = 1.0
-                touched.append(key)
-                # Equal rates, ascending counters: the literal list is
-                # already heap-ordered.
-                heap.append((-1.0, counter, key))
-                counter += 1
-            while heap:
-                negative_rate, _, key = heappop(heap)
-                if visited[key] == stamp:
-                    continue
-                visited[key] = stamp
-                w, node = divmod(key, n)
-                if done[w]:
-                    continue
-                if node == destination:
-                    base = key - node
-                    path = [destination]
-                    while path[-1] != source:
-                        path.append(pred[base + path[-1]])
-                    path.reverse()
-                    results[w] = (path, best[key])
-                    done[w] = True
-                    remaining -= 1
-                    if not remaining:
-                        break
-                    continue
-                rate = -negative_rate
-                if node != source:
-                    if not flags_lists[w][node]:
-                        continue
-                    rate = rate * swap2
-                base = key - node
-                lo = indptr[node]
-                hi = indptr[node + 1]
-                if hi - lo >= vector_min:
-                    cand = rate * masked_nps[w][lo:hi]
-                    hits = cand.nonzero()[0]
-                    for off, c in zip(hits.tolist(),
-                                      cand.take(hits).tolist()):
-                        nkey = base + adj[lo + off]
-                        if c > best[nkey]:
-                            best[nkey] = c
-                            pred[nkey] = node
-                            heappush(heap, (-c, counter, nkey))
-                            counter += 1
-                            touched.append(nkey)
-                else:
-                    masked = masked_lists[w]
-                    for slot in range(lo, hi):
-                        c = rate * masked[slot]
-                        nkey = base + adj[slot]
-                        if c > best[nkey]:
-                            best[nkey] = c
-                            pred[nkey] = node
-                            heappush(heap, (-c, counter, nkey))
-                            counter += 1
-                            touched.append(nkey)
-        finally:
-            for key in touched:
-                best[key] = 0.0
-        return results
+        if banned_nodes:
+            index_of = self.index_of
+            node_idx = frozenset(
+                index_of[n] for n in banned_nodes if n in index_of
+            )
+        else:
+            node_idx = _EMPTY
+        if banned_edges:
+            edge_index = self.edge_index
+            edge_ids = frozenset(
+                edge_index[e] for e in banned_edges if e in edge_index
+            )
+        else:
+            edge_ids = _EMPTY
+        return node_idx, edge_ids
+
+    def _search_indexed(
+        self,
+        source_idx: int,
+        destination_idx: int,
+        width: int,
+        swap2: float,
+        ledger,
+        banned_node_idx: FrozenSet[int],
+        banned_edge_ids: FrozenSet[int],
+    ) -> Optional[Tuple[Tuple[int, ...], float]]:
+        """:meth:`run_search` over endpoint indices and resolved bans
+        (see :meth:`_resolve_bans`): the memo lookup, then one kernel
+        call on a miss."""
+        flags, version = self.relay_state(ledger, width)
+        key = (
+            source_idx,
+            destination_idx,
+            width,
+            version,
+            swap2,
+            banned_node_idx,
+            banned_edge_ids,
+        )
+        memo = self._search_memo
+        hit = memo.get(key, _MISS)
+        if hit is not _MISS:
+            return hit
+        masked, masked_address = self._masked_row_rates(
+            width, flags, version, destination_idx, banned_edge_ids
+        )
+        kernel = _native.KERNEL
+        if kernel is not None:
+            found = self._native_search(
+                kernel, source_idx, destination_idx, masked_address, flags,
+                swap2, banned_node_idx,
+            )
+        else:
+            found = self._kernel(
+                source_idx, destination_idx, masked.tolist(),
+                flags.tolist(), swap2, sorted(banned_node_idx),
+            )
+        if found is None:
+            result = None
+        else:
+            ids = self.node_ids
+            result = (tuple(ids[i] for i in found[0]), found[1])
+        if len(memo) >= _SEARCH_MEMO_LIMIT:
+            memo.clear()
+        memo[key] = result
+        return result
 
     def run_search(
         self,
@@ -909,52 +824,14 @@ class CompiledNetwork:
         fresh search by construction; the relay-flags *version* in the
         key invalidates entries the moment any flag flips.
         """
+        banned_node_idx, banned_edge_ids = self._resolve_bans(
+            frozenset(banned_nodes), frozenset(banned_edges)
+        )
         index_of = self.index_of
-        flags, version = self.relay_state(ledger, width)
-        # Banned entries outside the network are unreachable anyway.
-        if banned_nodes:
-            banned_node_idx = frozenset(
-                index_of[n] for n in banned_nodes if n in index_of
-            )
-        else:
-            banned_node_idx = _EMPTY
-        if banned_edges:
-            edge_index = self.edge_index
-            banned_edge_ids = frozenset(
-                edge_index[e] for e in banned_edges if e in edge_index
-            )
-        else:
-            banned_edge_ids = _EMPTY
-        key = (
-            index_of[source],
-            index_of[destination],
-            width,
-            version,
-            swap2,
-            banned_node_idx,
-            banned_edge_ids,
+        return self._search_indexed(
+            index_of[source], index_of[destination], width, swap2, ledger,
+            banned_node_idx, banned_edge_ids,
         )
-        memo = self._search_memo
-        hit = memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        masked_np, masked_list = self._masked_row_rates(
-            width, flags, version, key[1], banned_edge_ids
-        )
-        found = self._kernel(
-            key[0], key[1], masked_np, masked_list,
-            self._flags_list(flags, version), swap2,
-            sorted(banned_node_idx),
-        )
-        if found is None:
-            result = None
-        else:
-            ids = self.node_ids
-            result = (tuple(ids[i] for i in found[0]), found[1])
-        if len(memo) >= _SEARCH_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = result
-        return result
 
 
 def compile_network(
@@ -1088,8 +965,12 @@ class WidthSearchBatch:
         Checks endpoint feasibility against the live ledger (never
         memoised — endpoint counts can change without any relay flag
         flipping), then answers from the snapshot's search memo or runs
-        the kernel.  Returns ``(nodes, rate)`` or ``None``.
+        the kernel.  Returns ``(nodes, rate)`` or ``None``.  The banned
+        sets may be any iterables, generators included: they are read
+        exactly once.
         """
+        banned_nodes = frozenset(banned_nodes)
+        banned_edges = frozenset(banned_edges)
         snapshot = self.snapshot
         ledger = self.ledger
         source = self.source if spur_source is None else spur_source
@@ -1115,124 +996,36 @@ class WidthSearchBatch:
 
         Returns ``{width: (nodes, rate) | None}`` covering exactly the
         batch's widths, each answer bit-identical to a standalone
-        :meth:`search`.  Batches of at least :func:`fused_width_min`
-        widths run every memo-missing width through one fused
-        multi-width Dijkstra pass (:meth:`CompiledNetwork._kernel_multi`
-        — shared frontier, one flattened distance/parent matrix, the
-        banned sets resolved and each width's rate row masked once for
-        the whole pass); smaller batches fall back to the scalar
-        per-width path, which also serves as the fused kernel's parity
-        oracle.  Per-width endpoint feasibility, the banned-endpoint
-        short-circuit and the snapshot's search memo are consulted
-        exactly as :meth:`search` does, and fused results are stored
-        under the same memo keys, so the two paths are interchangeable
-        call by call.
+        :meth:`search`.  The banned sets are read once and resolved to
+        indices once for the whole batch; per-width endpoint
+        feasibility, the banned-endpoint short-circuit and the
+        snapshot's search memo are consulted exactly as :meth:`search`
+        does, and each width the memo misses costs one kernel call.
         """
-        widths = self.widths
-        if len(widths) < fused_width_min():
-            return {
-                width: self.search(
-                    width, spur_source, banned_nodes, banned_edges
-                )
-                for width in widths
-            }
+        banned_nodes = frozenset(banned_nodes)
+        banned_edges = frozenset(banned_edges)
         snapshot = self.snapshot
         ledger = self.ledger
-        swap2 = self.swap2
         source = self.source if spur_source is None else spur_source
         destination = self.destination
-        endpoint_banned = (
-            source in banned_nodes or destination in banned_nodes
+        if source in banned_nodes or destination in banned_nodes:
+            return dict.fromkeys(self.widths)
+        banned_node_idx, banned_edge_ids = snapshot._resolve_bans(
+            banned_nodes, banned_edges
         )
-        index_of = snapshot.index_of
-        if banned_nodes:
-            banned_node_idx = frozenset(
-                index_of[x] for x in banned_nodes if x in index_of
-            )
-        else:
-            banned_node_idx = _EMPTY
-        if banned_edges:
-            edge_index = snapshot.edge_index
-            banned_edge_ids = frozenset(
-                edge_index[e] for e in banned_edges if e in edge_index
-            )
-        else:
-            banned_edge_ids = _EMPTY
-        src_idx = index_of[source]
-        dst_idx = index_of[destination]
-        memo = snapshot._search_memo
+        src_idx = snapshot.index_of[source]
+        dst_idx = snapshot.index_of[destination]
         results: Dict[int, Optional[Tuple[Tuple[int, ...], float]]] = {}
-        pending: List[tuple] = []
-        for width in widths:
-            if endpoint_banned:
-                results[width] = None
-                continue
-            if not snapshot.endpoint_feasible(ledger, source, width):
-                results[width] = None
-                continue
-            if not snapshot.endpoint_feasible(ledger, destination, width):
-                results[width] = None
-                continue
-            flags, version = snapshot.relay_state(ledger, width)
-            key = (
-                src_idx,
-                dst_idx,
-                width,
-                version,
-                swap2,
-                banned_node_idx,
-                banned_edge_ids,
-            )
-            hit = memo.get(key, _MISS)
-            if hit is not _MISS:
-                results[width] = hit
-                continue
-            masked_np, masked_list = snapshot._masked_row_rates(
-                width, flags, version, dst_idx, banned_edge_ids
-            )
-            pending.append(
-                (
-                    width,
-                    key,
-                    masked_np,
-                    masked_list,
-                    snapshot._flags_list(flags, version),
+        for width in self.widths:
+            if snapshot.endpoint_feasible(
+                ledger, source, width
+            ) and snapshot.endpoint_feasible(ledger, destination, width):
+                results[width] = snapshot._search_indexed(
+                    src_idx, dst_idx, width, self.swap2, ledger,
+                    banned_node_idx, banned_edge_ids,
                 )
-            )
-        if not pending:
-            return results
-        banned_sorted = sorted(banned_node_idx)
-        node_ids = snapshot.node_ids
-        if len(pending) == 1:
-            # One miss left: the single-width kernel is the same search
-            # without the flattened-matrix overhead.
-            width, key, masked_np, masked_list, flags_list = pending[0]
-            founds = [
-                snapshot._kernel(
-                    src_idx, dst_idx, masked_np, masked_list, flags_list,
-                    swap2, banned_sorted,
-                )
-            ]
-        else:
-            founds = snapshot._kernel_multi(
-                src_idx,
-                dst_idx,
-                [entry[2] for entry in pending],
-                [entry[3] for entry in pending],
-                [entry[4] for entry in pending],
-                swap2,
-                banned_sorted,
-            )
-        for entry, found in zip(pending, founds):
-            width, key = entry[0], entry[1]
-            if found is None:
-                result = None
             else:
-                result = (tuple(node_ids[i] for i in found[0]), found[1])
-            if len(memo) >= _SEARCH_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = result
-            results[width] = result
+                results[width] = None
         return results
 
 

@@ -42,8 +42,7 @@ _ORDER_GAP = 1 << 20
 #: Edge count from which an evaluation goes to the vectorized
 #: Equation-1 evaluator.  Below it the scalar walk wins outright: the
 #: fixed cost of the numpy gathers and the evaluation-program build
-#: exceeds a small flow's whole per-child loop.  Same calibration logic
-#: as the compiled kernel's ``_VECTOR_ROW_MIN``.
+#: exceeds a small flow's whole per-child loop.
 _VECTOR_EVAL_MIN = 64
 
 

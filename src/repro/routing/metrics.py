@@ -19,9 +19,8 @@ from repro.quantum.noise import LinkModel, SwapModel, channel_success_probabilit
 
 #: Pair count from which :meth:`ChannelRateCache.rates_bulk` gathers
 #: from the compiled snapshot's width-indexed columns; smaller batches
-#: walk the scalar memo instead (the fixed dispatch cost of the array
-#: takes exceeds the whole loop — the same calibration as the compiled
-#: kernel's ``_VECTOR_ROW_MIN``).
+#: walk the scalar memo instead (below ~32 items the fixed dispatch cost
+#: of the array takes exceeds the whole loop).
 _BULK_VECTOR_MIN = 32
 
 

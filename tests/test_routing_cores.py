@@ -11,7 +11,11 @@ tolerance issue, so every comparison is exact equality.
 from __future__ import annotations
 
 import contextlib
+import copy
+import gc
 import os
+import pathlib
+import shutil
 
 import pytest
 
@@ -20,10 +24,12 @@ from repro.experiments.scenarios import parse_scenario
 from repro.network import CompiledNetwork, compile_network
 from repro.network.builder import build_network
 from repro.network.demands import Demand, generate_demands
+from repro.network.serialization import load_instance
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
 from repro.routing.alg2_path_selection import default_max_width, select_paths
 from repro.routing.allocation import QubitLedger
+from repro.routing import _native
 from repro.routing.compiled import (
     FUSED_WIDTH_MIN_DEFAULT,
     FUSED_WIDTH_MIN_ENV,
@@ -31,6 +37,7 @@ from repro.routing.compiled import (
     WidthSearchBatch,
     active_routing_core,
     fused_width_min,
+    native_kernel_active,
     search_widths,
     snapshot_for,
 )
@@ -54,6 +61,10 @@ SCENARIOS = (
 )
 
 SEEDS = (7, 20230601)
+
+REGRESSION_INSTANCE = (
+    pathlib.Path(__file__).parent / "data" / "regression_instance.json"
+)
 
 
 @contextlib.contextmanager
@@ -484,7 +495,7 @@ def test_batch_rejects_invalid_construction(diamond_network):
 
 
 # ----------------------------------------------------------------------
-# Fused multi-width frontier (one Dijkstra pass for a whole batch)
+# Native relax loop vs the Python kernel (its oracle and fallback)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -492,10 +503,11 @@ def test_batch_rejects_invalid_construction(diamond_network):
 def test_fused_frontier_matches_per_width_standalone(
     scenario, seed, monkeypatch
 ):
-    """The fused multi-width pass answers exactly like per-width scalar
-    searches — across topologies, seeds, banned node/edge sets and a
-    partially consumed ledger.  Fresh snapshots on each side keep the
-    search memo from masking a kernel divergence."""
+    """A batch sweep on the default kernel answers exactly like
+    per-width standalone searches on the Python fallback kernel —
+    across topologies, seeds, banned node/edge sets and a partially
+    consumed ledger.  Fresh snapshots on each side keep the search memo
+    from masking a kernel divergence."""
     network, demands = _instance(scenario, seed)
     rng = ensure_rng(seed + 5)
     switches = network.switches()
@@ -503,8 +515,8 @@ def test_fused_frontier_matches_per_width_standalone(
     ledger = QubitLedger(network)
     for node in switches[::4]:
         ledger.reserve(node, min(2, int(ledger.remaining(node))))
-    fused_snapshot = compile_network(network, LINK)
-    scalar_snapshot = compile_network(network, LINK)
+    default_snapshot = compile_network(network, LINK)
+    fallback_snapshot = compile_network(network, LINK)
     widths = (1, 2, 3, 5)
     for trial in range(6):
         demand = demands[trial % len(demands)]
@@ -513,55 +525,50 @@ def test_fused_frontier_matches_per_width_standalone(
         )
         picked = rng.choice(len(edges), size=3, replace=False)
         banned_edges = frozenset(edges[int(i)] for i in picked)
-        monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
-        fused = WidthSearchBatch(
-            fused_snapshot, SWAP, demand.source, demand.destination,
+        swept = WidthSearchBatch(
+            default_snapshot, SWAP, demand.source, demand.destination,
             widths, ledger,
         ).search_widths(
             banned_nodes=banned_nodes, banned_edges=banned_edges
         )
-        # Force the scalar per-width fallback: the parity oracle.
-        monkeypatch.setenv(FUSED_WIDTH_MIN_ENV, "999")
-        scalar = WidthSearchBatch(
-            scalar_snapshot, SWAP, demand.source, demand.destination,
-            widths, ledger,
-        ).search_widths(
-            banned_nodes=banned_nodes, banned_edges=banned_edges
-        )
-        assert fused == scalar
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "KERNEL", None)
+            batch = WidthSearchBatch(
+                fallback_snapshot, SWAP, demand.source, demand.destination,
+                widths, ledger,
+            )
+            standalone = {
+                width: batch.search(width, None, banned_nodes, banned_edges)
+                for width in widths
+            }
+        assert swept == standalone
 
 
-def test_fused_frontier_engages_at_the_width_threshold(
-    diamond_network, monkeypatch
-):
-    """Batches below ``fused_width_min()`` never enter the fused kernel
-    (a width-count-1 batch stays on the scalar path); batches at or
-    above it do."""
-    monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
-    calls = []
-    original = CompiledNetwork._kernel_multi
-    monkeypatch.setattr(
-        CompiledNetwork,
-        "_kernel_multi",
-        lambda self, *args: calls.append(1) or original(self, *args),
-    )
-    snapshot = compile_network(diamond_network, LINK)
-    single = WidthSearchBatch(snapshot, SWAP, 0, 1, (2,), None)
-    assert single.search_widths() == {2: single.search(2)}
-    assert not calls  # one width: scalar fallback, no fused pass
-    pair = WidthSearchBatch(
+def test_native_kernel_active_with_compiler(diamond_network, monkeypatch):
+    """With a C compiler on PATH the native kernel must load, and every
+    search must run through it: a silent fallback would otherwise keep
+    the whole suite green."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler: the Python fallback is expected")
+    assert native_kernel_active()
+
+    def fail(*args):
+        raise AssertionError("the Python fallback kernel ran")
+
+    monkeypatch.setattr(CompiledNetwork, "_kernel", fail)
+    batch = WidthSearchBatch(
         compile_network(diamond_network, LINK), SWAP, 0, 1, (1, 2), None
     )
-    swept = pair.search_widths()
-    assert calls  # two widths >= the default threshold: fused pass
-    assert swept == {1: pair.search(1), 2: pair.search(2)}
+    swept = batch.search_widths()
+    assert swept[1] is not None and swept[2] is not None
+    monkeypatch.setattr(_native, "KERNEL", None)
+    assert not native_kernel_active()
 
 
-def test_fused_frontier_drained_relays(diamond_network, monkeypatch):
-    """Feasible endpoints but drained relay switches: the fused pass
-    itself (not the endpoint short-circuit) must report no path, like
-    the scalar searches."""
-    monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
+def test_fused_frontier_drained_relays(diamond_network):
+    """Feasible endpoints but drained relay switches: the kernel itself
+    (not the endpoint short-circuit) must report no path for every
+    width of the batch."""
     ledger = QubitLedger(diamond_network)
     for node in (2, 3, 4, 5):
         ledger.reserve(node, int(ledger.remaining(node)))
@@ -570,6 +577,85 @@ def test_fused_frontier_drained_relays(diamond_network, monkeypatch):
         snapshot, SWAP, 0, 1, (1, 2, 3), ledger
     )
     assert batch.search_widths() == {1: None, 2: None, 3: None}
+
+
+def test_generator_bans_match_frozensets():
+    """Banned sets passed as generators are read exactly once: the
+    batch, sweep and snapshot entry points answer as with frozensets
+    (a membership test must not consume part of the generator)."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    snapshot = compile_network(network, LINK)
+    edges = network.edge_keys()
+    checked = 0
+    for demand in demands:
+        batch = WidthSearchBatch(
+            snapshot, SWAP, demand.source, demand.destination, (1, 2), None
+        )
+        first = batch.search(1)
+        if first is None or len(first[0]) < 4:
+            continue
+        nodes = frozenset(first[0][1:3])
+        banned_edges = frozenset(edges[:5])
+        assert batch.search(
+            1, None, iter(nodes), iter(banned_edges)
+        ) == batch.search(1, None, nodes, banned_edges)
+        assert batch.search_widths(
+            None, (n for n in nodes), (e for e in banned_edges)
+        ) == batch.search_widths(None, nodes, banned_edges)
+        assert snapshot.run_search(
+            demand.source, demand.destination, 1, batch.swap2, None,
+            iter(nodes), iter(banned_edges),
+        ) == snapshot.run_search(
+            demand.source, demand.destination, 1, batch.swap2, None,
+            nodes, banned_edges,
+        )
+        # Banning a relay of the best path must change the answer, so
+        # the comparison above is not vacuous.
+        assert batch.search(1, None, iter(nodes)) != first
+        checked += 1
+    assert checked
+
+
+def test_snapshot_copy_owns_its_native_buffers():
+    """A deep copy of a used snapshot must not reuse the original's
+    native scratch or masked-row addresses: it answers correctly after
+    the original is gone."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    demand = demands[0]
+    snapshot = compile_network(network, LINK)
+    expected = WidthSearchBatch(
+        snapshot, SWAP, demand.source, demand.destination, (1, 2), None
+    ).search_widths()
+    clone = copy.deepcopy(snapshot)
+    assert clone._native_scratch is None and not clone._masked_row_cache
+    del snapshot
+    gc.collect()
+    clone._search_memo.clear()
+    assert WidthSearchBatch(
+        clone, SWAP, demand.source, demand.destination, (1, 2), None
+    ).search_widths() == expected
+
+
+@pytest.mark.parametrize("key", sorted(router_keys()))
+def test_fallback_kernel_plans_match_native(key, monkeypatch):
+    """With the native kernel unavailable, every router produces the
+    same plan on the regression fixture as with it."""
+    results = {}
+    for native in (True, False):
+        with monkeypatch.context() as patch:
+            if not native:
+                patch.setattr(_native, "KERNEL", None)
+            # A fresh copy per side: snapshots (and their search memos)
+            # persist on the network object.
+            fresh, fresh_demands = load_instance(REGRESSION_INSTANCE)
+            results[native] = make_router(key).route(
+                fresh, fresh_demands, LINK, SWAP
+            )
+    native, fallback = results[True], results[False]
+    assert native.total_rate == fallback.total_rate
+    assert native.demand_rates == fallback.demand_rates
+    assert _plan_shape(native) == _plan_shape(fallback)
+    assert native.remaining_qubits == fallback.remaining_qubits
 
 
 def test_fused_width_min_knob(monkeypatch):
