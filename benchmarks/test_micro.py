@@ -2,35 +2,20 @@
 
 These give pytest-benchmark real statistics (many rounds) for the kernels
 the experiment harness leans on: stabilizer fusion, Algorithm 1 search,
-flow-rate evaluation and a full router invocation.  The Equation-1
-evaluator comparison additionally persists a results table
-(``benchmarks/results/eq1_micro.txt`` + JSON twin) recording where the
-vectorized evaluator beats the scalar walk.
+flow-rate evaluation and a full router invocation.
 """
-
-import time
 
 import numpy as np
 
-from repro.experiments.regression import build_regression_instance
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import generate_demands
-from repro.network.graph import QuantumNetwork
-from repro.network.node import QuantumSwitch, QuantumUser
 from repro.quantum.fusion import ghz_measurement, prepare_bell_pair
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.quantum.stabilizer import StabilizerTableau
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
-from repro.routing.compiled import snapshot_for
-from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import AlgNFusion
 from repro.simulation.engine import EntanglementProcessSimulator
-from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
-from repro.utils.tables import AsciiTable
-
-from conftest import report
 
 LINK = LinkModel(fixed_p=0.4)
 SWAP = SwapModel(q=0.9)
@@ -89,106 +74,6 @@ def test_full_router(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.total_rate > 0
-
-
-def _wide_flow(num_relays=64):
-    """A source->destination flow fanning out over *num_relays* disjoint
-    2-hop paths: 2 * num_relays edges, the vectorized evaluator's
-    territory (the regression fixture's flows all sit far below the
-    dispatch threshold)."""
-    network = QuantumNetwork()
-    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
-    network.add_node(QuantumUser(1, Point(2000.0, 0.0)))
-    flow = FlowLikeGraph(0, 0, 1)
-    for i in range(num_relays):
-        relay = 2 + i
-        network.add_node(
-            QuantumSwitch(relay, Point(1000.0, 40.0 * i), 10)
-        )
-        network.add_edge(0, relay)
-        network.add_edge(relay, 1)
-        flow.add_path((0, relay, 1), width=1 + i % 3)
-    return network, flow
-
-
-def _best_eval(flows, evaluate, rounds=30):
-    """Best-of-*rounds* seconds for one pass over *flows*."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for flow in flows:
-            evaluate(flow)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_equation1_evaluator_micro():
-    """Scalar vs vectorized Equation-1 evaluator, bit-equal by assert.
-
-    Two workloads: the regression fixture's admitted flows (small, the
-    scalar walk's territory — this gap is why ``_VECTOR_EVAL_MIN``
-    exists) and a wide synthetic fan-out flow past the dispatch
-    threshold (where the numpy gathers win).  Results land in
-    ``benchmarks/results/eq1_micro.txt`` + ``eq1_micro.json``.
-    """
-    network, demands = build_regression_instance()
-    result = AlgNFusion().route(network, demands, LINK, SWAP)
-    fixture_flows = [f for f in result.plan.flows() if f.num_paths]
-    wide_network, wide_flow = _wide_flow()
-    workloads = {
-        "regression-flows": (network, fixture_flows),
-        "wide-fanout-128-edges": (wide_network, [wide_flow]),
-    }
-    rows = []
-    data = {"rounds": 30, "workloads": {}}
-    for name, (net, flows) in workloads.items():
-        cache = ChannelRateCache(net, LINK)
-        snapshot = snapshot_for(net, LINK, cache)
-        for flow in flows:  # warm programs/memos, assert bit-equality
-            scalar = flow._rate_iterative(net, LINK, SWAP, {}, cache)
-            vector = flow._rate_vectorized(SWAP, {}, cache, snapshot)
-            assert vector == scalar
-        scalar_s = _best_eval(
-            flows,
-            lambda f: f._rate_iterative(net, LINK, SWAP, {}, cache),
-        )
-        vector_s = _best_eval(
-            flows,
-            lambda f: f._rate_vectorized(SWAP, {}, cache, snapshot),
-        )
-        edges = sum(len(f.edge_widths()) for f in flows)
-        per_eval = 1e6 / len(flows)
-        rows.append([
-            name,
-            str(len(flows)),
-            str(edges),
-            f"{scalar_s * per_eval:.2f}",
-            f"{vector_s * per_eval:.2f}",
-            f"{scalar_s / vector_s:.2f}x",
-        ])
-        data["workloads"][name] = {
-            "flows": len(flows),
-            "edges": edges,
-            "scalar_us_per_eval": scalar_s * per_eval,
-            "vectorized_us_per_eval": vector_s * per_eval,
-            "vectorized_speedup": scalar_s / vector_s,
-        }
-    table = AsciiTable(
-        ["workload", "flows", "edges", "scalar (us)", "vectorized (us)",
-         "speedup"],
-    )
-    for row in rows:
-        table.add_row(row)
-    report(
-        "eq1_micro",
-        "Equation-1 evaluator: scalar walk vs vectorized program "
-        "(best of 30, us per flow evaluation)\n" + table.render(),
-        data=data,
-    )
-    # The dispatch threshold must sit on the right side of both
-    # workloads: vectorized wins on the wide flow.
-    wide = data["workloads"]["wide-fanout-128-edges"]
-    assert wide["vectorized_speedup"] > 1.0
 
 
 def test_monte_carlo_trials(benchmark):

@@ -441,18 +441,7 @@ class CompiledNetwork:
                 self._static_relay[width] = entry
             return entry
         has = ledger.has_at_least
-        token = getattr(ledger, "feasibility_token", None)
-        if token is None:  # a ledger-like without a journal: full scan
-            flags = np.fromiter(
-                (
-                    (not user) and has(nid, need)
-                    for user, nid in zip(self.is_user, self.node_ids)
-                ),
-                dtype=bool,
-                count=n,
-            )
-            return flags, self._flags_version_for(width, flags)
-        epoch, length = token()
+        epoch, length = ledger.feasibility_token()
         entry = self._relay_cache.get(width)
         if entry is not None and entry[0] is ledger and entry[1] == epoch:
             flags = entry[3]
@@ -884,17 +873,10 @@ def _persistent_snapshot(
     is kept on the network keyed by ``(link_model, topology_version)``
     — the frozen-dataclass link model compares by value and the version
     counter changes exactly when the topology mutates, so a stale
-    snapshot can never be returned.  Network-likes without the counter
-    (or without a ``__dict__``) just get a fresh snapshot.
+    snapshot can never be returned.
     """
-    version = getattr(network, "topology_version", None)
-    if version is None:
-        return CompiledNetwork(network, link_model)
-    key = (link_model, version)
-    try:
-        memo = network.__dict__.setdefault("_compiled_snapshots", {})
-    except AttributeError:
-        return CompiledNetwork(network, link_model)
+    key = (link_model, network.topology_version)
+    memo = network.__dict__.setdefault("_compiled_snapshots", {})
     snapshot = memo.get(key)
     if snapshot is None:
         if len(memo) >= _SNAPSHOT_MEMO_LIMIT:

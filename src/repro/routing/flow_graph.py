@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
@@ -38,61 +36,6 @@ def _ekey(a: int, b: int) -> EdgeKey:
 #: anchors; 2^20 allows ~20 such squeezes before the (cheap, lazy)
 #: renumber — far beyond what a flow's handful of paths can trigger.
 _ORDER_GAP = 1 << 20
-
-#: Edge count from which an evaluation goes to the vectorized
-#: Equation-1 evaluator.  Below it the scalar walk wins outright: the
-#: fixed cost of the numpy gathers and the evaluation-program build
-#: exceeds a small flow's whole per-child loop.
-_VECTOR_EVAL_MIN = 64
-
-
-class _Eq1Program:
-    """Flattened Equation-1 evaluation schedule for one flow structure.
-
-    A pure function of the child map and the destination: the flow's
-    nodes grouped by *dependency level* (a node's level is one above
-    its deepest child; the destination is level 0), each node with its
-    slice of *terms* — one per (node, child) edge, carrying the
-    canonical edge key, the child's memo slot and the child id when
-    the child might fuse (``None`` for the destination, whose factor
-    is an exact 1.0).  All nodes of one level depend only on lower
-    levels, so a whole level evaluates as three array operations:
-    an elementwise ``1 - coef * memo[child]`` over the level's term
-    slice, one ``np.multiply.reduceat`` for the per-node failure
-    products (sequential left-to-right within each slice — the exact
-    floats of the scalar loop), and one scatter of ``1 - failure``
-    into the memo vector.  Widths, rates, swap factors and
-    ``extra_widths`` stay out of the program — they are gathered per
-    evaluation — so the program survives
-    :meth:`FlowLikeGraph.widen_edge` and is invalidated only by
-    structural mutations, exactly like the topological-order memo.
-    """
-
-    __slots__ = (
-        "term_keys",
-        "term_fusing_child",
-        "levels",
-        "num_slots",
-        "source_slot",
-    )
-
-    def __init__(
-        self,
-        term_keys: List[EdgeKey],
-        term_fusing_child: List[Optional[int]],
-        levels: List[Tuple[int, int, "np.ndarray", "np.ndarray", "np.ndarray"]],
-        num_slots: int,
-        source_slot: int,
-    ):
-        self.term_keys = term_keys
-        self.term_fusing_child = term_fusing_child
-        #: Per level: (term start, term end, child memo slots of the
-        #: level's terms, reduceat offsets relative to the start, memo
-        #: slots the level's nodes write).
-        self.levels = levels
-        self.num_slots = num_slots
-        self.source_slot = source_slot
-
 
 class FlowLikeGraph:
     """The route of one demanded state: one or more merged paths.
@@ -140,10 +83,6 @@ class FlowLikeGraph:
         self._arity_cache: Optional[Dict[int, int]] = None
         self._topo_cache: Optional[List[int]] = None
         self._order_pos: Optional[Dict[int, int]] = {}
-        # The vectorized Equation-1 evaluator's flattened schedule,
-        # invalidated by structural mutations (widths are gathered live
-        # per evaluation, so pure width changes keep it).
-        self._eq1_cache: Optional[_Eq1Program] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -234,7 +173,6 @@ class FlowLikeGraph:
                     arities[a] = arities.get(a, 0) + delta
                     arities[b] = arities.get(b, 0) + delta
         self._topo_cache = None
-        self._eq1_cache = None
 
     def remove_path(self, nodes: Sequence[int]) -> Dict[EdgeKey, int]:
         """Remove one constituent path; returns the per-edge freed widths.
@@ -289,7 +227,6 @@ class FlowLikeGraph:
         self._arity_cache = None
         self._topo_cache = None
         self._order_pos = None
-        self._eq1_cache = None
         return released
 
     def copy(self) -> "FlowLikeGraph":
@@ -310,10 +247,6 @@ class FlowLikeGraph:
         clone._topo_cache = self._topo_cache
         pos = self._order_pos
         clone._order_pos = dict(pos) if pos is not None else None
-        # The Equation-1 program is immutable and structure-pure, so the
-        # clone shares it (and the heat that built it) until either side
-        # mutates — each then drops only its own reference.
-        clone._eq1_cache = self._eq1_cache
         return clone
 
     def widen_edge(self, u: int, v: int, extra: int = 1) -> None:
@@ -484,45 +417,51 @@ class FlowLikeGraph:
         """Analytic entanglement rate of this flow-like graph.
 
         ``extra_widths`` adds hypothetical width to edges without mutating
-        the graph — Algorithm 4 uses this to evaluate marginal gains.
+        the graph — Algorithm 4 uses this to evaluate marginal gains.  Its
+        keys are canonicalised and checked like :meth:`widen_edge`'s
+        arguments: an edge outside the flow or an extra below 1 raises
+        :class:`RoutingError`.
         ``rate_cache`` memoises per-(edge, width) channel rates across
         calls sharing one (network, link_model) pair; passing it changes
         nothing but the amount of recomputation.
 
-        Under the compiled core three bit-identical evaluators share the
-        work: the vectorized one (numpy gathers over the compiled
-        snapshot's rate columns through a cached evaluation program)
-        handles flows at least ``_VECTOR_EVAL_MIN`` edges wide — where
-        the array multiply outruns the per-child loop — the iterative
-        scalar loop handles smaller flows and every graph without a
-        compiled snapshot, and the recursive reference remains the
-        oracle.
+        The compiled core evaluates with the iterative scalar walk; the
+        reference core keeps the recursive evaluator as the oracle.  The
+        two are bit-identical.
         """
+        extras = self._canonical_extras(extra_widths) if extra_widths else {}
         if not self._paths:
             return 0.0
         if active_routing_core() == "compiled":
-            snapshot = (
-                rate_cache.compiled_snapshot
-                if rate_cache is not None
-                else None
-            )
-            if (
-                snapshot is not None
-                and len(self._edge_widths) >= _VECTOR_EVAL_MIN
-            ):
-                return self._rate_vectorized(
-                    swap_model, extra_widths or {}, rate_cache,
-                    snapshot,
-                )
             return self._rate_iterative(
-                network, link_model, swap_model, extra_widths or {},
-                rate_cache,
+                network, link_model, swap_model, extras, rate_cache,
             )
         memo: Dict[int, float] = {}
         return self._rate_from(
-            self.source, network, link_model, swap_model, memo,
-            extra_widths or {}, rate_cache,
+            self.source, network, link_model, swap_model, memo, extras,
+            rate_cache,
         )
+
+    def _canonical_extras(
+        self, extra_widths: Dict[EdgeKey, int]
+    ) -> Dict[EdgeKey, int]:
+        """*extra_widths* keyed by canonical in-flow edges.
+
+        Equation 1 looks channel widths up under ``(min, max)`` keys
+        while the fusion arity counts every key, so a reversed key would
+        penalise the arity without widening the channel.
+        """
+        canonical: Dict[EdgeKey, int] = {}
+        for (u, v), extra in extra_widths.items():
+            key = _ekey(u, v)
+            if key not in self._edge_widths:
+                raise RoutingError(
+                    f"edge {key} is not part of this flow-like graph"
+                )
+            if extra < 1:
+                raise RoutingError(f"extra width must be >= 1, got {extra}")
+            canonical[key] = canonical.get(key, 0) + extra
+        return canonical
 
     def _rate_iterative(
         self,
@@ -615,139 +554,6 @@ class FlowLikeGraph:
                 failure *= 1.0 - edge_rate * swap * memo[child]
             memo[node] = 1.0 - failure
         return memo[self.source]
-
-    def _eq1_program(self) -> _Eq1Program:
-        """The flow's Equation-1 evaluation program, built lazily.
-
-        Nodes are emitted level by level (a node's level is one above
-        its deepest child), preserving the reverse topological order
-        within each level; per node the builder iterates its child set
-        exactly once in the same set order the scalar walk uses, so
-        the per-node product order (and with it every float) is
-        pinned.  Every child sits at a strictly lower level than its
-        parents, so a level's terms only read memo slots written by
-        earlier levels.  The node order differs from the scalar
-        walk's, which cannot change any float: each node's value is a
-        pure function of its own terms.
-        """
-        program = self._eq1_cache
-        if program is None:
-            destination = self.destination
-            children_of = self._children
-            order = [
-                node
-                for node in reversed(self._topological_order())
-                if node != destination
-            ]
-            level: Dict[int, int] = {destination: 0}
-            by_level: Dict[int, List[int]] = {}
-            for node in order:
-                depth = 1 + max(
-                    level[child] for child in children_of[node]
-                )
-                level[node] = depth
-                by_level.setdefault(depth, []).append(node)
-            term_keys: List[EdgeKey] = []
-            term_fusing_child: List[Optional[int]] = []
-            levels = []
-            slot_of: Dict[int, int] = {destination: 0}
-            for depth in sorted(by_level):
-                start = len(term_keys)
-                offsets: List[int] = []
-                child_slots: List[int] = []
-                slots: List[int] = []
-                for node in by_level[depth]:
-                    offsets.append(len(term_keys) - start)
-                    for child in children_of[node]:
-                        term_keys.append(
-                            (node, child) if node < child else (child, node)
-                        )
-                        child_slots.append(slot_of[child])
-                        term_fusing_child.append(
-                            None if child == destination else child
-                        )
-                    slot = len(slot_of)
-                    slot_of[node] = slot
-                    slots.append(slot)
-                levels.append((
-                    start,
-                    len(term_keys),
-                    np.asarray(child_slots, dtype=np.intp),
-                    np.asarray(offsets, dtype=np.intp),
-                    np.asarray(slots, dtype=np.intp),
-                ))
-            program = _Eq1Program(
-                term_keys,
-                term_fusing_child,
-                levels,
-                len(slot_of),
-                slot_of[self.source],
-            )
-            self._eq1_cache = program
-        return program
-
-    def _rate_vectorized(
-        self,
-        swap_model: SwapModel,
-        extra_widths: Dict[EdgeKey, int],
-        rate_cache: ChannelRateCache,
-        snapshot,
-    ) -> float:
-        """Equation 1 over the compiled snapshot's arrays, bit-exact.
-
-        The cached program (:meth:`_eq1_program`) fixes the term
-        layout; per call the effective widths are gathered from the
-        live edge-width map, every term's channel rate comes from one
-        :meth:`~repro.routing.metrics.ChannelRateCache.rates_bulk`
-        gather over the snapshot's width-indexed columns, the swap
-        factors from the snapshot's user flags and the memoised arity
-        map, and the per-term coefficient ``rate * swap`` from one
-        numpy elementwise multiply.  The failure products then run
-        level by level: one elementwise ``1 - coef * memo[child]``
-        over each level's term slice and one
-        ``np.multiply.reduceat`` per level for the per-node products.
-        Identical floats to the scalar walk: float64 elementwise
-        products equal the scalar products bit for bit
-        (``(rate * swap) * memo`` is exactly how the scalar walk
-        associates), and ``reduceat`` multiplies each node's slice
-        sequentially left to right — the scalar loop's order.
-        """
-        program = self._eq1_program()
-        term_keys = program.term_keys
-        edge_widths = self._edge_widths
-        has_extra = bool(extra_widths)
-        if has_extra:
-            widths = [
-                edge_widths[key] + extra_widths.get(key, 0)
-                for key in term_keys
-            ]
-        else:
-            widths = [edge_widths[key] for key in term_keys]
-        rates = rate_cache.rates_bulk(term_keys, widths)
-        arities = self._fusion_arities()
-        is_user = snapshot.is_user
-        index_of = snapshot.index_of
-        swap_fn = swap_model.success_probability
-        swap_memo: Dict[int, float] = {}
-        swaps = np.ones(len(term_keys))
-        for i, child in enumerate(program.term_fusing_child):
-            if child is None or is_user[index_of[child]]:
-                continue
-            arity = arities[child]
-            if has_extra:
-                arity += extra_widths_total(extra_widths, child)
-            swap = swap_memo.get(arity)
-            if swap is None:
-                swap = swap_fn(arity)
-                swap_memo[arity] = swap
-            swaps[i] = swap
-        coef = np.asarray(rates) * swaps
-        memo_vec = np.zeros(program.num_slots)
-        memo_vec[0] = 1.0  # the destination's slot
-        for start, end, child_slots, offsets, slots in program.levels:
-            terms = 1.0 - coef[start:end] * memo_vec.take(child_slots)
-            memo_vec[slots] = 1.0 - np.multiply.reduceat(terms, offsets)
-        return float(memo_vec[program.source_slot])
 
     def _rate_from(
         self,

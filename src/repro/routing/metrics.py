@@ -11,17 +11,11 @@
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel, channel_success_probability
-
-#: Pair count from which :meth:`ChannelRateCache.rates_bulk` gathers
-#: from the compiled snapshot's width-indexed columns; smaller batches
-#: walk the scalar memo instead (below ~32 items the fixed dispatch cost
-#: of the array takes exceeds the whole loop).
-_BULK_VECTOR_MIN = 32
 
 
 def channel_rate(
@@ -88,50 +82,20 @@ class ChannelRateCache:
 
     def rates_bulk(
         self,
-        keys: Collection[Tuple[int, int]],
-        widths: Collection[int],
+        keys: Iterable[Tuple[int, int]],
+        widths: Iterable[int],
     ) -> List[float]:
         """:meth:`rate` for many aligned (canonical edge key, width) pairs.
 
-        The sanctioned bulk accessor for the Equation-1 evaluators
-        (scalar and vectorized): one call gathers every edge rate of a
-        flow evaluation instead of a per-child lookup chain.  ``keys``
-        must be canonical ``(min, max)`` pairs; the returned list is
-        aligned with the inputs and every value is bit-identical to
-        ``rate(u, v, width)``.  When the compiled snapshot is attached
-        and the batch reaches ``_BULK_VECTOR_MIN`` pairs, the rates
-        gather from its width-indexed columns — filled by the same
-        scalar :func:`channel_success_probability` chain, so the bits
-        match the memo's — grouped per distinct width so a large
-        evaluation is a few vectorised takes; smaller batches (and
-        caches without a snapshot) go through the per-(edge, width)
-        memo exactly like :meth:`rate`.
+        The sanctioned bulk accessor for the Equation-1 evaluator: one
+        call gathers every edge rate of a flow evaluation instead of a
+        per-child lookup chain.  ``keys`` must be canonical ``(min, max)``
+        pairs; the returned list is aligned with the inputs and every
+        value is bit-identical to ``rate(u, v, width)``.
         """
-        snapshot = self.compiled_snapshot
-        if snapshot is not None and len(keys) >= _BULK_VECTOR_MIN:
-            edge_index = snapshot.edge_index
-            try:
-                eids = [edge_index[key] for key in keys]
-            except KeyError:
-                # An edge the snapshot predates: fall back to the memo.
-                eids = None
-            if eids is not None:
-                by_width: Dict[int, List[int]] = {}
-                for i, width in enumerate(widths):
-                    by_width.setdefault(width, []).append(i)
-                out: List[float] = [0.0] * len(eids)
-                for width in sorted(by_width):
-                    positions = by_width[width]
-                    column = snapshot.width_rates(width)
-                    values = column.take(
-                        [eids[i] for i in positions]
-                    ).tolist()
-                    for i, value in zip(positions, values):
-                        out[i] = value
-                return out
         rate = self.rate
         memo = self._rates
-        out = []
+        out: List[float] = []
         append = out.append
         for key, width in zip(keys, widths):
             value = memo.get(key + (width,))

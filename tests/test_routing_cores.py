@@ -18,12 +18,15 @@ import pathlib
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.scenarios import parse_scenario
 from repro.network import CompiledNetwork, compile_network
 from repro.network.builder import build_network
 from repro.network.demands import Demand, generate_demands
+from repro.network.graph import QuantumNetwork
+from repro.network.node import QuantumSwitch, QuantumUser
 from repro.network.serialization import load_instance
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
@@ -45,6 +48,7 @@ from repro.exceptions import RoutingError
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache
 from repro.routing.registry import make_router, router_keys
+from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
 LINK = LinkModel(fixed_p=0.4)
@@ -265,6 +269,134 @@ def test_equation1_parity_with_extra_width_probes(scenario):
                     assert flow.entanglement_rate(
                         network, LINK, swap_model, extra_widths=extra
                     ) == rates["compiled"]
+
+
+def test_equation1_extra_widths_keys_validated():
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(2000.0, 0.0)))
+    network.add_node(QuantumSwitch(2, Point(1000.0, 0.0), 10))
+    network.add_edge(0, 2)
+    network.add_edge(2, 1)
+    flow = FlowLikeGraph(0, 0, 1)
+    flow.add_path((0, 2, 1), width=1)
+    arity_swap = SwapModel(q=0.9, per_qubit=True)
+    for core in ("reference", "compiled"):
+        with routing_core(core):
+
+            def rate(extra):
+                return flow.entanglement_rate(
+                    network, LINK, arity_swap, extra_widths=extra
+                )
+
+            assert rate(None) == pytest.approx(0.1440)
+            widened = rate({(0, 2): 1})
+            assert widened == pytest.approx(0.20736)
+            # A reversed key widens the channel, not just the arity.
+            assert rate({(2, 0): 1}) == widened
+            for bad in ({(5, 6): 1}, {(0, 1): 1}, {(0, 2): 0}, {(2, 0): -1}):
+                with pytest.raises(RoutingError):
+                    rate(bad)
+
+
+#: Edge lengths for the synthetic Equation-1 flows: distinct link
+#: probabilities under the length-based LinkModel (0.98 down to 0.55).
+EDGE_LENGTHS = st.sampled_from((200.0, 1000.0, 2500.0, 6000.0))
+
+#: Longer edges for the fan-outs (link probabilities 0.14 down to
+#: 0.007): with up to 100 parallel branches, short edges would drive the
+#: failure product below one ulp of 1.0 and every rate would round to
+#: exactly 1.0, hiding any product-order drift.
+FANOUT_EDGE_LENGTHS = st.sampled_from((20000.0, 30000.0, 40000.0, 50000.0))
+
+
+def _draw_extras(data, flow):
+    """A canonical ``extra_widths`` probe over a few of *flow*'s edges."""
+    edges = flow.edges()
+    chosen = data.draw(
+        st.lists(st.sampled_from(edges), unique=True, max_size=4)
+    )
+    return {edge: data.draw(st.integers(1, 3)) for edge in chosen}
+
+
+def _assert_equation1_differential(network, flow, extras):
+    """The compiled walk, bare and through a rate cache carrying the
+    compiled snapshot, equals the reference recursion bit for bit."""
+    link = LinkModel()
+    cache = ChannelRateCache(network, link)
+    snapshot_for(network, link, cache)
+    assert cache.compiled_snapshot is not None
+    for swap_model in (SWAP, SwapModel(q=0.9, per_qubit=True)):
+        with routing_core("reference"):
+            expected = flow.entanglement_rate(
+                network, link, swap_model, extra_widths=extras
+            )
+        with routing_core("compiled"):
+            bare = flow.entanglement_rate(
+                network, link, swap_model, extra_widths=extras
+            )
+            cached = flow.entanglement_rate(
+                network, link, swap_model, extra_widths=extras,
+                rate_cache=cache,
+            )
+        assert bare == expected
+        assert cached == expected
+
+
+@pytest.mark.parametrize(
+    "min_relays, max_relays",
+    [(2, 15), (16, 31), (32, 100)],
+    ids=["under-32-edges", "32-to-62-edges", "64-plus-edges"],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_equation1_differential_wide_fanout(min_relays, max_relays, data):
+    relays = data.draw(st.integers(min_relays, max_relays))
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(0.0, 0.0)))
+    flow = FlowLikeGraph(0, 0, 1)
+    for relay in range(2, relays + 2):
+        # A user relay terminates instead of fusing: its swap factor is 1.
+        if data.draw(st.integers(0, 3)) == 0:
+            network.add_node(QuantumUser(relay, Point(0.0, 0.0)))
+        else:
+            network.add_node(QuantumSwitch(relay, Point(0.0, 0.0), 10))
+        network.add_edge(0, relay, data.draw(FANOUT_EDGE_LENGTHS))
+        network.add_edge(relay, 1, data.draw(FANOUT_EDGE_LENGTHS))
+        flow.add_path((0, relay, 1), width=data.draw(st.integers(1, 3)))
+    assert len(flow.edges()) == 2 * relays
+    _assert_equation1_differential(network, flow, _draw_extras(data, flow))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equation1_differential_reconvergent(data):
+    switches = data.draw(st.integers(3, 24))
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(0.0, 0.0)))
+    for node in range(2, switches + 2):
+        network.add_node(QuantumSwitch(node, Point(0.0, 0.0), 50))
+    relay_lists = data.draw(st.lists(
+        st.lists(
+            st.integers(2, switches + 1), min_size=1, max_size=8,
+            unique=True,
+        ),
+        min_size=2, max_size=12,
+    ))
+    paths = [(0, *relays, 1) for relays in relay_lists]
+    for path in paths:
+        for u, v in zip(path, path[1:]):
+            if not network.has_edge(u, v):
+                network.add_edge(u, v, data.draw(EDGE_LENGTHS))
+    flow = FlowLikeGraph(0, 0, 1)
+    for path in paths:
+        try:
+            flow.add_path(path, width=data.draw(st.integers(1, 3)))
+        except RoutingError:
+            pass  # the merge would close a directed cycle
+    _assert_equation1_differential(network, flow, _draw_extras(data, flow))
 
 
 def test_fusion_arity_cache_tracks_mutations():
