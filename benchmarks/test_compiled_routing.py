@@ -57,7 +57,7 @@ def _best_time(router, network, demands):
     """(cold first-call seconds, best-of-ROUNDS seconds, last result).
 
     The first call pays every per-network cost — compiling the CSR
-    snapshot, building rate columns and masked rows — which later calls
+    snapshot, building rate columns and relay flags — which later calls
     reuse; reporting it separately keeps the steady-state number honest
     about what a one-shot route() costs.
     """

@@ -96,7 +96,8 @@ def load():
     kernel = lib.repro_relax_search
     kernel.restype = _INT
     kernel.argtypes = (
-        [_POINTER] * 11 + [_INT, _INT, ctypes.c_double, _POINTER, _INT]
+        [_POINTER] * 13
+        + [_INT, _INT, ctypes.c_double, _POINTER, _INT, _POINTER, _INT]
     )
     return kernel
 

@@ -1,11 +1,14 @@
 /*
- * Algorithm 1's relax loop: the modified Dijkstra over one masked CSR
- * rate row, step for step the same as CompiledNetwork._kernel in
- * repro/routing/compiled.py (the Python oracle).
+ * Algorithm 1's relax loop: the modified Dijkstra over the CSR adjacency
+ * and one per-edge rate column, step for step the same as
+ * CompiledNetwork._kernel in repro/routing/compiled.py (the Python
+ * oracle).
  *
- * - Rows relax in ascending slot order; a neighbour updates only on a
- *   strict `c > best`, and banned nodes are pinned to +inf so they never
- *   update.
+ * - Rows relax in ascending slot order.  A slot is skipped when its
+ *   neighbour may not relay (flags[nbr] == 0) and is not the
+ *   destination, or when its edge is banned; otherwise the neighbour
+ *   updates only on a strict `c > best`.  Banned nodes are pinned to
+ *   +inf so they never update.
  * - The heap orders entries by rate descending, then push counter
  *   ascending.  Counters are unique, so every key is distinct and any
  *   correct heap pops the same sequence as Python's heapq.
@@ -13,9 +16,10 @@
  *   one IEEE-754 double multiply, exactly as in Python, so paths and
  *   rates are bit-identical.
  *
- * Scratch (best, visited) must be zero on entry and is zero again on
- * return: only the touched nodes are reset, so a search costs time in
- * the nodes it reaches, not in the network size.
+ * Scratch (best, visited, edge_banned) must be zero on entry and is
+ * zero again on return: only the touched nodes and the banned edges are
+ * reset, so a search costs time in the nodes it reaches, not in the
+ * network size.
  */
 
 #include <math.h>
@@ -69,16 +73,19 @@ static entry_t heap_pop(entry_t *heap, int64_t *size)
 /*
  * Returns the path length in nodes (path_out[0] == source) and writes
  * the path rate to *rate_out, or returns 0 when the destination is
- * unreachable.  Capacities: heap nnz + 1 entries (each row relaxes at
- * most once, so at most nnz pushes follow the source's), touched
- * nnz + n + 1, path_out n.
+ * unreachable.  `rates` is indexed by edge id (adj_edges[slot]) and
+ * `flags` by node.  Capacities: heap nnz + 1 entries (each row relaxes
+ * at most once, so at most nnz pushes follow the source's), touched
+ * nnz + n + 1, path_out n, edge_banned one byte per edge.
  */
 int64_t repro_relax_search(
-    const int64_t *indptr, const int64_t *adj, double *best, int64_t *pred,
-    uint8_t *visited, entry_t *heap, int64_t *touched, int64_t *path_out,
-    double *rate_out, const double *masked, const uint8_t *flags,
+    const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
+    double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
+    entry_t *heap, int64_t *touched, int64_t *path_out, double *rate_out,
+    const double *rates, const uint8_t *flags,
     int64_t source, int64_t destination, double swap2,
-    const int64_t *banned, int64_t n_banned)
+    const int64_t *banned, int64_t n_banned,
+    const int64_t *banned_edges, int64_t n_banned_edges)
 {
     int64_t n_touched = 0, size = 0, counter = 1, length = 0, i;
     int found = 0;
@@ -88,6 +95,7 @@ int64_t repro_relax_search(
         best[banned[i]] = INFINITY;
         touched[n_touched++] = banned[i];
     }
+    for (i = 0; i < n_banned_edges; i++) edge_banned[banned_edges[i]] = 1;
     best[source] = 1.0;
     heap[size++] = (entry_t){1.0, 0, source};
     while (size > 0) {
@@ -105,8 +113,11 @@ int64_t repro_relax_search(
             rate = rate * swap2;
         }
         for (slot = indptr[node]; slot < indptr[node + 1]; slot++) {
-            double c = rate * masked[slot];
-            int64_t nbr = adj[slot];
+            int64_t nbr = adj[slot], edge = adj_edges[slot];
+            double c;
+            if (!flags[nbr] && nbr != destination) continue;
+            if (edge_banned[edge]) continue;
+            c = rate * rates[edge];
             if (c > best[nbr]) {
                 best[nbr] = c;
                 pred[nbr] = node;
@@ -129,5 +140,6 @@ int64_t repro_relax_search(
         best[touched[i]] = 0.0;
         visited[touched[i]] = 0;
     }
+    for (i = 0; i < n_banned_edges; i++) edge_banned[banned_edges[i]] = 0;
     return length;
 }

@@ -34,6 +34,12 @@ def _ekey(a: int, b: int) -> EdgeKey:
     return (a, b) if a < b else (b, a)
 
 
+def canonical_edge_keys(edges: FrozenSet[EdgeKey]) -> FrozenSet[EdgeKey]:
+    """*edges* with every key as ``(min, max)``, the order both cores
+    look bans up in, so a ban reads the same in either endpoint order."""
+    return frozenset(_ekey(a, b) for a, b in edges) if edges else edges
+
+
 def largest_entanglement_rate_path(
     network: QuantumNetwork,
     link_model: LinkModel,
@@ -53,6 +59,7 @@ def largest_entanglement_rate_path(
     capacities, matching Algorithm 2's resource-reuse rule).
     ``rate_cache`` shares memoised channel rates across calls — Yen's
     loop in Algorithm 2 re-relaxes the same edges many times per demand.
+    A ``banned_edges`` key may name its endpoints in either order.
     Returns ``(nodes, rate)`` or ``None`` when no feasible path exists.
     """
     if width < 1:
@@ -65,6 +72,7 @@ def largest_entanglement_rate_path(
         )
     if source in banned_nodes or destination in banned_nodes:
         return None
+    banned_edges = canonical_edge_keys(banned_edges)
     if active_routing_core() == "compiled":
         # Same search over the CSR snapshot; bit-identical paths/rates
         # (parity enforced by tests/test_routing_cores.py).

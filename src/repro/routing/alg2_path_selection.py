@@ -19,7 +19,10 @@ from repro.exceptions import RoutingError
 from repro.network.demands import Demand
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
+from repro.routing.alg1_largest_rate import (
+    canonical_edge_keys,
+    largest_entanglement_rate_path,
+)
 from repro.routing.allocation import QubitLedger
 from repro.routing.compiled import (
     active_routing_core,
@@ -56,7 +59,8 @@ def select_paths(
     ``banned_nodes``/``banned_edges`` exclude elements from every
     candidate — the serving loop passes its down-element sets here so
     fault state is a search-time mask (bit-identical to the elements
-    being absent) instead of a topology mutation.
+    being absent) instead of a topology mutation.  An edge key may name
+    its endpoints in either order.
     """
     if h < 1:
         raise RoutingError(f"h must be >= 1, got {h}")
@@ -66,9 +70,10 @@ def select_paths(
         raise RoutingError(f"max_width must be >= 1, got {max_width}")
     if rate_cache is None:
         rate_cache = ChannelRateCache(network, link_model)
+    banned_edges = canonical_edge_keys(banned_edges)
     if active_routing_core() == "compiled":
-        # One CSR snapshot and one set of mask buffers serve every
-        # width and every Yen deviation; results are bit-identical.
+        # One CSR snapshot and its search memo serve every width and
+        # every Yen deviation; results are bit-identical.
         result = compiled_select_paths(
             network, link_model, swap_model, demand, h, max_width,
             ledger, rate_cache, banned_nodes, banned_edges,

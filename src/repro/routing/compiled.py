@@ -18,19 +18,16 @@ runs over flat arrays:
   width, filled through the same scalar
   :func:`~repro.quantum.noise.channel_success_probability` the
   reference :class:`~repro.routing.metrics.ChannelRateCache` uses, so
-  every rate is bit-identical, plus slot-aligned copies the masked
-  rows below are built from;
-* **masked-row relaxation** — feasibility is folded into precomputed
-  per-(width, flags-version, destination) rate rows with infeasible
-  slots zeroed (one vectorised build, cached), so relaxing a popped
-  node's row is a bare multiply + strict-improvement compare per slot
-  with no per-edge lookups; pushes happen in ascending slot order with
-  sequential tie-break counters, replaying the reference push sequence
-  move for move.  The relax-time ``visited`` test the reference
-  performs is provably redundant under the strict ``candidate > best``
-  rule (every rate factor is <= 1, so a candidate can never beat a
-  settled node's rate), which is what reduces the row mask to
-  feasibility x improvement only;
+  every rate is bit-identical;
+* **in-loop masking** — relaxing a popped node's row skips a slot
+  whose neighbour may not relay (unless it is the destination) or
+  whose edge is banned, and otherwise does one multiply by the edge's
+  rate plus a strict-improvement compare; pushes happen in ascending
+  slot order with sequential tie-break counters, replaying the
+  reference push sequence move for move.  The relax-time ``visited``
+  test the reference performs is provably redundant under the strict
+  ``candidate > best`` rule (every rate factor is <= 1, so a candidate
+  can never beat a settled node's rate);
 * **a native relax loop** — the search itself runs in ``kernel.c``
   (package :mod:`repro.routing._native`), compiled once per user cache
   and called through :mod:`ctypes`.  It repeats the Python
@@ -54,7 +51,7 @@ under consideration, and :func:`search_widths` (or
 one call, resolving the banned sets once and running one kernel call
 per width that the memo misses.  All batch searches — every width
 and every Yen deviation — share the snapshot's scratch buffers,
-per-width rate rows, feasibility flags and a **search-result memo**
+per-width rate columns, feasibility flags and a **search-result memo**
 keyed on the exact kernel inputs
 ``(source, destination, width, flags-version, swap, banned sets)``.
 Identical queries (Algorithm 2 re-runs the same spur searches across
@@ -96,6 +93,7 @@ but never use one after its snapshot's network mutated.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import heapq
 import itertools
@@ -140,10 +138,6 @@ _env_raw = None
 #: Search-result memo entries kept before a wholesale clear (the clear
 #: is deterministic: it depends only on the query sequence).
 _SEARCH_MEMO_LIMIT = 65536
-
-#: Cached masked rate rows (per width/flags-version/destination) kept
-#: before a wholesale clear.
-_MASKED_ROW_CACHE_LIMIT = 4096
 
 #: Memo sentinel distinguishing "no entry" from a memoised ``None``.
 _MISS = object()
@@ -245,19 +239,15 @@ class CompiledNetwork:
         "adj_nodes",
         "adj_nodes_list",
         "adj_edges",
+        "adj_edges_list",
         "edge_keys",
         "edge_index",
-        "edge_slots",
         "edge_probability",
         "_relay_cache",
         "_static_relay",
         "_flags_serial",
         "_flags_versions",
         "_width_columns",
-        "_row_rate_cache",
-        "_base_row_cache",
-        "_masked_row_cache",
-        "_in_slots",
         "_search_memo",
         "_native_scratch",
         "_best",
@@ -302,23 +292,16 @@ class CompiledNetwork:
                 adj_nodes.append(index_of[nbr])
                 adj_edges.append(edge_index[_ekey(nid, nbr)])
             indptr.append(len(adj_nodes))
-        # Both layouts are kept: int64 arrays feed the row masking and
-        # the native kernel, while the plain lists serve the Python
-        # fallback kernel's scalar reads (a list index is ~3x cheaper
-        # than an ndarray scalar index).
+        # Both layouts are kept: int64 arrays feed the native kernel,
+        # while the plain lists serve the Python fallback kernel's
+        # scalar reads (a list index is ~3x cheaper than an ndarray
+        # scalar index).
         self.indptr_list: List[int] = indptr
         self.adj_nodes_list: List[int] = adj_nodes
+        self.adj_edges_list: List[int] = adj_edges
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.adj_nodes = np.asarray(adj_nodes, dtype=np.int64)
-        self.adj_edges = np.asarray(adj_edges, dtype=np.intp)
-        # Each undirected edge occupies exactly two CSR slots (one per
-        # endpoint row); grouping the stable eid argsort two-by-two maps
-        # an edge id to both its slots for banned-edge masking.
-        if self.adj_edges.size:
-            order = np.argsort(self.adj_edges, kind="stable")
-            self.edge_slots = order.reshape(len(edge_keys), 2)
-        else:
-            self.edge_slots = np.zeros((0, 2), dtype=np.intp)
+        self.adj_edges = np.asarray(adj_edges, dtype=np.int64)
         # Per-width relay-feasibility flags, patched incrementally from
         # the owning ledger's feasibility journal (see relay_feasible):
         # width -> [ledger, epoch, consumed_length, flags, version].
@@ -328,15 +311,9 @@ class CompiledNetwork:
         self._flags_serial = itertools.count()
         # Content-addressed flag versions per width: equal contents map
         # to equal versions across ledgers, restores and routing calls,
-        # which is what keeps the search/masked-row memos hitting.
+        # which is what keeps the search memo hitting.
         self._flags_versions: Dict[int, Dict[bytes, int]] = {}
         self._width_columns: Dict[int, np.ndarray] = {}
-        self._row_rate_cache: Dict[int, np.ndarray] = {}
-        self._base_row_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._masked_row_cache: Dict[
-            Tuple[int, int, int, FrozenSet[int]], Tuple[np.ndarray, int]
-        ] = {}
-        self._in_slots: Dict[int, np.ndarray] = {}
         self._search_memo: Dict[tuple, object] = {}
         # Scratch of each kernel, allocated on its first search (see
         # _native_search and _kernel) and reset through the touched
@@ -349,11 +326,10 @@ class CompiledNetwork:
 
     def __getstate__(self):
         """Copy/pickle state without raw buffer addresses: a copy gets
-        its own native scratch and masked rows on first use instead of
-        pointing into the original's buffers."""
+        its own native scratch on first use instead of pointing into the
+        original's buffers."""
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_native_scratch"] = None
-        state["_masked_row_cache"] = {}
         return None, state
 
     @property
@@ -387,14 +363,6 @@ class CompiledNetwork:
             )
             self._width_columns[width] = column
         return column
-
-    def _row_rates(self, width: int) -> np.ndarray:
-        """``width_rates(width)`` broadcast to CSR slots, filled once."""
-        rows = self._row_rate_cache.get(width)
-        if rows is None:
-            rows = self.width_rates(width)[self.adj_edges]
-            self._row_rate_cache[width] = rows
-        return rows
 
     def relay_feasible(self, ledger, width: int) -> np.ndarray:
         """Per-node "may relay at this width" flags for one search batch.
@@ -475,7 +443,7 @@ class CompiledNetwork:
         # snapshot the last search ran against, and back-to-back calls
         # start from the same full capacities.  The content-addressed
         # version map then re-issues the old version, and with it every
-        # memoised search and masked row.
+        # memoised search.
         version = self._flags_version_for(width, flags)
         self._relay_cache[width] = [ledger, epoch, length, flags, version]
         return flags, version
@@ -509,96 +477,24 @@ class CompiledNetwork:
     # ------------------------------------------------------------------
     # The Algorithm 1 kernel
 
-    def _slots_into(self, node_idx: int) -> np.ndarray:
-        """CSR slots whose neighbour is *node_idx* (topology-static)."""
-        slots = self._in_slots.get(node_idx)
-        if slots is None:
-            slots = np.flatnonzero(self.adj_nodes == node_idx)
-            self._in_slots[node_idx] = slots
-        return slots
-
-    def _base_row(
-        self, width: int, flags: np.ndarray, version: int
-    ) -> np.ndarray:
-        """Destination-agnostic masked rate row per (width, version).
-
-        The expensive part of a masked row — folding the relay flags
-        into the rate row — does not depend on the destination or the
-        banned set, so it is built once per (width, flags version) and
-        the per-destination / per-ban variants patch a copy (a handful
-        of slots each).
-        """
-        key = (width, version)
-        row = self._base_row_cache.get(key)
-        if row is None:
-            if len(self._base_row_cache) >= _MASKED_ROW_CACHE_LIMIT:
-                self._base_row_cache.clear()
-            row = np.where(flags[self.adj_nodes], self._row_rates(width), 0.0)
-            self._base_row_cache[key] = row
-        return row
-
-    def _masked_row_rates(
-        self,
-        width: int,
-        flags: np.ndarray,
-        version: int,
-        destination_idx: int,
-        banned_edge_ids: FrozenSet[int] = _EMPTY,
-    ) -> Tuple[np.ndarray, int]:
-        """Slot-aligned candidate rates with infeasible slots zeroed, and
-        the row's data address (the native kernel's argument).
-
-        The feasibility mask is folded straight into the rate row: a
-        slot whose neighbour may not relay (and is not the destination,
-        which needs only endpoint feasibility — the caller's check)
-        carries rate 0.0, which the kernel's strict ``candidate > best``
-        test rejects exactly like the reference's explicit skip (``best``
-        is never below 0).  This reduces relaxing a row to one multiply
-        + one compare per slot with no per-edge feasibility lookups.
-        Banned edges (Yen's deviation searches) zero both slots of each
-        named edge on top of the destination row.  Cached per (width,
-        flags version, destination, banned set) — exact because the
-        version changes whenever the flag contents do, and a hit for a
-        banned variant is common: the same root-prefix bans recur
-        across every width of the sweep and every refill round.
-        """
-        key = (width, version, destination_idx, banned_edge_ids)
-        entry = self._masked_row_cache.get(key)
-        if entry is None:
-            if len(self._masked_row_cache) >= _MASKED_ROW_CACHE_LIMIT:
-                self._masked_row_cache.clear()
-            if banned_edge_ids:
-                row = self._masked_row_rates(
-                    width, flags, version, destination_idx
-                )[0].copy()
-                row[self.edge_slots[sorted(banned_edge_ids)]] = 0.0
-            else:
-                row = self._base_row(width, flags, version).copy()
-                into_destination = self._slots_into(destination_idx)
-                row[into_destination] = self._row_rates(width)[
-                    into_destination
-                ]
-            entry = self._masked_row_cache[key] = (row, row.ctypes.data)
-        return entry
-
     def _native_search(
         self,
         kernel,
         source: int,
         destination: int,
-        masked_address: int,
+        rates: np.ndarray,
         flags: np.ndarray,
         swap2: float,
         banned_idx: FrozenSet[int],
+        banned_edge_ids: FrozenSet[int],
     ) -> Optional[Tuple[List[int], float]]:
         """:meth:`_kernel` run by the native relax loop (``kernel.c``).
 
-        Same arguments and result as the Python kernel, but the masked
-        row is passed by its data address (see
-        :meth:`_masked_row_rates`) and the flags stay an array.  The
-        scratch buffers are allocated on the first call and sized for
-        the worst case: each row relaxes at most once, so a search
-        pushes at most ``nnz`` entries after the source's.
+        Same arguments and result as the Python kernel, but the rate
+        column and the flags stay arrays.  The scratch buffers are
+        allocated on the first call and sized for the worst case: each
+        row relaxes at most once, so a search pushes at most ``nnz``
+        entries after the source's.
         """
         scratch = self._native_scratch
         if scratch is None:
@@ -609,9 +505,11 @@ class CompiledNetwork:
             buffers = (
                 self.indptr,
                 self.adj_nodes,
+                self.adj_edges,
                 np.zeros(n, dtype=np.float64),  # best
                 np.zeros(n, dtype=np.int64),  # pred
                 np.zeros(n, dtype=np.uint8),  # visited
+                np.zeros(len(self.edge_keys), dtype=np.uint8),  # edge_banned
                 np.zeros((nnz + 1) * _native.HEAP_ENTRY_BYTES, np.uint8),
                 np.zeros(nnz + n + 1, dtype=np.int64),  # touched
             )
@@ -623,10 +521,14 @@ class CompiledNetwork:
                 buffers,
             )
         addresses, path, rate, _ = scratch
-        banned = (ctypes.c_int64 * len(banned_idx))(*banned_idx)
+        # array.array fills from a set several times faster than a
+        # ctypes array, and fault-heavy sessions ban ~100 edges a search.
+        banned = array.array("q", banned_idx)
+        banned_edges = array.array("q", banned_edge_ids)
         length = kernel(
-            *addresses, masked_address, flags.ctypes.data, source,
-            destination, swap2, banned, len(banned_idx),
+            *addresses, rates.ctypes.data, flags.ctypes.data, source,
+            destination, swap2, banned.buffer_info()[0], len(banned),
+            banned_edges.buffer_info()[0], len(banned_edges),
         )
         if not length:
             return None
@@ -636,29 +538,30 @@ class CompiledNetwork:
         self,
         source: int,
         destination: int,
-        masked: List[float],
+        rates: List[float],
         flags: List[bool],
         swap2: float,
         banned_idx: Sequence[int],
+        banned_edge_ids: FrozenSet[int],
     ) -> Optional[Tuple[List[int], float]]:
-        """Algorithm 1's modified Dijkstra over masked rate rows, in
-        Python: the native kernel's oracle and its fallback.
+        """Algorithm 1's modified Dijkstra over the CSR rows, in Python:
+        the native kernel's oracle and its fallback.
 
-        *source*/*destination*/*banned_idx* are node **indices**;
-        ``masked`` is the slot-aligned rate row with infeasible slots
-        zeroed (see :meth:`_masked_row_rates`) and ``flags`` the relay
-        flags, both as lists.  Returns ``(index_path, rate)`` or
-        ``None``.
+        *source*/*destination*/*banned_idx* are node **indices** and
+        *banned_edge_ids* edge ids; ``rates`` is the per-edge rate
+        column (:meth:`width_rates`) and ``flags`` the relay flags, both
+        as lists.  Returns ``(index_path, rate)`` or ``None``.
 
         The relaxation replays the reference implementation move for
         move: each popped node's CSR row is relaxed slot-ascending with
         sequential tie-break counters — the same push sequence, so the
-        returned path is bit-identical, not merely rate-equal.  Banned
-        nodes are excluded by pinning their ``best`` to ``+inf`` (the
-        strict test then never updates or pushes them), which also
-        covers the reference's relax-time visited test: every rate
-        factor is <= 1, so a settled node's rate is never strictly
-        beaten.
+        returned path is bit-identical, not merely rate-equal.  A slot
+        is skipped when its neighbour may not relay and is not the
+        destination, or when its edge is banned.  Banned nodes are
+        excluded by pinning their ``best`` to ``+inf`` (the strict test
+        then never updates or pushes them), which also covers the
+        reference's relax-time visited test: every rate factor is
+        <= 1, so a settled node's rate is never strictly beaten.
         """
         if not self._best:
             n = len(self.node_ids)
@@ -672,6 +575,7 @@ class CompiledNetwork:
         pred = self._pred
         indptr = self.indptr_list
         adj = self.adj_nodes_list
+        edges = self.adj_edges_list
         heappush = heapq.heappush
         heappop = heapq.heappop
         touched = [source]
@@ -699,8 +603,13 @@ class CompiledNetwork:
                         continue
                     rate = rate * swap2
                 for slot in range(indptr[node], indptr[node + 1]):
-                    c = rate * masked[slot]
                     nbr = adj[slot]
+                    if not flags[nbr] and nbr != destination:
+                        continue
+                    edge = edges[slot]
+                    if edge in banned_edge_ids:
+                        continue
+                    c = rate * rates[edge]
                     if c > best[nbr]:
                         best[nbr] = c
                         pred[nbr] = node
@@ -770,19 +679,17 @@ class CompiledNetwork:
         hit = memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        masked, masked_address = self._masked_row_rates(
-            width, flags, version, destination_idx, banned_edge_ids
-        )
+        rates = self.width_rates(width)
         kernel = _native.KERNEL
         if kernel is not None:
             found = self._native_search(
-                kernel, source_idx, destination_idx, masked_address, flags,
-                swap2, banned_node_idx,
+                kernel, source_idx, destination_idx, rates, flags, swap2,
+                banned_node_idx, banned_edge_ids,
             )
         else:
             found = self._kernel(
-                source_idx, destination_idx, masked.tolist(),
-                flags.tolist(), swap2, sorted(banned_node_idx),
+                source_idx, destination_idx, rates.tolist(), flags.tolist(),
+                swap2, sorted(banned_node_idx), banned_edge_ids,
             )
         if found is None:
             result = None
@@ -868,9 +775,9 @@ def _persistent_snapshot(
     on the network object across routing calls.
 
     Sweeps and Monte-Carlo trials route the same network hundreds of
-    times; the snapshot (CSR layout, rate columns, masked rows, search
-    memo) is a pure function of the topology and the link model, so it
-    is kept on the network keyed by ``(link_model, topology_version)``
+    times; the snapshot (CSR layout, rate columns, search memo) is a
+    pure function of the topology and the link model, so it is kept on
+    the network keyed by ``(link_model, topology_version)``
     — the frozen-dataclass link model compares by value and the version
     counter changes exactly when the topology mutates, so a stale
     snapshot can never be returned.
@@ -1153,9 +1060,9 @@ def compiled_select_paths(
     once).  *banned_nodes*/*banned_edges* are session-wide masks (the
     serving loop's down elements); they reach every search — including
     each Yen deviation, unioned with the deviation's own bans — as
-    memo-keyed mask sets, so fault state changes cost O(changes) of
-    re-masked rows rather than a snapshot rebuild.  Parameter
-    validation and the ``max_hops`` filter stay in
+    memo-keyed ban sets, so a fault state change costs fresh searches
+    rather than a snapshot rebuild.  Parameter validation and the
+    ``max_hops`` filter stay in
     :func:`~repro.routing.alg2_path_selection.select_paths`.
     """
     snapshot = snapshot_for(network, link_model, rate_cache)

@@ -205,8 +205,8 @@ class ServeSession:
         self.rate_cache = ChannelRateCache(network, link_model)
         # Fault state: updated by mark_* transitions, read as frozen
         # ban sets by every routing call.  The compiled snapshot keys
-        # its search memo and masked rate rows on these sets, so each
-        # distinct fault state pays its masking once and is O(1) after.
+        # its search memo on these sets, so each distinct fault state
+        # pays its searches once and is O(1) after.
         self.down_edges: FrozenSet[EdgeKey] = frozenset()
         self.down_switches: FrozenSet[int] = frozenset()
         self._online = (

@@ -2,12 +2,12 @@
 
 ``CompiledNetwork._native_search`` (``kernel.c`` through ctypes) must
 return exactly what ``CompiledNetwork._kernel`` returns — the same index
-path and the same rate bits — on any CSR graph, masked row, relay flags
-and banned sets.  The graphs below are drawn to hit the cases where the
-two could part ways: hub rows of 32+ slots, exact rate ties from equal
-edge lengths (so the push-counter tie-break decides), banned nodes,
-all-false relay flags, an unreachable destination and a destination
-adjacent to the source.  Several searches run back to back on one
+path and the same rate bits — on any CSR graph, width, relay flags,
+banned nodes and banned edges.  The graphs below are drawn to hit the
+cases where the two could part ways: hub rows of 32+ slots, exact rate
+ties from equal edge lengths (so the push-counter tie-break decides),
+banned nodes and edges, all-false relay flags, an unreachable
+destination and a destination adjacent to the source.  Several searches run back to back on one
 snapshot, so scratch left dirty by one search would show in the next.
 The loader tests cover the build into a cold cache and the fallback
 when no compiler exists.
@@ -110,16 +110,14 @@ def test_native_matches_python_kernel(instance, width, swap2, data):
             if snapshot.num_edges
             else st.just(frozenset())
         )
-        masked, address = snapshot._masked_row_rates(
-            width, flags, 0, destination, banned_edges
-        )
+        rates = snapshot.width_rates(width)
         native = snapshot._native_search(
-            _native.KERNEL, source, destination, address, flags, swap2,
-            banned,
+            _native.KERNEL, source, destination, rates, flags, swap2,
+            banned, banned_edges,
         )
         python = snapshot._kernel(
-            source, destination, masked.tolist(), flags.tolist(), swap2,
-            sorted(banned),
+            source, destination, rates.tolist(), flags.tolist(), swap2,
+            sorted(banned), banned_edges,
         )
         assert native == python
         if native is not None:

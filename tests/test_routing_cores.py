@@ -16,6 +16,7 @@ import gc
 import os
 import pathlib
 import shutil
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +185,51 @@ def test_alg1_parity_random_banned_sets(scenario, seed):
                     banned_edges=banned_edges,
                 )
         assert results["reference"] == results["compiled"]
+
+
+def _short_long_diamond():
+    """Users 0 and 1 joined through switch 2 (short edges) or switch 3
+    (long edges): banning either edge of the short route reroutes."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(2000.0, 0.0)))
+    network.add_node(QuantumSwitch(2, Point(1000.0, 0.0), 10))
+    network.add_node(QuantumSwitch(3, Point(1000.0, 1000.0), 10))
+    network.add_edge(0, 2, 1000.0)
+    network.add_edge(2, 1, 1000.0)
+    network.add_edge(0, 3, 3000.0)
+    network.add_edge(3, 1, 3000.0)
+    return network
+
+
+@pytest.mark.parametrize("core", ["reference", "compiled"])
+def test_reversed_banned_edge_keys_are_honoured(core):
+    """An edge ban reads the same in either endpoint order, in a single
+    search and in Algorithm 2's selection."""
+    network = _short_long_diamond()
+    link = LinkModel()
+    demand = Demand(0, 0, 1)
+    with routing_core(core):
+        unbanned = largest_entanglement_rate_path(
+            network, link, SWAP, 0, 1, 1
+        )
+        assert unbanned[0] == (0, 2, 1)
+        for key in ((0, 2), (2, 0), (1, 2), (2, 1)):
+            found = largest_entanglement_rate_path(
+                network, link, SWAP, 0, 1, 1, banned_edges=frozenset({key})
+            )
+            assert found[0] == (0, 3, 1)
+            assert select_paths(
+                network, link, SWAP, demand, h=2, max_width=2,
+                banned_edges=frozenset({key}),
+            ) == select_paths(
+                network, link, SWAP, demand, h=2, max_width=2,
+                banned_edges=frozenset({(0, 2)}),
+            )
+        # A key that names no edge of the network stays a no-op.
+        assert largest_entanglement_rate_path(
+            network, link, SWAP, 0, 1, 1, banned_edges=frozenset({(3, 2)})
+        ) == unbanned
 
 
 def test_alg1_parity_infeasible_cases(diamond_network):
@@ -750,8 +796,7 @@ def test_generator_bans_match_frozensets():
 
 def test_snapshot_copy_owns_its_native_buffers():
     """A deep copy of a used snapshot must not reuse the original's
-    native scratch or masked-row addresses: it answers correctly after
-    the original is gone."""
+    native scratch: it answers correctly after the original is gone."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
     demand = demands[0]
     snapshot = compile_network(network, LINK)
@@ -759,13 +804,41 @@ def test_snapshot_copy_owns_its_native_buffers():
         snapshot, SWAP, demand.source, demand.destination, (1, 2), None
     ).search_widths()
     clone = copy.deepcopy(snapshot)
-    assert clone._native_scratch is None and not clone._masked_row_cache
+    assert clone._native_scratch is None
     del snapshot
     gc.collect()
     clone._search_memo.clear()
     assert WidthSearchBatch(
         clone, SWAP, demand.source, demand.destination, (1, 2), None
     ).search_widths() == expected
+
+
+def test_snapshot_memory_per_ban_set_stays_small():
+    """Each distinct banned-edge set costs a search-memo entry and
+    nothing the size of the network: growth per query stays well under
+    one CSR row of float64 rates."""
+    network, demands = _instance("waxman:switches=120,users=6,states=6", 7)
+    demand = demands[0]
+    snapshot = compile_network(network, LinkModel())
+    batch = WidthSearchBatch(
+        snapshot, SWAP, demand.source, demand.destination, (1,), None
+    )
+    edges = network.edge_keys()
+    batch.search(1, banned_edges=(edges[0], edges[-1]))
+    queries = 300
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(queries):
+            batch.search(1, banned_edges=(edges[i], edges[i + 1]))
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nnz = snapshot.adj_nodes.size
+    assert nnz > 1000
+    assert growth / queries < nnz * 2
 
 
 @pytest.mark.parametrize("key", sorted(router_keys()))
