@@ -24,8 +24,8 @@ from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
-from repro.routing.compiled import active_routing_core, compiled_search
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.compiled import compiled_search
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 
 EdgeKey = Tuple[int, int]
 
@@ -57,8 +57,10 @@ def largest_entanglement_rate_path(
 
     ``ledger`` supplies remaining qubit counts (defaults to full
     capacities, matching Algorithm 2's resource-reuse rule).
-    ``rate_cache`` shares memoised channel rates across calls — Yen's
-    loop in Algorithm 2 re-relaxes the same edges many times per demand.
+    ``rate_cache`` fixes the routing core and shares memoised channel
+    rates across calls — Yen's loop in Algorithm 2 re-relaxes the same
+    edges many times per demand; it must be bound to this *network* and
+    *link_model*.
     A ``banned_edges`` key may name its endpoints in either order.
     Returns ``(nodes, rate)`` or ``None`` when no feasible path exists.
     """
@@ -70,15 +72,16 @@ def largest_entanglement_rate_path(
         raise RoutingError(
             f"endpoints ({source}, {destination}) must exist in the network"
         )
+    rate_cache = rate_cache_for(network, link_model, rate_cache)
     if source in banned_nodes or destination in banned_nodes:
         return None
     banned_edges = canonical_edge_keys(banned_edges)
-    if active_routing_core() == "compiled":
+    if rate_cache.compiled_snapshot is not None:
         # Same search over the CSR snapshot; bit-identical paths/rates
         # (parity enforced by tests/test_routing_cores.py).
         return compiled_search(
-            network, link_model, swap_model, source, destination, width,
-            ledger, banned_nodes, banned_edges, rate_cache,
+            rate_cache.compiled_snapshot, swap_model, source, destination,
+            width, ledger, banned_nodes, banned_edges,
         )
     if ledger is None:
         ledger = QubitLedger(network)
@@ -93,11 +96,6 @@ def largest_entanglement_rate_path(
     visited: Set[int] = set()
     counter = itertools.count()
     heap = [(-1.0, next(counter), source)]
-    # The exp()-based channel rate is the hot spot of the search; each
-    # edge is relaxed many times, so memoise — across calls when the
-    # caller supplies a cache, per call otherwise.
-    if rate_cache is None:
-        rate_cache = ChannelRateCache(network, link_model)
 
     while heap:
         negative_rate, _, node = heapq.heappop(heap)

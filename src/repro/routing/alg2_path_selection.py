@@ -24,12 +24,12 @@ from repro.routing.alg1_largest_rate import (
     largest_entanglement_rate_path,
 )
 from repro.routing.allocation import QubitLedger
-from repro.routing.compiled import (
-    active_routing_core,
-    compiled_select_paths,
-    yen_deviation_loop,
+from repro.routing.compiled import compiled_select_paths, yen_deviation_loop
+from repro.routing.metrics import (
+    ChannelRateCache,
+    path_entanglement_rate,
+    rate_cache_for,
 )
-from repro.routing.metrics import ChannelRateCache, path_entanglement_rate
 from repro.routing.paths import PathCandidate
 
 EdgeKey = Tuple[int, int]
@@ -54,8 +54,10 @@ def select_paths(
     decreasing rate.  Widths whose best path is infeasible are omitted.
     ``max_hops`` drops longer candidates — the fidelity-constrained
     extension derives it from a minimum end-to-end fidelity.
-    ``rate_cache`` shares memoised channel rates across the whole
-    selection (and, when a router passes one, across demands).
+    ``rate_cache`` fixes the routing core and shares memoised channel
+    rates across the whole selection (and, when a router passes one,
+    across demands); it must be bound to this *network* and
+    *link_model*.
     ``banned_nodes``/``banned_edges`` exclude elements from every
     candidate — the serving loop passes its down-element sets here so
     fault state is a search-time mask (bit-identical to the elements
@@ -68,15 +70,14 @@ def select_paths(
         max_width = default_max_width(network)
     if max_width < 1:
         raise RoutingError(f"max_width must be >= 1, got {max_width}")
-    if rate_cache is None:
-        rate_cache = ChannelRateCache(network, link_model)
+    rate_cache = rate_cache_for(network, link_model, rate_cache)
     banned_edges = canonical_edge_keys(banned_edges)
-    if active_routing_core() == "compiled":
+    if rate_cache.compiled_snapshot is not None:
         # One CSR snapshot and its search memo serve every width and
         # every Yen deviation; results are bit-identical.
         result = compiled_select_paths(
-            network, link_model, swap_model, demand, h, max_width,
-            ledger, rate_cache, banned_nodes, banned_edges,
+            rate_cache.compiled_snapshot, swap_model, demand, h, max_width,
+            ledger, banned_nodes, banned_edges,
         )
     else:
         if ledger is None:

@@ -66,29 +66,35 @@ Core selection
 
 ``REPRO_ROUTING_CORE`` selects the implementation (``compiled`` is the
 default; ``reference`` keeps the original object-graph code).  The
-switch is read per routing call, so a test or CI job can flip cores
-without restarting the process.  Both cores produce bit-identical
-paths, rates and plans; the parity suite in
-``tests/test_routing_cores.py`` and the ``routing-parity`` CI job
-enforce this.
+switch is read in exactly one place: the
+:class:`~repro.routing.metrics.ChannelRateCache` constructor, which
+holds the compiled snapshot on the compiled core and ``None`` on the
+reference core.  Algorithm 1, Algorithm 2 and Equation 1 dispatch on
+that field, so a cache fixes the core it was built under.  Every
+router's ``route()`` and every serving session builds its own cache,
+so a test or CI job can still flip cores between routing calls without
+restarting the process.  Both cores produce bit-identical paths, rates
+and plans; the parity suite in ``tests/test_routing_cores.py`` and the
+``routing-parity`` CI job enforce this.
 
 Snapshot lifetime
 -----------------
 
 A snapshot freezes the network *topology* (nodes, edges, lengths,
-capacities) and the link model at compile time.  It stays valid for as
-long as a :class:`~repro.routing.metrics.ChannelRateCache` over the
-same pair would — i.e. until the network is structurally mutated
+capacities) and the link model at compile time.  It stays valid until
+the network is structurally mutated
 (``add_edge``/``remove_edge``/``add_node``) or a different link model
 is wanted; after that a new snapshot must be compiled.  Qubit *ledger*
 state is deliberately not baked in: feasibility flags are patched from
 the live ledger's journal per search batch, so admission loops can
 keep one snapshot across an entire routing call and the serving loop
-can keep one across a whole session.  Routers get this for free:
-:func:`snapshot_for` hangs the snapshot off the ``ChannelRateCache``
-they already thread through the call.  A :class:`WidthSearchBatch` is
-a cheap per-demand view over a snapshot: create as many as needed,
-but never use one after its snapshot's network mutated.
+can keep one across a whole session.  :func:`snapshot_for` memoises
+snapshots on the network, keyed by the link model and the topology
+version; a rate cache built on the compiled core holds the one its
+routing call uses, and its width columns are the only channel-rate
+table that call reads.  A :class:`WidthSearchBatch` is a cheap
+per-demand view over a snapshot: create as many as needed, but never
+use one after its snapshot's network mutated.
 """
 
 from __future__ import annotations
@@ -123,18 +129,6 @@ FUSED_WIDTH_MIN_ENV = "REPRO_FUSED_WIDTH_MIN"
 #: Default of :func:`fused_width_min`.
 FUSED_WIDTH_MIN_DEFAULT = 2
 
-# Last (raw env value, parsed core) pair: the switch is consulted on
-# every routing call, so avoid re-validating an unchanged setting.
-_core_memo: Tuple[Optional[str], str] = (None, "compiled")
-
-# Same memo shape for the fused-width threshold knob.
-_fused_memo: Tuple[Optional[str], int] = (None, FUSED_WIDTH_MIN_DEFAULT)
-
-# The environment accessor, bound on first use (the hot paths consult
-# the core switch per call; a function-level ``import`` statement there
-# costs more than the read itself).
-_env_raw = None
-
 #: Search-result memo entries kept before a wholesale clear (the clear
 #: is deterministic: it depends only on the query sequence).
 _SEARCH_MEMO_LIMIT = 65536
@@ -151,27 +145,21 @@ def active_routing_core() -> str:
 
     Returns ``"compiled"`` (the default) or ``"reference"``; raises
     :class:`~repro.exceptions.ConfigurationError` on any other value.
-    Read at call time so tests and CI can flip cores per invocation.
+    Read once per :class:`~repro.routing.metrics.ChannelRateCache`, so
+    tests and CI can flip cores between routing calls.
     """
-    global _core_memo, _env_raw
-    if _env_raw is None:
-        # Deferred import: the accessor lives in the experiments layer
-        # (the one sanctioned environment read path — lint rule RPL003),
-        # and routing must not pull that package in at module load.
-        from repro.experiments.config import env_raw
+    # Deferred import: the accessor lives in the experiments layer (the
+    # one sanctioned environment read path — lint rule RPL003), and
+    # routing must not pull that package in at module load.
+    from repro.experiments.config import env_raw
 
-        _env_raw = env_raw
-    raw = _env_raw(ROUTING_CORE_ENV)
-    memo_raw, memo_core = _core_memo
-    if raw == memo_raw:
-        return memo_core
+    raw = env_raw(ROUTING_CORE_ENV)
     core = "compiled" if raw is None else raw.strip().lower()
     if core not in ROUTING_CORES:
         raise ConfigurationError(
             f"{ROUTING_CORE_ENV} must be one of "
             f"{', '.join(ROUTING_CORES)}; got {raw!r}"
         )
-    _core_memo = (raw, core)
     return core
 
 
@@ -190,29 +178,21 @@ def fused_width_min() -> int:
     single-width search, so the value only reaches the benchmark's run
     metadata.  Values that are not integers >= 2 are still rejected.
     """
-    global _fused_memo, _env_raw
-    if _env_raw is None:
-        from repro.experiments.config import env_raw
+    from repro.experiments.config import env_raw
 
-        _env_raw = env_raw
-    raw = _env_raw(FUSED_WIDTH_MIN_ENV)
-    memo_raw, memo_value = _fused_memo
-    if raw == memo_raw:
-        return memo_value
+    raw = env_raw(FUSED_WIDTH_MIN_ENV)
     if raw is None:
-        value = FUSED_WIDTH_MIN_DEFAULT
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
-            ) from None
-        if value < 2:
-            raise ConfigurationError(
-                f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
-            )
-    _fused_memo = (raw, value)
+        return FUSED_WIDTH_MIN_DEFAULT
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
+        ) from None
+    if value < 2:
+        raise ConfigurationError(
+            f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
+        )
     return value
 
 
@@ -224,9 +204,9 @@ class CompiledNetwork:
     """Flat-array snapshot of one ``(QuantumNetwork, LinkModel)`` pair.
 
     See the module docstring for the layout and lifetime rules.  Use
-    :func:`compile_network` (or :func:`snapshot_for` inside a routing
-    call) rather than constructing instances ad hoc, so snapshots are
-    shared where the rate cache already is.
+    :func:`snapshot_for` (or :func:`compile_network` for a private
+    copy) rather than constructing instances ad hoc, so routing calls
+    over one network share a snapshot.
     """
 
     __slots__ = (
@@ -247,6 +227,7 @@ class CompiledNetwork:
         "_static_relay",
         "_flags_serial",
         "_flags_versions",
+        "_width_lists",
         "_width_columns",
         "_search_memo",
         "_native_scratch",
@@ -313,6 +294,7 @@ class CompiledNetwork:
         # to equal versions across ledgers, restores and routing calls,
         # which is what keeps the search memo hitting.
         self._flags_versions: Dict[int, Dict[bytes, int]] = {}
+        self._width_lists: Dict[int, List[float]] = {}
         self._width_columns: Dict[int, np.ndarray] = {}
         self._search_memo: Dict[tuple, object] = {}
         # Scratch of each kernel, allocated on its first search (see
@@ -345,22 +327,28 @@ class CompiledNetwork:
     # ------------------------------------------------------------------
     # Rate tables and feasibility flags
 
-    def width_rates(self, width: int) -> np.ndarray:
+    def width_rate_list(self, width: int) -> List[float]:
         """The per-edge channel-rate column for *width*, filled once.
 
         ``column[edge_id]`` equals ``ChannelRateCache.rate(u, v, width)``
         for the edge's endpoints — same scalar function, same inputs.
+        Equation 1 and the Python fallback kernel read this list; the
+        native kernel reads its array twin, :meth:`width_rates`.
         """
+        column = self._width_lists.get(width)
+        if column is None:
+            column = [
+                channel_success_probability(p, width)
+                for p in self.edge_probability
+            ]
+            self._width_lists[width] = column
+        return column
+
+    def width_rates(self, width: int) -> np.ndarray:
+        """:meth:`width_rate_list` as a float64 array, filled once."""
         column = self._width_columns.get(width)
         if column is None:
-            column = np.fromiter(
-                (
-                    channel_success_probability(p, width)
-                    for p in self.edge_probability
-                ),
-                dtype=np.float64,
-                count=len(self.edge_probability),
-            )
+            column = np.asarray(self.width_rate_list(width), dtype=np.float64)
             self._width_columns[width] = column
         return column
 
@@ -679,17 +667,17 @@ class CompiledNetwork:
         hit = memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        rates = self.width_rates(width)
         kernel = _native.KERNEL
         if kernel is not None:
             found = self._native_search(
-                kernel, source_idx, destination_idx, rates, flags, swap2,
-                banned_node_idx, banned_edge_ids,
+                kernel, source_idx, destination_idx, self.width_rates(width),
+                flags, swap2, banned_node_idx, banned_edge_ids,
             )
         else:
             found = self._kernel(
-                source_idx, destination_idx, rates.tolist(), flags.tolist(),
-                swap2, sorted(banned_node_idx), banned_edge_ids,
+                source_idx, destination_idx, self.width_rate_list(width),
+                flags.tolist(), swap2, sorted(banned_node_idx),
+                banned_edge_ids,
             )
         if found is None:
             result = None
@@ -737,38 +725,11 @@ def compile_network(
     return CompiledNetwork(network, link_model)
 
 
-def snapshot_for(
-    network: QuantumNetwork,
-    link_model: LinkModel,
-    rate_cache=None,
-) -> CompiledNetwork:
-    """The snapshot for ``(network, link_model)``, shared via *rate_cache*.
-
-    Routers already thread one
-    :class:`~repro.routing.metrics.ChannelRateCache` through a
-    ``route()`` call; hanging the snapshot off it gives every search in
-    the call one snapshot with no new plumbing.  A cache bound to a
-    different network or link model is ignored (fresh snapshot) rather
-    than trusted.
-    """
-    if (
-        rate_cache is not None
-        and rate_cache.network is network
-        and rate_cache.link_model is link_model
-    ):
-        snapshot = rate_cache.compiled_snapshot
-        if snapshot is None:
-            snapshot = _persistent_snapshot(network, link_model)
-            rate_cache.compiled_snapshot = snapshot
-        return snapshot
-    return _persistent_snapshot(network, link_model)
-
-
 #: Snapshot memo entries kept per network before a wholesale clear.
 _SNAPSHOT_MEMO_LIMIT = 4
 
 
-def _persistent_snapshot(
+def snapshot_for(
     network: QuantumNetwork, link_model: LinkModel
 ) -> CompiledNetwork:
     """A :class:`CompiledNetwork` for ``(network, link_model)``, memoised
@@ -947,8 +908,7 @@ def search_widths(
 
 
 def compiled_search(
-    network: QuantumNetwork,
-    link_model: LinkModel,
+    snapshot: CompiledNetwork,
     swap_model: SwapModel,
     source: int,
     destination: int,
@@ -956,9 +916,9 @@ def compiled_search(
     ledger=None,
     banned_nodes: FrozenSet[int] = frozenset(),
     banned_edges: FrozenSet[EdgeKey] = frozenset(),
-    rate_cache=None,
 ) -> Optional[Tuple[Tuple[int, ...], float]]:
-    """Compiled body of Algorithm 1 (arguments as the reference wrapper).
+    """Compiled body of Algorithm 1 over the rate cache's *snapshot*
+    (other arguments as the reference wrapper).
 
     The caller —
     :func:`~repro.routing.alg1_largest_rate.largest_entanglement_rate_path`
@@ -967,7 +927,6 @@ def compiled_search(
     so standalone Algorithm-1 calls share the snapshot's search memo
     with the Algorithm-2 sweeps.
     """
-    snapshot = snapshot_for(network, link_model, rate_cache)
     batch = WidthSearchBatch(
         snapshot, swap_model, source, destination, (width,), ledger
     )
@@ -1039,14 +998,12 @@ def yen_deviation_loop(first, h, search, path_rate):
 
 
 def compiled_select_paths(
-    network: QuantumNetwork,
-    link_model: LinkModel,
+    snapshot: CompiledNetwork,
     swap_model: SwapModel,
     demand: Demand,
     h: int,
     max_width: int,
     ledger=None,
-    rate_cache=None,
     banned_nodes: FrozenSet[int] = frozenset(),
     banned_edges: FrozenSet[EdgeKey] = frozenset(),
 ) -> Dict[int, List[PathCandidate]]:
@@ -1065,7 +1022,6 @@ def compiled_select_paths(
     ``max_hops`` filter stay in
     :func:`~repro.routing.alg2_path_selection.select_paths`.
     """
-    snapshot = snapshot_for(network, link_model, rate_cache)
     widths = tuple(range(max_width, 0, -1))
     batch = WidthSearchBatch(
         snapshot, swap_model, demand.source, demand.destination, widths,
@@ -1099,7 +1055,7 @@ def _compiled_yen_best_paths(
     """The shared :func:`yen_deviation_loop` driven by one width of a
     :class:`WidthSearchBatch`."""
     snapshot = batch.snapshot
-    rates = snapshot.width_rates(width)
+    rates = snapshot.width_rate_list(width)
     swap2 = batch.swap2
 
     def run_alg1(spur_source, banned_node_ids, banned_edge_keys):
@@ -1143,6 +1099,4 @@ def _compiled_path_rate(
     for node in nodes[1:-1]:
         if not is_user[index_of[node]]:
             rate *= swap2
-    # The rate column is float64; hand back a plain float like the
-    # reference scorer (same bits, friendlier repr downstream).
-    return float(rate)
+    return rate

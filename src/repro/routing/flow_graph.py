@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing.compiled import active_routing_core
-from repro.routing.metrics import ChannelRateCache, channel_rate
+from repro.routing.compiled import CompiledNetwork
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 
 EdgeKey = Tuple[int, int]
 
@@ -421,25 +421,25 @@ class FlowLikeGraph:
         keys are canonicalised and checked like :meth:`widen_edge`'s
         arguments: an edge outside the flow or an extra below 1 raises
         :class:`RoutingError`.
-        ``rate_cache`` memoises per-(edge, width) channel rates across
-        calls sharing one (network, link_model) pair; passing it changes
-        nothing but the amount of recomputation.
+        ``rate_cache`` fixes the routing core and, on the reference
+        core, memoises per-(edge, width) channel rates across calls
+        sharing one (network, link_model) pair; a cache bound to another
+        pair raises :class:`RoutingError`.  Without one, a fresh cache
+        picks the core from ``REPRO_ROUTING_CORE``.
 
-        The compiled core evaluates with the iterative scalar walk; the
-        reference core keeps the recursive evaluator as the oracle.  The
-        two are bit-identical.
+        The compiled core evaluates with the iterative scalar walk over
+        the snapshot's rate columns; the reference core keeps the
+        recursive evaluator as the oracle.  The two are bit-identical.
         """
         extras = self._canonical_extras(extra_widths) if extra_widths else {}
+        rate_cache = rate_cache_for(network, link_model, rate_cache)
         if not self._paths:
             return 0.0
-        if active_routing_core() == "compiled":
-            return self._rate_iterative(
-                network, link_model, swap_model, extras, rate_cache,
-            )
-        memo: Dict[int, float] = {}
+        snapshot = rate_cache.compiled_snapshot
+        if snapshot is not None:
+            return self._rate_iterative(snapshot, swap_model, extras)
         return self._rate_from(
-            self.source, network, link_model, swap_model, memo, extras,
-            rate_cache,
+            self.source, network, swap_model, {}, extras, rate_cache
         )
 
     def _canonical_extras(
@@ -465,20 +465,19 @@ class FlowLikeGraph:
 
     def _rate_iterative(
         self,
-        network: QuantumNetwork,
-        link_model: LinkModel,
+        snapshot: CompiledNetwork,
         swap_model: SwapModel,
         extra_widths: Dict[EdgeKey, int],
-        rate_cache: Optional[ChannelRateCache],
     ) -> float:
         """Equation 1 evaluated bottom-up in reverse topological order.
 
         Per-node the failure product iterates the same child set in the
         same order as the recursive reference, so the result is
-        bit-identical; the win is the memoised arity map, one bulk
-        channel-rate gather up front
-        (:meth:`~repro.routing.metrics.ChannelRateCache.rates_bulk`)
-        and the absence of Python call frames per node.
+        bit-identical; the win is the memoised arity map, channel rates
+        and user flags read straight from the snapshot
+        (:meth:`~repro.routing.compiled.CompiledNetwork.width_rate_list`
+        holds the same floats the reference memo computes) and the
+        absence of Python call frames per node.
         """
         arities = self._fusion_arities()
         destination = self.destination
@@ -486,36 +485,10 @@ class FlowLikeGraph:
         children_of = self._children
         edge_widths = self._edge_widths
         has_extra = bool(extra_widths)
-        if rate_cache is not None:
-            # Every flow edge is exactly one (node, child) term, so one
-            # bulk lookup over the effective widths prefetches every
-            # edge rate of the walk below.
-            if has_extra:
-                effective = {
-                    key: width + extra_widths.get(key, 0)
-                    for key, width in edge_widths.items()
-                }
-            else:
-                effective = edge_widths
-            edge_rates: Optional[Dict[EdgeKey, float]] = dict(
-                zip(
-                    effective,
-                    rate_cache.rates_bulk(
-                        effective.keys(), effective.values()
-                    ),
-                )
-            )
-        else:
-            edge_rates = None
-        # The snapshot the routing call already compiled (if any) turns
-        # the per-child user test into an array read; the flags were
-        # copied from the same node records, so the outcome is equal.
-        snapshot = (
-            rate_cache.compiled_snapshot if rate_cache is not None else None
-        )
-        if snapshot is not None:
-            snapshot_is_user = snapshot.is_user
-            snapshot_index_of = snapshot.index_of
+        width_rate_list = snapshot.width_rate_list
+        edge_index = snapshot.edge_index
+        is_user = snapshot.is_user
+        index_of = snapshot.index_of
         swap_fn = swap_model.success_probability
         # success_probability is a pure function of the arity; one memo
         # per evaluation skips its re-validation for repeated arities.
@@ -526,22 +499,11 @@ class FlowLikeGraph:
             failure = 1.0
             for child in children_of.get(node, ()):
                 key = (node, child) if node < child else (child, node)
-                if edge_rates is not None:
-                    edge_rate = edge_rates[key]
-                else:
-                    width = edge_widths[key]
-                    if has_extra:
-                        width += extra_widths.get(key, 0)
-                    edge_rate = channel_rate(
-                        network, link_model, node, child, width
-                    )
-                if child == destination:
-                    swap = 1.0
-                elif (
-                    snapshot_is_user[snapshot_index_of[child]]
-                    if snapshot is not None
-                    else network.node(child).is_user
-                ):
+                width = edge_widths[key]
+                if has_extra:
+                    width += extra_widths.get(key, 0)
+                edge_rate = width_rate_list(width)[edge_index[key]]
+                if child == destination or is_user[index_of[child]]:
                     swap = 1.0
                 else:
                     arity = arities[child]
@@ -559,11 +521,10 @@ class FlowLikeGraph:
         self,
         node: int,
         network: QuantumNetwork,
-        link_model: LinkModel,
         swap_model: SwapModel,
         memo: Dict[int, float],
         extra_widths: Dict[EdgeKey, int],
-        rate_cache: Optional[ChannelRateCache],
+        rate_cache: ChannelRateCache,
     ) -> float:
         if node == self.destination:
             return 1.0
@@ -573,10 +534,7 @@ class FlowLikeGraph:
         for child in self._children.get(node, ()):
             key = _ekey(node, child)
             width = self._edge_widths[key] + extra_widths.get(key, 0)
-            if rate_cache is not None:
-                edge_rate = rate_cache.rate(node, child, width)
-            else:
-                edge_rate = channel_rate(network, link_model, node, child, width)
+            edge_rate = rate_cache.rate(node, child, width)
             if child == self.destination or network.node(child).is_user:
                 swap = 1.0
             else:
@@ -590,8 +548,7 @@ class FlowLikeGraph:
                     )
                 )
             downstream = self._rate_from(
-                child, network, link_model, swap_model, memo, extra_widths,
-                rate_cache,
+                child, network, swap_model, memo, extra_widths, rate_cache,
             )
             failure *= 1.0 - edge_rate * swap * downstream
         rate = 1.0 - failure

@@ -11,11 +11,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel, channel_success_probability
+from repro.routing.compiled import active_routing_core, snapshot_for
 
 
 def channel_rate(
@@ -31,14 +32,26 @@ def channel_rate(
 
 
 class ChannelRateCache:
-    """Memoised per-edge channel rates for one (network, link_model) pair.
+    """The routing core of one call, plus the reference core's rate memo.
 
-    The ``exp(-alpha * L)`` link probability and the ``1 - (1 - p)^w``
-    channel rate of an edge never change within one routing call, yet
-    Yen's deviation loop in Algorithm 2 re-relaxes the same edges across
-    many Algorithm 1 invocations.  Routers create one cache per
-    ``route()`` call and thread it through the search so each edge's
-    probability is computed once and each (edge, width) rate once.
+    The constructor reads ``REPRO_ROUTING_CORE`` once — the only place
+    the switch is read — and fixes the core for every routing step that
+    is handed this cache:
+
+    * on the compiled core, :attr:`compiled_snapshot` is the network's
+      persistent :class:`~repro.routing.compiled.CompiledNetwork`, whose
+      per-width columns are the only channel-rate table Algorithms 1–2
+      and Equation 1 read;
+    * on the reference core it is ``None``, and :meth:`rate` memoises
+      each edge's ``exp(-alpha * L)`` link probability and each
+      ``1 - (1 - p)^w`` channel rate, since Yen's deviation loop
+      re-relaxes the same edges across many Algorithm 1 invocations.
+
+    Routers create one cache per ``route()`` call (the serving loop one
+    per session) and thread it through every search and evaluation.  A
+    cache is bound to its ``(network, link_model)`` pair: the routing
+    entry points reject it for any other pair (see
+    :func:`rate_cache_for`).
     """
 
     __slots__ = (
@@ -51,11 +64,11 @@ class ChannelRateCache:
         self.link_model = link_model
         self._probabilities: Dict[Tuple[int, int], float] = {}
         self._rates: Dict[Tuple[int, int, int], float] = {}
-        #: The CSR snapshot of the same (network, link_model) pair,
-        #: compiled lazily by repro.routing.compiled.snapshot_for so a
-        #: router's whole route() call shares one snapshot through the
-        #: rate cache it already threads everywhere.
-        self.compiled_snapshot = None
+        self.compiled_snapshot = (
+            snapshot_for(network, link_model)
+            if active_routing_core() == "compiled"
+            else None
+        )
 
     def edge_probability(self, u: int, v: int) -> float:
         """Single-link success probability of edge (*u*, *v*), memoised."""
@@ -80,29 +93,29 @@ class ChannelRateCache:
             self._rates[key] = rate
         return rate
 
-    def rates_bulk(
-        self,
-        keys: Iterable[Tuple[int, int]],
-        widths: Iterable[int],
-    ) -> List[float]:
-        """:meth:`rate` for many aligned (canonical edge key, width) pairs.
 
-        The sanctioned bulk accessor for the Equation-1 evaluator: one
-        call gathers every edge rate of a flow evaluation instead of a
-        per-child lookup chain.  ``keys`` must be canonical ``(min, max)``
-        pairs; the returned list is aligned with the inputs and every
-        value is bit-identical to ``rate(u, v, width)``.
-        """
-        rate = self.rate
-        memo = self._rates
-        out: List[float] = []
-        append = out.append
-        for key, width in zip(keys, widths):
-            value = memo.get(key + (width,))
-            if value is None:
-                value = rate(key[0], key[1], width)
-            append(value)
-        return out
+def rate_cache_for(
+    network: QuantumNetwork,
+    link_model: LinkModel,
+    rate_cache: Optional[ChannelRateCache],
+) -> ChannelRateCache:
+    """*rate_cache*, or a new cache for the pair when it is ``None``.
+
+    Raises :class:`RoutingError` when *rate_cache* was built for another
+    network, or for a link model that is neither *link_model* nor equal
+    to it: its rates (and its snapshot) would describe the wrong
+    channels.
+    """
+    if rate_cache is None:
+        return ChannelRateCache(network, link_model)
+    if rate_cache.network is not network or (
+        rate_cache.link_model is not link_model
+        and rate_cache.link_model != link_model
+    ):
+        raise RoutingError(
+            "rate_cache was built for another network or link model"
+        )
+    return rate_cache
 
 
 def _swap_factor(network: QuantumNetwork, swap_model: SwapModel, node: int, arity: int) -> float:

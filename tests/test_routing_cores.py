@@ -126,6 +126,109 @@ def test_core_env_read_per_call(monkeypatch):
     assert active_routing_core() == "compiled"
 
 
+def _three_node_line(edge_length):
+    """Users 0 and 1 joined through switch 2 by two equal edges."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(2 * edge_length, 0.0)))
+    network.add_node(QuantumSwitch(2, Point(edge_length, 0.0), 10))
+    network.add_edge(0, 2, edge_length)
+    network.add_edge(2, 1, edge_length)
+    return network
+
+
+@pytest.mark.parametrize("core", ["reference", "compiled"])
+def test_pinned_core_rejects_foreign_rate_cache(core):
+    """A rate cache describes one (network, link model) pair; every
+    routing entry point refuses it for another pair instead of reading
+    the wrong channels (or, on one core, silently ignoring it)."""
+    near = _three_node_line(1000.0)
+    far = _three_node_line(5000.0)
+    link = LinkModel()
+    flow = FlowLikeGraph(0, 0, 1)
+    flow.add_path((0, 2, 1), width=1)
+    with routing_core(core):
+        foreign = (
+            ChannelRateCache(near, link),
+            ChannelRateCache(far, LinkModel(fixed_p=0.9)),
+        )
+        for cache in foreign:
+            with pytest.raises(RoutingError, match="rate_cache"):
+                largest_entanglement_rate_path(
+                    far, link, SWAP, 0, 1, 1, rate_cache=cache
+                )
+            with pytest.raises(RoutingError, match="rate_cache"):
+                select_paths(far, link, SWAP, Demand(0, 0, 1), rate_cache=cache)
+            with pytest.raises(RoutingError, match="rate_cache"):
+                flow.entanglement_rate(far, link, SWAP, rate_cache=cache)
+        # An equal link model is the same pair.
+        own = ChannelRateCache(far, LinkModel())
+        expected = largest_entanglement_rate_path(far, link, SWAP, 0, 1, 1)
+        assert largest_entanglement_rate_path(
+            far, link, SWAP, 0, 1, 1, rate_cache=own
+        ) == expected
+        assert flow.entanglement_rate(
+            far, link, SWAP, rate_cache=own
+        ) == flow.entanglement_rate(far, link, SWAP)
+
+
+def test_pinned_core_compiled_cache_ignores_reference_env():
+    """A cache built on the compiled core keeps routing on it: the core
+    is read once, when the cache is built."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    snapshot = snapshot_for(network, LINK)
+    with routing_core("compiled"):
+        cache = ChannelRateCache(network, LINK)
+    before = len(snapshot._search_memo)
+    with routing_core("reference"):
+        select_paths(network, LINK, SWAP, demands[0], h=2, rate_cache=cache)
+    assert len(snapshot._search_memo) > before
+
+
+def test_pinned_core_reference_cache_never_compiles():
+    """A cache built on the reference core keeps every entry point on
+    the reference core, so the network never gains a snapshot."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    demand = demands[0]
+    with routing_core("reference"):
+        cache = ChannelRateCache(network, LINK)
+    assert cache.compiled_snapshot is None
+    with routing_core("compiled"):
+        selected = select_paths(
+            network, LINK, SWAP, demand, h=2, rate_cache=cache
+        )
+        best = largest_entanglement_rate_path(
+            network, LINK, SWAP, demand.source, demand.destination, 1,
+            rate_cache=cache,
+        )
+        flow = FlowLikeGraph(demand.demand_id, demand.source, demand.destination)
+        flow.add_path(best[0], width=1)
+        flow.entanglement_rate(network, LINK, SWAP, rate_cache=cache)
+    assert selected
+    assert not network.__dict__.get("_compiled_snapshots")
+
+
+def test_pinned_core_reference_routers_never_compile(monkeypatch):
+    """The reference core is an independent oracle: routing every
+    registered router on it constructs no CompiledNetwork."""
+    network, demands = _instance("paper-default", SEEDS[0])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the reference core compiled a snapshot")
+
+    monkeypatch.setattr(CompiledNetwork, "__init__", refuse)
+    with routing_core("reference"):
+        for key in router_keys():
+            assert make_router(key).route(network, demands, LINK, SWAP).plan
+
+
+def test_pinned_core_invalid_env_rejected_by_route(monkeypatch):
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    monkeypatch.setenv(ROUTING_CORE_ENV, "vectorised")
+    with pytest.raises(ConfigurationError, match="REPRO_ROUTING_CORE"):
+        make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
+
+
 # ----------------------------------------------------------------------
 # Snapshot layer
 
@@ -146,11 +249,11 @@ def test_snapshot_matches_reference_rates():
 def test_snapshot_shared_through_rate_cache():
     network, _ = _instance(SCENARIOS[0], SEEDS[0])
     cache = ChannelRateCache(network, LINK)
-    first = snapshot_for(network, LINK, cache)
+    first = snapshot_for(network, LINK)
     assert isinstance(first, CompiledNetwork)
-    assert snapshot_for(network, LINK, cache) is first
+    assert snapshot_for(network, LINK) is first
     # A cache bound to a different link model must not leak its snapshot.
-    assert snapshot_for(network, LinkModel(fixed_p=0.9), cache) is not first
+    assert snapshot_for(network, LinkModel(fixed_p=0.9)) is not first
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +397,13 @@ def test_equation1_parity_with_extra_width_probes(scenario):
     network, demands = _instance(scenario, SEEDS[0])
     with routing_core("compiled"):
         result = make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
-    cache = ChannelRateCache(network, LINK)
+    # A cache fixes the core it was built under: one per core, each
+    # built inside its own block, keeps the comparison cross-core.
+    caches = {}
+    for core in ("reference", "compiled"):
+        with routing_core(core):
+            caches[core] = ChannelRateCache(network, LINK)
+    assert caches["reference"].compiled_snapshot is None
     arity_swap = SwapModel(q=0.9, per_qubit=True)  # arity-sensitive
     for flow in result.plan.flows():
         probes = [None] + [{edge: 1} for edge in flow.edges()]
@@ -307,7 +416,7 @@ def test_equation1_parity_with_extra_width_probes(scenario):
                     with routing_core(core):
                         rates[core] = flow.entanglement_rate(
                             network, LINK, swap_model,
-                            extra_widths=extra, rate_cache=cache,
+                            extra_widths=extra, rate_cache=caches[core],
                         )
                 assert rates["reference"] == rates["compiled"]
                 # The rate cache is an optimisation, never a semantic.
@@ -369,9 +478,9 @@ def _assert_equation1_differential(network, flow, extras):
     """The compiled walk, bare and through a rate cache carrying the
     compiled snapshot, equals the reference recursion bit for bit."""
     link = LinkModel()
-    cache = ChannelRateCache(network, link)
-    snapshot_for(network, link, cache)
-    assert cache.compiled_snapshot is not None
+    with routing_core("compiled"):
+        cache = ChannelRateCache(network, link)
+    assert cache.compiled_snapshot is snapshot_for(network, link)
     for swap_model in (SWAP, SwapModel(q=0.9, per_qubit=True)):
         with routing_core("reference"):
             expected = flow.entanglement_rate(
@@ -553,7 +662,7 @@ def test_remove_path_rate_parity_across_cores(scenario):
 def test_relay_feasibility_journal_parity():
     network, _ = _instance(SCENARIOS[0], SEEDS[0])
     cache = ChannelRateCache(network, LINK)
-    snapshot = snapshot_for(network, LINK, cache)
+    snapshot = snapshot_for(network, LINK)
     ledger = QubitLedger(network)
     switches = network.switches()
 
@@ -608,7 +717,7 @@ def test_batched_search_matches_reference_per_width(scenario, seed):
     ledger = QubitLedger(network)
     for node in switches[::3]:
         ledger.reserve(node, min(2, int(ledger.remaining(node))))
-    snapshot = snapshot_for(network, LINK, None)
+    snapshot = snapshot_for(network, LINK)
     widths = (1, 2, 3)
     for trial in range(8):
         demand = demands[trial % len(demands)]
@@ -636,7 +745,7 @@ def test_batched_search_drained_ledger(diamond_network):
     ledger = QubitLedger(diamond_network)
     for node in (2, 3, 4, 5):
         ledger.reserve(node, 10)
-    snapshot = snapshot_for(diamond_network, LINK, None)
+    snapshot = snapshot_for(diamond_network, LINK)
     batched = search_widths(
         snapshot, SWAP, Demand(0, 0, 1), (1, 2), ledger=ledger
     )
@@ -652,7 +761,7 @@ def test_batched_search_drained_ledger(diamond_network):
 def test_batch_matches_its_own_single_width_searches():
     network, demands = _instance(SCENARIOS[1], SEEDS[0])
     ledger = QubitLedger(network)
-    snapshot = snapshot_for(network, LINK, None)
+    snapshot = snapshot_for(network, LINK)
     demand = demands[0]
     batch = WidthSearchBatch(
         snapshot, SWAP, demand.source, demand.destination, (1, 2, 3), ledger
@@ -663,7 +772,7 @@ def test_batch_matches_its_own_single_width_searches():
 
 
 def test_batch_rejects_invalid_construction(diamond_network):
-    snapshot = snapshot_for(diamond_network, LINK, None)
+    snapshot = snapshot_for(diamond_network, LINK)
     with pytest.raises(RoutingError, match="must differ"):
         WidthSearchBatch(snapshot, SWAP, 0, 0, (1,))
     with pytest.raises(RoutingError, match="must exist"):
@@ -880,13 +989,13 @@ def test_fused_width_min_knob(monkeypatch):
 
 def test_persistent_snapshot_survives_calls_and_tracks_mutations():
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
-    first = snapshot_for(network, LINK, None)
+    first = snapshot_for(network, LINK)
     # Reused across calls and across rate caches: the snapshot lives on
     # the network keyed by (link model, topology_version).
-    assert snapshot_for(network, LINK, None) is first
-    assert snapshot_for(network, LINK, ChannelRateCache(network, LINK)) is first
+    assert snapshot_for(network, LINK) is first
+    assert snapshot_for(network, LINK) is first
     # A different link model gets its own snapshot.
-    assert snapshot_for(network, LinkModel(fixed_p=0.9), None) is not first
+    assert snapshot_for(network, LinkModel(fixed_p=0.9)) is not first
 
     with routing_core("compiled"):
         router = make_router("alg-n-fusion")
@@ -903,7 +1012,7 @@ def test_persistent_snapshot_survives_calls_and_tracks_mutations():
     version = network.topology_version
     network.remove_edge(u, v)
     assert network.topology_version == version + 1
-    assert snapshot_for(network, LINK, None) is not first
+    assert snapshot_for(network, LINK) is not first
     results = {}
     for core in ("reference", "compiled"):
         with routing_core(core):
