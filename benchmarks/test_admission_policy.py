@@ -1,4 +1,4 @@
-"""Benchmark: admission-policy ablation (DESIGN.md decision #1).
+"""Benchmark: admission-policy ablation (README, "Implementation decisions").
 
 Compares the default marginal-efficiency admission against the paper's
 literal widest-first sweep across the headline settings, documenting why

@@ -99,11 +99,16 @@ def select_paths(
     return result
 
 
-def default_max_width(network: QuantumNetwork) -> int:
+def default_max_width(
+    network: QuantumNetwork, ledger: Optional[QubitLedger] = None
+) -> int:
     """The largest width worth trying: an intermediate switch needs
-    ``2 * width`` qubits, so half the largest switch capacity."""
+    ``2 * width`` qubits, so half the largest switch capacity — or, given
+    a *ledger*, half the largest remaining switch count (what a network
+    whose capacities are the residual would report)."""
     capacities = [
-        network.qubit_capacity(s)
+        network.qubit_capacity(s) if ledger is None
+        else int(ledger.remaining(s))
         for s in network.switches()
         if network.qubit_capacity(s) is not None
     ]

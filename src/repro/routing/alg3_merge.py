@@ -11,8 +11,9 @@ Two admission policies are provided:
   unspecified, and the literal sweep lets early wide paths starve later
   demands; efficiency admission preserves all four of the paper's stated
   preferences (shorter, wider, merged, n-fused) while spending the qubit
-  budget where it buys the most entanglement rate.  DESIGN.md records this
-  as an implementation decision and the ablation bench compares both.
+  budget where it buys the most entanglement rate.  The README's
+  "Implementation decisions" records this choice and the ablation bench
+  compares both.
 
 In both policies a path is admitted only when every edge is either already
 part of the same demand's flow-like graph (the new path is a branch; the

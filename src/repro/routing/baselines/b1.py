@@ -12,7 +12,7 @@ flow-like graph built from at most two paths of width at most two on the
 What B1 lacks relative to ALG-N-FUSION — and what the evaluation isolates:
 no cross-demand coordination (demands are served in arrival order rather
 than widest/best first), no arity beyond 4, and no residual-qubit pass.
-This substitution is documented in DESIGN.md.
+This substitution is recorded in the README's "Implementation decisions".
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.routing.allocation import QubitLedger
 from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import RoutingResult
 from repro.routing.plan import RoutingPlan
-from repro.routing.registry import register_router
+from repro.routing.registry import RouterSpecError, register_router
 
 
 @register_router("b1")
@@ -41,6 +41,13 @@ class B1Router:
     max_width: int = 2
     max_fusion_arity: int = 4
     name: str = "B1"
+
+    def __post_init__(self):
+        if min(self.max_paths, self.max_width) < 1:
+            raise RouterSpecError(
+                "max_paths and max_width must be >= 1, got "
+                f"{self.max_paths} and {self.max_width}"
+            )
 
     def _violates_arity_cap(self, network, flow) -> bool:
         """True when any switch would fuse more links than [21] allows."""
@@ -116,13 +123,7 @@ class B1Router:
             if flow is not None:
                 plan.add_flow(flow)
 
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.name,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return RoutingResult.from_plan(
+            self.name, plan, network, link_model, swap_model, ledger,
+            rate_cache,
         )

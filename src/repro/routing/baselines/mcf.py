@@ -34,7 +34,6 @@ from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import RoutingResult
 from repro.routing.plan import RoutingPlan
 from repro.routing.registry import register_router
@@ -124,16 +123,8 @@ class MCFRouter:
             if flow_graph is not None:
                 plan.add_flow(flow_graph)
 
-        rate_cache = ChannelRateCache(network, link_model)
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.name,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return RoutingResult.from_plan(
+            self.name, plan, network, link_model, swap_model, ledger
         )
 
     # ------------------------------------------------------------------

@@ -8,25 +8,23 @@ and leftover qubits cannot widen channels (a third link at a switch would
 need a 3-fusion).  This mirrors the greedy highest-throughput-path-first
 structure of Shi & Qian's Q-Cast.
 
-Routing is greedy: repeatedly find, over all still-unrouted demands, the
-feasible width-1 path with the largest entanglement rate, admit it, charge
-its qubits, and continue until no demand has a feasible path.
+Routing is Q-CAST-N's greedy loop
+(:func:`~repro.routing.baselines.qcast_n.greedy_single_paths`) run at
+width 1: repeatedly find, over all still-unrouted demands, the feasible
+width-1 path with the largest entanglement rate, admit it, charge its
+qubits, and continue until no demand has a feasible path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
-from repro.network.demands import Demand, DemandSet
+from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
-from repro.routing.allocation import QubitLedger
-from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.baselines.qcast_n import greedy_single_paths
 from repro.routing.nfusion import RoutingResult
-from repro.routing.plan import RoutingPlan
 from repro.routing.registry import register_router
 
 
@@ -45,48 +43,6 @@ class QCastRouter:
         swap_model: Optional[SwapModel] = None,
     ) -> RoutingResult:
         """Route every demand over its best width-1 path, greedily."""
-        link_model = link_model or LinkModel()
-        swap_model = swap_model or SwapModel()
-        ledger = QubitLedger(network)
-        plan = RoutingPlan()
-        rate_cache = ChannelRateCache(network, link_model)
-        unrouted: Dict[int, Demand] = {d.demand_id: d for d in demands}
-
-        while unrouted:
-            best: Optional[Tuple[float, int, Tuple[int, ...]]] = None
-            for demand in unrouted.values():
-                found = largest_entanglement_rate_path(
-                    network,
-                    link_model,
-                    swap_model,
-                    demand.source,
-                    demand.destination,
-                    width=1,
-                    ledger=ledger,
-                    rate_cache=rate_cache,
-                )
-                if found is None:
-                    continue
-                nodes, rate = found
-                if best is None or rate > best[0]:
-                    best = (rate, demand.demand_id, nodes)
-            if best is None:
-                break
-            _, demand_id, nodes = best
-            demand = unrouted.pop(demand_id)
-            for a, b in zip(nodes, nodes[1:]):
-                ledger.reserve_edge(a, b, 1)
-            flow = FlowLikeGraph(demand_id, demand.source, demand.destination)
-            flow.add_path(nodes, width=1)
-            plan.add_flow(flow)
-
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.name,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return greedy_single_paths(
+            self.name, network, demands, (1,), link_model, swap_model
         )

@@ -14,8 +14,8 @@ Composes the three steps of Section IV-C:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
@@ -27,7 +27,7 @@ from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache
 from repro.routing.plan import RoutingPlan
-from repro.routing.registry import register_router
+from repro.routing.registry import RouterSpecError, register_router
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,35 @@ class RoutingResult:
     total_rate: float
     demand_rates: Dict[int, float]
     remaining_qubits: int
+
+    @classmethod
+    def from_plan(
+        cls,
+        algorithm: str,
+        plan: RoutingPlan,
+        network: QuantumNetwork,
+        link_model: LinkModel,
+        swap_model: SwapModel,
+        ledger: QubitLedger,
+        rate_cache: Optional[ChannelRateCache] = None,
+    ) -> "RoutingResult":
+        """The result of a finished *plan* whose qubits *ledger* holds.
+
+        Rates are Equation 1 per routed demand, read through
+        *rate_cache* (a new one bound to *network* when omitted).
+        """
+        if rate_cache is None:
+            rate_cache = ChannelRateCache(network, link_model)
+        demand_rates = plan.demand_rates(
+            network, link_model, swap_model, rate_cache
+        )
+        return cls(
+            algorithm=algorithm,
+            plan=plan,
+            total_rate=sum(demand_rates.values()),
+            demand_rates=demand_rates,
+            remaining_qubits=ledger.total_free_switch_qubits(),
+        )
 
     @property
     def num_routed(self) -> int:
@@ -98,20 +127,22 @@ class AlgNFusion:
 
         return replace(self, max_hops=fidelity_model.max_hops(min_fidelity))
 
-    def _admit(self, network, link_model, swap_model, demands, path_sets,
-               flows, ledger, rate_cache=None) -> int:
-        """Dispatch one admission sweep to the configured policy."""
-        if self.admission_policy == "efficiency":
-            return admit_paths_efficiency(
-                network, link_model, swap_model, demands, path_sets, flows,
-                ledger, rate_cache=rate_cache,
+    def __post_init__(self):
+        if self.h < 1:
+            raise RouterSpecError(f"h must be >= 1, got {self.h}")
+        if self.max_width is not None and self.max_width < 1:
+            raise RouterSpecError(
+                f"max_width must be None or >= 1, got {self.max_width}"
             )
-        if self.admission_policy == "widest_first":
-            return admit_paths(network, demands, path_sets, flows, ledger)
-        raise ValueError(
-            f"unknown admission_policy {self.admission_policy!r}; "
-            "expected 'efficiency' or 'widest_first'"
-        )
+        if self.refill_rounds < 0:
+            raise RouterSpecError(
+                f"refill_rounds must be >= 0, got {self.refill_rounds}"
+            )
+        if self.admission_policy not in ("efficiency", "widest_first"):
+            raise RouterSpecError(
+                f"unknown admission_policy {self.admission_policy!r}; "
+                "expected 'efficiency' or 'widest_first'"
+            )
 
     def route(
         self,
@@ -122,100 +153,10 @@ class AlgNFusion:
     ) -> RoutingResult:
         """Compute routes for *demands* and return the analytic result."""
         link_model = link_model or LinkModel()
-        swap_model = swap_model or SwapModel()
-        max_width = self.max_width or default_max_width(network)
-        # One memoised channel-rate table for the whole routing call:
-        # Step I, every refill sweep and every demand share it.
-        rate_cache = ChannelRateCache(network, link_model)
-
-        # Step I: candidate path sets (full capacities; reuse allowed).
-        path_sets = {
-            demand.demand_id: select_paths(
-                network,
-                link_model,
-                swap_model,
-                demand,
-                h=self.h,
-                max_width=max_width,
-                max_hops=self.max_hops,
-                rate_cache=rate_cache,
-            )
-            for demand in demands
-        }
-
-        # Step II: admission + merging against the real qubit budget.
-        ledger = QubitLedger(network)
-        flows: Dict[int, FlowLikeGraph] = {}
-        self._admit(network, link_model, swap_model, demands, path_sets,
-                    flows, ledger, rate_cache)
-
-        # Refill sweeps: candidates from Step I were selected against full
-        # capacities, so contention can block them at admission time even
-        # while qubits remain elsewhere.  Each refill round re-selects
-        # paths against the *residual* ledger — for every demand, since a
-        # residual path can serve an unrouted demand or merge into an
-        # existing flow as an extra branch — and runs the same admission
-        # policy.  This keeps ALG-N-FUSION a strict superset of the
-        # baselines (implementation note in DESIGN.md; the paper's
-        # Algorithm 3 leaves the contention-blocked case unspecified).
-        for _ in range(self.refill_rounds):
-            refill_sets = {}
-            for demand in demands:
-                selected = select_paths(
-                    network,
-                    link_model,
-                    swap_model,
-                    demand,
-                    h=self.h,
-                    max_width=max_width,
-                    ledger=ledger,
-                    max_hops=self.max_hops,
-                    rate_cache=rate_cache,
-                )
-                if selected:
-                    refill_sets[demand.demand_id] = selected
-            if not refill_sets:
-                break
-            if self._admit(network, link_model, swap_model, demands,
-                           refill_sets, flows, ledger, rate_cache) == 0:
-                break
-
-        plan = RoutingPlan()
-        for flow in flows.values():
-            plan.add_flow(flow)
-
-        # Step III: spend the leftovers.
-        if self.include_alg4:
-            assign_remaining_qubits(
-                network, link_model, swap_model, plan, ledger,
-                rate_cache=rate_cache,
-            )
-
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
+        return self._route(
+            network, demands, link_model, swap_model or SwapModel(),
+            QubitLedger(network), ChannelRateCache(network, link_model),
         )
-        return RoutingResult(
-            algorithm=self.algorithm_label,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
-        )
-
-    @staticmethod
-    def _residual_max_width(network: QuantumNetwork,
-                            ledger: QubitLedger) -> int:
-        """``default_max_width`` computed from the ledger's remaining
-        counts — what ``default_max_width`` would report on a network
-        whose switch capacities are the residual."""
-        capacities = [
-            int(ledger.remaining(s))
-            for s in network.switches()
-            if network.qubit_capacity(s) is not None
-        ]
-        if not capacities:
-            return 1
-        return max(1, max(capacities) // 2)
 
     def route_online(
         self,
@@ -231,91 +172,94 @@ class AlgNFusion:
     ) -> RoutingResult:
         """Route ONE arriving demand against the residual in *ledger*.
 
-        ``banned_nodes``/``banned_edges`` mask elements out of every
-        candidate search (the serving loop passes its down-element
-        sets) — decision-identical to routing on a residual view from
-        which those elements were removed.
-
-        The serving loop's incremental re-planning interface.  Decision-
-        identical to :meth:`route` on a network whose switch capacities
-        are the ledger's remaining counts (same candidate search — the
-        residual view's "full capacities" *are* the ledger — admission
-        policy, refill sweeps and, when enabled, Algorithm 4), so the
-        ``incremental`` and ``resnapshot`` serving modes produce the
-        same flows and rates bit-for-bit.  The difference is cost: the
-        session-long *rate_cache* (with the compiled snapshot and
-        journal-patched relay-feasibility flags hanging off it) carries
-        over between arrivals instead of being rebuilt per arrival.
-
-        Admitted qubits stay reserved in *ledger* when this returns;
-        releasing them when the flow departs is the caller's job.
+        The serving loop's incremental re-planning interface: the
+        pipeline of :meth:`route` on a one-demand set, run against the
+        session's *ledger* and *rate_cache* (whose compiled snapshot and
+        journal-patched relay flags carry over between arrivals) instead
+        of fresh ones.  That makes it decision-identical to :meth:`route`
+        on a network whose switch capacities are the ledger's remaining
+        counts, so the ``incremental`` and ``resnapshot`` serving modes
+        agree bit-for-bit.  ``banned_nodes``/``banned_edges`` mask
+        elements out of every candidate search exactly as if they were
+        absent.  Admitted qubits stay reserved in *ledger*; releasing
+        them when the flow departs is the caller's job.
         """
         link_model = link_model or LinkModel()
-        swap_model = swap_model or SwapModel()
-        max_width = self.max_width or self._residual_max_width(
-            network, ledger
-        )
         if rate_cache is None:
             rate_cache = ChannelRateCache(network, link_model)
-        demands = DemandSet([demand])
+        return self._route(
+            network, DemandSet([demand]), link_model,
+            swap_model or SwapModel(), ledger, rate_cache,
+            banned_nodes, banned_edges,
+        )
 
-        path_sets = {
-            demand.demand_id: select_paths(
-                network,
-                link_model,
-                swap_model,
-                demand,
-                h=self.h,
-                max_width=max_width,
-                ledger=ledger,
-                max_hops=self.max_hops,
-                rate_cache=rate_cache,
-                banned_nodes=banned_nodes,
-                banned_edges=banned_edges,
-            )
-        }
+    def _route(
+        self,
+        network: QuantumNetwork,
+        demands: DemandSet,
+        link_model: LinkModel,
+        swap_model: SwapModel,
+        ledger: QubitLedger,
+        rate_cache: ChannelRateCache,
+        banned_nodes: FrozenSet[int] = frozenset(),
+        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
+    ) -> RoutingResult:
+        """Steps I-III against *ledger*, sharing one *rate_cache*."""
+        max_width = self.max_width or default_max_width(network, ledger)
         flows: Dict[int, FlowLikeGraph] = {}
-        self._admit(network, link_model, swap_model, demands, path_sets,
-                    flows, ledger, rate_cache)
-
-        for _ in range(self.refill_rounds):
-            selected = select_paths(
-                network,
-                link_model,
-                swap_model,
-                demand,
-                h=self.h,
-                max_width=max_width,
-                ledger=ledger,
-                max_hops=self.max_hops,
-                rate_cache=rate_cache,
-                banned_nodes=banned_nodes,
-                banned_edges=banned_edges,
-            )
-            if not selected:
+        # Round 0 is Steps I and II: select candidate paths per demand,
+        # then admit and merge them against the qubit budget.  Admission
+        # can block candidates while qubits remain elsewhere, so each
+        # later round is a refill sweep: re-select against the residual
+        # ledger (for every demand: a residual path may also merge into
+        # a flow as a branch) and admit again.  A round that admits
+        # nothing would only repeat itself.  Refill keeps ALG-N-FUSION a
+        # superset of the baselines (README, "Implementation decisions";
+        # the paper's Algorithm 3 leaves this case unspecified).
+        for _ in range(1 + self.refill_rounds):
+            path_sets = {}
+            for demand in demands:
+                selected = select_paths(
+                    network,
+                    link_model,
+                    swap_model,
+                    demand,
+                    h=self.h,
+                    max_width=max_width,
+                    ledger=ledger,
+                    max_hops=self.max_hops,
+                    rate_cache=rate_cache,
+                    banned_nodes=banned_nodes,
+                    banned_edges=banned_edges,
+                )
+                if selected:
+                    path_sets[demand.demand_id] = selected
+            if not path_sets:
                 break
-            if self._admit(network, link_model, swap_model, demands,
-                           {demand.demand_id: selected}, flows, ledger,
-                           rate_cache) == 0:
+            if self.admission_policy == "efficiency":
+                admitted = admit_paths_efficiency(
+                    network, link_model, swap_model, demands, path_sets,
+                    flows, ledger, rate_cache=rate_cache,
+                )
+            else:
+                admitted = admit_paths(
+                    network, demands, path_sets, flows, ledger
+                )
+            if admitted == 0:
                 break
 
         plan = RoutingPlan()
         for flow in flows.values():
             plan.add_flow(flow)
 
+        # Step III: spend the leftovers.
         if self.include_alg4:
             assign_remaining_qubits(
                 network, link_model, swap_model, plan, ledger,
                 rate_cache=rate_cache,
             )
 
-        demand_rates = plan.demand_rates(
-            network, link_model, swap_model, rate_cache
-        )
-        return RoutingResult(
-            algorithm=self.algorithm_label,
-            plan=plan,
-            total_rate=sum(demand_rates.values()),
-            demand_rates=demand_rates,
-            remaining_qubits=ledger.total_free_switch_qubits(),
+        return RoutingResult.from_plan(
+            self.algorithm_label, plan, network, link_model, swap_model,
+            ledger, rate_cache,
         )

@@ -250,6 +250,9 @@ class RouterSpec(SpecBase):
                 # Catch unserializable strings here so every
                 # constructible spec has a working to_string()/__str__.
                 _check_spec_string(value)
+        # Build once so a router's own value checks (its __post_init__)
+        # reject an out-of-range spec here, at CLI parse time.
+        cls(**coerced)
         canonical = tuple(
             sorted(
                 (name, value)

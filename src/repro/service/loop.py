@@ -38,7 +38,8 @@ Repair never raises out of the loop: a routing failure is a failed
 attempt, not a crash.
 
 The two modes are decision-identical by construction (``route_online``
-mirrors ``route`` on the residual view), so the deterministic metrics
+runs ``route``'s one pipeline against the session ledger, which is what
+``route`` on the residual view sees), so the deterministic metrics
 never depend on the mode — only the re-plan latency does.  Wall-clock
 latency (re-plan and recovery alike) is measured through the
 sanctioned :func:`repro.utils.timing.perf_timer` accessor and reported

@@ -207,6 +207,21 @@ class TestRouterSpec:
         with pytest.raises(RouterSpecError, match="NaN"):
             RouterSpec.from_string("mcf:cost_weight=nan")
 
+    @pytest.mark.parametrize("text", [
+        "alg-n-fusion:max_width=0",
+        "alg-n-fusion:h=0",
+        "alg-n-fusion:refill_rounds=-3",
+        "alg-n-fusion:admission_policy=bogus",
+        "q-cast-n:max_width=0",
+        "b1:max_paths=0",
+        "b1:max_width=0",
+    ])
+    def test_out_of_range_values_rejected_at_parse_time(self, text):
+        with pytest.raises(RouterSpecError):
+            RouterSpec.from_string(text)
+        with pytest.raises(RouterSpecError):
+            parse_router_specs(f"q-cast,{text}")
+
     def test_as_spec_from_instance_keeps_overrides_only(self):
         spec = as_spec(AlgNFusion(include_alg4=False))
         assert spec == RouterSpec.create("alg-n-fusion", include_alg4=False)

@@ -2,14 +2,20 @@
 
 import pytest
 
+from repro.experiments.scenarios import parse_scenario
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.quantum.noise import LinkModel, SwapModel
+from repro.routing.alg2_path_selection import default_max_width
+from repro.routing.allocation import QubitLedger
 from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter
+from repro.routing.compiled import ROUTING_CORE_ENV
 from repro.routing.nfusion import AlgNFusion
+from repro.service.loop import residual_view
 from repro.utils.rng import ensure_rng
 
 from tests.conftest import make_diamond_network
+from tests.test_routing_cores import _plan_shape
 
 ROUTERS = [AlgNFusion(), QCastRouter(), QCastNRouter(), B1Router()]
 
@@ -144,6 +150,47 @@ class TestOrderings:
             AlgNFusion(admission_policy="bogus").route(
                 network, demands, LinkModel(fixed_p=0.5), SwapModel()
             )
+
+
+class TestSharedPipelines:
+    @pytest.mark.parametrize("core", ["compiled", "reference"])
+    def test_route_online_on_fresh_ledger_equals_route(
+        self, core, monkeypatch
+    ):
+        monkeypatch.setenv(ROUTING_CORE_ENV, core)
+        network, demands = small_instance(seed=12)
+        link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
+        router = AlgNFusion()
+        for demand in list(demands)[:4]:
+            batch = router.route(network, DemandSet([demand]), link, swap)
+            online = router.route_online(
+                network, demand, link, swap, ledger=QubitLedger(network)
+            )
+            assert _plan_shape(online) == _plan_shape(batch)
+            assert online.demand_rates == batch.demand_rates
+            assert online.remaining_qubits == batch.remaining_qubits
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_q_cast_is_q_cast_n_at_width_one(self, seed):
+        spec = parse_scenario("paper-default")
+        rng = ensure_rng(seed)
+        network = build_network(spec.network_config(), rng)
+        demands = generate_demands(network, spec.num_states, rng)
+        qcast = QCastRouter().route(network, demands)
+        qcast_n = QCastNRouter(max_width=1).route(network, demands)
+        assert (qcast.algorithm, qcast_n.algorithm) == ("Q-CAST", "Q-CAST-N")
+        assert _plan_shape(qcast) == _plan_shape(qcast_n)
+        assert qcast.demand_rates == qcast_n.demand_rates
+        assert qcast.remaining_qubits == qcast_n.remaining_qubits
+
+    def test_default_max_width_reads_the_ledger(self):
+        network, _ = small_instance(seed=13)
+        ledger = QubitLedger(network)
+        for switch in network.switches():
+            ledger.reserve(switch, network.qubit_capacity(switch) // 2 + 1)
+        residual = default_max_width(network, ledger)
+        assert residual < default_max_width(network)
+        assert residual == default_max_width(residual_view(network, ledger))
 
 
 class TestDiamondScenario:
