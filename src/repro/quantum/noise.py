@@ -43,6 +43,16 @@ def channel_success_probability(p: float, width: int) -> float:
     least one successful link."""
     check_probability("p", p)
     check_non_negative_int("width", width)
+    return channel_success(p, width)
+
+
+def channel_success(p: float, width: int) -> float:
+    """:func:`channel_success_probability` without the input checks.
+
+    For hot loops whose *p* already is a link probability and whose
+    *width* is a validated channel width (the compiled core's rate
+    columns); the result is the same float.
+    """
     if width == 0:
         return 0.0
     # log1p keeps precision when p is tiny (the realistic regime).
@@ -96,6 +106,12 @@ class SwapModel:
     def success_probability(self, arity: int) -> float:
         """Success probability of one fusion of the given *arity*."""
         check_non_negative_int("arity", arity)
+        return self.fusion_success(arity)
+
+    def fusion_success(self, arity: int) -> float:
+        """:meth:`success_probability` without the arity check, for hot
+        loops whose arity is a flow's fusion arity (a non-negative int by
+        construction); the result is the same float."""
         if arity <= 1:
             return 1.0 if arity == 0 else self.q
         if self.per_qubit:

@@ -1,4 +1,5 @@
-"""Loader for the native relax loop of Algorithm 1's search.
+"""Loader for the native search kernel: Algorithm 1's relax loop and
+Algorithm 2's Yen loop around it.
 
 ``kernel.c`` is plain C99 with no Python headers.  Importing this
 module compiles it once with the system ``cc`` into a user-owned cache,
@@ -8,12 +9,13 @@ with :mod:`ctypes`.  The shared object is written under a temporary
 name and moved into place with :func:`os.replace`, so parallel worker
 processes can build it at the same time without racing.
 
-:data:`KERNEL` holds the loaded ``repro_relax_search`` function, or
-``None`` when no working compiler exists (or the cache cannot be
-written); :class:`~repro.routing.compiled.CompiledNetwork` then runs its
-Python kernel instead, which gives the same paths and rates.  The
-routing core reads :data:`KERNEL` on every search, so tests can force
-the Python fallback by setting it to ``None``.
+:data:`KERNEL` holds the loaded library's entry points as a
+:class:`Kernel`, or ``None`` when no working compiler exists (or the
+cache cannot be written); :class:`~repro.routing.compiled.CompiledNetwork`
+then runs its Python kernel and the Python Yen loop instead, which give
+the same paths and rates.  The routing core reads :data:`KERNEL` on
+every search and every path selection, so tests can force the Python
+fallback for both by setting it to ``None``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 SOURCE = pathlib.Path(__file__).with_name("kernel.c")
 
@@ -41,6 +43,51 @@ HEAP_ENTRY_BYTES = 24
 
 _POINTER = ctypes.c_void_p
 _INT = ctypes.c_int64
+_DOUBLE = ctypes.c_double
+
+
+class Kernel(NamedTuple):
+    """The entry points of one loaded ``kernel.so``."""
+
+    #: ``repro_relax_search``: one Algorithm-1 search.
+    search: Callable[..., int]
+    #: ``repro_yen_paths``: Algorithm 2's k best paths for one width.
+    yen: Callable[..., int]
+    #: ``repro_yen_work_new``: allocates a Yen workspace.
+    new_workspace: Callable[[], Optional[int]]
+    #: ``repro_yen_work_free``: frees one.
+    free_workspace: Callable[[Any], None]
+
+
+class YenOutput(ctypes.Structure):
+    """The leading fields of ``yen_work_t``: the last call's accepted
+    paths as ``(length, nodes...)`` records, their rates, and the bytes
+    the workspace holds."""
+
+    _fields_ = [
+        ("out", ctypes.POINTER(ctypes.c_int64)),
+        ("out_len", ctypes.c_int64),
+        ("out_rates", ctypes.POINTER(ctypes.c_double)),
+        ("held", ctypes.c_int64),
+    ]
+
+
+class YenWorkspace:
+    """One ``yen_work_t``: buffers that ``repro_yen_paths`` keeps between
+    calls and grows with the paths it finds.  Freed with this object."""
+
+    __slots__ = ("address", "output", "_free")
+
+    def __init__(self, kernel: Kernel):
+        address = kernel.new_workspace()
+        if not address:
+            raise MemoryError("cannot allocate the native Yen workspace")
+        self.address = address
+        self.output = YenOutput.from_address(address)
+        self._free = kernel.free_workspace
+
+    def __del__(self):
+        self._free(self.address)
 
 
 def cache_path() -> pathlib.Path:
@@ -93,14 +140,27 @@ def load():
     entry_bytes.argtypes = []
     if entry_bytes() != HEAP_ENTRY_BYTES:
         return None
-    kernel = lib.repro_relax_search
-    kernel.restype = _INT
-    kernel.argtypes = (
+    search = lib.repro_relax_search
+    search.restype = _INT
+    search.argtypes = (
         [_POINTER] * 13
-        + [_INT, _INT, ctypes.c_double, _POINTER, _INT, _POINTER, _INT]
+        + [_INT, _INT, _DOUBLE, _POINTER, _INT, _POINTER, _INT]
     )
-    return kernel
+    yen = lib.repro_yen_paths
+    yen.restype = _INT
+    yen.argtypes = (
+        [_POINTER] * 14
+        + [_DOUBLE, _INT, _POINTER, _INT, _DOUBLE, _POINTER, _INT, _POINTER,
+           _INT]
+    )
+    new_workspace = lib.repro_yen_work_new
+    new_workspace.restype = _POINTER
+    new_workspace.argtypes = []
+    free_workspace = lib.repro_yen_work_free
+    free_workspace.restype = None
+    free_workspace.argtypes = [_POINTER]
+    return Kernel(search, yen, new_workspace, free_workspace)
 
 
-#: The loaded ``repro_relax_search`` function, or ``None`` (fallback).
-KERNEL: Optional[Callable[..., int]] = load()
+#: The loaded kernel, or ``None`` (the Python fallback).
+KERNEL: Optional[Kernel] = load()

@@ -15,8 +15,9 @@ runs over flat arrays:
   relaxes them, so heap tie-breaking and therefore the returned paths
   are bit-identical);
 * **width-indexed rate tables** — one per-edge column per channel
-  width, filled through the same scalar
-  :func:`~repro.quantum.noise.channel_success_probability` the
+  width, filled through :func:`~repro.quantum.noise.channel_success`,
+  the unchecked formula behind the
+  :func:`~repro.quantum.noise.channel_success_probability` that the
   reference :class:`~repro.routing.metrics.ChannelRateCache` uses, so
   every rate is bit-identical;
 * **in-loop masking** — relaxing a popped node's row skips a slot
@@ -28,14 +29,16 @@ runs over flat arrays:
   test the reference performs is provably redundant under the strict
   ``candidate > best`` rule (every rate factor is <= 1, so a candidate
   can never beat a settled node's rate);
-* **a native relax loop** — the search itself runs in ``kernel.c``
+* **a native kernel** — the search itself runs in ``kernel.c``
   (package :mod:`repro.routing._native`), compiled once per user cache
   and called through :mod:`ctypes`.  It repeats the Python
   :meth:`CompiledNetwork._kernel` step for step with IEEE-754 doubles
-  and no contracted multiplies, so paths and rates are bit-identical;
-  the Python kernel stays as its differential oracle and as the
-  automatic fallback when no C compiler works
-  (:func:`native_kernel_active` tells which one runs);
+  and no contracted multiplies, so paths and rates are bit-identical.
+  Algorithm 2's Yen loop runs there too, one call per (demand, width),
+  repeating :func:`yen_deviation_loop`.  The Python kernel and Yen loop
+  stay as the differential oracles and as the automatic fallback when
+  no C compiler works (:func:`native_kernel_active` tells which one
+  runs);
 * **version-tokened feasibility flags** — per-width relay flags are
   patched from the ledger's feasibility journal in O(changes) and carry
   a version that only advances when some flag actually flips, giving
@@ -49,17 +52,17 @@ Callers no longer drive the kernel per ``(demand, width)``:
 under consideration, and :func:`search_widths` (or
 ``WidthSearchBatch.search_widths``) answers every width of the batch in
 one call, resolving the banned sets once and running one kernel call
-per width that the memo misses.  All batch searches — every width
-and every Yen deviation — share the snapshot's scratch buffers,
-per-width rate columns, feasibility flags and a **search-result memo**
-keyed on the exact kernel inputs
+per width that the memo misses.  Batch searches share the snapshot's
+scratch buffers, per-width rate columns, feasibility flags and a
+**search-result memo** keyed on the exact kernel inputs
 ``(source, destination, width, flags-version, swap, banned sets)``.
-Identical queries (Algorithm 2 re-runs the same spur searches across
-widths and refill rounds; ``route_online`` repeats them across
-arrivals) are answered from the memo, which is bit-identity-safe
-because a hit requires every input byte to match.  Algorithm 1
-(:func:`compiled_search`) and Algorithm 2
-(:func:`compiled_select_paths`) both dispatch through the batch API.
+Identical queries (the first searches of a demand repeat across refill
+rounds; ``route_online`` repeats them across arrivals) are answered
+from the memo, which is bit-identity-safe because a hit requires every
+input byte to match.  Algorithm 1 (:func:`compiled_search`) and
+Algorithm 2's first searches (:func:`compiled_select_paths`) dispatch
+through the batch API; the native Yen loop runs its spur searches
+inside ``kernel.c``, past the memo.
 
 Core selection
 --------------
@@ -103,6 +106,7 @@ import array
 import ctypes
 import heapq
 import itertools
+import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,7 +114,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, RoutingError
 from repro.network.demands import Demand
 from repro.network.graph import QuantumNetwork
-from repro.quantum.noise import LinkModel, SwapModel, channel_success_probability
+from repro.quantum.noise import LinkModel, SwapModel, channel_success
 from repro.routing import _native
 from repro.routing.paths import PathCandidate
 
@@ -138,6 +142,11 @@ _MISS = object()
 
 #: Shared empty frozenset: the common no-bans search skips building one.
 _EMPTY: FrozenSet[int] = frozenset()
+
+#: Largest ``h`` passed to the native Yen loop (an int64 there).  Any
+#: larger ``h`` selects the same paths: the loop stops when it runs out
+#: of candidates, long before.
+_H_LIMIT = 2**62
 
 
 def active_routing_core() -> str:
@@ -285,7 +294,11 @@ class CompiledNetwork:
         self.adj_edges = np.asarray(adj_edges, dtype=np.int64)
         # Per-width relay-feasibility flags, patched incrementally from
         # the owning ledger's feasibility journal (see relay_feasible):
-        # width -> [ledger, epoch, consumed_length, flags, version].
+        # width -> [weakref(ledger), epoch, consumed_length, flags,
+        # version].  The reference is weak because the network memoises
+        # this snapshot and a ledger holds its network: a strong one
+        # would make a cycle that keeps a routed network (snapshot,
+        # memo and all) alive until the cyclic collector runs.
         self._relay_cache: Dict[int, list] = {}
         # Ledger-free flags per width: (flags, version), immutable.
         self._static_relay: Dict[int, Tuple[np.ndarray, int]] = {}
@@ -331,16 +344,16 @@ class CompiledNetwork:
         """The per-edge channel-rate column for *width*, filled once.
 
         ``column[edge_id]`` equals ``ChannelRateCache.rate(u, v, width)``
-        for the edge's endpoints — same scalar function, same inputs.
+        for the edge's endpoints — the same formula on the same inputs,
+        without :func:`~repro.quantum.noise.channel_success_probability`'s
+        input checks (the probabilities come from the link model, and
+        widths are checked where they enter the routing API).
         Equation 1 and the Python fallback kernel read this list; the
         native kernel reads its array twin, :meth:`width_rates`.
         """
         column = self._width_lists.get(width)
         if column is None:
-            column = [
-                channel_success_probability(p, width)
-                for p in self.edge_probability
-            ]
+            column = [channel_success(p, width) for p in self.edge_probability]
             self._width_lists[width] = column
         return column
 
@@ -399,7 +412,7 @@ class CompiledNetwork:
         has = ledger.has_at_least
         epoch, length = ledger.feasibility_token()
         entry = self._relay_cache.get(width)
-        if entry is not None and entry[0] is ledger and entry[1] == epoch:
+        if entry is not None and entry[0]() is ledger and entry[1] == epoch:
             flags = entry[3]
             if entry[2] != length:
                 index_of = self.index_of
@@ -433,7 +446,9 @@ class CompiledNetwork:
         # version map then re-issues the old version, and with it every
         # memoised search.
         version = self._flags_version_for(width, flags)
-        self._relay_cache[width] = [ledger, epoch, length, flags, version]
+        self._relay_cache[width] = [
+            weakref.ref(ledger), epoch, length, flags, version
+        ]
         return flags, version
 
     def _flags_version_for(self, width: int, flags: np.ndarray) -> int:
@@ -465,24 +480,18 @@ class CompiledNetwork:
     # ------------------------------------------------------------------
     # The Algorithm 1 kernel
 
-    def _native_search(
-        self,
-        kernel,
-        source: int,
-        destination: int,
-        rates: np.ndarray,
-        flags: np.ndarray,
-        swap2: float,
-        banned_idx: FrozenSet[int],
-        banned_edge_ids: FrozenSet[int],
-    ) -> Optional[Tuple[List[int], float]]:
-        """:meth:`_kernel` run by the native relax loop (``kernel.c``).
+    def _native_buffers(self, kernel) -> tuple:
+        """The native kernel's scratch for this snapshot, allocated on
+        the first call: ``(addresses, path, rate, is_user, workspace,
+        arrays)``.
 
-        Same arguments and result as the Python kernel, but the rate
-        column and the flags stay arrays.  The scratch buffers are
-        allocated on the first call and sized for the worst case: each
-        row relaxes at most once, so a search pushes at most ``nnz``
-        entries after the source's.
+        ``addresses`` are the CSR arrays, ``best``, ``pred``,
+        ``visited``, ``edge_banned``, the heap, ``touched``, the path
+        buffer and the rate buffer, in the order of the relax loop's
+        arguments (the Yen loop takes all but the last).  Sizes are
+        worst cases of one search: each row relaxes at most once, so a
+        search pushes at most ``nnz`` entries after the source's.  The
+        Yen workspace grows inside ``kernel.c`` with the paths found.
         """
         scratch = self._native_scratch
         if scratch is None:
@@ -501,19 +510,40 @@ class CompiledNetwork:
                 np.zeros((nnz + 1) * _native.HEAP_ENTRY_BYTES, np.uint8),
                 np.zeros(nnz + n + 1, dtype=np.int64),  # touched
             )
+            is_user = np.asarray(self.is_user, dtype=np.uint8)
             scratch = self._native_scratch = (
                 tuple(buf.ctypes.data for buf in buffers)
                 + (ctypes.addressof(path), ctypes.addressof(rate)),
                 path,
                 rate,
-                buffers,
+                is_user.ctypes.data,
+                _native.YenWorkspace(kernel),
+                (buffers, is_user),
             )
-        addresses, path, rate, _ = scratch
+        return scratch
+
+    def _native_search(
+        self,
+        kernel,
+        source: int,
+        destination: int,
+        rates: np.ndarray,
+        flags: np.ndarray,
+        swap2: float,
+        banned_idx: FrozenSet[int],
+        banned_edge_ids: FrozenSet[int],
+    ) -> Optional[Tuple[List[int], float]]:
+        """:meth:`_kernel` run by the native relax loop (``kernel.c``).
+
+        Same arguments and result as the Python kernel, but the rate
+        column and the flags stay arrays.
+        """
+        addresses, path, rate, _, _, _ = self._native_buffers(kernel)
         # array.array fills from a set several times faster than a
         # ctypes array, and fault-heavy sessions ban ~100 edges a search.
         banned = array.array("q", banned_idx)
         banned_edges = array.array("q", banned_edge_ids)
-        length = kernel(
+        length = kernel.search(
             *addresses, rates.ctypes.data, flags.ctypes.data, source,
             destination, swap2, banned.buffer_info()[0], len(banned),
             banned_edges.buffer_info()[0], len(banned_edges),
@@ -521,6 +551,49 @@ class CompiledNetwork:
         if not length:
             return None
         return path[:length], rate[0]
+
+    def _native_yen(
+        self,
+        kernel,
+        first: Sequence[int],
+        first_rate: float,
+        h: int,
+        rates: np.ndarray,
+        flags: np.ndarray,
+        swap2: float,
+        banned: array.array,
+        banned_edges: array.array,
+    ) -> List[Tuple[List[int], float]]:
+        """Algorithm 2's Yen loop for one width in one native call.
+
+        *first* is the width's best index path and *first_rate* its
+        search rate; *banned*/*banned_edges* are the session's node
+        indices and edge ids as ``array('q')``.  Returns what
+        :func:`yen_deviation_loop` returns when :meth:`_native_search`
+        (under the session bans plus each spur's own) and
+        :func:`_compiled_path_rate` drive it: the accepted
+        ``(index_path, rate)`` pairs, best first, at most *h*.
+        """
+        addresses, _, _, is_user, workspace, _ = self._native_buffers(kernel)
+        nodes = array.array("q", first)
+        count = kernel.yen(
+            workspace.address, *addresses[:-1], rates.ctypes.data,
+            flags.ctypes.data, is_user, swap2, min(h, _H_LIMIT),
+            nodes.buffer_info()[0], len(nodes), first_rate,
+            banned.buffer_info()[0], len(banned),
+            banned_edges.buffer_info()[0], len(banned_edges),
+        )
+        if count < 0:
+            raise MemoryError("the native Yen loop ran out of memory")
+        output = workspace.output
+        flat = output.out[: output.out_len]
+        accepted = []
+        start = 0
+        for rate in output.out_rates[:count]:
+            end = start + 1 + flat[start]
+            accepted.append((flat[start + 1:end], rate))
+            start = end
+        return accepted
 
     def _kernel(
         self,
@@ -759,11 +832,12 @@ def snapshot_for(
 
 
 class WidthSearchBatch:
-    """All Algorithm-1 searches of one demand against one snapshot.
+    """The Algorithm-1 searches of one demand against one snapshot.
 
     Binds ``(snapshot, swap model, endpoints, widths, ledger)`` once, so
-    every width and every Yen deviation of the demand runs through the
-    same hoisted state and the snapshot's shared search-result memo.
+    every width of the demand (and, on the Python fallback, every Yen
+    deviation) runs through the same hoisted state and the snapshot's
+    shared search-result memo.
     Construct per demand (cheap: index lookups only) and discard freely;
     the lifetime rules are the snapshot's (see the module docstring).
     """
@@ -799,7 +873,7 @@ class WidthSearchBatch:
                 raise RoutingError(f"width must be >= 1, got {width}")
         self.snapshot = snapshot
         self.ledger = ledger
-        self.swap2 = swap_model.success_probability(2)
+        self.swap2 = swap_model.fusion_success(2)
         self.source = source
         self.destination = destination
 
@@ -1009,17 +1083,17 @@ def compiled_select_paths(
 ) -> Dict[int, List[PathCandidate]]:
     """Compiled body of Algorithm 2's per-width Yen loop.
 
-    One :class:`WidthSearchBatch` serves every width: the initial
+    One :class:`WidthSearchBatch` serves every width: the first
     searches of all widths run as one :meth:`~WidthSearchBatch.
-    search_widths` sweep, then each feasible width's Yen deviations
-    drive the same batch (and therefore the same snapshot memo — spur
-    searches repeated across widths and refill rounds are answered
-    once).  *banned_nodes*/*banned_edges* are session-wide masks (the
-    serving loop's down elements); they reach every search — including
-    each Yen deviation, unioned with the deviation's own bans — as
-    memo-keyed ban sets, so a fault state change costs fresh searches
-    rather than a snapshot rebuild.  Parameter validation and the
-    ``max_hops`` filter stay in
+    search_widths` sweep (through the snapshot's search memo), then
+    each feasible width's Yen loop runs as one native call
+    (:meth:`CompiledNetwork._native_yen`), or, without the native
+    kernel, as :func:`yen_deviation_loop` over the same batch.
+    *banned_nodes*/*banned_edges* are session-wide masks (the serving
+    loop's down elements); they reach every search — including each
+    Yen deviation, unioned with the deviation's own bans — so a fault
+    state change costs fresh searches rather than a snapshot rebuild.
+    Parameter validation and the ``max_hops`` filter stay in
     :func:`~repro.routing.alg2_path_selection.select_paths`.
     """
     widths = tuple(range(max_width, 0, -1))
@@ -1030,16 +1104,22 @@ def compiled_select_paths(
     firsts = batch.search_widths(
         banned_nodes=banned_nodes, banned_edges=banned_edges
     )
+    session_bans = None
+    if _native.KERNEL is not None:
+        # Resolved once for every width's native Yen loop.
+        node_idx, edge_ids = snapshot._resolve_bans(
+            frozenset(banned_nodes), frozenset(banned_edges)
+        )
+        session_bans = (array.array("q", node_idx), array.array("q", edge_ids))
     result: Dict[int, List[PathCandidate]] = {}
     for width in widths:
         first = firsts[width]
         if first is None:
             continue
-        paths = _compiled_yen_best_paths(
-            batch, demand, width, h, first, banned_nodes, banned_edges
+        result[width] = _compiled_yen_best_paths(
+            batch, demand, width, h, first, banned_nodes, banned_edges,
+            session_bans,
         )
-        if paths:
-            result[width] = paths
     return result
 
 
@@ -1049,14 +1129,40 @@ def _compiled_yen_best_paths(
     width: int,
     h: int,
     first: Tuple[Tuple[int, ...], float],
-    banned_nodes: FrozenSet[int] = frozenset(),
-    banned_edges: FrozenSet[EdgeKey] = frozenset(),
+    banned_nodes: FrozenSet[int],
+    banned_edges: FrozenSet[EdgeKey],
+    session_bans: Optional[Tuple[array.array, array.array]],
 ) -> List[PathCandidate]:
-    """The shared :func:`yen_deviation_loop` driven by one width of a
-    :class:`WidthSearchBatch`."""
+    """Yen's k best paths at one width of a :class:`WidthSearchBatch`.
+
+    *session_bans* is *banned_nodes*/*banned_edges* as node indices and
+    edge ids, given exactly when the native kernel is loaded.  Then this
+    is one ``repro_yen_paths`` call.  Its spur searches skip the
+    endpoint checks and the search memo: the ledger cannot change
+    during a selection, and every spur source is the source or a relay
+    of a found path, so it holds at least ``2 * width`` qubits.  Without
+    the native kernel, the shared :func:`yen_deviation_loop` drives
+    :meth:`WidthSearchBatch.search` — the oracle of the native loop.
+    """
     snapshot = batch.snapshot
-    rates = snapshot.width_rate_list(width)
     swap2 = batch.swap2
+    if session_bans is not None:
+        index_of = snapshot.index_of
+        ids = snapshot.node_ids
+        found = snapshot._native_yen(
+            _native.KERNEL, [index_of[node] for node in first[0]], first[1],
+            h, snapshot.width_rates(width),
+            snapshot.relay_state(batch.ledger, width)[0], swap2,
+            *session_bans,
+        )
+        return [
+            PathCandidate(
+                demand.demand_id, tuple(ids[i] for i in path), width, rate
+            )
+            for path, rate in found
+        ]
+
+    rates = snapshot.width_rate_list(width)
 
     def run_alg1(spur_source, banned_node_ids, banned_edge_keys):
         return batch.search(

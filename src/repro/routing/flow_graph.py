@@ -489,10 +489,9 @@ class FlowLikeGraph:
         edge_index = snapshot.edge_index
         is_user = snapshot.is_user
         index_of = snapshot.index_of
-        swap_fn = swap_model.success_probability
-        # success_probability is a pure function of the arity; one memo
-        # per evaluation skips its re-validation for repeated arities.
-        swap_memo: Dict[int, float] = {}
+        # Fusion arities are non-negative ints by construction, so the
+        # walk uses the unchecked twin of success_probability.
+        swap_fn = swap_model.fusion_success
         for node in reversed(self._topological_order()):
             if node == destination:
                 continue
@@ -509,10 +508,7 @@ class FlowLikeGraph:
                     arity = arities[child]
                     if has_extra:
                         arity += extra_widths_total(extra_widths, child)
-                    swap = swap_memo.get(arity)
-                    if swap is None:
-                        swap = swap_fn(arity)
-                        swap_memo[arity] = swap
+                    swap = swap_fn(arity)
                 failure *= 1.0 - edge_rate * swap * memo[child]
             memo[node] = 1.0 - failure
         return memo[self.source]

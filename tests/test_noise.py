@@ -8,6 +8,7 @@ from repro.exceptions import ConfigurationError
 from repro.quantum.noise import (
     LinkModel,
     SwapModel,
+    channel_success,
     channel_success_probability,
     link_success_probability,
 )
@@ -62,6 +63,22 @@ class TestChannelSuccessProbability:
         with pytest.raises(ConfigurationError):
             channel_success_probability(1.2, 1)
 
+    @pytest.mark.parametrize(
+        "p, width", [(-0.1, 1), (1.5, 2), (0.5, -1), (0.5, 1.0), (0.5, True)]
+    )
+    def test_checked_wrapper_still_raises(self, p, width):
+        """The compiled core's rate columns call the unchecked helper;
+        the public function keeps rejecting bad input."""
+        with pytest.raises(ConfigurationError):
+            channel_success_probability(p, width)
+
+    def test_unchecked_helper_gives_the_same_floats(self):
+        for p in (1e-6, 0.3, 0.9, 1.0, 0.0):
+            for width in range(6):
+                assert channel_success(p, width).hex() == (
+                    channel_success_probability(p, width).hex()
+                )
+
 
 class TestLinkModel:
     def test_fixed_p_overrides_length(self):
@@ -105,3 +122,18 @@ class TestSwapModel:
     def test_invalid_q(self):
         with pytest.raises(ConfigurationError):
             SwapModel(q=-0.1)
+
+    @pytest.mark.parametrize("arity", [-1, 2.0, True, "2"])
+    def test_checked_wrapper_still_raises(self, arity):
+        """Equation 1's compiled walk calls the unchecked
+        ``fusion_success``; ``success_probability`` keeps rejecting bad
+        arities."""
+        with pytest.raises(ConfigurationError):
+            SwapModel(q=0.9).success_probability(arity)
+
+    def test_unchecked_helper_gives_the_same_floats(self):
+        for model in (SwapModel(q=0.7), SwapModel(q=0.9, per_qubit=True)):
+            for arity in range(8):
+                assert model.fusion_success(arity).hex() == (
+                    model.success_probability(arity).hex()
+                )

@@ -17,6 +17,7 @@ import os
 import pathlib
 import shutil
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,7 +49,7 @@ from repro.routing.compiled import (
 from repro.exceptions import RoutingError
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache
-from repro.routing.registry import make_router, router_keys
+from repro.routing.registry import make_router, parse_router_specs, router_keys
 from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
@@ -972,6 +973,66 @@ def test_fallback_kernel_plans_match_native(key, monkeypatch):
     assert native.remaining_qubits == fallback.remaining_qubits
 
 
+def test_fallback_kernel_plans_match_native_with_session_bans(monkeypatch):
+    """Session bans reach every spur search of the native Yen loop as
+    they reach the Python loop's: serving-style ``route_online`` calls
+    under banned nodes and edges, sharing one ledger and one rate
+    cache, admit the same plans with the native kernel as without."""
+    scenario, seed = SCENARIOS[0], SEEDS[0]
+    network, _ = _instance(scenario, seed)
+    banned_edges = frozenset(network.edge_keys()[::6])
+    banned_nodes = frozenset(network.switches()[::9])
+    router = make_router("alg-n-fusion")
+
+    def serve(bans):
+        # A fresh network per run: snapshots and their memos persist on it.
+        fresh, demands = _instance(scenario, seed)
+        ledger = QubitLedger(fresh)
+        cache = ChannelRateCache(fresh, LINK)
+        plans = []
+        for demand in demands:
+            result = router.route_online(
+                fresh, demand, LINK, SWAP, ledger=ledger, rate_cache=cache,
+                banned_nodes=bans[0], banned_edges=bans[1],
+            )
+            plans.append((result.demand_rates, _plan_shape(result)))
+        return plans, ledger.snapshot()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_native, "KERNEL", None)
+        fallback = serve((banned_nodes, banned_edges))
+    native = serve((banned_nodes, banned_edges))
+    assert native == fallback
+    # The bans change the plans, so the comparison is not vacuous.
+    assert native != serve((frozenset(), frozenset()))
+
+
+def test_large_h_exhausts_paths_with_bounded_native_memory(monkeypatch):
+    """``h`` far above the number of simple paths: the Yen loop stops
+    when it runs out of candidates, the native route admits exactly the
+    fallback's plan, and the native workspace holds memory for the
+    paths found, not for ``h`` (under one byte per unit of ``h``)."""
+    h = 1_000_000
+    spec = parse_router_specs(f"alg-n-fusion:h={h}")[0]
+    results = {}
+    for native in (True, False):
+        with monkeypatch.context() as patch:
+            if not native:
+                patch.setattr(_native, "KERNEL", None)
+            network, demands = _instance("grid:switches=9,users=4,states=2", 3)
+            results[native] = spec.build().route(network, demands, LINK, SWAP)
+            selected = select_paths(network, LINK, SWAP, demands[0], h=h)
+            assert 3 < max(len(paths) for paths in selected.values()) < h
+            if native and native_kernel_active():
+                scratch = snapshot_for(network, LINK)._native_scratch
+                assert 0 < scratch[4].output.held < h
+    native, fallback = results[True], results[False]
+    assert native.total_rate == fallback.total_rate
+    assert native.demand_rates == fallback.demand_rates
+    assert _plan_shape(native) == _plan_shape(fallback)
+    assert native.remaining_qubits == fallback.remaining_qubits
+
+
 def test_fused_width_min_knob(monkeypatch):
     monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
     assert fused_width_min() == FUSED_WIDTH_MIN_DEFAULT
@@ -985,6 +1046,22 @@ def test_fused_width_min_knob(monkeypatch):
 
 # ----------------------------------------------------------------------
 # Persistent snapshots (topology_version keyed)
+
+
+def test_routed_network_is_freed_without_the_cyclic_collector():
+    """The snapshot a network memoises holds relay-flag ledgers weakly,
+    so a routed network, its snapshot and the snapshot's memo are freed
+    when the last reference goes, not at the next full collection."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
+    assert network.__dict__["_compiled_snapshots"]
+    alive = weakref.ref(network)
+    gc.disable()
+    try:
+        del network, demands
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_persistent_snapshot_survives_calls_and_tracks_mutations():
