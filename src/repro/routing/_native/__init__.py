@@ -11,11 +11,13 @@ processes can build it at the same time without racing.
 
 :data:`KERNEL` holds the loaded library's entry points as a
 :class:`Kernel`, or ``None`` when no working compiler exists (or the
-cache cannot be written); :class:`~repro.routing.compiled.CompiledNetwork`
-then runs its Python kernel and the Python Yen loop instead, which give
-the same paths and rates.  The routing core reads :data:`KERNEL` on
-every search and every path selection, so tests can force the Python
-fallback for both by setting it to ``None``.
+cache cannot be written).  The compiled routing core runs on this
+kernel alone, so without it
+:func:`~repro.routing.compiled.active_routing_core` reports the
+reference core, which gives the same paths and rates.  That decision
+is read when each :class:`~repro.routing.metrics.ChannelRateCache` is
+built, so tests can force the reference core by setting :data:`KERNEL`
+to ``None`` between routing calls.
 """
 
 from __future__ import annotations
@@ -162,5 +164,5 @@ def load():
     return Kernel(search, yen, new_workspace, free_workspace)
 
 
-#: The loaded kernel, or ``None`` (the Python fallback).
+#: The loaded kernel, or ``None`` (routing then runs on the reference core).
 KERNEL: Optional[Kernel] = load()

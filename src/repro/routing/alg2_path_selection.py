@@ -13,6 +13,8 @@ Algorithm 3.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.exceptions import RoutingError
@@ -20,11 +22,12 @@ from repro.network.demands import Demand
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import (
+    _ekey,
     canonical_edge_keys,
     largest_entanglement_rate_path,
 )
 from repro.routing.allocation import QubitLedger
-from repro.routing.compiled import compiled_select_paths, yen_deviation_loop
+from repro.routing.compiled import compiled_select_paths
 from repro.routing.metrics import (
     ChannelRateCache,
     path_entanglement_rate,
@@ -129,20 +132,21 @@ def _yen_best_paths(
     banned_nodes: FrozenSet[int] = frozenset(),
     banned_edges: FrozenSet[EdgeKey] = frozenset(),
 ) -> List[PathCandidate]:
-    """Yen's algorithm with Algorithm 1 as the shortest-path subroutine.
+    """Yen's algorithm with Algorithm 1 as the shortest-path subroutine:
+    the reference core's Algorithm 2 at one width.
 
-    The deviation orchestration itself is the shared
-    :func:`~repro.routing.compiled.yen_deviation_loop`; only the solver
-    and path scorer below are reference-core specific.  The caller's
+    :func:`yen_deviation_loop` drives the reference Algorithm 1 and
+    scores stitched paths with
+    :func:`~repro.routing.metrics.path_entanglement_rate`.  The caller's
     *banned_nodes*/*banned_edges* union with each deviation's own bans.
     """
 
-    def search(spur_source, banned_node_ids, banned_edge_keys):
+    def search(spur_node, banned_node_ids, banned_edge_keys):
         return largest_entanglement_rate_path(
             network,
             link_model,
             swap_model,
-            spur_source,
+            spur_node,
             demand.destination,
             width,
             ledger,
@@ -167,3 +171,57 @@ def _yen_best_paths(
         PathCandidate(demand.demand_id, nodes, width, rate)
         for nodes, rate in accepted
     ]
+
+
+def yen_deviation_loop(first, h, search, path_rate):
+    """Yen's k-best deviation scheme around a single-path solver.
+
+    ``first`` is the solver's ``(nodes, rate)`` for the full demand;
+    ``search(spur_node, banned_node_ids, banned_edge_keys)`` returns
+    the best ``(nodes, rate)`` under those bans or ``None``;
+    ``path_rate(nodes)`` scores a stitched root+spur candidate (``None``
+    skips it).  Returns the accepted ``(nodes, rate)`` list, best first.
+
+    This is the oracle of the compiled core's native Yen loop
+    (``repro_yen_paths`` in ``kernel.c``), which repeats the
+    orchestration that bit-parity depends on: banned-edge accumulation,
+    dedup, the candidate heap and its tie-break counters.
+    """
+    accepted: List[Tuple[Tuple[int, ...], float]] = [first]
+    seen = {first[0]}
+    counter = itertools.count()
+    candidates: List[Tuple[float, int, Tuple[int, ...]]] = []
+
+    while len(accepted) < h:
+        previous_nodes = accepted[-1][0]
+        for deviation_index in range(len(previous_nodes) - 1):
+            root = previous_nodes[: deviation_index + 1]
+            spur_node = previous_nodes[deviation_index]
+            banned_edges = set()
+            for path_nodes, _ in accepted:
+                if tuple(path_nodes[: deviation_index + 1]) == root:
+                    banned_edges.add(
+                        _ekey(
+                            path_nodes[deviation_index],
+                            path_nodes[deviation_index + 1],
+                        )
+                    )
+            spur = search(spur_node, root[:-1], banned_edges)
+            if spur is None:
+                continue
+            total_nodes = root[:-1] + spur[0]
+            if total_nodes in seen:
+                continue
+            seen.add(total_nodes)
+            total_rate = path_rate(total_nodes)
+            if total_rate is None:  # pragma: no cover - spur paths are valid
+                continue
+            heapq.heappush(
+                candidates, (-total_rate, next(counter), total_nodes)
+            )
+        if not candidates:
+            break
+        negative_rate, _, nodes = heapq.heappop(candidates)
+        accepted.append((nodes, -negative_rate))
+
+    return accepted

@@ -31,14 +31,16 @@ runs over flat arrays:
   can never beat a settled node's rate);
 * **a native kernel** — the search itself runs in ``kernel.c``
   (package :mod:`repro.routing._native`), compiled once per user cache
-  and called through :mod:`ctypes`.  It repeats the Python
-  :meth:`CompiledNetwork._kernel` step for step with IEEE-754 doubles
-  and no contracted multiplies, so paths and rates are bit-identical.
-  Algorithm 2's Yen loop runs there too, one call per (demand, width),
-  repeating :func:`yen_deviation_loop`.  The Python kernel and Yen loop
-  stay as the differential oracles and as the automatic fallback when
-  no C compiler works (:func:`native_kernel_active` tells which one
-  runs);
+  and called through :mod:`ctypes`.  It repeats the reference
+  Algorithm 1 step for step with IEEE-754 doubles and no contracted
+  multiplies, so paths and rates are bit-identical.  Algorithm 2's Yen
+  loop runs there too, one call per (demand, width), repeating the
+  reference core's
+  :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`.  The
+  reference core is the kernel's only oracle, and its only fallback:
+  without a loaded kernel (:func:`native_kernel_active`) routing runs
+  on the reference core, and the entry points below raise
+  :class:`~repro.exceptions.RoutingError`;
 * **version-tokened feasibility flags** — per-width relay flags are
   patched from the ledger's feasibility journal in O(changes) and carry
   a version that only advances when some flag actually flips, giving
@@ -68,16 +70,19 @@ Core selection
 --------------
 
 ``REPRO_ROUTING_CORE`` selects the implementation (``compiled`` is the
-default; ``reference`` keeps the original object-graph code).  The
-switch is read in exactly one place: the
-:class:`~repro.routing.metrics.ChannelRateCache` constructor, which
+default; ``reference`` keeps the original object-graph code).  Without
+the native kernel (no working C compiler, or a test set
+``repro.routing._native.KERNEL`` to ``None``) the core is ``reference``
+whatever the variable says.  The switch is read in exactly one place:
+the :class:`~repro.routing.metrics.ChannelRateCache` constructor, which
 holds the compiled snapshot on the compiled core and ``None`` on the
 reference core.  Algorithm 1, Algorithm 2 and Equation 1 dispatch on
 that field, so a cache fixes the core it was built under.  Every
 router's ``route()`` and every serving session builds its own cache,
 so a test or CI job can still flip cores between routing calls without
 restarting the process.  Both cores produce bit-identical paths, rates
-and plans; the parity suite in ``tests/test_routing_cores.py`` and the
+and plans; the parity suite in ``tests/test_routing_cores.py``, the
+kernel differentials in ``tests/test_native_kernel.py`` and the
 ``routing-parity`` CI job enforce this.
 
 Snapshot lifetime
@@ -104,7 +109,6 @@ from __future__ import annotations
 
 import array
 import ctypes
-import heapq
 import itertools
 import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -154,8 +158,10 @@ def active_routing_core() -> str:
 
     Returns ``"compiled"`` (the default) or ``"reference"``; raises
     :class:`~repro.exceptions.ConfigurationError` on any other value.
-    Read once per :class:`~repro.routing.metrics.ChannelRateCache`, so
-    tests and CI can flip cores between routing calls.
+    The compiled core runs on the native kernel, so without one this is
+    ``"reference"`` whatever the variable says.  Read once per
+    :class:`~repro.routing.metrics.ChannelRateCache`, so tests and CI
+    can flip cores between routing calls.
     """
     # Deferred import: the accessor lives in the experiments layer (the
     # one sanctioned environment read path — lint rule RPL003), and
@@ -169,14 +175,30 @@ def active_routing_core() -> str:
             f"{ROUTING_CORE_ENV} must be one of "
             f"{', '.join(ROUTING_CORES)}; got {raw!r}"
         )
+    if _native.KERNEL is None:
+        return "reference"
     return core
 
 
 def native_kernel_active() -> bool:
-    """True when searches run the native relax loop, False when they
-    fall back to the Python :meth:`CompiledNetwork._kernel` (no working
-    C compiler, or a test forced the fallback)."""
+    """True when the native kernel is loaded, False when routing falls
+    back to the reference core (no working C compiler, or a test set
+    ``_native.KERNEL`` to ``None``)."""
     return _native.KERNEL is not None
+
+
+def _loaded_kernel() -> _native.Kernel:
+    """The native kernel; a :class:`~repro.exceptions.RoutingError`
+    when it is not loaded (routing then runs on the reference core, so
+    only a direct call to the compiled core lands here)."""
+    kernel = _native.KERNEL
+    if kernel is None:
+        raise RoutingError(
+            "the compiled routing core needs the native search kernel, "
+            "which is not loaded (no working C compiler); route through "
+            "a ChannelRateCache to run on the reference core"
+        )
+    return kernel
 
 
 def fused_width_min() -> int:
@@ -224,11 +246,8 @@ class CompiledNetwork:
         "is_user",
         "capacity",
         "indptr",
-        "indptr_list",
         "adj_nodes",
-        "adj_nodes_list",
         "adj_edges",
-        "adj_edges_list",
         "edge_keys",
         "edge_index",
         "edge_probability",
@@ -240,10 +259,6 @@ class CompiledNetwork:
         "_width_columns",
         "_search_memo",
         "_native_scratch",
-        "_best",
-        "_pred",
-        "_visited",
-        "_stamp",
     )
 
     def __init__(self, network: QuantumNetwork, link_model: LinkModel):
@@ -282,13 +297,6 @@ class CompiledNetwork:
                 adj_nodes.append(index_of[nbr])
                 adj_edges.append(edge_index[_ekey(nid, nbr)])
             indptr.append(len(adj_nodes))
-        # Both layouts are kept: int64 arrays feed the native kernel,
-        # while the plain lists serve the Python fallback kernel's
-        # scalar reads (a list index is ~3x cheaper than an ndarray
-        # scalar index).
-        self.indptr_list: List[int] = indptr
-        self.adj_nodes_list: List[int] = adj_nodes
-        self.adj_edges_list: List[int] = adj_edges
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.adj_nodes = np.asarray(adj_nodes, dtype=np.int64)
         self.adj_edges = np.asarray(adj_edges, dtype=np.int64)
@@ -310,14 +318,10 @@ class CompiledNetwork:
         self._width_lists: Dict[int, List[float]] = {}
         self._width_columns: Dict[int, np.ndarray] = {}
         self._search_memo: Dict[tuple, object] = {}
-        # Scratch of each kernel, allocated on its first search (see
-        # _native_search and _kernel) and reset through the touched
-        # nodes, so back-to-back searches skip the O(n) clear.
+        # The native kernel's scratch, allocated on the first search
+        # (see _native_buffers) and reset through the touched nodes, so
+        # back-to-back searches skip the O(n) clear.
         self._native_scratch: Optional[tuple] = None
-        self._best: List[float] = []
-        self._pred: List[int] = []
-        self._visited: List[int] = []
-        self._stamp = 0
 
     def __getstate__(self):
         """Copy/pickle state without raw buffer addresses: a copy gets
@@ -348,8 +352,8 @@ class CompiledNetwork:
         without :func:`~repro.quantum.noise.channel_success_probability`'s
         input checks (the probabilities come from the link model, and
         widths are checked where they enter the routing API).
-        Equation 1 and the Python fallback kernel read this list; the
-        native kernel reads its array twin, :meth:`width_rates`.
+        Equation 1 reads this list; the native kernel reads its array
+        twin, :meth:`width_rates`.
         """
         column = self._width_lists.get(width)
         if column is None:
@@ -533,10 +537,14 @@ class CompiledNetwork:
         banned_idx: FrozenSet[int],
         banned_edge_ids: FrozenSet[int],
     ) -> Optional[Tuple[List[int], float]]:
-        """:meth:`_kernel` run by the native relax loop (``kernel.c``).
+        """Algorithm 1's modified Dijkstra over the CSR rows, in the
+        native relax loop (``kernel.c``; see the module docstring's
+        in-loop masking).
 
-        Same arguments and result as the Python kernel, but the rate
-        column and the flags stay arrays.
+        *source*/*destination*/*banned_idx* are node **indices** and
+        *banned_edge_ids* edge ids; ``rates`` is the per-edge rate
+        column (:meth:`width_rates`) and ``flags`` the relay flags.
+        Returns ``(index_path, rate)`` or ``None``.
         """
         addresses, path, rate, _, _, _ = self._native_buffers(kernel)
         # array.array fills from a set several times faster than a
@@ -569,10 +577,11 @@ class CompiledNetwork:
         *first* is the width's best index path and *first_rate* its
         search rate; *banned*/*banned_edges* are the session's node
         indices and edge ids as ``array('q')``.  Returns what
-        :func:`yen_deviation_loop` returns when :meth:`_native_search`
-        (under the session bans plus each spur's own) and
-        :func:`_compiled_path_rate` drive it: the accepted
-        ``(index_path, rate)`` pairs, best first, at most *h*.
+        the reference core's
+        :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`
+        returns when Algorithm 1 (under the session bans plus each
+        spur's own) drives it: the accepted ``(index_path, rate)``
+        pairs, best first, at most *h*.
         """
         addresses, _, _, is_user, workspace, _ = self._native_buffers(kernel)
         nodes = array.array("q", first)
@@ -594,100 +603,6 @@ class CompiledNetwork:
             accepted.append((flat[start + 1:end], rate))
             start = end
         return accepted
-
-    def _kernel(
-        self,
-        source: int,
-        destination: int,
-        rates: List[float],
-        flags: List[bool],
-        swap2: float,
-        banned_idx: Sequence[int],
-        banned_edge_ids: FrozenSet[int],
-    ) -> Optional[Tuple[List[int], float]]:
-        """Algorithm 1's modified Dijkstra over the CSR rows, in Python:
-        the native kernel's oracle and its fallback.
-
-        *source*/*destination*/*banned_idx* are node **indices** and
-        *banned_edge_ids* edge ids; ``rates`` is the per-edge rate
-        column (:meth:`width_rates`) and ``flags`` the relay flags, both
-        as lists.  Returns ``(index_path, rate)`` or ``None``.
-
-        The relaxation replays the reference implementation move for
-        move: each popped node's CSR row is relaxed slot-ascending with
-        sequential tie-break counters — the same push sequence, so the
-        returned path is bit-identical, not merely rate-equal.  A slot
-        is skipped when its neighbour may not relay and is not the
-        destination, or when its edge is banned.  Banned nodes are
-        excluded by pinning their ``best`` to ``+inf`` (the strict test
-        then never updates or pushes them), which also covers the
-        reference's relax-time visited test: every rate factor is
-        <= 1, so a settled node's rate is never strictly beaten.
-        """
-        if not self._best:
-            n = len(self.node_ids)
-            self._best = [0.0] * n
-            self._pred = [0] * n
-            self._visited = [0] * n
-        self._stamp += 1
-        stamp = self._stamp
-        visited = self._visited
-        best = self._best
-        pred = self._pred
-        indptr = self.indptr_list
-        adj = self.adj_nodes_list
-        edges = self.adj_edges_list
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        touched = [source]
-        found = False
-        try:
-            if banned_idx:
-                inf = float("inf")
-                for i in banned_idx:
-                    best[i] = inf
-                    touched.append(i)
-            best[source] = 1.0
-            heap: List[Tuple[float, int, int]] = [(-1.0, 0, source)]
-            counter = 1
-            while heap:
-                negative_rate, _, node = heappop(heap)
-                if visited[node] == stamp:
-                    continue
-                visited[node] = stamp
-                if node == destination:
-                    found = True
-                    break
-                rate = -negative_rate
-                if node != source:
-                    if not flags[node]:
-                        continue
-                    rate = rate * swap2
-                for slot in range(indptr[node], indptr[node + 1]):
-                    nbr = adj[slot]
-                    if not flags[nbr] and nbr != destination:
-                        continue
-                    edge = edges[slot]
-                    if edge in banned_edge_ids:
-                        continue
-                    c = rate * rates[edge]
-                    if c > best[nbr]:
-                        best[nbr] = c
-                        pred[nbr] = node
-                        heappush(heap, (-c, counter, nbr))
-                        counter += 1
-                        touched.append(nbr)
-            if not found:
-                return None
-            path = [destination]
-            while path[-1] != source:
-                path.append(pred[path[-1]])
-            path.reverse()
-            rate_found = best[destination]
-        finally:
-            for i in touched:
-                best[i] = 0.0
-        return path, rate_found
 
     def _resolve_bans(
         self, banned_nodes: FrozenSet[int], banned_edges: FrozenSet[EdgeKey]
@@ -740,18 +655,11 @@ class CompiledNetwork:
         hit = memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
-        kernel = _native.KERNEL
-        if kernel is not None:
-            found = self._native_search(
-                kernel, source_idx, destination_idx, self.width_rates(width),
-                flags, swap2, banned_node_idx, banned_edge_ids,
-            )
-        else:
-            found = self._kernel(
-                source_idx, destination_idx, self.width_rate_list(width),
-                flags.tolist(), swap2, sorted(banned_node_idx),
-                banned_edge_ids,
-            )
+        found = self._native_search(
+            _loaded_kernel(), source_idx, destination_idx,
+            self.width_rates(width), flags, swap2, banned_node_idx,
+            banned_edge_ids,
+        )
         if found is None:
             result = None
         else:
@@ -835,9 +743,10 @@ class WidthSearchBatch:
     """The Algorithm-1 searches of one demand against one snapshot.
 
     Binds ``(snapshot, swap model, endpoints, widths, ledger)`` once, so
-    every width of the demand (and, on the Python fallback, every Yen
-    deviation) runs through the same hoisted state and the snapshot's
-    shared search-result memo.
+    every width of the demand runs through the same hoisted state and
+    the snapshot's shared search-result memo.  Raises
+    :class:`~repro.exceptions.RoutingError` when the native kernel is
+    not loaded.
     Construct per demand (cheap: index lookups only) and discard freely;
     the lifetime rules are the snapshot's (see the module docstring).
     """
@@ -860,6 +769,7 @@ class WidthSearchBatch:
         widths: Sequence[int],
         ledger=None,
     ):
+        _loaded_kernel()
         if source == destination:
             raise RoutingError("source and destination must differ")
         index_of = snapshot.index_of
@@ -880,25 +790,28 @@ class WidthSearchBatch:
     def search(
         self,
         width: int,
-        spur_source: Optional[int] = None,
         banned_nodes: Iterable[int] = (),
         banned_edges: Iterable[EdgeKey] = (),
     ) -> Optional[Tuple[Tuple[int, ...], float]]:
-        """The best path at *width*, optionally from a Yen spur source.
+        """The best path at *width*, one of the batch's widths.
 
-        Checks endpoint feasibility against the live ledger (never
-        memoised — endpoint counts can change without any relay flag
-        flipping), then answers from the snapshot's search memo or runs
-        the kernel.  Returns ``(nodes, rate)`` or ``None``.  The banned
-        sets may be any iterables, generators included: they are read
-        exactly once.
+        Raises :class:`~repro.exceptions.RoutingError` for any other
+        width.  Checks endpoint feasibility against the live ledger
+        (never memoised — endpoint counts can change without any relay
+        flag flipping), then answers from the snapshot's search memo or
+        runs the kernel.  Returns ``(nodes, rate)`` or ``None``.  The
+        banned sets may be any iterables, generators included: they are
+        read exactly once.
         """
+        if width not in self.widths:
+            raise RoutingError(
+                f"width {width} is not one of the batch's widths {self.widths}"
+            )
         banned_nodes = frozenset(banned_nodes)
         banned_edges = frozenset(banned_edges)
         snapshot = self.snapshot
         ledger = self.ledger
-        source = self.source if spur_source is None else spur_source
-        destination = self.destination
+        source, destination = self.source, self.destination
         if source in banned_nodes or destination in banned_nodes:
             return None
         if not snapshot.endpoint_feasible(ledger, source, width):
@@ -912,7 +825,6 @@ class WidthSearchBatch:
 
     def search_widths(
         self,
-        spur_source: Optional[int] = None,
         banned_nodes: Iterable[int] = (),
         banned_edges: Iterable[EdgeKey] = (),
     ) -> Dict[int, Optional[Tuple[Tuple[int, ...], float]]]:
@@ -930,8 +842,7 @@ class WidthSearchBatch:
         banned_edges = frozenset(banned_edges)
         snapshot = self.snapshot
         ledger = self.ledger
-        source = self.source if spur_source is None else spur_source
-        destination = self.destination
+        source, destination = self.source, self.destination
         if source in banned_nodes or destination in banned_nodes:
             return dict.fromkeys(self.widths)
         banned_node_idx, banned_edge_ids = snapshot._resolve_bans(
@@ -1010,65 +921,7 @@ def compiled_search(
 
 
 # ----------------------------------------------------------------------
-# Yen's deviation scheme (core-independent orchestration)
-
-
-def yen_deviation_loop(first, h, search, path_rate):
-    """Yen's k-best deviation scheme around a single-path solver.
-
-    ``first`` is the solver's ``(nodes, rate)`` for the full demand;
-    ``search(spur_source, banned_node_ids, banned_edge_keys)`` returns
-    the best ``(nodes, rate)`` under those bans or ``None``;
-    ``path_rate(nodes)`` scores a stitched root+spur candidate (``None``
-    skips it).  Returns the accepted ``(nodes, rate)`` list, best first.
-
-    This single driver serves both routing cores — only the solver and
-    the path scorer differ — so the orchestration that bit-parity
-    depends on (banned-edge accumulation, dedup, candidate heap,
-    tie-break counters) cannot drift between them.
-    """
-    accepted: List[Tuple[Tuple[int, ...], float]] = [first]
-    seen = {first[0]}
-    counter = itertools.count()
-    candidates: List[Tuple[float, int, Tuple[int, ...]]] = []
-
-    while len(accepted) < h:
-        previous_nodes = accepted[-1][0]
-        for deviation_index in range(len(previous_nodes) - 1):
-            root = previous_nodes[: deviation_index + 1]
-            spur_node = previous_nodes[deviation_index]
-            banned_edges = set()
-            for path_nodes, _ in accepted:
-                if tuple(path_nodes[: deviation_index + 1]) == root:
-                    banned_edges.add(
-                        _ekey(
-                            path_nodes[deviation_index],
-                            path_nodes[deviation_index + 1],
-                        )
-                    )
-            spur = search(spur_node, root[:-1], banned_edges)
-            if spur is None:
-                continue
-            total_nodes = root[:-1] + spur[0]
-            if total_nodes in seen:
-                continue
-            seen.add(total_nodes)
-            total_rate = path_rate(total_nodes)
-            if total_rate is None:  # pragma: no cover - spur paths are valid
-                continue
-            heapq.heappush(
-                candidates, (-total_rate, next(counter), total_nodes)
-            )
-        if not candidates:
-            break
-        negative_rate, _, nodes = heapq.heappop(candidates)
-        accepted.append((nodes, -negative_rate))
-
-    return accepted
-
-
-# ----------------------------------------------------------------------
-# Compiled Algorithm 2 (Yen + the batched kernel)
+# Compiled Algorithm 2 (the native Yen loop)
 
 
 def compiled_select_paths(
@@ -1087,15 +940,18 @@ def compiled_select_paths(
     searches of all widths run as one :meth:`~WidthSearchBatch.
     search_widths` sweep (through the snapshot's search memo), then
     each feasible width's Yen loop runs as one native call
-    (:meth:`CompiledNetwork._native_yen`), or, without the native
-    kernel, as :func:`yen_deviation_loop` over the same batch.
+    (:meth:`CompiledNetwork._native_yen`).  Its spur searches skip the
+    endpoint checks and the search memo: the ledger cannot change
+    during a selection, and every spur source is the source or a relay
+    of a found path, so it holds at least ``2 * width`` qubits.
     *banned_nodes*/*banned_edges* are session-wide masks (the serving
-    loop's down elements); they reach every search — including each
-    Yen deviation, unioned with the deviation's own bans — so a fault
-    state change costs fresh searches rather than a snapshot rebuild.
-    Parameter validation and the ``max_hops`` filter stay in
-    :func:`~repro.routing.alg2_path_selection.select_paths`.
+    loop's down elements), resolved once; they reach every search —
+    including each Yen deviation, unioned with the deviation's own bans
+    — so a fault state change costs fresh searches rather than a
+    snapshot rebuild.  Parameter validation and the ``max_hops`` filter
+    stay in :func:`~repro.routing.alg2_path_selection.select_paths`.
     """
+    kernel = _loaded_kernel()
     widths = tuple(range(max_width, 0, -1))
     batch = WidthSearchBatch(
         snapshot, swap_model, demand.source, demand.destination, widths,
@@ -1104,105 +960,27 @@ def compiled_select_paths(
     firsts = batch.search_widths(
         banned_nodes=banned_nodes, banned_edges=banned_edges
     )
-    session_bans = None
-    if _native.KERNEL is not None:
-        # Resolved once for every width's native Yen loop.
-        node_idx, edge_ids = snapshot._resolve_bans(
-            frozenset(banned_nodes), frozenset(banned_edges)
-        )
-        session_bans = (array.array("q", node_idx), array.array("q", edge_ids))
+    node_idx, edge_ids = snapshot._resolve_bans(
+        frozenset(banned_nodes), frozenset(banned_edges)
+    )
+    session_bans = (array.array("q", node_idx), array.array("q", edge_ids))
+    index_of = snapshot.index_of
+    ids = snapshot.node_ids
     result: Dict[int, List[PathCandidate]] = {}
     for width in widths:
         first = firsts[width]
         if first is None:
             continue
-        result[width] = _compiled_yen_best_paths(
-            batch, demand, width, h, first, banned_nodes, banned_edges,
-            session_bans,
-        )
-    return result
-
-
-def _compiled_yen_best_paths(
-    batch: WidthSearchBatch,
-    demand: Demand,
-    width: int,
-    h: int,
-    first: Tuple[Tuple[int, ...], float],
-    banned_nodes: FrozenSet[int],
-    banned_edges: FrozenSet[EdgeKey],
-    session_bans: Optional[Tuple[array.array, array.array]],
-) -> List[PathCandidate]:
-    """Yen's k best paths at one width of a :class:`WidthSearchBatch`.
-
-    *session_bans* is *banned_nodes*/*banned_edges* as node indices and
-    edge ids, given exactly when the native kernel is loaded.  Then this
-    is one ``repro_yen_paths`` call.  Its spur searches skip the
-    endpoint checks and the search memo: the ledger cannot change
-    during a selection, and every spur source is the source or a relay
-    of a found path, so it holds at least ``2 * width`` qubits.  Without
-    the native kernel, the shared :func:`yen_deviation_loop` drives
-    :meth:`WidthSearchBatch.search` — the oracle of the native loop.
-    """
-    snapshot = batch.snapshot
-    swap2 = batch.swap2
-    if session_bans is not None:
-        index_of = snapshot.index_of
-        ids = snapshot.node_ids
         found = snapshot._native_yen(
-            _native.KERNEL, [index_of[node] for node in first[0]], first[1],
-            h, snapshot.width_rates(width),
-            snapshot.relay_state(batch.ledger, width)[0], swap2,
+            kernel, [index_of[node] for node in first[0]], first[1], h,
+            snapshot.width_rates(width),
+            snapshot.relay_state(ledger, width)[0], batch.swap2,
             *session_bans,
         )
-        return [
+        result[width] = [
             PathCandidate(
                 demand.demand_id, tuple(ids[i] for i in path), width, rate
             )
             for path, rate in found
         ]
-
-    rates = snapshot.width_rate_list(width)
-
-    def run_alg1(spur_source, banned_node_ids, banned_edge_keys):
-        return batch.search(
-            width,
-            spur_source,
-            banned_nodes | frozenset(banned_node_ids),
-            banned_edges | frozenset(banned_edge_keys),
-        )
-
-    accepted = yen_deviation_loop(
-        first, h, run_alg1,
-        lambda nodes: _compiled_path_rate(snapshot, nodes, rates, swap2),
-    )
-    return [
-        PathCandidate(demand.demand_id, nodes, width, rate)
-        for nodes, rate in accepted
-    ]
-
-
-def _compiled_path_rate(
-    snapshot: CompiledNetwork,
-    nodes: Tuple[int, ...],
-    rates: Sequence[float],
-    swap2: float,
-) -> float:
-    """Uniform-width path rate over the snapshot's rate column.
-
-    Multiplication order matches
-    :func:`~repro.routing.metrics.path_entanglement_rate` — edges in
-    path order, then intermediate swap factors in path order (users
-    contribute an exact 1.0, i.e. no multiply) — so the float result is
-    bit-identical.
-    """
-    edge_index = snapshot.edge_index
-    rate = 1.0
-    for a, b in zip(nodes, nodes[1:]):
-        rate *= rates[edge_index[(a, b) if a < b else (b, a)]]
-    is_user = snapshot.is_user
-    index_of = snapshot.index_of
-    for node in nodes[1:-1]:
-        if not is_user[index_of[node]]:
-            rate *= swap2
-    return rate
+    return result

@@ -1,43 +1,55 @@
-"""Differential tests: the native kernel against its Python oracles.
+"""Differential tests: the native kernel against the reference core.
 
 ``CompiledNetwork._native_search`` (``kernel.c`` through ctypes) must
-return exactly what ``CompiledNetwork._kernel`` returns — the same index
-path and the same rate bits — on any CSR graph, width, relay flags,
-banned nodes and banned edges.  ``CompiledNetwork._native_yen`` must
-return exactly what ``yen_deviation_loop`` returns when the native
-search drives it.  The graphs below are drawn to hit the cases where
-they could part ways: hub rows of 32+ slots, exact rate ties from equal
-edge lengths (so the push-counter tie-breaks decide), banned nodes and
-edges, all-false relay flags, user nodes, an unreachable destination
-and a destination adjacent to the source.  Several calls run back to
-back on one snapshot, so scratch left dirty by one would show in the
-next.  The loader tests cover the build into a cold cache and the
-fallback when no compiler exists.
+return exactly what the reference Algorithm 1,
+``largest_entanglement_rate_path``, returns — the same path and the
+same rate bits — on any graph, width, relay flags, banned nodes and
+banned edges.  ``CompiledNetwork._native_yen`` must return exactly what
+the reference Algorithm 2 at one width, ``_yen_best_paths``, returns.
+The drawn relay flags reach the reference core through a
+``QubitLedger``: a switch that may not relay keeps exactly ``width``
+free qubits, so it can still be an endpoint.  The graphs below are
+drawn to hit the cases where the two could part ways: hub rows of 32+
+slots, exact rate ties from equal edge lengths (so the push-counter
+tie-breaks decide), banned nodes and edges, all-false relay flags, user
+nodes, an unreachable destination and a destination adjacent to the
+source.  Several calls run back to back on one snapshot, so scratch
+left dirty by one would show in the next.  The loader tests cover the
+build into a cold cache and the fallback when no compiler exists.
 """
 
 from __future__ import annotations
 
 import array
+import os
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network.demands import Demand
 from repro.network.graph import QuantumNetwork
 from repro.network.node import QuantumSwitch, QuantumUser
-from repro.quantum.noise import LinkModel
+from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing import _native
+from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
+from repro.routing.alg2_path_selection import _yen_best_paths
+from repro.routing.allocation import QubitLedger
 from repro.routing.compiled import (
-    _compiled_path_rate,
+    ROUTING_CORE_ENV,
     compile_network,
     native_kernel_active,
-    yen_deviation_loop,
 )
+from repro.routing.metrics import ChannelRateCache
 from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
 LINK = LinkModel()
+
+#: Qubits per switch: enough to relay at every drawn width.
+CAPACITY = 10
 
 #: Few distinct lengths, so many edges share a rate exactly.
 LENGTHS = (500.0, 1000.0, 2000.0)
@@ -72,7 +84,7 @@ def graphs(draw):
         if i in users:
             network.add_node(QuantumUser(i, Point(float(i), 0.0)))
         else:
-            network.add_node(QuantumSwitch(i, Point(float(i), 0.0), 10))
+            network.add_node(QuantumSwitch(i, Point(float(i), 0.0), CAPACITY))
     # One length for every edge makes all equal-hop paths tie exactly.
     lengths = st.sampled_from(LENGTHS)
     if draw(st.booleans()):
@@ -87,6 +99,58 @@ def graphs(draw):
     return network, np.asarray(flags, dtype=bool)
 
 
+def reference_setup(network, flags, width):
+    """A reference-core rate cache, and a ledger that leaves exactly
+    *width* free qubits on each switch whose drawn flag is false."""
+    with mock.patch.dict(os.environ, {ROUTING_CORE_ENV: "reference"}):
+        cache = ChannelRateCache(network, LINK)
+    assert cache.compiled_snapshot is None
+    ledger = QubitLedger(network)
+    for node in network.switches():
+        if not flags[node]:
+            ledger.reserve(node, CAPACITY - width)
+    return cache, ledger
+
+
+def draw_bans(data, snapshot, source, destination, max_nodes):
+    """Banned node indices and edge ids that spare both endpoints."""
+    n = snapshot.num_nodes
+    banned = data.draw(
+        st.frozensets(
+            st.integers(min_value=0, max_value=n - 1).filter(
+                lambda i: i not in (source, destination)
+            ),
+            max_size=max(0, min(max_nodes, n - 2)),
+        )
+    )
+    banned_edges = data.draw(
+        st.frozensets(
+            st.integers(min_value=0, max_value=snapshot.num_edges - 1),
+            max_size=3,
+        )
+        if snapshot.num_edges
+        else st.just(frozenset())
+    )
+    return banned, banned_edges
+
+
+def edge_keys(snapshot, edge_ids):
+    """The reference core's edge keys for snapshot edge ids."""
+    return frozenset(snapshot.edge_keys[e] for e in edge_ids)
+
+
+def draw_queries(data, n, max_size):
+    return [(0, 1)] + data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ).filter(lambda q: q[0] != q[1]),
+            max_size=max_size,
+        )
+    )
+
+
 @native_only
 @settings(max_examples=150, deadline=None)
 @given(
@@ -95,49 +159,40 @@ def graphs(draw):
     swap2=st.sampled_from((1.0, 0.9, 0.5)),
     data=st.data(),
 )
-def test_native_matches_python_kernel(instance, width, swap2, data):
-    network, flags = instance
-    n = network.num_nodes
+def test_native_search_matches_reference_alg1(instance, width, swap2, data):
+    """``repro_relax_search`` returns what the reference Algorithm 1
+    returns under the same ledger and bans.  Node ids are the
+    snapshot's indices here, so the paths compare directly."""
+    network, drawn = instance
     snapshot = compile_network(network, LINK)
-    queries = [(0, 1)] + data.draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ).filter(lambda q: q[0] != q[1]),
-            max_size=4,
+    cache, ledger = reference_setup(network, drawn, width)
+    flags = snapshot.relay_feasible(ledger, width)
+    assert flags.tolist() == [
+        bool(flag) and not user
+        for flag, user in zip(drawn, snapshot.is_user)
+    ]
+    rates = snapshot.width_rates(width)
+    for source, destination in draw_queries(data, network.num_nodes, 4):
+        banned, banned_edges = draw_bans(
+            data, snapshot, source, destination, 6
         )
-    )
-    for source, destination in queries:
-        banned = data.draw(
-            st.frozensets(
-                st.integers(min_value=0, max_value=n - 1).filter(
-                    lambda i: i not in (source, destination)
-                ),
-                max_size=max(0, min(6, n - 2)),
-            )
-        )
-        banned_edges = data.draw(
-            st.frozensets(
-                st.integers(min_value=0, max_value=snapshot.num_edges - 1),
-                max_size=3,
-            )
-            if snapshot.num_edges
-            else st.just(frozenset())
-        )
-        rates = snapshot.width_rates(width)
         native = snapshot._native_search(
             _native.KERNEL, source, destination, rates, flags, swap2,
             banned, banned_edges,
         )
-        python = snapshot._kernel(
-            source, destination, rates.tolist(), flags.tolist(), swap2,
-            sorted(banned), banned_edges,
+        reference = largest_entanglement_rate_path(
+            network, LINK, SwapModel(q=swap2), source, destination, width,
+            ledger, banned_nodes=banned,
+            banned_edges=edge_keys(snapshot, banned_edges),
+            rate_cache=cache,
         )
-        assert native == python
-        if native is not None:
-            assert native[1].hex() == python[1].hex()
-            assert type(native[1]) is float
+        if reference is None:
+            assert native is None
+            continue
+        assert native is not None
+        assert tuple(native[0]) == reference[0]
+        assert native[1].hex() == reference[1].hex()
+        assert type(native[1]) is float
 
 
 @native_only
@@ -149,76 +204,42 @@ def test_native_matches_python_kernel(instance, width, swap2, data):
     h=st.integers(min_value=1, max_value=8),
     data=st.data(),
 )
-def test_native_yen_matches_python_yen(instance, width, swap2, h, data):
-    """``repro_yen_paths`` returns what ``yen_deviation_loop`` returns
-    when the native search drives it: the same paths in the same order,
-    the same rate bits.  Session bans reach every spur search."""
-    network, flags = instance
-    n = network.num_nodes
+def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
+    """``repro_yen_paths`` returns what the reference Algorithm 2
+    returns at one width: the same paths in the same order, the same
+    rate bits.  Session bans reach every spur search."""
+    network, drawn = instance
     snapshot = compile_network(network, LINK)
+    cache, ledger = reference_setup(network, drawn, width)
+    flags = snapshot.relay_feasible(ledger, width)
+    swap_model = SwapModel(q=swap2)
     kernel = _native.KERNEL
     rates = snapshot.width_rates(width)
-    rate_list = rates.tolist()
-    edge_index = snapshot.edge_index
-    queries = [(0, 1)] + data.draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=n - 1),
-                st.integers(min_value=0, max_value=n - 1),
-            ).filter(lambda q: q[0] != q[1]),
-            max_size=3,
+    for source, destination in draw_queries(data, network.num_nodes, 3):
+        banned, banned_edges = draw_bans(
+            data, snapshot, source, destination, 4
         )
-    )
-    for source, destination in queries:
-        banned = data.draw(
-            st.frozensets(
-                st.integers(min_value=0, max_value=n - 1).filter(
-                    lambda i: i not in (source, destination)
-                ),
-                max_size=max(0, min(4, n - 2)),
-            )
-        )
-        banned_edges = data.draw(
-            st.frozensets(
-                st.integers(min_value=0, max_value=snapshot.num_edges - 1),
-                max_size=3,
-            )
-            if snapshot.num_edges
-            else st.just(frozenset())
+        reference = _yen_best_paths(
+            network, LINK, swap_model, Demand(0, source, destination), width,
+            h, ledger, cache, banned, edge_keys(snapshot, banned_edges),
         )
         first = snapshot._native_search(
             kernel, source, destination, rates, flags, swap2, banned,
             banned_edges,
         )
         if first is None:
+            assert reference == []
             continue
-
-        def search(spur_source, spur_nodes, spur_edges):
-            found = snapshot._native_search(
-                kernel, spur_source, destination, rates, flags, swap2,
-                banned | frozenset(spur_nodes),
-                banned_edges | frozenset(edge_index[e] for e in spur_edges),
-            )
-            return None if found is None else (tuple(found[0]), found[1])
-
-        # Node ids are the snapshot's indices here, so the id-keyed
-        # scorer and the index paths line up.
-        python = yen_deviation_loop(
-            (tuple(first[0]), first[1]), h, search,
-            lambda nodes: _compiled_path_rate(
-                snapshot, nodes, rate_list, swap2
-            ),
-        )
         native = snapshot._native_yen(
             kernel, first[0], first[1], h, rates, flags, swap2,
             array.array("q", sorted(banned)),
             array.array("q", sorted(banned_edges)),
         )
         assert [tuple(nodes) for nodes, _ in native] == [
-            nodes for nodes, _ in python
+            path.nodes for path in reference
         ]
         assert [rate.hex() for _, rate in native] == [
-            rate.hex() for _, rate in python
+            path.rate.hex() for path in reference
         ]
 
 

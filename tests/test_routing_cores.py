@@ -41,6 +41,8 @@ from repro.routing.compiled import (
     ROUTING_CORE_ENV,
     WidthSearchBatch,
     active_routing_core,
+    compiled_search,
+    compiled_select_paths,
     fused_width_min,
     native_kernel_active,
     search_widths,
@@ -70,6 +72,12 @@ SEEDS = (7, 20230601)
 
 REGRESSION_INSTANCE = (
     pathlib.Path(__file__).parent / "data" / "regression_instance.json"
+)
+
+#: For tests of the compiled core itself: it runs on the native kernel,
+#: and without one routing takes the reference core instead.
+native_only = pytest.mark.skipif(
+    not native_kernel_active(), reason="native kernel unavailable"
 )
 
 
@@ -109,6 +117,7 @@ def _plan_shape(result):
 # Core selection
 
 
+@native_only
 def test_default_core_is_compiled(monkeypatch):
     monkeypatch.delenv(ROUTING_CORE_ENV, raising=False)
     assert active_routing_core() == "compiled"
@@ -120,6 +129,7 @@ def test_invalid_core_rejected(monkeypatch):
         active_routing_core()
 
 
+@native_only
 def test_core_env_read_per_call(monkeypatch):
     monkeypatch.setenv(ROUTING_CORE_ENV, "reference")
     assert active_routing_core() == "reference"
@@ -173,6 +183,7 @@ def test_pinned_core_rejects_foreign_rate_cache(core):
         ) == flow.entanglement_rate(far, link, SWAP)
 
 
+@native_only
 def test_pinned_core_compiled_cache_ignores_reference_env():
     """A cache built on the compiled core keeps routing on it: the core
     is read once, when the cache is built."""
@@ -499,6 +510,7 @@ def _assert_equation1_differential(network, flow, extras):
         assert cached == expected
 
 
+@native_only
 @pytest.mark.parametrize(
     "min_relays, max_relays",
     [(2, 15), (16, 31), (32, 100)],
@@ -525,6 +537,7 @@ def test_equation1_differential_wide_fanout(min_relays, max_relays, data):
     _assert_equation1_differential(network, flow, _draw_extras(data, flow))
 
 
+@native_only
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_equation1_differential_reconvergent(data):
@@ -705,6 +718,7 @@ def test_relay_feasibility_journal_parity():
 # Batched width search (the kernel-facing API)
 
 
+@native_only
 @pytest.mark.parametrize("scenario", SCENARIOS[:2])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_search_matches_reference_per_width(scenario, seed):
@@ -742,6 +756,7 @@ def test_batched_search_matches_reference_per_width(scenario, seed):
                 assert batched[width] == expected
 
 
+@native_only
 def test_batched_search_drained_ledger(diamond_network):
     ledger = QubitLedger(diamond_network)
     for node in (2, 3, 4, 5):
@@ -759,6 +774,7 @@ def test_batched_search_drained_ledger(diamond_network):
     ) == {1: None}
 
 
+@native_only
 def test_batch_matches_its_own_single_width_searches():
     network, demands = _instance(SCENARIOS[1], SEEDS[0])
     ledger = QubitLedger(network)
@@ -772,6 +788,7 @@ def test_batch_matches_its_own_single_width_searches():
         assert swept[width] == batch.search(width)
 
 
+@native_only
 def test_batch_rejects_invalid_construction(diamond_network):
     snapshot = snapshot_for(diamond_network, LINK)
     with pytest.raises(RoutingError, match="must differ"):
@@ -782,20 +799,63 @@ def test_batch_rejects_invalid_construction(diamond_network):
         WidthSearchBatch(snapshot, SWAP, 0, 1, (1, 0))
 
 
+@native_only
+def test_batch_search_rejects_width_outside_batch():
+    """A width the batch was not built for is an error, as a width
+    below 1 is for the reference Algorithm 1 — not a silent ``None``
+    that leaves a stray rate column on the snapshot."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    snapshot = compile_network(network, LINK)
+    demand = demands[0]
+    batch = WidthSearchBatch(
+        snapshot, SWAP, demand.source, demand.destination, (1,)
+    )
+    for width in (0, -1, 2):
+        with pytest.raises(RoutingError, match="batch's widths"):
+            batch.search(width)
+    assert batch.search(1) is not None
+    assert sorted(snapshot._width_lists) == [1]
+    with pytest.raises(RoutingError, match="width must be >= 1"):
+        with routing_core("reference"):
+            largest_entanglement_rate_path(
+                network, LINK, SWAP, demand.source, demand.destination, 0
+            )
+
+
+def test_compiled_entry_points_need_the_native_kernel(
+    diamond_network, monkeypatch
+):
+    """Called directly without a loaded kernel, every compiled-core
+    entry point raises a ``RoutingError`` that names the kernel (the
+    routing entry points take the reference core instead)."""
+    snapshot = compile_network(diamond_network, LINK)
+    demand = Demand(0, 0, 1)
+    monkeypatch.setattr(_native, "KERNEL", None)
+    calls = (
+        lambda: WidthSearchBatch(snapshot, SWAP, 0, 1, (1,)),
+        lambda: search_widths(snapshot, SWAP, demand, (1, 2)),
+        lambda: compiled_search(snapshot, SWAP, 0, 1, 1),
+        lambda: compiled_select_paths(snapshot, SWAP, demand, 3, 2),
+        lambda: snapshot.run_search(0, 1, 1, 0.9),
+    )
+    for call in calls:
+        with pytest.raises(RoutingError, match="native search kernel"):
+            call()
+
+
 # ----------------------------------------------------------------------
-# Native relax loop vs the Python kernel (its oracle and fallback)
+# Native kernel vs the reference core (its oracle and fallback)
 
 
+@native_only
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fused_frontier_matches_per_width_standalone(
-    scenario, seed, monkeypatch
-):
-    """A batch sweep on the default kernel answers exactly like
-    per-width standalone searches on the Python fallback kernel —
-    across topologies, seeds, banned node/edge sets and a partially
-    consumed ledger.  Fresh snapshots on each side keep the search memo
-    from masking a kernel divergence."""
+def test_fused_frontier_matches_per_width_standalone(scenario, seed):
+    """A batch sweep on the native kernel answers exactly like
+    per-width standalone searches on the reference core — across
+    topologies, seeds, banned node/edge sets and a partially consumed
+    ledger.  A fresh snapshot keeps an earlier test's search memo from
+    masking a kernel divergence."""
     network, demands = _instance(scenario, seed)
     rng = ensure_rng(seed + 5)
     switches = network.switches()
@@ -804,7 +864,9 @@ def test_fused_frontier_matches_per_width_standalone(
     for node in switches[::4]:
         ledger.reserve(node, min(2, int(ledger.remaining(node))))
     default_snapshot = compile_network(network, LINK)
-    fallback_snapshot = compile_network(network, LINK)
+    with routing_core("reference"):
+        cache = ChannelRateCache(network, LINK)
+    assert cache.compiled_snapshot is None
     widths = (1, 2, 3, 5)
     for trial in range(6):
         demand = demands[trial % len(demands)]
@@ -819,40 +881,41 @@ def test_fused_frontier_matches_per_width_standalone(
         ).search_widths(
             banned_nodes=banned_nodes, banned_edges=banned_edges
         )
-        with monkeypatch.context() as patch:
-            patch.setattr(_native, "KERNEL", None)
-            batch = WidthSearchBatch(
-                fallback_snapshot, SWAP, demand.source, demand.destination,
-                widths, ledger,
+        standalone = {
+            width: largest_entanglement_rate_path(
+                network, LINK, SWAP, demand.source, demand.destination,
+                width, ledger, banned_nodes=banned_nodes,
+                banned_edges=banned_edges, rate_cache=cache,
             )
-            standalone = {
-                width: batch.search(width, None, banned_nodes, banned_edges)
-                for width in widths
-            }
+            for width in widths
+        }
         assert swept == standalone
 
 
 def test_native_kernel_active_with_compiler(diamond_network, monkeypatch):
-    """With a C compiler on PATH the native kernel must load, and every
-    search must run through it: a silent fallback would otherwise keep
-    the whole suite green."""
+    """With a C compiler on PATH the native kernel must load and a
+    routing call must get a compiled snapshot: a silent fallback to the
+    reference core would otherwise keep the whole suite green.  Without
+    the kernel, routing runs on the reference core and compiles no
+    snapshot."""
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler: the Python fallback is expected")
+        pytest.skip("no C compiler: the reference core is expected")
+    monkeypatch.delenv(ROUTING_CORE_ENV, raising=False)
     assert native_kernel_active()
-
-    def fail(*args):
-        raise AssertionError("the Python fallback kernel ran")
-
-    monkeypatch.setattr(CompiledNetwork, "_kernel", fail)
-    batch = WidthSearchBatch(
-        compile_network(diamond_network, LINK), SWAP, 0, 1, (1, 2), None
-    )
-    swept = batch.search_widths()
-    assert swept[1] is not None and swept[2] is not None
+    assert active_routing_core() == "compiled"
+    cache = ChannelRateCache(diamond_network, LINK)
+    assert cache.compiled_snapshot is not None
     monkeypatch.setattr(_native, "KERNEL", None)
     assert not native_kernel_active()
+    assert active_routing_core() == "reference"
+    network, demands = load_instance(REGRESSION_INSTANCE)
+    assert ChannelRateCache(network, LINK).compiled_snapshot is None
+    result = make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
+    assert result.total_rate > 0
+    assert "_compiled_snapshots" not in network.__dict__
 
 
+@native_only
 def test_fused_frontier_drained_relays(diamond_network):
     """Feasible endpoints but drained relay switches: the kernel itself
     (not the endpoint short-circuit) must report no path for every
@@ -867,6 +930,7 @@ def test_fused_frontier_drained_relays(diamond_network):
     assert batch.search_widths() == {1: None, 2: None, 3: None}
 
 
+@native_only
 def test_generator_bans_match_frozensets():
     """Banned sets passed as generators are read exactly once: the
     batch, sweep and snapshot entry points answer as with frozensets
@@ -885,11 +949,11 @@ def test_generator_bans_match_frozensets():
         nodes = frozenset(first[0][1:3])
         banned_edges = frozenset(edges[:5])
         assert batch.search(
-            1, None, iter(nodes), iter(banned_edges)
-        ) == batch.search(1, None, nodes, banned_edges)
+            1, iter(nodes), iter(banned_edges)
+        ) == batch.search(1, nodes, banned_edges)
         assert batch.search_widths(
-            None, (n for n in nodes), (e for e in banned_edges)
-        ) == batch.search_widths(None, nodes, banned_edges)
+            (n for n in nodes), (e for e in banned_edges)
+        ) == batch.search_widths(nodes, banned_edges)
         assert snapshot.run_search(
             demand.source, demand.destination, 1, batch.swap2, None,
             iter(nodes), iter(banned_edges),
@@ -899,11 +963,12 @@ def test_generator_bans_match_frozensets():
         )
         # Banning a relay of the best path must change the answer, so
         # the comparison above is not vacuous.
-        assert batch.search(1, None, iter(nodes)) != first
+        assert batch.search(1, iter(nodes)) != first
         checked += 1
     assert checked
 
 
+@native_only
 def test_snapshot_copy_owns_its_native_buffers():
     """A deep copy of a used snapshot must not reuse the original's
     native scratch: it answers correctly after the original is gone."""
@@ -923,6 +988,7 @@ def test_snapshot_copy_owns_its_native_buffers():
     ).search_widths() == expected
 
 
+@native_only
 def test_snapshot_memory_per_ban_set_stays_small():
     """Each distinct banned-edge set costs a search-memo entry and
     nothing the size of the network: growth per query stays well under
@@ -953,8 +1019,9 @@ def test_snapshot_memory_per_ban_set_stays_small():
 
 @pytest.mark.parametrize("key", sorted(router_keys()))
 def test_fallback_kernel_plans_match_native(key, monkeypatch):
-    """With the native kernel unavailable, every router produces the
-    same plan on the regression fixture as with it."""
+    """With the native kernel unavailable, routing falls back to the
+    reference core, and every router produces the same plan on the
+    regression fixture as with the kernel."""
     results = {}
     for native in (True, False):
         with monkeypatch.context() as patch:
@@ -966,6 +1033,8 @@ def test_fallback_kernel_plans_match_native(key, monkeypatch):
             results[native] = make_router(key).route(
                 fresh, fresh_demands, LINK, SWAP
             )
+            if not native:
+                assert "_compiled_snapshots" not in fresh.__dict__
     native, fallback = results[True], results[False]
     assert native.total_rate == fallback.total_rate
     assert native.demand_rates == fallback.demand_rates
@@ -975,9 +1044,10 @@ def test_fallback_kernel_plans_match_native(key, monkeypatch):
 
 def test_fallback_kernel_plans_match_native_with_session_bans(monkeypatch):
     """Session bans reach every spur search of the native Yen loop as
-    they reach the Python loop's: serving-style ``route_online`` calls
-    under banned nodes and edges, sharing one ledger and one rate
-    cache, admit the same plans with the native kernel as without."""
+    they reach the reference core's: serving-style ``route_online``
+    calls under banned nodes and edges, sharing one ledger and one rate
+    cache, admit the same plans with the native kernel as without it
+    (on the reference core)."""
     scenario, seed = SCENARIOS[0], SEEDS[0]
     network, _ = _instance(scenario, seed)
     banned_edges = frozenset(network.edge_keys()[::6])
@@ -1010,8 +1080,9 @@ def test_fallback_kernel_plans_match_native_with_session_bans(monkeypatch):
 def test_large_h_exhausts_paths_with_bounded_native_memory(monkeypatch):
     """``h`` far above the number of simple paths: the Yen loop stops
     when it runs out of candidates, the native route admits exactly the
-    fallback's plan, and the native workspace holds memory for the
-    paths found, not for ``h`` (under one byte per unit of ``h``)."""
+    reference core's plan (the no-kernel fallback), and the native
+    workspace holds memory for the paths found, not for ``h`` (under
+    one byte per unit of ``h``)."""
     h = 1_000_000
     spec = parse_router_specs(f"alg-n-fusion:h={h}")[0]
     results = {}
@@ -1048,6 +1119,7 @@ def test_fused_width_min_knob(monkeypatch):
 # Persistent snapshots (topology_version keyed)
 
 
+@native_only
 def test_routed_network_is_freed_without_the_cyclic_collector():
     """The snapshot a network memoises holds relay-flag ledgers weakly,
     so a routed network, its snapshot and the snapshot's memo are freed
