@@ -5,8 +5,8 @@ under both re-planning modes and times the whole serving loop.  The two
 modes are decision-identical by construction — asserted on the full
 deterministic metrics — so the only thing the incremental path buys is
 speed: it must stay measurably (>= 1.3x) faster than rebuilding a
-residual network per arrival, or the journal/patching machinery has
-regressed into pure overhead.
+residual network per arrival, or the session-long snapshot, relay
+flags and search memo have regressed into pure overhead.
 
 Results land in ``benchmarks/results/serve.txt`` plus a
 machine-readable ``serve.json`` twin (per-mode wall time, re-plan
@@ -138,8 +138,8 @@ def test_serve_repair_incremental_vs_resnapshot():
     re-route, so the resnapshot mode rebuilds a residual network per
     repair attempt on top of per arrival.  The incremental path patches
     banned-element masks in place and must beat it by the same >= 1.3x
-    bar — the repair fast path is the whole point of session-state
-    journaling surviving disruptions.
+    bar — the repair fast path is the whole point of session state
+    surviving disruptions.
     """
     duration = 400.0 if is_full_run() else 120.0
     scenario = parse_scenario(SCENARIO)

@@ -151,7 +151,7 @@ def load():
     yen = lib.repro_yen_paths
     yen.restype = _INT
     yen.argtypes = (
-        [_POINTER] * 14
+        [_POINTER] * 13
         + [_DOUBLE, _INT, _POINTER, _INT, _DOUBLE, _POINTER, _INT, _POINTER,
            _INT]
     )

@@ -2,9 +2,9 @@
  * Algorithm 1's relax loop and Algorithm 2's Yen loop over it.
  *
  * repro_relax_search is the modified Dijkstra over the CSR adjacency
- * and one per-edge rate column, step for step the same as
- * CompiledNetwork._kernel in repro/routing/compiled.py (the Python
- * oracle).
+ * and one per-edge rate column, step for step the same as the reference
+ * core's largest_entanglement_rate_path in
+ * repro/routing/alg1_largest_rate.py (its oracle).
  *
  * - Rows relax in ascending slot order.  A slot is skipped when its
  *   neighbour may not relay (flags[nbr] == 0) and is not the
@@ -23,8 +23,8 @@
  * reset, so a search costs time in the nodes it reaches, not in the
  * network size.
  *
- * repro_yen_paths runs yen_deviation_loop (compiled.py, its oracle)
- * around that search for one (demand, width); see its comment.
+ * repro_yen_paths runs yen_deviation_loop (alg2_path_selection.py, its
+ * oracle) around that search for one (demand, width); see its comment.
  */
 
 #include <math.h>
@@ -153,9 +153,10 @@ int64_t repro_relax_search(
 
 /*
  * Algorithm 2's Yen loop for one (demand, width): yen_deviation_loop in
- * repro/routing/compiled.py (the Python oracle) with
- * repro_relax_search as the spur search and _compiled_path_rate as the
- * scorer, step for step:
+ * repro/routing/alg2_path_selection.py (its oracle) with
+ * repro_relax_search as the spur search and the path's own rate
+ * (path_entanglement_rate in the reference core) as the scorer, step
+ * for step:
  *
  * - the spur search from root[d] bans the session's nodes plus
  *   root[0..d), and the session's edges plus edge (p[d], p[d + 1]) of
@@ -164,7 +165,9 @@ int64_t repro_relax_search(
  *   any candidate ever pushed;
  * - candidates pop by rate descending, then push order ascending;
  * - a candidate's rate multiplies its edge rates in path order, then
- *   swap2 once per interior node that is not a user.
+ *   swap2 once per interior node.  Every interior node is a switch: the
+ *   root's come from accepted paths and the spur's pass the relay flags,
+ *   which are never set for a user.
  *
  * Every path ever pushed stays in one pool; its index is the push
  * counter (index 0 is the first path).  The buffers live in a yen_work_t
@@ -356,16 +359,14 @@ static int64_t queue_pop(yen_work_t *w, int64_t *size)
  * Returns the number of accepted paths (first included, at most h) and
  * leaves them in w->out / w->out_rates, or returns -1 when memory runs
  * out.  `first` is the width's best path with its search rate; graph,
- * scratch, rates, flags and bans are as for repro_relax_search, and
- * `is_user` holds one byte per node.
+ * scratch, rates, flags and bans are as for repro_relax_search.
  */
 int64_t repro_yen_paths(
     yen_work_t *w,
     const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
     double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
     entry_t *heap, int64_t *touched, int64_t *path_out,
-    const double *rates, const uint8_t *flags, const uint8_t *is_user,
-    double swap2, int64_t h,
+    const double *rates, const uint8_t *flags, double swap2, int64_t h,
     const int64_t *first, int64_t first_length, double first_rate,
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges)
@@ -428,8 +429,7 @@ int64_t repro_yen_paths(
                 for (i = 0; i + 1 < length; i++)
                     rate = rate * rates[edge_between(
                         indptr, adj, adj_edges, nodes[i], nodes[i + 1])];
-                for (i = 1; i + 1 < length; i++)
-                    if (!is_user[nodes[i]]) rate = rate * swap2;
+                for (i = 1; i + 1 < length; i++) rate = rate * swap2;
                 w->paths[index].rate = rate;
             }
             RESERVE(queue, n_queue + 1, -1);

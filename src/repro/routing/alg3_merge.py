@@ -24,7 +24,7 @@ cyclic are rejected (Equation 1 requires an acyclic flow).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import CapacityError, RoutingError
 from repro.network.demands import Demand, DemandSet
@@ -149,28 +149,11 @@ def admit_paths_efficiency(
     # the full pool, without re-hashing candidate dataclasses.
     parked_by_demand: Dict[int, List[int]] = {}
     active: List[int] = list(range(len(pool)))
-    # Feasibility probes batched per scan on the ledger's journal token:
-    # a candidate's verdict is a pure function of the counts at its
-    # needed nodes, so it is cached as (flow version, ledger epoch,
-    # journal length, verdict) and replayed while the journal tail
-    # since that length names none of the needed nodes.  The journal
-    # may name a node whose count changed and changed back — a
-    # superset of the truly changed — so skipping only journal-disjoint
-    # candidates re-probes every candidate a fresh check could answer
-    # differently, and the admission sequence is unchanged.  An epoch
-    # bump (restore after a failed admit, journal compaction) discards
-    # every cached verdict wholesale.
-    feasibility_memo: Dict[int, Tuple[int, int, int, bool]] = {}
     while active:
         best_index = -1
         best_efficiency = 0.0
         best_gain = 0.0
         keep: List[int] = []
-        # The ledger mutates only between scans (_try_admit below), so
-        # one token — and one lazily-built changed-node set per distinct
-        # cached journal length — serves the whole scan.
-        epoch, journal_length = ledger.feasibility_token()
-        changed_since: Dict[int, FrozenSet[int]] = {}
         for index in active:
             candidate = pool[index]
             version = versions.get(candidate.demand_id, 0)
@@ -189,38 +172,11 @@ def admit_paths_efficiency(
                 ).append(index)
                 continue
             needed, gain, cost = evaluation
-            verdict = feasibility_memo.get(index)
-            feasible = None
-            if (
-                verdict is not None
-                and verdict[0] == version
-                and verdict[1] == epoch
-            ):
-                start = verdict[2]
-                if start == journal_length:
-                    feasible = verdict[3]
-                else:
-                    changed = changed_since.get(start)
-                    if changed is None:
-                        changed = frozenset(ledger.journal_since(start))
-                        changed_since[start] = changed
-                    if not changed & needed.keys():
-                        feasible = verdict[3]
-                        # The needed counts are untouched since *start*,
-                        # so the verdict holds as of *now* too: advance
-                        # the window to keep future journal tails short.
-                        feasibility_memo[index] = (
-                            version, epoch, journal_length, feasible
-                        )
-            if feasible is None:
-                feasible = True
-                for node, count in needed.items():
-                    if not ledger.has_at_least(node, count):
-                        feasible = False
-                        break
-                feasibility_memo[index] = (
-                    version, epoch, journal_length, feasible
-                )
+            feasible = True
+            for node, count in needed.items():
+                if not ledger.has_at_least(node, count):
+                    feasible = False
+                    break
             if not feasible:
                 parked_by_demand.setdefault(
                     candidate.demand_id, []

@@ -9,7 +9,7 @@ users so callers need no special cases.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.exceptions import AllocationError, CapacityError
 from repro.network.graph import QuantumNetwork
@@ -23,43 +23,10 @@ class QubitLedger:
         self._remaining: Dict[int, Optional[int]] = {}
         for node_id in network.nodes():
             self._remaining[node_id] = network.qubit_capacity(node_id)
-        # Feasibility journal: the ids of nodes whose remaining count
-        # changed, in mutation order, plus an epoch bumped on wholesale
-        # rewrites (restore / compaction).  The compiled core's cached
-        # relay-feasibility flags patch themselves from the journal tail
-        # instead of rescanning every node per search batch — the hook
-        # online serving's incremental re-planning rides on.
-        self._epoch = 0
-        self._journal: List[int] = []
-
-    # ------------------------------------------------------------------
-    # Feasibility journal (consumed by CompiledNetwork.relay_feasible)
-
-    def feasibility_token(self) -> Tuple[int, int]:
-        """``(epoch, journal_length)`` describing the mutation history.
-
-        Equal tokens mean no per-node counts changed in between; a grown
-        journal at the same epoch means exactly the nodes in
-        :meth:`journal_since` changed; a new epoch invalidates
-        everything derived from earlier tokens.
-        """
-        return (self._epoch, len(self._journal))
-
-    def journal_since(self, start: int) -> List[int]:
-        """Node ids whose remaining count changed since journal length
-        *start* (ids may repeat; order is mutation order)."""
-        return self._journal[start:]
-
-    def _record(self, node_id: int) -> None:
-        journal = self._journal
-        journal.append(node_id)
-        # Compact before the journal dwarfs the node map: a full flag
-        # rebuild costs O(nodes), so forcing one every ~8n mutations
-        # keeps patching amortised-cheap and the memory bounded over
-        # arbitrarily long serving sessions.
-        if len(journal) > max(1024, 8 * len(self._remaining)):
-            self._epoch += 1
-            journal.clear()
+        # Bumped whenever a remaining count changes: the one signal that
+        # cached derivations of the counts (the compiled core's relay
+        # flags) are stale.
+        self.version = 0
 
     def remaining(self, node_id: int) -> float:
         """Remaining qubits of *node_id* (``math.inf`` for users)."""
@@ -86,7 +53,7 @@ class QubitLedger:
             )
         if count:
             self._remaining[node_id] = value - count
-            self._record(node_id)
+            self.version += 1
 
     def release(self, node_id: int, count: int) -> None:
         """Return *count* qubits to *node_id*; raises if the release would
@@ -104,14 +71,18 @@ class QubitLedger:
             )
         if count:
             self._remaining[node_id] = value + count
-            self._record(node_id)
+            self.version += 1
 
     def reserve_edge(self, u: int, v: int, width: int) -> None:
         """Consume *width* qubits at each endpoint of edge (*u*, *v*).
 
-        Atomic: if the second endpoint lacks qubits, the first endpoint's
-        reservation is rolled back before raising.
+        Atomic: both endpoints are looked up first, so an unknown one
+        raises before anything is reserved, and if the second endpoint
+        lacks qubits the first endpoint's reservation is rolled back
+        before raising.
         """
+        self._lookup(u)
+        self._lookup(v)
         self.reserve(u, width)
         try:
             self.reserve(v, width)
@@ -131,11 +102,9 @@ class QubitLedger:
         """Restore a map previously produced by :meth:`snapshot`."""
         if set(snapshot) != set(self._remaining):
             raise AllocationError("snapshot does not match this ledger's nodes")
-        self._remaining = dict(snapshot)
-        # A wholesale rewrite: anything derived from earlier tokens is
-        # stale, so bump the epoch rather than journal every node.
-        self._epoch += 1
-        self._journal.clear()
+        if snapshot != self._remaining:
+            self._remaining = dict(snapshot)
+            self.version += 1
 
     def total_free_switch_qubits(self) -> int:
         """Total remaining qubits across all switches."""

@@ -41,10 +41,10 @@ runs over flat arrays:
   without a loaded kernel (:func:`native_kernel_active`) routing runs
   on the reference core, and the entry points below raise
   :class:`~repro.exceptions.RoutingError`;
-* **version-tokened feasibility flags** — per-width relay flags are
-  patched from the ledger's feasibility journal in O(changes) and carry
-  a version that only advances when some flag actually flips, giving
-  downstream caches an exact "has anything changed" key.
+* **ledger-versioned feasibility flags** — per-width relay flags are
+  cached with the ledger's ``version`` counter and rebuilt whole in
+  O(nodes) when it moves; their bytes key the search memo, so a ledger
+  change that flips no flag keeps every memoised search.
 
 Batched search API
 ------------------
@@ -57,7 +57,7 @@ one call, resolving the banned sets once and running one kernel call
 per width that the memo misses.  Batch searches share the snapshot's
 scratch buffers, per-width rate columns, feasibility flags and a
 **search-result memo** keyed on the exact kernel inputs
-``(source, destination, width, flags-version, swap, banned sets)``.
+``(source, destination, width, relay-flag bytes, swap, banned sets)``.
 Identical queries (the first searches of a demand repeat across refill
 rounds; ``route_online`` repeats them across arrivals) are answered
 from the memo, which is bit-identity-safe because a hit requires every
@@ -93,10 +93,11 @@ capacities) and the link model at compile time.  It stays valid until
 the network is structurally mutated
 (``add_edge``/``remove_edge``/``add_node``) or a different link model
 is wanted; after that a new snapshot must be compiled.  Qubit *ledger*
-state is deliberately not baked in: feasibility flags are patched from
-the live ledger's journal per search batch, so admission loops can
-keep one snapshot across an entire routing call and the serving loop
-can keep one across a whole session.  :func:`snapshot_for` memoises
+state is deliberately not baked in: feasibility flags are rebuilt from
+the live ledger whenever its ``version`` has moved since the last
+search batch, so admission loops can keep one snapshot across an
+entire routing call and the serving loop can keep one across a whole
+session.  :func:`snapshot_for` memoises
 snapshots on the network, keyed by the link model and the topology
 version; a rate cache built on the compiled core holds the one its
 routing call uses, and its width columns are the only channel-rate
@@ -109,7 +110,6 @@ from __future__ import annotations
 
 import array
 import ctypes
-import itertools
 import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -253,8 +253,6 @@ class CompiledNetwork:
         "edge_probability",
         "_relay_cache",
         "_static_relay",
-        "_flags_serial",
-        "_flags_versions",
         "_width_lists",
         "_width_columns",
         "_search_memo",
@@ -300,21 +298,15 @@ class CompiledNetwork:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.adj_nodes = np.asarray(adj_nodes, dtype=np.int64)
         self.adj_edges = np.asarray(adj_edges, dtype=np.int64)
-        # Per-width relay-feasibility flags, patched incrementally from
-        # the owning ledger's feasibility journal (see relay_feasible):
-        # width -> [weakref(ledger), epoch, consumed_length, flags,
-        # version].  The reference is weak because the network memoises
-        # this snapshot and a ledger holds its network: a strong one
-        # would make a cycle that keeps a routed network (snapshot,
-        # memo and all) alive until the cyclic collector runs.
+        # Per-width relay-feasibility flags for the last ledger asked
+        # (see relay_state): width -> [weakref(ledger), ledger.version,
+        # flags, flags.tobytes()].  The reference is weak because the
+        # network memoises this snapshot and a ledger holds its network:
+        # a strong one would make a cycle that keeps a routed network
+        # (snapshot, memo and all) alive until the cyclic collector runs.
         self._relay_cache: Dict[int, list] = {}
-        # Ledger-free flags per width: (flags, version), immutable.
-        self._static_relay: Dict[int, Tuple[np.ndarray, int]] = {}
-        self._flags_serial = itertools.count()
-        # Content-addressed flag versions per width: equal contents map
-        # to equal versions across ledgers, restores and routing calls,
-        # which is what keeps the search memo hitting.
-        self._flags_versions: Dict[int, Dict[bytes, int]] = {}
+        # Ledger-free flags per width: (flags, flags.tobytes()).
+        self._static_relay: Dict[int, Tuple[np.ndarray, bytes]] = {}
         self._width_lists: Dict[int, List[float]] = {}
         self._width_columns: Dict[int, np.ndarray] = {}
         self._search_memo: Dict[tuple, object] = {}
@@ -376,26 +368,22 @@ class CompiledNetwork:
         the stable public accessor (the parity suite reads it)."""
         return self.relay_state(ledger, width)[0]
 
-    def relay_state(self, ledger, width: int) -> Tuple[np.ndarray, int]:
-        """``(flags, version)`` for relaying at *width* under *ledger*.
+    def relay_state(self, ledger, width: int) -> Tuple[np.ndarray, bytes]:
+        """``(flags, key)`` for relaying at *width* under *ledger*.
 
         A relay must be a switch holding ``2 * width`` free qubits
         (*width* towards each side).  ``ledger`` is a
         :class:`~repro.routing.allocation.QubitLedger` or ``None`` for
         full capacities — matching the reference's default ledger.
 
-        Flags for a journalled ledger are cached per width and patched
-        incrementally: between two calls only the nodes the ledger's
-        feasibility journal names (reserves *and* releases — the online
-        serving loop's departures) are recomputed, so a long-lived
-        session re-plans against a mutating snapshot in O(changes)
-        instead of O(nodes) per search batch.  The patched flags equal a
-        full rebuild bit-for-bit — each flag is a pure function of that
-        node's remaining count.  ``version`` advances exactly when the
-        flag *contents* change (a rebuild, or a journal patch that flips
-        at least one flag), so equal versions guarantee equal flags —
-        the key the search-result memo relies on.  Callers must not
-        mutate the ledger while holding the returned array.
+        Flags are cached per width together with the ledger's
+        ``version`` and rebuilt whole, in O(nodes), when the ledger
+        changed since (a reservation, a release — the online serving
+        loop's departures — or a restore) or a different ledger asks.
+        ``key`` is ``flags.tobytes()``: equal keys mean equal flags,
+        whichever ledger or routing call produced them, which is what
+        the search-result memo keys on.  Callers must not mutate the
+        ledger while holding the returned array.
         """
         need = 2 * width
         n = len(self.node_ids)
@@ -410,29 +398,17 @@ class CompiledNetwork:
                     dtype=bool,
                     count=n,
                 )
-                entry = (flags, next(self._flags_serial))
+                entry = (flags, flags.tobytes())
                 self._static_relay[width] = entry
             return entry
-        has = ledger.has_at_least
-        epoch, length = ledger.feasibility_token()
         entry = self._relay_cache.get(width)
-        if entry is not None and entry[0]() is ledger and entry[1] == epoch:
-            flags = entry[3]
-            if entry[2] != length:
-                index_of = self.index_of
-                is_user = self.is_user
-                changed = False
-                for nid in ledger.journal_since(entry[2]):
-                    i = index_of[nid]
-                    if not is_user[i]:
-                        flag = has(nid, need)
-                        if flag != bool(flags[i]):
-                            flags[i] = flag
-                            changed = True
-                entry[2] = length
-                if changed:
-                    entry[4] = self._flags_version_for(width, flags)
-            return flags, entry[4]
+        if (
+            entry is not None
+            and entry[0]() is ledger
+            and entry[1] == ledger.version
+        ):
+            return entry[2], entry[3]
+        has = ledger.has_at_least
         flags = np.fromiter(
             (
                 (not user) and has(nid, need)
@@ -441,38 +417,11 @@ class CompiledNetwork:
             dtype=bool,
             count=n,
         )
-        # An epoch change (a ledger restore, a journal compaction) or a
-        # new ledger entirely (the next routing call on a persistent
-        # snapshot) forces this rebuild, but often lands back on flag
-        # contents already seen — admission trials restore to the exact
-        # snapshot the last search ran against, and back-to-back calls
-        # start from the same full capacities.  The content-addressed
-        # version map then re-issues the old version, and with it every
-        # memoised search.
-        version = self._flags_version_for(width, flags)
-        self._relay_cache[width] = [
-            weakref.ref(ledger), epoch, length, flags, version
-        ]
-        return flags, version
-
-    def _flags_version_for(self, width: int, flags: np.ndarray) -> int:
-        """The version for these flag *contents* at *width*, memoised.
-
-        A version is issued once per distinct contents and never reused
-        (the serial is global and monotone), so "equal versions imply
-        equal flags" — the invariant every version-keyed memo relies on
-        — holds by construction.  Clearing a full map only forfeits
-        future hits; it cannot alias old versions to new contents.
-        """
-        by_content = self._flags_versions.setdefault(width, {})
         key = flags.tobytes()
-        version = by_content.get(key)
-        if version is None:
-            if len(by_content) >= 1024:
-                by_content.clear()
-            version = next(self._flags_serial)
-            by_content[key] = version
-        return version
+        self._relay_cache[width] = [
+            weakref.ref(ledger), ledger.version, flags, key
+        ]
+        return flags, key
 
     def endpoint_feasible(self, ledger, node_id: int, width: int) -> bool:
         """True iff *node_id* can commit *width* qubits as an endpoint."""
@@ -486,8 +435,7 @@ class CompiledNetwork:
 
     def _native_buffers(self, kernel) -> tuple:
         """The native kernel's scratch for this snapshot, allocated on
-        the first call: ``(addresses, path, rate, is_user, workspace,
-        arrays)``.
+        the first call: ``(addresses, path, rate, workspace, arrays)``.
 
         ``addresses`` are the CSR arrays, ``best``, ``pred``,
         ``visited``, ``edge_banned``, the heap, ``touched``, the path
@@ -514,15 +462,13 @@ class CompiledNetwork:
                 np.zeros((nnz + 1) * _native.HEAP_ENTRY_BYTES, np.uint8),
                 np.zeros(nnz + n + 1, dtype=np.int64),  # touched
             )
-            is_user = np.asarray(self.is_user, dtype=np.uint8)
             scratch = self._native_scratch = (
                 tuple(buf.ctypes.data for buf in buffers)
                 + (ctypes.addressof(path), ctypes.addressof(rate)),
                 path,
                 rate,
-                is_user.ctypes.data,
                 _native.YenWorkspace(kernel),
-                (buffers, is_user),
+                buffers,
             )
         return scratch
 
@@ -546,7 +492,7 @@ class CompiledNetwork:
         column (:meth:`width_rates`) and ``flags`` the relay flags.
         Returns ``(index_path, rate)`` or ``None``.
         """
-        addresses, path, rate, _, _, _ = self._native_buffers(kernel)
+        addresses, path, rate, _, _ = self._native_buffers(kernel)
         # array.array fills from a set several times faster than a
         # ctypes array, and fault-heavy sessions ban ~100 edges a search.
         banned = array.array("q", banned_idx)
@@ -583,11 +529,11 @@ class CompiledNetwork:
         spur's own) drives it: the accepted ``(index_path, rate)``
         pairs, best first, at most *h*.
         """
-        addresses, _, _, is_user, workspace, _ = self._native_buffers(kernel)
+        addresses, _, _, workspace, _ = self._native_buffers(kernel)
         nodes = array.array("q", first)
         count = kernel.yen(
             workspace.address, *addresses[:-1], rates.ctypes.data,
-            flags.ctypes.data, is_user, swap2, min(h, _H_LIMIT),
+            flags.ctypes.data, swap2, min(h, _H_LIMIT),
             nodes.buffer_info()[0], len(nodes), first_rate,
             banned.buffer_info()[0], len(banned),
             banned_edges.buffer_info()[0], len(banned_edges),
@@ -639,14 +585,15 @@ class CompiledNetwork:
         banned_edge_ids: FrozenSet[int],
     ) -> Optional[Tuple[Tuple[int, ...], float]]:
         """:meth:`run_search` over endpoint indices and resolved bans
-        (see :meth:`_resolve_bans`): the memo lookup, then one kernel
-        call on a miss."""
-        flags, version = self.relay_state(ledger, width)
+        (see :meth:`_resolve_bans`): the memo lookup, keyed on the relay
+        flags' bytes (:meth:`relay_state`), then one kernel call on a
+        miss."""
+        flags, flags_key = self.relay_state(ledger, width)
         key = (
             source_idx,
             destination_idx,
             width,
-            version,
+            flags_key,
             swap2,
             banned_node_idx,
             banned_edge_ids,
@@ -686,8 +633,9 @@ class CompiledNetwork:
         the caller's job — see :meth:`WidthSearchBatch.search`, the
         normal way in.  Results are memoised on the snapshot keyed by
         the exact kernel inputs, so a hit is bitwise-identical to a
-        fresh search by construction; the relay-flags *version* in the
-        key invalidates entries the moment any flag flips.
+        fresh search by construction: the relay flags' bytes are part
+        of the key, so an entry stops matching the moment any flag
+        flips, and matches again when the flags flip back.
         """
         banned_node_idx, banned_edge_ids = self._resolve_bans(
             frozenset(banned_nodes), frozenset(banned_edges)

@@ -175,7 +175,7 @@ class AlgNFusion:
         The serving loop's incremental re-planning interface: the
         pipeline of :meth:`route` on a one-demand set, run against the
         session's *ledger* and *rate_cache* (whose compiled snapshot and
-        journal-patched relay flags carry over between arrivals) instead
+        search memo carry over between arrivals) instead
         of fresh ones.  That makes it decision-identical to :meth:`route`
         on a network whose switch capacities are the ledger's remaining
         counts, so the ``incremental`` and ``resnapshot`` serving modes

@@ -9,13 +9,13 @@ arrival:
 ``incremental``
     Calls the router's ``route_online`` interface (when it has one)
     with a session-long :class:`~repro.routing.allocation.QubitLedger`
-    and channel-rate cache, so each arrival re-plans against O(changes)
-    of incremental state — the ledger's feasibility journal patches the
-    compiled core's cached relay flags instead of rebuilding them, and
-    each arrival's width sweep runs through the compiled core's
-    ``search_widths`` batch and its native search kernel, so
-    per-arrival latency benefits from the same kernel as the offline
-    sweeps.
+    and channel-rate cache, so each arrival re-plans on the session's
+    compiled snapshot and search memo instead of a rebuilt network.  The
+    snapshot rebuilds its relay flags from the ledger when the ledger's
+    ``version`` has moved (O(nodes) per width), and each arrival's width
+    sweep runs through the compiled core's ``search_widths`` batch and
+    its native search kernel, so per-arrival latency benefits from the
+    same kernel as the offline sweeps.
 
 ``resnapshot``
     Rebuilds a residual-capacity copy of the network per arrival and
@@ -30,8 +30,8 @@ on the compiled snapshot, O(changes) per fault transition), the
 ``resnapshot`` mode omits the elements from the residual view; the
 two are bit-identical because a masked element searches exactly like
 an absent one — and invalidates every held flow crossing it.  Each
-disrupted flow is released exactly (the ledger journal replays the
-release like any departure) and handed to the repair policy: ``drop``
+disrupted flow is released exactly (the release moves the ledger's
+version like any departure) and handed to the repair policy: ``drop``
 counts it, ``reroute`` re-plans it now and retries on a deterministic
 backoff schedule, degrading to a counted drop when the budget runs out.
 Repair never raises out of the loop: a routing failure is a failed

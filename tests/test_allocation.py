@@ -47,6 +47,13 @@ class TestLedger:
         # The failed edge reservation must roll back node 0.
         assert ledger.remaining(0) == 4
 
+    def test_reserve_edge_unknown_endpoint_reserves_nothing(self, ledger):
+        version = ledger.version
+        with pytest.raises(AllocationError):
+            ledger.reserve_edge(0, 99999, 2)
+        assert ledger.remaining(0) == 4
+        assert ledger.version == version
+
     def test_can_reserve_edge(self, ledger):
         assert ledger.can_reserve_edge(0, 1, 4)
         assert not ledger.can_reserve_edge(0, 1, 5)

@@ -22,7 +22,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import CapacityError, ConfigurationError
 from repro.experiments.scenarios import parse_scenario
 from repro.network import CompiledNetwork, compile_network
 from repro.network.builder import build_network
@@ -688,7 +688,7 @@ def test_relay_feasibility_journal_parity():
 
     for width in (1, 2):
         assert list(snapshot.relay_feasible(ledger, width)) == expected(width)
-    # Incremental reserve/release sequences patch flags via the journal.
+    # Reserve/release sequences move the ledger's version: flags rebuild.
     rng = ensure_rng(SEEDS[0] + 1)
     for trial in range(40):
         node = switches[int(rng.integers(len(switches)))]
@@ -699,19 +699,117 @@ def test_relay_feasibility_journal_parity():
             ledger.reserve(node, min(2, free))
         for width in (1, 2):
             assert list(snapshot.relay_feasible(ledger, width)) == expected(width)
-    # restore() bumps the epoch: derived flags must follow wholesale.
+    # restore() moves the version too: derived flags must follow it.
     baseline = ledger.snapshot()
     ledger.reserve(switches[0], int(ledger.remaining(switches[0])))
     assert list(snapshot.relay_feasible(ledger, 1)) == expected(1)
     ledger.restore(baseline)
     assert list(snapshot.relay_feasible(ledger, 1)) == expected(1)
-    # Journal compaction (epoch bump mid-stream) keeps patching exact.
+    # A long reserve/release run (the version far past any small
+    # counter) still leaves flags equal to a fresh check.
     node = switches[0]
     for _ in range(1200):
         ledger.reserve(node, 1)
         ledger.release(node, 1)
     assert list(snapshot.relay_feasible(ledger, 1)) == expected(1)
     assert list(snapshot.relay_feasible(ledger, 2)) == expected(2)
+
+
+def test_ledger_version_tracks_count_changes():
+    """``QubitLedger.version`` moves exactly when a remaining count may
+    have changed: never on a query, a zero count, an overdraft or a
+    restore to the current state; ``copy()`` is independent."""
+    network, _ = _instance(SCENARIOS[0], SEEDS[0])
+    ledger = QubitLedger(network)
+    switch, other = network.switches()[:2]
+    user = network.users()[0]
+    free = int(ledger.remaining(switch))
+    version = ledger.version
+
+    def unchanged():
+        return ledger.version == version
+
+    ledger.remaining(switch)
+    ledger.has_at_least(switch, 1)
+    ledger.can_reserve_edge(switch, other, 1)
+    ledger.snapshot()
+    ledger.total_free_switch_qubits()
+    assert unchanged()
+    ledger.reserve(switch, 0)
+    ledger.release(switch, 0)
+    ledger.reserve(user, 5)
+    ledger.release(user, 5)
+    assert unchanged()
+    with pytest.raises(CapacityError):
+        ledger.reserve(switch, free + 1)
+    assert unchanged()
+    ledger.restore(ledger.snapshot())
+    assert unchanged()
+
+    baseline = ledger.snapshot()
+    ledger.reserve(switch, 2)
+    assert ledger.version > version
+    version = ledger.version
+    ledger.release(switch, 1)
+    assert ledger.version > version
+    version = ledger.version
+    ledger.restore(baseline)
+    assert ledger.version > version
+    assert ledger.remaining(switch) == free
+
+    version = ledger.version
+    clone = ledger.copy()
+    clone.reserve(switch, 2)
+    assert unchanged()
+    assert ledger.remaining(switch) == free
+    assert clone.remaining(switch) == free - 2
+
+
+@native_only
+def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
+    """The search memo keys on the relay flags' bytes: a reservation
+    that flips no flag leaves a repeated sweep answered from the memo,
+    and one that flips a flag on the found path searches afresh."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    snapshot = compile_network(network, LINK)
+    ledger = QubitLedger(network)
+    calls = []
+    search = CompiledNetwork._native_search
+
+    def counted(self, *args):
+        calls.append(args[1:3])
+        return search(self, *args)
+
+    monkeypatch.setattr(CompiledNetwork, "_native_search", counted)
+    demand = demands[0]
+    widths = (2, 1)
+    first = search_widths(snapshot, SWAP, demand, widths, ledger=ledger)
+    assert first[1] is not None and len(first[1][0]) > 2
+    assert len(calls) == len(widths)
+
+    # One qubit off a switch with plenty left: no width's flag flips.
+    relay = first[1][0][1]
+    spare = next(
+        s for s in network.switches()
+        if s != relay and ledger.remaining(s) >= 2 * max(widths) + 1
+    )
+    ledger.reserve(spare, 1)
+    assert search_widths(
+        snapshot, SWAP, demand, widths, ledger=ledger
+    ) == first
+    assert len(calls) == len(widths)
+
+    # Draining a relay of the width-1 path flips its flag at every width.
+    ledger.reserve(relay, int(ledger.remaining(relay)) - 1)
+    again = search_widths(snapshot, SWAP, demand, widths, ledger=ledger)
+    assert len(calls) > len(widths)
+    with routing_core("reference"):
+        for width in widths:
+            assert again[width] == largest_entanglement_rate_path(
+                network, LINK, SWAP, demand.source, demand.destination,
+                width, ledger,
+            )
+    assert again[1] is None or relay not in again[1][0]
 
 
 # ----------------------------------------------------------------------
@@ -1096,7 +1194,7 @@ def test_large_h_exhausts_paths_with_bounded_native_memory(monkeypatch):
             assert 3 < max(len(paths) for paths in selected.values()) < h
             if native and native_kernel_active():
                 scratch = snapshot_for(network, LINK)._native_scratch
-                assert 0 < scratch[4].output.held < h
+                assert 0 < scratch[3].output.held < h
     native, fallback = results[True], results[False]
     assert native.total_rate == fallback.total_rate
     assert native.demand_rates == fallback.demand_rates
