@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Operational view: time slots, waiting times and online arrivals.
+"""Online operation: serving a Poisson stream of user-pair requests.
 
-Two extensions beyond the paper's one-shot evaluation:
-
-1. **Time-slotted throughput** — the routed plan is executed over many
-   slots; per-slot delivery and waiting time (slots until a pair first
-   shares a state) are measured and compared with the analytic rate.
-2. **Online scheduling** — demands arrive as a Poisson process; each
-   slot's batch is routed on the fly and the service fraction compared
-   between ALG-N-FUSION and the classic-swapping Q-CAST.
+Beyond the paper's one-shot evaluation, the serving loop admits each
+arriving request against the qubits still free, holds its route for
+the request's holding time and releases it on departure.  The same
+arrival stream is served by ALG-N-FUSION and by the classic-swapping
+Q-CAST, and their admission ratio and time-averaged throughput are
+compared (``E[states] held`` is the time-averaged sum of the held
+routes' Equation-1 rates).
 
 Run:  python examples/online_operation.py
 """
@@ -20,55 +19,40 @@ from repro import (
     QCastRouter,
     SwapModel,
     build_network,
-    generate_demands,
 )
-from repro.routing.scheduler import OnlineScheduler
-from repro.simulation.timeline import TimeSlottedSimulator
+from repro.service.arrivals import parse_arrivals, poisson_events
+from repro.service.loop import run_serve
 from repro.utils.rng import ensure_rng
 from repro.utils.tables import AsciiTable
 
-
-def timeline_demo(network, link, swap) -> None:
-    demands = generate_demands(network, 8, ensure_rng(2))
-    result = AlgNFusion().route(network, demands, link, swap)
-    simulator = TimeSlottedSimulator(network, link, swap, ensure_rng(3))
-    run = simulator.run(result.plan, num_slots=2000)
-    print("=== time-slotted execution (2000 slots) ===")
-    print(f"analytic rate     : {result.total_rate:.3f} states/slot")
-    print(f"measured          : {run.throughput_per_slot:.3f} states/slot")
-    mean_wait = run.mean_waiting_time()
-    print(f"mean waiting time : {mean_wait:.1f} slots to first state\n"
-          if mean_wait else "no demand ever succeeded\n")
-
-
-def online_demo(network, link, swap) -> None:
-    print("=== online arrivals (Poisson, 30 slots) ===")
-    table = AsciiTable(
-        ["router", "arrived", "served", "dropped", "E[states]/slot"]
-    )
-    for router in (AlgNFusion(), QCastRouter()):
-        scheduler = OnlineScheduler(router=router, arrival_rate=2.0)
-        outcome = scheduler.run(
-            network, num_slots=30, link_model=link, swap_model=swap,
-            rng=ensure_rng(4),
-        )
-        table.add_row(
-            [router.name, outcome.arrived, outcome.served, outcome.dropped,
-             outcome.mean_throughput_per_slot]
-        )
-    print(table.render())
-    print(
-        "\nSame arrivals, same network: the n-fusion router converts more "
-        "of the offered load into delivered entanglement."
-    )
+DURATION, WARMUP = 120.0, 20.0
 
 
 def main() -> None:
     network = build_network(NetworkConfig(num_switches=40, num_users=8),
                             ensure_rng(1))
     link, swap = LinkModel(fixed_p=0.45), SwapModel(q=0.9)
-    timeline_demo(network, link, swap)
-    online_demo(network, link, swap)
+    spec = parse_arrivals("poisson:rate=1.0,hold=exp:mean=15")
+    events = poisson_events(spec, 4, len(network.users()), DURATION)
+    print(f"=== online arrivals (Poisson, {DURATION:.0f} time units, "
+          f"first {WARMUP:.0f} warm-up) ===")
+    table = AsciiTable(
+        ["router", "arrived", "admitted", "rejected", "admission",
+         "E[states] held"]
+    )
+    for router in (AlgNFusion(), QCastRouter()):
+        metrics = run_serve(
+            network, link, swap, router, events, DURATION, WARMUP
+        ).metrics
+        table.add_row(
+            [router.name, metrics.arrivals, metrics.admitted,
+             metrics.rejected, metrics.admission_ratio, metrics.throughput]
+        )
+    print(table.render())
+    print(
+        "\nSame arrivals, same network: ALG-N-FUSION's wider flow-like "
+        "graphs admit fewer requests but hold more expected entanglement."
+    )
 
 
 if __name__ == "__main__":

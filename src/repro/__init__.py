@@ -4,9 +4,9 @@ A from-scratch reproduction of Zeng et al., "Entanglement Routing over
 Quantum Networks Using Greenberger-Horne-Zeilinger Measurements"
 (ICDCS 2023).  The package provides:
 
-* :mod:`repro.quantum` — an exact stabilizer simulator for verifying
-  n-fusion semantics, plus the scalable GHZ-group tracker and the
-  link/swap success models.
+* :mod:`repro.quantum` — the link/swap success models, plus an exact
+  stabilizer simulator and the GHZ-group tracker that pin the n-fusion
+  semantics the simulators assume.
 * :mod:`repro.network` — the network model (users, switches, links) and
   topology generators (Waxman, Watts-Strogatz, Aiello, ...).
 * :mod:`repro.routing` — the paper's ALG-N-FUSION (Algorithms 1-4), the
@@ -19,6 +19,9 @@ Quantum Networks Using Greenberger-Horne-Zeilinger Measurements"
   entanglement process, validating the analytic rates.
 * :mod:`repro.experiments` — definitions that regenerate every figure and
   table of the paper's evaluation.
+* :mod:`repro.service` — the online serving loop: arriving user pairs
+  are routed against the residual qubits, under optional link and
+  switch faults.
 
 Quickstart::
 
@@ -56,7 +59,6 @@ from repro.network import (
 )
 from repro.quantum import (
     EntanglementTracker,
-    FidelityModel,
     GHZGroup,
     LinkModel,
     StabilizerTableau,
@@ -67,9 +69,6 @@ from repro.routing import (
     B1Router,
     FlowLikeGraph,
     MCFRouter,
-    MultipartiteDemand,
-    MultipartiteRouter,
-    OnlineScheduler,
     QCastNRouter,
     QCastRouter,
     Router,
@@ -87,7 +86,6 @@ from repro.simulation import (
     EntanglementProcessSimulator,
     MonteCarloEstimate,
     QuantumProtocolSimulator,
-    TimeSlottedSimulator,
     VectorizedProcessSimulator,
     estimate_plan_rate,
     exact_flow_rate,
@@ -124,7 +122,6 @@ __all__ = [
     "StabilizerTableau",
     "GHZGroup",
     "EntanglementTracker",
-    "FidelityModel",
     "LinkModel",
     "SwapModel",
     # routing
@@ -140,9 +137,6 @@ __all__ = [
     "parse_router_specs",
     "register_router",
     "router_keys",
-    "MultipartiteDemand",
-    "MultipartiteRouter",
-    "OnlineScheduler",
     "render_plan_report",
     "RoutingPlan",
     "RoutingResult",
@@ -153,7 +147,6 @@ __all__ = [
     "MonteCarloEstimate",
     "estimate_plan_rate",
     "VectorizedProcessSimulator",
-    "TimeSlottedSimulator",
     "exact_flow_rate",
     "HardwareTimings",
     "ProtocolSimulator",

@@ -24,6 +24,7 @@ import sys
 from typing import Optional
 
 from repro import __version__
+from repro.exceptions import ConfigurationError
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import generate_demands
 from repro.network.serialization import load_instance, save_instance
@@ -51,6 +52,14 @@ def _algorithm_spec(text: str) -> str:
     return text
 
 
+@argparse_type
+def _seed(text: str) -> int:
+    """Argparse validator: a seed is a non-negative integer."""
+    if not text.isdecimal():
+        raise ValueError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -65,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--degree", type=float, default=10.0)
     route.add_argument("--qubits", type=int, default=10)
     route.add_argument("--states", type=int, default=10)
-    route.add_argument("--seed", type=int, default=0)
+    route.add_argument("--seed", type=_seed, default=0)
     route.add_argument("--p", type=float, default=None,
                        help="uniform link success probability (default: "
                             "length-based e^{-alpha L})")
@@ -90,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=int, default=2000)
     simulate.add_argument("--p", type=float, default=None)
     simulate.add_argument("--q", type=float, default=0.9)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_seed, default=0)
 
     sub.add_parser("version", help="print the library version")
     return parser
@@ -145,15 +154,18 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "version":
         print(__version__)
         return 0
-    if args.command == "route":
-        return cmd_route(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    return 1  # pragma: no cover - argparse enforces the choices
+    command = {"route": cmd_route, "simulate": cmd_simulate}[args.command]
+    try:
+        return command(args)
+    except (ConfigurationError, OSError) as exc:
+        # A bad size or a missing instance file is a usage error: one
+        # line and exit status 2, not a traceback.
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,20 @@
-"""Quantum substrate: exact Clifford simulation and scalable bookkeeping.
+"""Quantum substrate: success models and the n-fusion oracles.
 
-Two levels of abstraction are provided:
+The probabilistic success models (link ``p = e^{-alpha * L}``, swap
+``q``) in :mod:`repro.quantum.noise` are what routing and simulation
+run on.  The rest of the package is an oracle chain that pins the
+n-fusion semantics the connectivity Monte Carlo engine assumes:
 
-* :class:`~repro.quantum.stabilizer.StabilizerTableau` — an exact
-  Aaronson-Gottesman CHP-style Clifford simulator used to *verify* that the
-  link-level operations the routing layer assumes (Bell-pair generation,
-  BSM swapping, n-GHZ fusion, Pauli removal) behave as the paper claims.
-* :class:`~repro.quantum.tracker.EntanglementTracker` — a scalable symbolic
-  tracker of "which qubits form a GHZ group", used inside the network-scale
-  Monte Carlo where a full tableau would be wasteful.
-
-The probabilistic success models (link ``p = e^{-alpha * L}``, swap ``q``)
-live in :mod:`repro.quantum.noise`.
+* :class:`~repro.quantum.stabilizer.StabilizerTableau` with the
+  operations of :mod:`repro.quantum.fusion` — an exact
+  Aaronson-Gottesman CHP-style Clifford simulator verifying that
+  Bell-pair generation, BSM swapping, n-GHZ fusion and Pauli removal
+  behave as the paper claims;
+* :class:`~repro.quantum.tracker.EntanglementTracker` (groups are
+  :class:`~repro.quantum.states.GHZGroup`) — a symbolic tracker of
+  "which qubits form a GHZ group", checked against the tableau in
+  ``tests/test_quantum_properties.py`` and driving
+  :class:`~repro.simulation.quantum_engine.QuantumProtocolSimulator`.
 """
 
 from repro.quantum.stabilizer import StabilizerTableau
@@ -24,14 +27,6 @@ from repro.quantum.fusion import (
     prepare_ghz,
 )
 from repro.quantum.tracker import EntanglementTracker
-from repro.quantum.distillation import (
-    bbpssw_output_fidelity,
-    bbpssw_success_probability,
-    channel_rate_fidelity_tradeoff,
-    pumping_schedule,
-    rounds_to_reach,
-)
-from repro.quantum.fidelity import FidelityModel
 from repro.quantum.noise import (
     LinkModel,
     SwapModel,
@@ -49,12 +44,6 @@ __all__ = [
     "ghz_measurement",
     "pauli_x_removal",
     "EntanglementTracker",
-    "FidelityModel",
-    "bbpssw_success_probability",
-    "bbpssw_output_fidelity",
-    "pumping_schedule",
-    "rounds_to_reach",
-    "channel_rate_fidelity_tradeoff",
     "LinkModel",
     "SwapModel",
     "link_success_probability",

@@ -14,6 +14,12 @@ Public entry points:
 * :func:`~repro.routing.metrics.path_entanglement_rate` and
   :class:`~repro.routing.flow_graph.FlowLikeGraph` — the routing metrics
   (paper Section III-C, Equation 1).
+* :mod:`repro.routing.compiled` — the CSR snapshot and native search
+  kernel that Algorithms 1 and 2 run on by default.
+
+Online routing of one arriving demand is
+:meth:`~repro.routing.nfusion.AlgNFusion.route_online`, driven by
+:mod:`repro.service.loop`.
 """
 
 from repro.routing.metrics import (
@@ -58,12 +64,6 @@ from repro.routing.registry import (
     router_keys,
 )
 from repro.routing.report import render_plan_report
-from repro.routing.scheduler import OnlineScheduler, ScheduleResult
-from repro.routing.multipartite import (
-    MultipartiteDemand,
-    MultipartiteRouter,
-    StarRoute,
-)
 
 __all__ = [
     "ChannelRateCache",
@@ -102,9 +102,4 @@ __all__ = [
     "router_class",
     "router_keys",
     "render_plan_report",
-    "OnlineScheduler",
-    "ScheduleResult",
-    "MultipartiteDemand",
-    "MultipartiteRouter",
-    "StarRoute",
 ]

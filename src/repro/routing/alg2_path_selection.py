@@ -55,8 +55,7 @@ def select_paths(
 
     Returns ``{width: [PathCandidate, ...]}`` with paths sorted by
     decreasing rate.  Widths whose best path is infeasible are omitted.
-    ``max_hops`` drops longer candidates — the fidelity-constrained
-    extension derives it from a minimum end-to-end fidelity.
+    ``max_hops`` drops candidates longer than that many hops.
     ``rate_cache`` fixes the routing core and shares memoised channel
     rates across the whole selection (and, when a router passes one,
     across demands); it must be bound to this *network* and

@@ -103,6 +103,9 @@ class AlgNFusion:
         switch capacity (an intermediate switch needs 2w qubits).
     include_alg4:
         Disable to obtain the paper's "Alg-3" ablation series.
+    max_hops:
+        Longest candidate path, in hops, that Algorithm 2 keeps;
+        ``None`` keeps every length.
     """
 
     h: int = 3
@@ -118,21 +121,16 @@ class AlgNFusion:
         """The series label ``route()`` will report, knowable upfront."""
         return self.name if self.include_alg4 else f"{self.name} (Alg-3 only)"
 
-    def with_fidelity_constraint(self, fidelity_model, min_fidelity: float
-                                 ) -> "AlgNFusion":
-        """A copy whose candidate paths all meet *min_fidelity* end-to-end
-        under *fidelity_model* (a hop-count bound in the Werner-product
-        model — see :class:`repro.quantum.fidelity.FidelityModel`)."""
-        from dataclasses import replace
-
-        return replace(self, max_hops=fidelity_model.max_hops(min_fidelity))
-
     def __post_init__(self):
         if self.h < 1:
             raise RouterSpecError(f"h must be >= 1, got {self.h}")
         if self.max_width is not None and self.max_width < 1:
             raise RouterSpecError(
                 f"max_width must be None or >= 1, got {self.max_width}"
+            )
+        if self.max_hops is not None and self.max_hops < 1:
+            raise RouterSpecError(
+                f"max_hops must be None or >= 1, got {self.max_hops}"
             )
         if self.refill_rounds < 0:
             raise RouterSpecError(

@@ -9,12 +9,21 @@ independent).  This package provides the ground truth:
 * :class:`~repro.simulation.engine.EntanglementProcessSimulator` — the
   reference semantics: a state is established iff the surviving channels
   and switches still connect the demand's users.
+* :class:`~repro.simulation.vectorized.VectorizedProcessSimulator` — the
+  same semantics over batches of trials; the engine the experiments and
+  the CLI run.
+* :class:`~repro.simulation.monte_carlo.MonteCarloEstimate` — mean / CI
+  aggregation helpers.
+
+Two oracles no entry point runs, kept for the tests that check against
+them:
+
+* :func:`~repro.simulation.exact.exact_flow_rate` — Equation 1's
+  exact-enumeration reference.
 * :class:`~repro.simulation.quantum_engine.QuantumProtocolSimulator` — a
   protocol-level simulation that executes the fusions on the symbolic
   :class:`~repro.quantum.tracker.EntanglementTracker` (with heralded-retry
-  adaptivity), closing the loop to the quantum substrate.
-* :class:`~repro.simulation.monte_carlo.MonteCarloEstimate` — mean / CI
-  aggregation helpers.
+  adaptivity), tying the connectivity engine to the quantum substrate.
 """
 
 from repro.simulation.sampler import TrialSample, TrialSampler
@@ -23,7 +32,6 @@ from repro.simulation.quantum_engine import QuantumProtocolSimulator
 from repro.simulation.monte_carlo import MonteCarloEstimate, estimate_plan_rate
 from repro.simulation.vectorized import VectorizedProcessSimulator
 from repro.simulation.exact import exact_flow_rate
-from repro.simulation.timeline import TimelineResult, TimeSlottedSimulator
 
 __all__ = [
     "TrialSample",
@@ -34,6 +42,4 @@ __all__ = [
     "estimate_plan_rate",
     "VectorizedProcessSimulator",
     "exact_flow_rate",
-    "TimeSlottedSimulator",
-    "TimelineResult",
 ]

@@ -71,3 +71,17 @@ class TestCommands:
         ])
         assert code == 0
         assert "Q-CAST" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["route", "--switches", "0"],
+        ["route", "--states", "0"],
+        ["route", "--seed", "-1"],
+        ["simulate", "missing.json"],
+    ])
+    def test_bad_input_is_a_usage_error(self, argv, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err

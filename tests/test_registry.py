@@ -212,6 +212,8 @@ class TestRouterSpec:
         "alg-n-fusion:h=0",
         "alg-n-fusion:refill_rounds=-3",
         "alg-n-fusion:admission_policy=bogus",
+        "alg-n-fusion:max_hops=0",
+        "alg-n-fusion:max_hops=-1",
         "q-cast-n:max_width=0",
         "b1:max_paths=0",
         "b1:max_width=0",

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import QuantumStateError
-from repro.network.demands import Demand, DemandSet
+from repro.network.builder import NetworkConfig, build_network
+from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.network.graph import QuantumNetwork
 from repro.network.node import NodeKind, QuantumSwitch, QuantumUser
 from repro.quantum.noise import LinkModel, SwapModel
@@ -13,6 +14,7 @@ from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.nfusion import AlgNFusion
 from repro.routing.report import render_flow, render_plan_report
 from repro.utils.geometry import Point
+from repro.utils.rng import ensure_rng
 
 from tests.conftest import make_diamond_network
 
@@ -40,6 +42,33 @@ class TestRenderFlow:
         report = render_plan_report(diamond_network, demands, result, link, swap)
         # The rate printed must match the result object.
         assert f"{result.total_rate:.4g}"[:5] in report.replace("\n", " ")
+
+
+class TestPlanReport:
+    def test_report_contents(self):
+        rng = ensure_rng(77)
+        network = build_network(NetworkConfig(num_switches=25, num_users=4), rng)
+        demands = generate_demands(network, 5, rng)
+        link, swap = LinkModel(fixed_p=0.5), SwapModel(q=0.9)
+        result = AlgNFusion().route(network, demands, link, swap)
+        report = render_plan_report(network, demands, result, link, swap)
+        assert "ALG-N-FUSION routing plan" in report
+        assert "total entanglement rate" in report
+        assert "demands routed" in report
+        for demand_id in result.demand_rates:
+            assert f"demand {demand_id}:" in report
+
+    def test_report_lists_unrouted(self):
+        rng = ensure_rng(78)
+        network = build_network(NetworkConfig(num_switches=25, num_users=4), rng)
+        demands = generate_demands(network, 5, rng)
+        # max_hops=1 makes every demand unroutable.
+        result = AlgNFusion(max_hops=1).route(
+            network, demands, LinkModel(fixed_p=0.5), SwapModel()
+        )
+        report = render_plan_report(network, demands, result)
+        assert "unrouted demands" in report
+        assert "busiest switch" in report and "none" in report
 
 
 class TestStabilizerEdgeCases:

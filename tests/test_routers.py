@@ -206,3 +206,43 @@ class TestDiamondScenario:
         assert result.total_rate > QCastRouter().route(
             network, demands, link, swap
         ).total_rate
+
+
+class TestMaxHops:
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = ensure_rng(321)
+        network = build_network(
+            NetworkConfig(num_switches=40, num_users=6), rng
+        )
+        demands = generate_demands(network, 8, rng)
+        return network, demands
+
+    def test_constraint_bounds_hops(self, instance):
+        network, demands = instance
+        cap = 2
+        router = AlgNFusion(max_hops=cap)
+        result = router.route(
+            network, demands, LinkModel(fixed_p=0.5), SwapModel()
+        )
+        for flow in result.plan.flows():
+            for path in flow.paths:
+                assert len(path) - 1 <= cap
+
+    def test_tighter_constraint_never_raises_rate(self, instance):
+        network, demands = instance
+        link, swap = LinkModel(fixed_p=0.5), SwapModel()
+        free = AlgNFusion().route(network, demands, link, swap).total_rate
+        constrained = AlgNFusion(max_hops=3).route(
+            network, demands, link, swap
+        ).total_rate
+        assert constrained <= free + 1e-9
+
+    def test_impossible_constraint_routes_nothing_beyond_direct(self, instance):
+        network, demands = instance
+        result = AlgNFusion(max_hops=1).route(
+            network, demands, LinkModel(fixed_p=0.5), SwapModel()
+        )
+        # Users never share an edge in generated networks, so max_hops=1
+        # leaves every demand unroutable.
+        assert result.num_routed == 0

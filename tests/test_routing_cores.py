@@ -34,7 +34,7 @@ from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
 from repro.routing.alg2_path_selection import default_max_width, select_paths
 from repro.routing.allocation import QubitLedger
-from repro.routing import _native
+from repro.routing import _native, compiled as compiled_core
 from repro.routing.compiled import (
     FUSED_WIDTH_MIN_DEFAULT,
     FUSED_WIDTH_MIN_ENV,
@@ -1232,6 +1232,37 @@ def test_routed_network_is_freed_without_the_cyclic_collector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+@native_only
+def test_search_and_snapshot_memos_stay_bounded(monkeypatch):
+    """Both compiled-core memos are wholesale-cleared at their limit:
+    the search memo never outgrows ``_SEARCH_MEMO_LIMIT`` (answers stay
+    those of a fresh snapshot), and a network never holds more than
+    ``_SNAPSHOT_MEMO_LIMIT`` snapshots."""
+    monkeypatch.setattr(compiled_core, "_SEARCH_MEMO_LIMIT", 4)
+    network, _ = _instance(SCENARIOS[0], SEEDS[0])
+    snapshot = compile_network(network, LINK)
+    users = network.users()
+    queries = [
+        (source, destination, width)
+        for i, source in enumerate(users)
+        for destination in users[i + 1:]
+        for width in (1, 2)
+    ]
+    assert len(queries) >= 10
+    for source, destination, width in queries:
+        found = snapshot.run_search(source, destination, width, 0.9)
+        assert len(snapshot._search_memo) <= 4
+        assert found == compile_network(network, LINK).run_search(
+            source, destination, width, 0.9
+        )
+
+    sizes = []
+    for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+        snapshot_for(network, LinkModel(fixed_p=p))
+        sizes.append(len(network._compiled_snapshots))
+    assert max(sizes) == compiled_core._SNAPSHOT_MEMO_LIMIT == 4
 
 
 def test_persistent_snapshot_survives_calls_and_tracks_mutations():
