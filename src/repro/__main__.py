@@ -31,7 +31,7 @@ from repro.network.serialization import load_instance, save_instance
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.registry import RouterSpec, router_class, router_keys
 from repro.routing.report import render_plan_report
-from repro.utils.cli import argparse_type
+from repro.utils.cli import argparse_type, non_negative_seed
 from repro.simulation.vectorized import VectorizedProcessSimulator
 from repro.utils.rng import ensure_rng
 
@@ -52,14 +52,6 @@ def _algorithm_spec(text: str) -> str:
     return text
 
 
-@argparse_type
-def _seed(text: str) -> int:
-    """Argparse validator: a seed is a non-negative integer."""
-    if not text.isdecimal():
-        raise ValueError(f"seed must be an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -74,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--degree", type=float, default=10.0)
     route.add_argument("--qubits", type=int, default=10)
     route.add_argument("--states", type=int, default=10)
-    route.add_argument("--seed", type=_seed, default=0)
+    route.add_argument("--seed", type=non_negative_seed, default=0)
     route.add_argument("--p", type=float, default=None,
                        help="uniform link success probability (default: "
                             "length-based e^{-alpha L})")
@@ -99,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=int, default=2000)
     simulate.add_argument("--p", type=float, default=None)
     simulate.add_argument("--q", type=float, default=0.9)
-    simulate.add_argument("--seed", type=_seed, default=0)
+    simulate.add_argument("--seed", type=non_negative_seed, default=0)
 
     sub.add_parser("version", help="print the library version")
     return parser

@@ -130,7 +130,7 @@ from repro.service.arrivals import parse_arrivals
 from repro.service.faults import parse_faults, parse_repair
 from repro.service.loop import REPLAN_MODES
 from repro.service.runner import run_serve_experiment
-from repro.utils.cli import argparse_type
+from repro.utils.cli import argparse_type, non_negative_seed, positive_int
 
 EXPERIMENTS: Dict[str, Callable] = {
     "fig7": fig7_generators,
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_group.add_argument(
         "--replications",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help=(
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_group.add_argument(
         "--seed",
-        type=int,
+        type=non_negative_seed,
         default=None,
         metavar="SEED",
         help="replication seed (default: the harness seed, 20230601)",

@@ -129,7 +129,12 @@ def save_instance(
 
 def load_instance(path: Union[str, Path]):
     """Load a (network, demands) instance saved by :func:`save_instance`."""
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(
+            f"{path} is not an instance file: {exc}"
+        ) from exc
     try:
         network_data = payload["network"]
         demand_data = payload["demands"]

@@ -132,10 +132,7 @@ def admit_paths_efficiency(
     # unchanged.
     base_rates: Dict[int, float] = {}
     versions: Dict[int, int] = {}
-    struct_memo: Dict[
-        int,
-        Tuple[int, Optional[Tuple[Dict[int, int], float, int]]],
-    ] = {}
+    struct_memo: Dict[int, Tuple[int, Dict[int, int], int, float]] = {}
     # Candidates found unadmittable are *parked* — dropped from the
     # active scan under the flow version they were rejected at.  Exact,
     # not heuristic: a candidate's charges and gain are pure functions
@@ -147,6 +144,13 @@ def admit_paths_efficiency(
     # candidates everywhere, keeping scan order — and therefore the
     # admission sequence and every tie-break — identical to scanning
     # the full pool, without re-hashing candidate dataclasses.
+    #
+    # A candidate without an evaluation at its flow's version probes the
+    # ledger with its charges *before* the costly trial merge, and is
+    # parked unevaluated when the ledger cannot fund it.  Parking it
+    # after an evaluation would have the same effect at the same scan
+    # position: it returns only when its demand's version bumps, and
+    # that bump invalidates any memoised evaluation anyway.
     parked_by_demand: Dict[int, List[int]] = {}
     active: List[int] = list(range(len(pool)))
     while active:
@@ -157,31 +161,28 @@ def admit_paths_efficiency(
         for index in active:
             candidate = pool[index]
             version = versions.get(candidate.demand_id, 0)
-            cached = struct_memo.get(index)
-            if cached is not None and cached[0] == version:
-                evaluation = cached[1]
-            else:
-                evaluation = _evaluate_candidate(
-                    network, link_model, swap_model, candidate, flows,
-                    rate_cache, base_rates,
+            entry = struct_memo.get(index)
+            if entry is None or entry[0] != version:
+                needed, cost = _charge_totals(
+                    network, flows.get(candidate.demand_id), candidate
                 )
-                struct_memo[index] = (version, evaluation)
-            if evaluation is None:
+                gain = None
+                if _ledger_funds(ledger, needed):
+                    gain = _evaluate_candidate(
+                        network, link_model, swap_model, candidate, flows,
+                        rate_cache, base_rates,
+                    )
+                entry = None
+                if gain is not None:
+                    entry = struct_memo[index] = (version, needed, cost, gain)
+            elif not _ledger_funds(ledger, entry[1]):
+                entry = None
+            if entry is None:
                 parked_by_demand.setdefault(
                     candidate.demand_id, []
                 ).append(index)
                 continue
-            needed, gain, cost = evaluation
-            feasible = True
-            for node, count in needed.items():
-                if not ledger.has_at_least(node, count):
-                    feasible = False
-                    break
-            if not feasible:
-                parked_by_demand.setdefault(
-                    candidate.demand_id, []
-                ).append(index)
-                continue
+            _, _, cost, gain = entry
             keep.append(index)
             efficiency = gain / max(cost, 1)
             better = efficiency > best_efficiency + 1e-15
@@ -212,6 +213,31 @@ def admit_paths_efficiency(
     return admitted
 
 
+def _charge_totals(
+    network: QuantumNetwork,
+    flow: Optional[FlowLikeGraph],
+    candidate: PathCandidate,
+) -> Tuple[Dict[int, int], int]:
+    """Per-node qubit charges of admitting *candidate* to *flow*, and
+    their switch-qubit total (the efficiency denominator)."""
+    needed: Dict[int, int] = {}
+    cost = 0
+    for u, v, amount in _edge_charges(flow, candidate):
+        for node in (u, v):
+            needed[node] = needed.get(node, 0) + amount
+            if network.node(node).is_switch:
+                cost += amount
+    return needed, cost
+
+
+def _ledger_funds(ledger: QubitLedger, needed: Dict[int, int]) -> bool:
+    """True iff every node still holds the qubits *needed* charges it."""
+    for node, count in needed.items():
+        if not ledger.has_at_least(node, count):
+            return False
+    return True
+
+
 def _evaluate_candidate(
     network: QuantumNetwork,
     link_model: LinkModel,
@@ -220,27 +246,17 @@ def _evaluate_candidate(
     flows: Dict[int, FlowLikeGraph],
     rate_cache: Optional[ChannelRateCache] = None,
     base_rates: Optional[Dict[int, float]] = None,
-) -> Optional[Tuple[Dict[int, int], float, int]]:
-    """Structural evaluation of admitting *candidate* to its flow now.
+) -> Optional[float]:
+    """Equation-1 rate gain of admitting *candidate* to its flow now.
 
-    Returns ``(needed, gain, cost)`` — the per-node qubit charges, the
-    Equation-1 rate gain and the switch-qubit cost — or ``None`` when
-    the candidate can never be admitted at this flow state (the merge
-    would create a cycle, or it does not improve its demand's rate).
-    Everything here depends only on the flow, so the caller may cache
-    the result until that flow changes; ledger feasibility (the part
-    that changes between admissions) is the caller's to check.
+    Returns ``None`` when the candidate can never be admitted at this
+    flow state (the merge would create a cycle, or it does not improve
+    its demand's rate).  Everything here depends only on the flow, so
+    the caller may cache the result until that flow changes.
     ``base_rates`` memoises each demand's current rate across one
     admission scan (the caller drops an entry when its flow changes).
     """
     flow = flows.get(candidate.demand_id)
-    needed: Dict[int, int] = {}
-    cost = 0
-    for u, v, amount in _edge_charges(flow, candidate):
-        for node in (u, v):
-            needed[node] = needed.get(node, 0) + amount
-            if network.node(node).is_switch:
-                cost += amount
     if flow is None:
         trial = FlowLikeGraph(
             candidate.demand_id, candidate.nodes[0], candidate.nodes[-1]
@@ -267,7 +283,7 @@ def _evaluate_candidate(
     ) - base_rate
     if gain <= 0.0:
         return None
-    return needed, gain, cost
+    return gain
 
 
 def _max_width(path_sets: PathSets) -> int:

@@ -12,7 +12,11 @@ Routing is Q-CAST-N's greedy loop
 (:func:`~repro.routing.baselines.qcast_n.greedy_single_paths`) run at
 width 1: repeatedly find, over all still-unrouted demands, the feasible
 width-1 path with the largest entanglement rate, admit it, charge its
-qubits, and continue until no demand has a feasible path.
+qubits, and continue until no demand has a feasible path.  The loop
+re-searches a demand only when the ledger changed since its last
+search and its stale rate still leads; because admissions only take
+qubits, a demand's best rate can only fall, so the skipped searches
+could not have changed the pick (see ``greedy_single_paths``).
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ those are the two ALG-N-FUSION innovations this baseline lacks.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
-from repro.network.demands import Demand, DemandSet
+from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
@@ -38,40 +39,74 @@ def greedy_single_paths(
 ) -> RoutingResult:
     """Q-Cast's greedy loop: admit the globally best (path, width) pair
     over all unrouted demands and *widths*, charge its qubits, repeat
-    until no unrouted demand has a feasible path."""
+    until no unrouted demand has a feasible path.
+
+    Ties go to the earliest demand, then the earliest width in *widths*.
+    The loop is lazy (Minoux's accelerated greedy, the CELF scheme): one
+    Algorithm-1 search per (demand, width) seeds a heap keyed
+    ``(-rate, demand position * len(widths) + width position)``, and
+    each entry remembers the ``ledger.version`` it was searched at.  A
+    popped entry of a routed demand is dropped; a stale one is searched
+    again and pushed back (dropped when no path is left); a fresh one is
+    admitted.  This admits exactly what re-searching every pair each
+    round would: Algorithm 1 is an exact max-product search and the
+    ledger only shrinks here, so a pair's best rate never rises and a
+    ``None`` stays ``None``.  Every stale key is therefore a lower bound
+    on its pair's current key, and a fresh entry on top of the heap
+    holds the path a full re-search would pick now.
+    """
     link_model = link_model or LinkModel()
     swap_model = swap_model or SwapModel()
     ledger = QubitLedger(network)
     plan = RoutingPlan()
     rate_cache = ChannelRateCache(network, link_model)
-    unrouted: Dict[int, Demand] = {d.demand_id: d for d in demands}
+    ordered = list(demands)
+    widths = tuple(widths)
 
-    while unrouted:
-        best: Optional[Tuple[float, int, int, Tuple[int, ...]]] = None
-        for demand in unrouted.values():
-            for width in widths:
-                found = largest_entanglement_rate_path(
-                    network,
-                    link_model,
-                    swap_model,
-                    demand.source,
-                    demand.destination,
-                    width=width,
-                    ledger=ledger,
-                    rate_cache=rate_cache,
-                )
-                if found is None:
-                    continue
-                nodes, rate = found
-                if best is None or rate > best[0]:
-                    best = (rate, demand.demand_id, width, nodes)
-        if best is None:
-            break
-        _, demand_id, width, nodes = best
-        demand = unrouted.pop(demand_id)
+    def search(
+        order: int,
+    ) -> Optional[Tuple[float, int, int, Tuple[int, ...]]]:
+        demand_pos, width_pos = divmod(order, len(widths))
+        demand = ordered[demand_pos]
+        found = largest_entanglement_rate_path(
+            network,
+            link_model,
+            swap_model,
+            demand.source,
+            demand.destination,
+            width=widths[width_pos],
+            ledger=ledger,
+            rate_cache=rate_cache,
+        )
+        if found is None:
+            return None
+        nodes, rate = found
+        return (-rate, order, ledger.version, nodes)
+
+    heap = [
+        entry
+        for entry in map(search, range(len(ordered) * len(widths)))
+        if entry is not None
+    ]
+    heapq.heapify(heap)
+    routed: Set[int] = set()
+    while heap:
+        _, order, version, nodes = heapq.heappop(heap)
+        demand_pos, width_pos = divmod(order, len(widths))
+        if demand_pos in routed:
+            continue
+        if version != ledger.version:
+            entry = search(order)
+            if entry is not None:
+                heapq.heappush(heap, entry)
+            continue
+        routed.add(demand_pos)
+        demand, width = ordered[demand_pos], widths[width_pos]
         for a, b in zip(nodes, nodes[1:]):
             ledger.reserve_edge(a, b, width)
-        flow = FlowLikeGraph(demand_id, demand.source, demand.destination)
+        flow = FlowLikeGraph(
+            demand.demand_id, demand.source, demand.destination
+        )
         flow.add_path(nodes, width=width)
         plan.add_flow(flow)
 

@@ -24,3 +24,19 @@ def argparse_type(parse_fn: Callable):
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return wrapper
+
+
+@argparse_type
+def non_negative_seed(text: str) -> int:
+    """Argparse type: a seed is a non-negative integer."""
+    if not text.isdecimal():
+        raise ValueError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+@argparse_type
+def positive_int(text: str) -> int:
+    """Argparse type: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return int(text)

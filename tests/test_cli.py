@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import ROUTERS, build_parser, main
+from repro.experiments.__main__ import main as experiments_main
 
 
 class TestParser:
@@ -77,11 +78,27 @@ class TestCommands:
         ["route", "--states", "0"],
         ["route", "--seed", "-1"],
         ["simulate", "missing.json"],
+        ["simulate", "not-json.txt"],
     ])
     def test_bad_input_is_a_usage_error(self, argv, tmp_path, monkeypatch,
                                         capsys):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "not-json.txt").write_text("# an instance, not\n")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--seed", "-1"],
+        ["serve", "--replications", "0"],
+    ])
+    def test_bad_serve_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "python -m repro.experiments: error: argument"
+        ), err

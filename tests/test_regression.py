@@ -9,6 +9,7 @@ fixture bit-exactly from its frozen recipe) and document the change.
 """
 
 import pathlib
+from unittest import mock
 
 import pytest
 
@@ -19,7 +20,10 @@ from repro.experiments.regression import (
 )
 from repro.network.serialization import load_instance, save_instance
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter
+from repro.routing import alg3_merge
+from repro.routing.baselines import (
+    B1Router, QCastNRouter, QCastRouter, qcast_n,
+)
 from repro.routing.nfusion import AlgNFusion
 
 INSTANCE = pathlib.Path(__file__).parent / "data" / "regression_instance.json"
@@ -29,6 +33,44 @@ PINNED_RATES = {
     "Q-CAST": 0.9676800000000001,
     "Q-CAST-N": 3.567133129380986,
     "B1": 2.699442708480001,
+}
+
+#: ``demand_rates`` as ``float.hex``, pinned bit for bit.
+PINNED_DEMAND_RATES = {
+    "ALG-N-FUSION": {
+        0: "0x1.1b3bc5a8ec1cfp-1", 1: "0x1.1b3bc5a8ec1cfp-1",
+        2: "0x1.87ec33cc8b8b6p-1", 3: "0x1.454d55505a118p-1",
+        4: "0x1.797cc39ffd610p-2", 5: "0x1.797cc39ffd610p-2",
+        7: "0x1.a7c21b20017c5p-1",
+    },
+    "Q-CAST": {
+        0: "0x1.26e978d4fdf3cp-3", 1: "0x1.26e978d4fdf3cp-3",
+        2: "0x1.26e978d4fdf3cp-3", 3: "0x1.a8ac5c13fd0d0p-5",
+        4: "0x1.26e978d4fdf3cp-3", 5: "0x1.26e978d4fdf3cp-3",
+        6: "0x1.26e978d4fdf3cp-3", 7: "0x1.a8ac5c13fd0d0p-5",
+    },
+    "Q-CAST-N": {
+        0: "0x1.87ec33cc8b8b6p-1", 1: "0x1.87ec33cc8b8b6p-1",
+        2: "0x1.87ec33cc8b8b6p-1", 3: "0x1.454d55505a118p-1",
+        7: "0x1.454d55505a118p-1",
+    },
+    "B1": {
+        0: "0x1.33e8ad009348cp-1", 1: "0x1.33e8ad009348cp-1",
+        2: "0x1.797cc39ffd610p-2", 3: "0x1.b2dd8d645717cp-3",
+        4: "0x1.4d941288212e0p-2", 5: "0x1.4d941288212e0p-2",
+        6: "0x1.a8ac5c13fd0d0p-5", 7: "0x1.b2dd8d645717cp-3",
+    },
+}
+
+#: Upper bounds on deterministic work per route: (module, function,
+#: calls).  Algorithm-1 searches of the lazy Q-CAST/Q-CAST-N greedy
+#: (an eager loop re-searching every pair each round made 165 and 36),
+#: and Algorithm-3 candidate evaluations of ALG-N-FUSION (298 when every
+#: candidate was evaluated before its ledger check).
+WORK_BOUNDS = {
+    "Q-CAST-N": (qcast_n, "largest_entanglement_rate_path", 65),
+    "Q-CAST": (qcast_n, "largest_entanglement_rate_path", 15),
+    "ALG-N-FUSION": (alg3_merge, "_evaluate_candidate", 207),
 }
 
 ROUTERS = {
@@ -50,6 +92,27 @@ def test_pinned_rate(name, instance):
     link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
     result = ROUTERS[name]().route(network, demands, link, swap)
     assert result.total_rate == pytest.approx(PINNED_RATES[name], rel=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMAND_RATES))
+def test_pinned_demand_rates_bit_exact(name, instance):
+    network, demands = instance
+    link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
+    result = ROUTERS[name]().route(network, demands, link, swap)
+    rates = {d: rate.hex() for d, rate in result.demand_rates.items()}
+    assert rates == PINNED_DEMAND_RATES[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORK_BOUNDS))
+def test_work_bounds(name, instance):
+    network, demands = instance
+    link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
+    module, attribute, bound = WORK_BOUNDS[name]
+    with mock.patch.object(
+        module, attribute, wraps=getattr(module, attribute)
+    ) as counted:
+        ROUTERS[name]().route(network, demands, link, swap)
+    assert 0 < counted.call_count <= bound
 
 
 def test_instance_is_stable(instance):
