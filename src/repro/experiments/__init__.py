@@ -25,7 +25,6 @@ from repro.experiments.harness import (
     merge_outcomes,
     parallel_map,
     parse_shard,
-    run_tasks,
     shard_member,
     shard_tasks,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "merge_outcomes",
     "parallel_map",
     "parse_shard",
-    "run_tasks",
     "shard_member",
     "shard_tasks",
     "build_regression_instance",

@@ -97,6 +97,7 @@ import pstats
 import sys
 from typing import Callable, Dict
 
+from repro.exceptions import ConfigurationError
 from repro.experiments import (
     alg4_ablation,
     fig7_generators,
@@ -128,9 +129,16 @@ from repro.network.registry import topology_keys
 from repro.routing.registry import parse_router_specs, router_keys
 from repro.service.arrivals import parse_arrivals
 from repro.service.faults import parse_faults, parse_repair
-from repro.service.loop import REPLAN_MODES
+from repro.service.loop import REPLAN_MODES, check_horizon
 from repro.service.runner import run_serve_experiment
-from repro.utils.cli import argparse_type, non_negative_seed, positive_int
+from repro.utils.cli import (
+    argparse_type,
+    non_negative_float,
+    non_negative_int,
+    non_negative_seed,
+    positive_float,
+    positive_int,
+)
 
 EXPERIMENTS: Dict[str, Callable] = {
     "fig7": fig7_generators,
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=non_negative_int,
         default=None,
         metavar="N",
         help=(
@@ -292,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_group.add_argument(
         "--duration",
-        type=float,
+        type=positive_float,
         default=None,
         metavar="T",
         help="serving horizon in simulated time units (default 200)",
     )
     serve_group.add_argument(
         "--warmup",
-        type=float,
+        type=non_negative_float,
         default=None,
         metavar="T",
         help=(
@@ -588,6 +596,15 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+        if args.duration is None:
+            args.duration = 200.0
+        if args.warmup is None:
+            args.warmup = 20.0
+        try:
+            check_horizon(args.duration, args.warmup)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     quick = not args.full
     routers_used = args.routers is not None and (
         args.experiment == "all"
@@ -623,10 +640,8 @@ def main(argv=None) -> int:
                 ),
                 routers=args.routers,
                 arrivals=args.arrivals,
-                duration=(
-                    args.duration if args.duration is not None else 200.0
-                ),
-                warmup=args.warmup if args.warmup is not None else 20.0,
+                duration=args.duration,
+                warmup=args.warmup,
                 replications=(
                     args.replications if args.replications is not None else 3
                 ),

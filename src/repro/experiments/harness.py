@@ -13,9 +13,9 @@ estimator.  This module makes that grid explicit:
   :class:`SweepTask` records, pre-spawning each sample's RNG seed with
   the exact derivation the sequential runner used (so results are
   bit-identical whatever the execution order);
-* :func:`run_tasks` executes tasks inline or on a
-  ``ProcessPoolExecutor`` (``workers``), returning outcomes in task
-  order;
+* :func:`execute_task` runs one task; :func:`parallel_map` maps it
+  inline or on a ``ProcessPoolExecutor`` (``workers``), returning
+  outcomes in task order;
 * :func:`shard_tasks` / :func:`shard_member` partition the grid
   deterministically into ``n`` shards so independent runs (e.g. on
   different machines) each own a disjoint slice and merge through the
@@ -289,20 +289,6 @@ def submit_chunksize(num_items: int, workers: int) -> int:
     return max(1, num_items // (max(1, workers) * 4))
 
 
-def run_tasks(tasks: Sequence[SweepTask], workers: int = 0) -> List[TaskOutcome]:
-    """Execute *tasks*, inline (``workers <= 1``) or in worker processes.
-
-    Outcomes come back in task order in both modes, so downstream merging
-    is independent of scheduling.
-    """
-    tasks = list(tasks)
-    if workers > 1 and len(tasks) > 1:
-        chunksize = submit_chunksize(len(tasks), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(execute_task, tasks, chunksize=chunksize))
-    return [execute_task(task) for task in tasks]
-
-
 def merge_outcomes(
     num_settings: int,
     outcomes: Iterable[TaskOutcome],
@@ -351,9 +337,9 @@ def parallel_map(
     """Map a picklable top-level function over *items*, optionally in
     worker processes.
 
-    The sequential fallback runs inline; results always come back in
-    input order.  Used by point-loops (lattice sides, coherence values)
-    that are not setting × router grids.
+    The sequential fallback (``workers <= 1``) runs inline; results
+    always come back in input order, so merging never depends on
+    scheduling.  Sweep grids map :func:`execute_task` over their tasks.
     """
     items = list(items)
     if workers > 1 and len(items) > 1:

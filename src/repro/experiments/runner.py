@@ -38,8 +38,9 @@ from repro.experiments.estimators import (
 from repro.experiments.harness import (
     TaskOutcome,
     enumerate_tasks,
+    execute_task,
     merge_outcomes,
-    run_tasks,
+    parallel_map,
     shard_member,
     validate_shard,
 )
@@ -154,7 +155,7 @@ def run_outcomes(
             pending_origin.append((setting_index, fresh_router_indices))
 
     tasks = enumerate_tasks(pending_settings, pending_router_lists, estimator)
-    raw_outcomes = run_tasks(tasks, workers=workers)
+    raw_outcomes = parallel_map(execute_task, tasks, workers)
 
     fresh_outcomes: List[TaskOutcome] = []
     for outcome in raw_outcomes:

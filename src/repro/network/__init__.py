@@ -41,7 +41,7 @@ from repro.network.topology import (
 #: CSR snapshot is conceptually a network-layer artifact, but it lives
 #: beside the kernels that consume it; a top-level import here would
 #: cycle (routing imports the network modules), so resolve on access.
-_COMPILED_EXPORTS = ("CompiledNetwork", "compile_network")
+_COMPILED_EXPORTS = ("CompiledNetwork",)
 
 
 def __getattr__(name):
@@ -56,7 +56,6 @@ __all__ = [
     "Node",
     "NodeKind",
     "CompiledNetwork",
-    "compile_network",
     "QuantumSwitch",
     "QuantumUser",
     "Edge",

@@ -33,8 +33,6 @@ from repro.routing.compiled import (
     CompiledNetwork,
     WidthSearchBatch,
     active_routing_core,
-    compile_network,
-    search_widths,
     snapshot_for,
 )
 from repro.routing.paths import PathCandidate, validate_path
@@ -71,8 +69,6 @@ __all__ = [
     "CompiledNetwork",
     "WidthSearchBatch",
     "active_routing_core",
-    "compile_network",
-    "search_widths",
     "snapshot_for",
     "channel_rate",
     "path_entanglement_rate",

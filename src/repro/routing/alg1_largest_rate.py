@@ -24,7 +24,6 @@ from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
-from repro.routing.compiled import compiled_search
 from repro.routing.metrics import ChannelRateCache, rate_cache_for
 
 EdgeKey = Tuple[int, int]
@@ -38,6 +37,19 @@ def canonical_edge_keys(edges: FrozenSet[EdgeKey]) -> FrozenSet[EdgeKey]:
     """*edges* with every key as ``(min, max)``, the order both cores
     look bans up in, so a ban reads the same in either endpoint order."""
     return frozenset(_ekey(a, b) for a, b in edges) if edges else edges
+
+
+def check_endpoints(
+    network: QuantumNetwork, source: int, destination: int
+) -> None:
+    """Raise :class:`~repro.exceptions.RoutingError` unless *source* and
+    *destination* are distinct nodes of *network*."""
+    if source == destination:
+        raise RoutingError("source and destination must differ")
+    if not network.has_node(source) or not network.has_node(destination):
+        raise RoutingError(
+            f"endpoints ({source}, {destination}) must exist in the network"
+        )
 
 
 def largest_entanglement_rate_path(
@@ -63,28 +75,24 @@ def largest_entanglement_rate_path(
     *link_model*.
     A ``banned_edges`` key may name its endpoints in either order.
     Returns ``(nodes, rate)`` or ``None`` when no feasible path exists.
+    The only validation site of Algorithm 1's arguments on either core.
     """
     if width < 1:
         raise RoutingError(f"width must be >= 1, got {width}")
-    if source == destination:
-        raise RoutingError("source and destination must differ")
-    if not network.has_node(source) or not network.has_node(destination):
-        raise RoutingError(
-            f"endpoints ({source}, {destination}) must exist in the network"
-        )
+    check_endpoints(network, source, destination)
     rate_cache = rate_cache_for(network, link_model, rate_cache)
     if source in banned_nodes or destination in banned_nodes:
         return None
+    if ledger is None:
+        ledger = QubitLedger(network)
     banned_edges = canonical_edge_keys(banned_edges)
     if rate_cache.compiled_snapshot is not None:
         # Same search over the CSR snapshot; bit-identical paths/rates
         # (parity enforced by tests/test_routing_cores.py).
-        return compiled_search(
-            rate_cache.compiled_snapshot, swap_model, source, destination,
-            width, ledger, banned_nodes, banned_edges,
+        return rate_cache.compiled_snapshot.run_search(
+            source, destination, width, swap_model.fusion_success(2),
+            ledger, banned_nodes, banned_edges,
         )
-    if ledger is None:
-        ledger = QubitLedger(network)
     # Endpoint feasibility: each endpoint commits `width` qubits.
     if not ledger.has_at_least(source, width):
         return None

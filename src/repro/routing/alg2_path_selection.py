@@ -24,6 +24,7 @@ from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import (
     _ekey,
     canonical_edge_keys,
+    check_endpoints,
     largest_entanglement_rate_path,
 )
 from repro.routing.allocation import QubitLedger
@@ -64,7 +65,8 @@ def select_paths(
     candidate — the serving loop passes its down-element sets here so
     fault state is a search-time mask (bit-identical to the elements
     being absent) instead of a topology mutation.  An edge key may name
-    its endpoints in either order.
+    its endpoints in either order.  The only validation site of
+    Algorithm 2's arguments on either core.
     """
     if h < 1:
         raise RoutingError(f"h must be >= 1, got {h}")
@@ -72,7 +74,12 @@ def select_paths(
         max_width = default_max_width(network)
     if max_width < 1:
         raise RoutingError(f"max_width must be >= 1, got {max_width}")
+    check_endpoints(network, demand.source, demand.destination)
     rate_cache = rate_cache_for(network, link_model, rate_cache)
+    if demand.source in banned_nodes or demand.destination in banned_nodes:
+        return {}
+    if ledger is None:
+        ledger = QubitLedger(network)
     banned_edges = canonical_edge_keys(banned_edges)
     if rate_cache.compiled_snapshot is not None:
         # One CSR snapshot and its search memo serve every width and
@@ -82,8 +89,6 @@ def select_paths(
             ledger, banned_nodes, banned_edges,
         )
     else:
-        if ledger is None:
-            ledger = QubitLedger(network)
         result = {}
         for width in range(max_width, 0, -1):
             paths = _yen_best_paths(

@@ -2,42 +2,26 @@
 
 Every experiment reduces to thousands of runs of Algorithm 1's modified
 Dijkstra inside Yen's deviation loop plus repeated Equation-1
-evaluations.  The reference implementations traverse Python objects —
-``network.neighbors()`` allocates a sorted list per relaxation,
-``network.node(n).is_user`` and ``ledger.has_at_least()`` are dict
-lookups per edge, and every channel rate goes through a tuple-keyed
-memo.  :class:`CompiledNetwork` flattens one ``(QuantumNetwork,
-LinkModel)`` pair into numpy arrays once, after which every search
-runs over flat arrays:
+evaluations.  The reference implementations traverse Python objects
+(a sorted neighbour list per relaxation, dict lookups per edge, a
+tuple-keyed rate memo).  :class:`CompiledNetwork` flattens one
+``(QuantumNetwork, LinkModel)`` pair into flat arrays once:
 
 * **CSR adjacency** — ``indptr``/``adj_nodes``/``adj_edges`` with
-  neighbours in ascending node-id order (the exact order the reference
-  relaxes them, so heap tie-breaking and therefore the returned paths
-  are bit-identical);
+  neighbours in ascending node-id order, the order the reference
+  relaxes them, so heap tie-breaks and paths are bit-identical;
 * **width-indexed rate tables** — one per-edge column per channel
   width, filled through :func:`~repro.quantum.noise.channel_success`,
-  the unchecked formula behind the
-  :func:`~repro.quantum.noise.channel_success_probability` that the
-  reference :class:`~repro.routing.metrics.ChannelRateCache` uses, so
-  every rate is bit-identical;
-* **in-loop masking** — relaxing a popped node's row skips a slot
-  whose neighbour may not relay (unless it is the destination) or
-  whose edge is banned, and otherwise does one multiply by the edge's
-  rate plus a strict-improvement compare; pushes happen in ascending
-  slot order with sequential tie-break counters, replaying the
-  reference push sequence move for move.  The relax-time ``visited``
-  test the reference performs is provably redundant under the strict
-  ``candidate > best`` rule (every rate factor is <= 1, so a candidate
-  can never beat a settled node's rate);
-* **a native kernel** — the search itself runs in ``kernel.c``
-  (package :mod:`repro.routing._native`), compiled once per user cache
-  and called through :mod:`ctypes`.  It repeats the reference
-  Algorithm 1 step for step with IEEE-754 doubles and no contracted
-  multiplies, so paths and rates are bit-identical.  Algorithm 2's Yen
-  loop runs there too, one call per (demand, width), repeating the
-  reference core's
+  the unchecked formula behind the reference
+  :class:`~repro.routing.metrics.ChannelRateCache`'s rates, so every
+  rate is bit-identical;
+* **a native kernel** — the search runs in ``kernel.c`` (package
+  :mod:`repro.routing._native`; its header gives the relax rules that
+  keep paths and rates bit-identical), compiled once per user cache and
+  called through :mod:`ctypes`.  Algorithm 2's Yen loop runs there too,
+  one call per (demand, width), repeating the reference core's
   :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`.  The
-  reference core is the kernel's only oracle, and its only fallback:
+  reference core is the kernel's only oracle and its only fallback:
   without a loaded kernel (:func:`native_kernel_active`) routing runs
   on the reference core, and the entry points below raise
   :class:`~repro.exceptions.RoutingError`;
@@ -46,64 +30,49 @@ runs over flat arrays:
   O(nodes) when it moves; their bytes key the search memo, so a ledger
   change that flips no flag keeps every memoised search.
 
-Batched search API
-------------------
+Search entry points
+-------------------
 
-Callers no longer drive the kernel per ``(demand, width)``:
-:class:`WidthSearchBatch` binds one snapshot + one demand + the widths
-under consideration, and :func:`search_widths` (or
-``WidthSearchBatch.search_widths``) answers every width of the batch in
-one call, resolving the banned sets once and running one kernel call
-per width that the memo misses.  Batch searches share the snapshot's
-scratch buffers, per-width rate columns, feasibility flags and a
-**search-result memo** keyed on the exact kernel inputs
-``(source, destination, width, relay-flag bytes, swap, banned sets)``.
-Identical queries (the first searches of a demand repeat across refill
-rounds; ``route_online`` repeats them across arrivals) are answered
-from the memo, which is bit-identity-safe because a hit requires every
-input byte to match.  Algorithm 1 (:func:`compiled_search`) and
-Algorithm 2's first searches (:func:`compiled_select_paths`) dispatch
-through the batch API; the native Yen loop runs its spur searches
-inside ``kernel.c``, past the memo.
+Each algorithm has one entry here.  Algorithm 1 calls
+:meth:`CompiledNetwork.run_search`; Algorithm 2 calls
+:func:`compiled_select_paths`, which sweeps the first search of every
+width through one :class:`WidthSearchBatch` and runs each width's Yen
+loop in one native call.  First searches are answered from the
+snapshot's **search-result memo**, keyed on the exact kernel inputs
+``(source, destination, width, relay-flag bytes, swap, banned sets)``,
+so a hit is bit-identical to a fresh search; the Yen loop's spur
+searches run inside ``kernel.c``, past the memo.  Arguments are
+validated once, by the public entry points
+:func:`~repro.routing.alg1_largest_rate.largest_entanglement_rate_path`
+and :func:`~repro.routing.alg2_path_selection.select_paths`, which also
+supply the default ledger; nothing here re-checks them.
 
 Core selection
 --------------
 
-``REPRO_ROUTING_CORE`` selects the implementation (``compiled`` is the
-default; ``reference`` keeps the original object-graph code).  Without
-the native kernel (no working C compiler, or a test set
-``repro.routing._native.KERNEL`` to ``None``) the core is ``reference``
-whatever the variable says.  The switch is read in exactly one place:
-the :class:`~repro.routing.metrics.ChannelRateCache` constructor, which
-holds the compiled snapshot on the compiled core and ``None`` on the
-reference core.  Algorithm 1, Algorithm 2 and Equation 1 dispatch on
-that field, so a cache fixes the core it was built under.  Every
-router's ``route()`` and every serving session builds its own cache,
-so a test or CI job can still flip cores between routing calls without
-restarting the process.  Both cores produce bit-identical paths, rates
-and plans; the parity suite in ``tests/test_routing_cores.py``, the
-kernel differentials in ``tests/test_native_kernel.py`` and the
-``routing-parity`` CI job enforce this.
+``REPRO_ROUTING_CORE`` selects ``compiled`` (the default) or
+``reference``; without the native kernel the core is ``reference``
+whatever it says.  It is read in one place, the
+:class:`~repro.routing.metrics.ChannelRateCache` constructor, which
+holds the snapshot on the compiled core and ``None`` on the reference
+core; Algorithms 1 and 2 and Equation 1 dispatch on that field, so a
+cache fixes its core.  Both cores produce bit-identical paths, rates
+and plans (``tests/test_routing_cores.py``,
+``tests/test_native_kernel.py`` and the ``routing-parity`` CI job).
 
 Snapshot lifetime
 -----------------
 
-A snapshot freezes the network *topology* (nodes, edges, lengths,
-capacities) and the link model at compile time.  It stays valid until
-the network is structurally mutated
-(``add_edge``/``remove_edge``/``add_node``) or a different link model
-is wanted; after that a new snapshot must be compiled.  Qubit *ledger*
-state is deliberately not baked in: feasibility flags are rebuilt from
-the live ledger whenever its ``version`` has moved since the last
-search batch, so admission loops can keep one snapshot across an
-entire routing call and the serving loop can keep one across a whole
-session.  :func:`snapshot_for` memoises
-snapshots on the network, keyed by the link model and the topology
-version; a rate cache built on the compiled core holds the one its
-routing call uses, and its width columns are the only channel-rate
-table that call reads.  A :class:`WidthSearchBatch` is a cheap
-per-demand view over a snapshot: create as many as needed, but never
-use one after its snapshot's network mutated.
+A snapshot freezes the network *topology* (nodes, edges, lengths) and
+the link model; it stays valid until the network is structurally
+mutated (``add_edge``/``remove_edge``/``add_node``).  Qubit *ledger*
+state is not baked in: relay flags follow the live ledger's
+``version``, so an admission loop keeps one snapshot for a routing call
+and the serving loop keeps one for a session.  :func:`snapshot_for`
+memoises snapshots on the network, keyed by the link model and the
+topology version; a compiled-core rate cache holds the one its routing
+call uses, and its width columns are the only rate table that call
+reads.
 """
 
 from __future__ import annotations
@@ -143,9 +112,6 @@ _SEARCH_MEMO_LIMIT = 65536
 
 #: Memo sentinel distinguishing "no entry" from a memoised ``None``.
 _MISS = object()
-
-#: Shared empty frozenset: the common no-bans search skips building one.
-_EMPTY: FrozenSet[int] = frozenset()
 
 #: Largest ``h`` passed to the native Yen loop (an int64 there).  Any
 #: larger ``h`` selects the same paths: the loop stops when it runs out
@@ -235,16 +201,14 @@ class CompiledNetwork:
     """Flat-array snapshot of one ``(QuantumNetwork, LinkModel)`` pair.
 
     See the module docstring for the layout and lifetime rules.  Use
-    :func:`snapshot_for` (or :func:`compile_network` for a private
-    copy) rather than constructing instances ad hoc, so routing calls
-    over one network share a snapshot.
+    :func:`snapshot_for`, so routing calls over one network share a
+    snapshot; construct one directly only for a private copy.
     """
 
     __slots__ = (
         "node_ids",
         "index_of",
         "is_user",
-        "capacity",
         "indptr",
         "adj_nodes",
         "adj_edges",
@@ -252,7 +216,6 @@ class CompiledNetwork:
         "edge_index",
         "edge_probability",
         "_relay_cache",
-        "_static_relay",
         "_width_lists",
         "_width_columns",
         "_search_memo",
@@ -267,9 +230,6 @@ class CompiledNetwork:
         }
         self.is_user: List[bool] = [
             network.node(nid).is_user for nid in node_ids
-        ]
-        self.capacity: List[Optional[int]] = [
-            network.qubit_capacity(nid) for nid in node_ids
         ]
         edge_keys = network.edge_keys()
         self.edge_keys: List[EdgeKey] = edge_keys
@@ -305,8 +265,6 @@ class CompiledNetwork:
         # a strong one would make a cycle that keeps a routed network
         # (snapshot, memo and all) alive until the cyclic collector runs.
         self._relay_cache: Dict[int, list] = {}
-        # Ledger-free flags per width: (flags, flags.tobytes()).
-        self._static_relay: Dict[int, Tuple[np.ndarray, bytes]] = {}
         self._width_lists: Dict[int, List[float]] = {}
         self._width_columns: Dict[int, np.ndarray] = {}
         self._search_memo: Dict[tuple, object] = {}
@@ -361,20 +319,12 @@ class CompiledNetwork:
             self._width_columns[width] = column
         return column
 
-    def relay_feasible(self, ledger, width: int) -> np.ndarray:
-        """Per-node "may relay at this width" flags for one search batch.
-
-        See :meth:`relay_state`; this is the flags array alone, kept as
-        the stable public accessor (the parity suite reads it)."""
-        return self.relay_state(ledger, width)[0]
-
     def relay_state(self, ledger, width: int) -> Tuple[np.ndarray, bytes]:
         """``(flags, key)`` for relaying at *width* under *ledger*.
 
         A relay must be a switch holding ``2 * width`` free qubits
-        (*width* towards each side).  ``ledger`` is a
-        :class:`~repro.routing.allocation.QubitLedger` or ``None`` for
-        full capacities — matching the reference's default ledger.
+        (*width* towards each side) in the
+        :class:`~repro.routing.allocation.QubitLedger` *ledger*.
 
         Flags are cached per width together with the ledger's
         ``version`` and rebuilt whole, in O(nodes), when the ledger
@@ -385,22 +335,6 @@ class CompiledNetwork:
         the search-result memo keys on.  Callers must not mutate the
         ledger while holding the returned array.
         """
-        need = 2 * width
-        n = len(self.node_ids)
-        if ledger is None:
-            entry = self._static_relay.get(width)
-            if entry is None:
-                flags = np.fromiter(
-                    (
-                        (not user) and (cap is None or cap >= need)
-                        for user, cap in zip(self.is_user, self.capacity)
-                    ),
-                    dtype=bool,
-                    count=n,
-                )
-                entry = (flags, flags.tobytes())
-                self._static_relay[width] = entry
-            return entry
         entry = self._relay_cache.get(width)
         if (
             entry is not None
@@ -409,26 +343,20 @@ class CompiledNetwork:
         ):
             return entry[2], entry[3]
         has = ledger.has_at_least
+        need = 2 * width
         flags = np.fromiter(
             (
                 (not user) and has(nid, need)
                 for user, nid in zip(self.is_user, self.node_ids)
             ),
             dtype=bool,
-            count=n,
+            count=len(self.node_ids),
         )
         key = flags.tobytes()
         self._relay_cache[width] = [
             weakref.ref(ledger), ledger.version, flags, key
         ]
         return flags, key
-
-    def endpoint_feasible(self, ledger, node_id: int, width: int) -> bool:
-        """True iff *node_id* can commit *width* qubits as an endpoint."""
-        if ledger is None:
-            cap = self.capacity[self.index_of[node_id]]
-            return cap is None or cap >= width
-        return ledger.has_at_least(node_id, width)
 
     # ------------------------------------------------------------------
     # The Algorithm 1 kernel
@@ -550,7 +478,7 @@ class CompiledNetwork:
             start = end
         return accepted
 
-    def _resolve_bans(
+    def resolve_bans(
         self, banned_nodes: FrozenSet[int], banned_edges: FrozenSet[EdgeKey]
     ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
         """Banned node ids and edge keys as node indices and edge ids.
@@ -558,40 +486,68 @@ class CompiledNetwork:
         Entries outside the network are dropped: they are unreachable
         anyway.
         """
-        if banned_nodes:
-            index_of = self.index_of
-            node_idx = frozenset(
-                index_of[n] for n in banned_nodes if n in index_of
-            )
-        else:
-            node_idx = _EMPTY
-        if banned_edges:
-            edge_index = self.edge_index
-            edge_ids = frozenset(
-                edge_index[e] for e in banned_edges if e in edge_index
-            )
-        else:
-            edge_ids = _EMPTY
+        index_of = self.index_of
+        edge_index = self.edge_index
+        node_idx = frozenset(
+            index_of[n] for n in banned_nodes if n in index_of
+        )
+        edge_ids = frozenset(
+            edge_index[e] for e in banned_edges if e in edge_index
+        )
         return node_idx, edge_ids
 
-    def _search_indexed(
+    def run_search(
         self,
-        source_idx: int,
-        destination_idx: int,
+        source: int,
+        destination: int,
+        width: int,
+        swap2: float,
+        ledger,
+        banned_nodes: Iterable[int] = (),
+        banned_edges: Iterable[EdgeKey] = (),
+    ) -> Optional[Tuple[Tuple[int, ...], float]]:
+        """Algorithm 1's compiled entry: one memoised search in node
+        **ids**, returning ``(nodes, rate)`` or ``None``.
+
+        *swap2* is the two-qubit fusion success; the arguments were
+        validated by
+        :func:`~repro.routing.alg1_largest_rate.largest_entanglement_rate_path`.
+        The banned sets may be any iterables: each is read once.
+        """
+        node_idx, edge_ids = self.resolve_bans(
+            frozenset(banned_nodes), frozenset(banned_edges)
+        )
+        return self._search(
+            source, destination, width, swap2, ledger, node_idx, edge_ids
+        )
+
+    def _search(
+        self,
+        source: int,
+        destination: int,
         width: int,
         swap2: float,
         ledger,
         banned_node_idx: FrozenSet[int],
         banned_edge_ids: FrozenSet[int],
     ) -> Optional[Tuple[Tuple[int, ...], float]]:
-        """:meth:`run_search` over endpoint indices and resolved bans
-        (see :meth:`_resolve_bans`): the memo lookup, keyed on the relay
-        flags' bytes (:meth:`relay_state`), then one kernel call on a
-        miss."""
+        """:meth:`run_search` over resolved bans (:meth:`resolve_bans`).
+
+        Endpoint feasibility (each endpoint commits *width* qubits) is
+        checked on the live ledger, never memoised: it can change
+        without a relay flag flipping.  Then the memo answers (it keys
+        on the relay flags' bytes, :meth:`relay_state`), or one kernel
+        call runs on a miss.
+        """
+        if not (
+            ledger.has_at_least(source, width)
+            and ledger.has_at_least(destination, width)
+        ):
+            return None
         flags, flags_key = self.relay_state(ledger, width)
         key = (
-            source_idx,
-            destination_idx,
+            source,
+            destination,
             width,
             flags_key,
             swap2,
@@ -602,8 +558,9 @@ class CompiledNetwork:
         hit = memo.get(key, _MISS)
         if hit is not _MISS:
             return hit
+        index_of = self.index_of
         found = self._native_search(
-            _loaded_kernel(), source_idx, destination_idx,
+            _loaded_kernel(), index_of[source], index_of[destination],
             self.width_rates(width), flags, swap2, banned_node_idx,
             banned_edge_ids,
         )
@@ -616,42 +573,6 @@ class CompiledNetwork:
             memo.clear()
         memo[key] = result
         return result
-
-    def run_search(
-        self,
-        source: int,
-        destination: int,
-        width: int,
-        swap2: float,
-        ledger=None,
-        banned_nodes: Iterable[int] = (),
-        banned_edges: Iterable[EdgeKey] = (),
-    ) -> Optional[Tuple[Tuple[int, ...], float]]:
-        """One memoised Algorithm-1 search in node **ids**.
-
-        Endpoint feasibility (and the banned-endpoint short-circuit) is
-        the caller's job — see :meth:`WidthSearchBatch.search`, the
-        normal way in.  Results are memoised on the snapshot keyed by
-        the exact kernel inputs, so a hit is bitwise-identical to a
-        fresh search by construction: the relay flags' bytes are part
-        of the key, so an entry stops matching the moment any flag
-        flips, and matches again when the flags flip back.
-        """
-        banned_node_idx, banned_edge_ids = self._resolve_bans(
-            frozenset(banned_nodes), frozenset(banned_edges)
-        )
-        index_of = self.index_of
-        return self._search_indexed(
-            index_of[source], index_of[destination], width, swap2, ledger,
-            banned_node_idx, banned_edge_ids,
-        )
-
-
-def compile_network(
-    network: QuantumNetwork, link_model: LinkModel
-) -> CompiledNetwork:
-    """Flatten *network* + *link_model* into a :class:`CompiledNetwork`."""
-    return CompiledNetwork(network, link_model)
 
 
 #: Snapshot memo entries kept per network before a wholesale clear.
@@ -684,20 +605,12 @@ def snapshot_for(
 
 
 # ----------------------------------------------------------------------
-# Batched width search — the kernel-facing API
+# Compiled Algorithm 2 (first searches, then the native Yen loop)
 
 
 class WidthSearchBatch:
-    """The Algorithm-1 searches of one demand against one snapshot.
-
-    Binds ``(snapshot, swap model, endpoints, widths, ledger)`` once, so
-    every width of the demand runs through the same hoisted state and
-    the snapshot's shared search-result memo.  Raises
-    :class:`~repro.exceptions.RoutingError` when the native kernel is
-    not loaded.
-    Construct per demand (cheap: index lookups only) and discard freely;
-    the lifetime rules are the snapshot's (see the module docstring).
-    """
+    """Algorithm 2's first searches of one demand, one per width (see
+    :func:`compiled_select_paths`), over validated arguments."""
 
     __slots__ = (
         "snapshot",
@@ -715,161 +628,32 @@ class WidthSearchBatch:
         source: int,
         destination: int,
         widths: Sequence[int],
-        ledger=None,
+        ledger,
     ):
-        _loaded_kernel()
-        if source == destination:
-            raise RoutingError("source and destination must differ")
-        index_of = snapshot.index_of
-        if source not in index_of or destination not in index_of:
-            raise RoutingError(
-                f"endpoints ({source}, {destination}) must exist in the network"
-            )
-        self.widths: Tuple[int, ...] = tuple(widths)
-        for width in self.widths:
-            if width < 1:
-                raise RoutingError(f"width must be >= 1, got {width}")
         self.snapshot = snapshot
         self.ledger = ledger
         self.swap2 = swap_model.fusion_success(2)
         self.source = source
         self.destination = destination
-
-    def search(
-        self,
-        width: int,
-        banned_nodes: Iterable[int] = (),
-        banned_edges: Iterable[EdgeKey] = (),
-    ) -> Optional[Tuple[Tuple[int, ...], float]]:
-        """The best path at *width*, one of the batch's widths.
-
-        Raises :class:`~repro.exceptions.RoutingError` for any other
-        width.  Checks endpoint feasibility against the live ledger
-        (never memoised — endpoint counts can change without any relay
-        flag flipping), then answers from the snapshot's search memo or
-        runs the kernel.  Returns ``(nodes, rate)`` or ``None``.  The
-        banned sets may be any iterables, generators included: they are
-        read exactly once.
-        """
-        if width not in self.widths:
-            raise RoutingError(
-                f"width {width} is not one of the batch's widths {self.widths}"
-            )
-        banned_nodes = frozenset(banned_nodes)
-        banned_edges = frozenset(banned_edges)
-        snapshot = self.snapshot
-        ledger = self.ledger
-        source, destination = self.source, self.destination
-        if source in banned_nodes or destination in banned_nodes:
-            return None
-        if not snapshot.endpoint_feasible(ledger, source, width):
-            return None
-        if not snapshot.endpoint_feasible(ledger, destination, width):
-            return None
-        return snapshot.run_search(
-            source, destination, width, self.swap2, ledger,
-            banned_nodes, banned_edges,
-        )
+        self.widths: Tuple[int, ...] = tuple(widths)
 
     def search_widths(
         self,
-        banned_nodes: Iterable[int] = (),
-        banned_edges: Iterable[EdgeKey] = (),
+        banned_node_idx: FrozenSet[int] = frozenset(),
+        banned_edge_ids: FrozenSet[int] = frozenset(),
     ) -> Dict[int, Optional[Tuple[Tuple[int, ...], float]]]:
-        """:meth:`search` for every batch width in one call.
-
-        Returns ``{width: (nodes, rate) | None}`` covering exactly the
-        batch's widths, each answer bit-identical to a standalone
-        :meth:`search`.  The banned sets are read once and resolved to
-        indices once for the whole batch; per-width endpoint
-        feasibility, the banned-endpoint short-circuit and the
-        snapshot's search memo are consulted exactly as :meth:`search`
-        does, and each width the memo misses costs one kernel call.
+        """``{width: (nodes, rate) | None}`` for every batch width, each
+        as :meth:`CompiledNetwork.run_search` answers under the same
+        bans, given here resolved (:meth:`CompiledNetwork.resolve_bans`).
         """
-        banned_nodes = frozenset(banned_nodes)
-        banned_edges = frozenset(banned_edges)
-        snapshot = self.snapshot
-        ledger = self.ledger
-        source, destination = self.source, self.destination
-        if source in banned_nodes or destination in banned_nodes:
-            return dict.fromkeys(self.widths)
-        banned_node_idx, banned_edge_ids = snapshot._resolve_bans(
-            banned_nodes, banned_edges
-        )
-        src_idx = snapshot.index_of[source]
-        dst_idx = snapshot.index_of[destination]
-        results: Dict[int, Optional[Tuple[Tuple[int, ...], float]]] = {}
-        for width in self.widths:
-            if snapshot.endpoint_feasible(
-                ledger, source, width
-            ) and snapshot.endpoint_feasible(ledger, destination, width):
-                results[width] = snapshot._search_indexed(
-                    src_idx, dst_idx, width, self.swap2, ledger,
-                    banned_node_idx, banned_edge_ids,
-                )
-            else:
-                results[width] = None
-        return results
-
-
-def search_widths(
-    snapshot: CompiledNetwork,
-    swap_model: SwapModel,
-    demand: Demand,
-    widths: Sequence[int],
-    *,
-    ledger=None,
-    banned_nodes: Iterable[int] = (),
-    banned_edges: Iterable[EdgeKey] = (),
-) -> Dict[int, Optional[Tuple[Tuple[int, ...], float]]]:
-    """Batched kernel entry point: one demand, every width, one call.
-
-    Builds a :class:`WidthSearchBatch` for *demand* and answers every
-    width in *widths* (see :meth:`WidthSearchBatch.search_widths`).
-    """
-    batch = WidthSearchBatch(
-        snapshot, swap_model, demand.source, demand.destination, widths,
-        ledger,
-    )
-    return batch.search_widths(
-        banned_nodes=banned_nodes, banned_edges=banned_edges
-    )
-
-
-# ----------------------------------------------------------------------
-# Compiled Algorithm 1 entry point
-
-
-def compiled_search(
-    snapshot: CompiledNetwork,
-    swap_model: SwapModel,
-    source: int,
-    destination: int,
-    width: int,
-    ledger=None,
-    banned_nodes: FrozenSet[int] = frozenset(),
-    banned_edges: FrozenSet[EdgeKey] = frozenset(),
-) -> Optional[Tuple[Tuple[int, ...], float]]:
-    """Compiled body of Algorithm 1 over the rate cache's *snapshot*
-    (other arguments as the reference wrapper).
-
-    The caller —
-    :func:`~repro.routing.alg1_largest_rate.largest_entanglement_rate_path`
-    — has already validated widths, endpoints and banned-endpoint
-    cases; this dispatches a single-width :class:`WidthSearchBatch`
-    so standalone Algorithm-1 calls share the snapshot's search memo
-    with the Algorithm-2 sweeps.
-    """
-    batch = WidthSearchBatch(
-        snapshot, swap_model, source, destination, (width,), ledger
-    )
-    return batch.search(
-        width, banned_nodes=banned_nodes, banned_edges=banned_edges
-    )
-
-
-# ----------------------------------------------------------------------
-# Compiled Algorithm 2 (the native Yen loop)
+        search = self.snapshot._search
+        return {
+            width: search(
+                self.source, self.destination, width, self.swap2,
+                self.ledger, banned_node_idx, banned_edge_ids,
+            )
+            for width in self.widths
+        }
 
 
 def compiled_select_paths(
@@ -878,11 +662,12 @@ def compiled_select_paths(
     demand: Demand,
     h: int,
     max_width: int,
-    ledger=None,
-    banned_nodes: FrozenSet[int] = frozenset(),
-    banned_edges: FrozenSet[EdgeKey] = frozenset(),
+    ledger,
+    banned_nodes: FrozenSet[int],
+    banned_edges: FrozenSet[EdgeKey],
 ) -> Dict[int, List[PathCandidate]]:
-    """Compiled body of Algorithm 2's per-width Yen loop.
+    """Algorithm 2's compiled entry: the per-width Yen loops of one
+    demand.
 
     One :class:`WidthSearchBatch` serves every width: the first
     searches of all widths run as one :meth:`~WidthSearchBatch.
@@ -896,8 +681,9 @@ def compiled_select_paths(
     loop's down elements), resolved once; they reach every search —
     including each Yen deviation, unioned with the deviation's own bans
     — so a fault state change costs fresh searches rather than a
-    snapshot rebuild.  Parameter validation and the ``max_hops`` filter
-    stay in :func:`~repro.routing.alg2_path_selection.select_paths`.
+    snapshot rebuild.  Validation, the default ledger and the
+    ``max_hops`` filter stay in
+    :func:`~repro.routing.alg2_path_selection.select_paths`.
     """
     kernel = _loaded_kernel()
     widths = tuple(range(max_width, 0, -1))
@@ -905,12 +691,8 @@ def compiled_select_paths(
         snapshot, swap_model, demand.source, demand.destination, widths,
         ledger,
     )
-    firsts = batch.search_widths(
-        banned_nodes=banned_nodes, banned_edges=banned_edges
-    )
-    node_idx, edge_ids = snapshot._resolve_bans(
-        frozenset(banned_nodes), frozenset(banned_edges)
-    )
+    node_idx, edge_ids = snapshot.resolve_bans(banned_nodes, banned_edges)
+    firsts = batch.search_widths(node_idx, edge_ids)
     session_bans = (array.array("q", node_idx), array.array("q", edge_ids))
     index_of = snapshot.index_of
     ids = snapshot.node_ids

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -319,6 +320,10 @@ def poisson_events(
     if num_users < 2:
         raise ArrivalSpecError(
             f"need at least 2 users to generate arrivals, got {num_users}"
+        )
+    if not 0 < duration < math.inf:
+        raise ArrivalSpecError(
+            f"duration must be finite and > 0, got {duration!r}"
         )
     events: List[ArrivalEvent] = []
     time = 0.0

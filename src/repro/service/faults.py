@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -521,8 +522,10 @@ def fault_events(
             f"element counts must be >= 0, got edges={num_edges}, "
             f"switches={num_switches}"
         )
-    if not duration > 0:
-        raise FaultSpecError(f"duration must be > 0, got {duration!r}")
+    if not 0 < duration < math.inf:
+        raise FaultSpecError(
+            f"duration must be finite and > 0, got {duration!r}"
+        )
     events: List[FaultEvent] = []
     if spec.link_mtbf is not None:
         for index in range(num_edges):

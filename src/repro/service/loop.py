@@ -12,10 +12,10 @@ arrival:
     and channel-rate cache, so each arrival re-plans on the session's
     compiled snapshot and search memo instead of a rebuilt network.  The
     snapshot rebuilds its relay flags from the ledger when the ledger's
-    ``version`` has moved (O(nodes) per width), and each arrival's width
-    sweep runs through the compiled core's ``search_widths`` batch and
-    its native search kernel, so per-arrival latency benefits from the
-    same kernel as the offline sweeps.
+    ``version`` has moved (O(nodes) per width), and each arrival's
+    path selection runs through the compiled core's Algorithm-2 entry
+    and its native search kernel, so per-arrival latency benefits from
+    the same kernel as the offline sweeps.
 
 ``resnapshot``
     Rebuilds a residual-capacity copy of the network per arrival and
@@ -321,6 +321,21 @@ class _RepairJob:
         self.in_window = in_window
 
 
+def check_horizon(duration: float, warmup: float) -> None:
+    """Raise :class:`~repro.exceptions.ConfigurationError` unless
+    ``0 <= warmup < duration < inf``: a non-finite horizon would never
+    end the event stream."""
+    if not 0 < duration < math.inf:
+        raise ConfigurationError(
+            f"duration must be finite and > 0, got {duration!r}"
+        )
+    if not 0 <= warmup < duration:
+        raise ConfigurationError(
+            f"warmup must satisfy 0 <= warmup < duration, got "
+            f"warmup={warmup!r}, duration={duration!r}"
+        )
+
+
 def run_serve(
     network: QuantumNetwork,
     link_model: LinkModel,
@@ -349,13 +364,7 @@ def run_serve(
     indices into the sorted ``edge_keys()``/``switches()`` lists);
     *repair* the policy for disrupted flows (default ``reroute``).
     """
-    if not duration > 0:
-        raise ConfigurationError(f"duration must be > 0, got {duration!r}")
-    if not 0 <= warmup < duration:
-        raise ConfigurationError(
-            f"warmup must satisfy 0 <= warmup < duration, got "
-            f"warmup={warmup!r}, duration={duration!r}"
-        )
+    check_horizon(duration, warmup)
     validate_events(events)
     repair_spec = as_repair(repair) if repair is not None else RepairSpec()
     retry_delays = repair_spec.delays()

@@ -58,6 +58,7 @@ from repro.service.faults import (
 from repro.service.loop import (
     REPLAN_MODES,
     ServeMetrics,
+    check_horizon,
     latency_summary,
     run_serve,
 )
@@ -420,6 +421,7 @@ def run_serve_experiment(
     repair = as_repair(repair) if repair is not None else (
         RepairSpec() if faults is not None else None
     )
+    check_horizon(duration, warmup)
     if routers is None:
         routers = [
             spec.build()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 from typing import Callable
 
 
@@ -40,3 +41,36 @@ def positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise ValueError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+@argparse_type
+def non_negative_int(text: str) -> int:
+    """Argparse type: an integer >= 0."""
+    if not text.isdecimal():
+        raise ValueError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    """*text* as a float, or ``nan`` (which no range accepts)."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+@argparse_type
+def positive_float(text: str) -> float:
+    """Argparse type: a finite number > 0 (an infinite serve horizon
+    would never end)."""
+    if not 0 < _float(text) < math.inf:
+        raise ValueError(f"expected a finite number > 0, got {text!r}")
+    return float(text)
+
+
+@argparse_type
+def non_negative_float(text: str) -> float:
+    """Argparse type: a finite number >= 0."""
+    if not 0 <= _float(text) < math.inf:
+        raise ValueError(f"expected a finite number >= 0, got {text!r}")
+    return float(text)

@@ -92,6 +92,14 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["serve", "--seed", "-1"],
         ["serve", "--replications", "0"],
+        ["serve", "--duration", "-5"],
+        ["serve", "--duration", "0"],
+        ["serve", "--duration", "nan"],
+        ["serve", "--duration", "inf"],
+        ["serve", "--warmup", "-1"],
+        ["serve", "--warmup", "nan"],
+        ["serve", "--warmup", "inf"],
+        ["serve", "--workers", "-3"],
     ])
     def test_bad_serve_input_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -102,3 +110,13 @@ class TestCommands:
         assert err.splitlines()[-1].startswith(
             "python -m repro.experiments: error: argument"
         ), err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--warmup", "500"],  # past the default horizon, 200
+        ["serve", "--duration", "20", "--warmup", "20"],
+    ])
+    def test_warmup_past_horizon_is_a_usage_error(self, argv, capsys):
+        assert experiments_main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: warmup must satisfy"), err

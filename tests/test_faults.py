@@ -271,6 +271,13 @@ class TestFaultEvents:
             own = [e for e in small if e.kind.startswith(family)]
             assert subset == own
 
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), 0.0, -5.0]
+    )
+    def test_rejects_bad_duration(self, duration):
+        with pytest.raises(FaultSpecError, match="duration"):
+            fault_events(parse_faults(self.SPEC), 7, 10, 5, duration)
+
     def test_trace_kind_cannot_generate(self, tmp_path):
         path = tmp_path / "t.trace"
         write_fault_trace(path, [[]])

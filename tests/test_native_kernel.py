@@ -39,7 +39,7 @@ from repro.routing.alg2_path_selection import _yen_best_paths
 from repro.routing.allocation import QubitLedger
 from repro.routing.compiled import (
     ROUTING_CORE_ENV,
-    compile_network,
+    CompiledNetwork,
     native_kernel_active,
 )
 from repro.routing.metrics import ChannelRateCache
@@ -164,9 +164,9 @@ def test_native_search_matches_reference_alg1(instance, width, swap2, data):
     returns under the same ledger and bans.  Node ids are the
     snapshot's indices here, so the paths compare directly."""
     network, drawn = instance
-    snapshot = compile_network(network, LINK)
+    snapshot = CompiledNetwork(network, LINK)
     cache, ledger = reference_setup(network, drawn, width)
-    flags = snapshot.relay_feasible(ledger, width)
+    flags = snapshot.relay_state(ledger, width)[0]
     assert flags.tolist() == [
         bool(flag) and not user
         for flag, user in zip(drawn, snapshot.is_user)
@@ -209,9 +209,9 @@ def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
     returns at one width: the same paths in the same order, the same
     rate bits.  Session bans reach every spur search."""
     network, drawn = instance
-    snapshot = compile_network(network, LINK)
+    snapshot = CompiledNetwork(network, LINK)
     cache, ledger = reference_setup(network, drawn, width)
-    flags = snapshot.relay_feasible(ledger, width)
+    flags = snapshot.relay_state(ledger, width)[0]
     swap_model = SwapModel(q=swap2)
     kernel = _native.KERNEL
     rates = snapshot.width_rates(width)

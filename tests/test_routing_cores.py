@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import CapacityError, ConfigurationError
 from repro.experiments.scenarios import parse_scenario
-from repro.network import CompiledNetwork, compile_network
+from repro.network import CompiledNetwork
 from repro.network.builder import build_network
 from repro.network.demands import Demand, generate_demands
 from repro.network.graph import QuantumNetwork
@@ -41,11 +41,9 @@ from repro.routing.compiled import (
     ROUTING_CORE_ENV,
     WidthSearchBatch,
     active_routing_core,
-    compiled_search,
     compiled_select_paths,
     fused_width_min,
     native_kernel_active,
-    search_widths,
     snapshot_for,
 )
 from repro.exceptions import RoutingError
@@ -248,7 +246,7 @@ def test_pinned_core_invalid_env_rejected_by_route(monkeypatch):
 def test_snapshot_matches_reference_rates():
     network, _ = _instance(SCENARIOS[0], SEEDS[0])
     link = LinkModel()  # length-based probabilities, the realistic case
-    snapshot = compile_network(network, link)
+    snapshot = CompiledNetwork(network, link)
     cache = ChannelRateCache(network, link)
     for width in (1, 2, 5):
         column = snapshot.width_rates(width)
@@ -686,8 +684,11 @@ def test_relay_feasibility_journal_parity():
             for user, nid in zip(snapshot.is_user, snapshot.node_ids)
         ]
 
+    def flags(width):
+        return list(snapshot.relay_state(ledger, width)[0])
+
     for width in (1, 2):
-        assert list(snapshot.relay_feasible(ledger, width)) == expected(width)
+        assert flags(width) == expected(width)
     # Reserve/release sequences move the ledger's version: flags rebuild.
     rng = ensure_rng(SEEDS[0] + 1)
     for trial in range(40):
@@ -698,21 +699,21 @@ def test_relay_feasibility_journal_parity():
         elif free:
             ledger.reserve(node, min(2, free))
         for width in (1, 2):
-            assert list(snapshot.relay_feasible(ledger, width)) == expected(width)
+            assert flags(width) == expected(width)
     # restore() moves the version too: derived flags must follow it.
     baseline = ledger.snapshot()
     ledger.reserve(switches[0], int(ledger.remaining(switches[0])))
-    assert list(snapshot.relay_feasible(ledger, 1)) == expected(1)
+    assert flags(1) == expected(1)
     ledger.restore(baseline)
-    assert list(snapshot.relay_feasible(ledger, 1)) == expected(1)
+    assert flags(1) == expected(1)
     # A long reserve/release run (the version far past any small
     # counter) still leaves flags equal to a fresh check.
     node = switches[0]
     for _ in range(1200):
         ledger.reserve(node, 1)
         ledger.release(node, 1)
-    assert list(snapshot.relay_feasible(ledger, 1)) == expected(1)
-    assert list(snapshot.relay_feasible(ledger, 2)) == expected(2)
+    assert flags(1) == expected(1)
+    assert flags(2) == expected(2)
 
 
 def test_ledger_version_tracks_count_changes():
@@ -771,7 +772,7 @@ def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
     that flips no flag leaves a repeated sweep answered from the memo,
     and one that flips a flag on the found path searches afresh."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
-    snapshot = compile_network(network, LINK)
+    snapshot = CompiledNetwork(network, LINK)
     ledger = QubitLedger(network)
     calls = []
     search = CompiledNetwork._native_search
@@ -783,7 +784,13 @@ def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
     monkeypatch.setattr(CompiledNetwork, "_native_search", counted)
     demand = demands[0]
     widths = (2, 1)
-    first = search_widths(snapshot, SWAP, demand, widths, ledger=ledger)
+
+    def search_widths():
+        return WidthSearchBatch(
+            snapshot, SWAP, demand.source, demand.destination, widths, ledger
+        ).search_widths()
+
+    first = search_widths()
     assert first[1] is not None and len(first[1][0]) > 2
     assert len(calls) == len(widths)
 
@@ -794,14 +801,12 @@ def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
         if s != relay and ledger.remaining(s) >= 2 * max(widths) + 1
     )
     ledger.reserve(spare, 1)
-    assert search_widths(
-        snapshot, SWAP, demand, widths, ledger=ledger
-    ) == first
+    assert search_widths() == first
     assert len(calls) == len(widths)
 
     # Draining a relay of the width-1 path flips its flag at every width.
     ledger.reserve(relay, int(ledger.remaining(relay)) - 1)
-    again = search_widths(snapshot, SWAP, demand, widths, ledger=ledger)
+    again = search_widths()
     assert len(calls) > len(widths)
     with routing_core("reference"):
         for width in widths:
@@ -813,16 +818,16 @@ def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Batched width search (the kernel-facing API)
+# The compiled core's search entries (run_search, WidthSearchBatch)
 
 
 @native_only
 @pytest.mark.parametrize("scenario", SCENARIOS[:2])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_search_matches_reference_per_width(scenario, seed):
-    """``search_widths`` answers every width exactly as the reference
-    core's per-width Algorithm 1 — including banned sets and a partially
-    consumed ledger."""
+    """``WidthSearchBatch.search_widths`` answers every width exactly as
+    the reference core's per-width Algorithm 1 — including banned sets
+    and a partially consumed ledger."""
     network, demands = _instance(scenario, seed)
     rng = ensure_rng(seed + 2)
     switches = network.switches()
@@ -839,10 +844,9 @@ def test_batched_search_matches_reference_per_width(scenario, seed):
         )
         picked = rng.choice(len(edges), size=3, replace=False)
         banned_edges = frozenset(edges[int(i)] for i in picked)
-        batched = search_widths(
-            snapshot, SWAP, demand, widths, ledger=ledger,
-            banned_nodes=banned_nodes, banned_edges=banned_edges,
-        )
+        batched = WidthSearchBatch(
+            snapshot, SWAP, demand.source, demand.destination, widths, ledger
+        ).search_widths(*snapshot.resolve_bans(banned_nodes, banned_edges))
         assert set(batched) == set(widths)
         with routing_core("reference"):
             for width in widths:
@@ -860,16 +864,21 @@ def test_batched_search_drained_ledger(diamond_network):
     for node in (2, 3, 4, 5):
         ledger.reserve(node, 10)
     snapshot = snapshot_for(diamond_network, LINK)
-    batched = search_widths(
-        snapshot, SWAP, Demand(0, 0, 1), (1, 2), ledger=ledger
-    )
+    batched = WidthSearchBatch(
+        snapshot, SWAP, 0, 1, (1, 2), ledger
+    ).search_widths()
     assert batched == {1: None, 2: None}
-    # Banned endpoints short-circuit per width, like the reference core.
-    fresh = QubitLedger(diamond_network)
-    assert search_widths(
-        snapshot, SWAP, Demand(0, 0, 1), (1,), ledger=fresh,
-        banned_nodes=frozenset({1}),
-    ) == {1: None}
+    # A banned endpoint selects nothing, on either core.
+    for core in ("reference", "compiled"):
+        with routing_core(core):
+            assert select_paths(
+                diamond_network, LINK, SWAP, Demand(0, 0, 1), h=2,
+                max_width=2, banned_nodes=frozenset({1}),
+            ) == {}
+            assert select_paths(
+                diamond_network, LINK, SWAP, Demand(0, 0, 1), h=2,
+                max_width=2,
+            )
 
 
 @native_only
@@ -883,41 +892,62 @@ def test_batch_matches_its_own_single_width_searches():
     )
     swept = batch.search_widths()
     for width in (1, 2, 3):
-        assert swept[width] == batch.search(width)
+        assert swept[width] == snapshot.run_search(
+            demand.source, demand.destination, width, batch.swap2, ledger
+        )
 
 
-@native_only
-def test_batch_rejects_invalid_construction(diamond_network):
-    snapshot = snapshot_for(diamond_network, LINK)
-    with pytest.raises(RoutingError, match="must differ"):
-        WidthSearchBatch(snapshot, SWAP, 0, 0, (1,))
-    with pytest.raises(RoutingError, match="must exist"):
-        WidthSearchBatch(snapshot, SWAP, 0, 99, (1,))
-    with pytest.raises(RoutingError, match="width"):
-        WidthSearchBatch(snapshot, SWAP, 0, 1, (1, 0))
-
-
-@native_only
-def test_batch_search_rejects_width_outside_batch():
-    """A width the batch was not built for is an error, as a width
-    below 1 is for the reference Algorithm 1 — not a silent ``None``
-    that leaves a stray rate column on the snapshot."""
+def test_batch_rejects_invalid_construction():
+    """The endpoints a search or a ``WidthSearchBatch`` is built from are
+    checked at the two public entry points, on both cores: equal or
+    unknown endpoints raise before any search."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
-    snapshot = compile_network(network, LINK)
     demand = demands[0]
-    batch = WidthSearchBatch(
-        snapshot, SWAP, demand.source, demand.destination, (1,)
-    )
-    for width in (0, -1, 2):
-        with pytest.raises(RoutingError, match="batch's widths"):
-            batch.search(width)
-    assert batch.search(1) is not None
-    assert sorted(snapshot._width_lists) == [1]
-    with pytest.raises(RoutingError, match="width must be >= 1"):
-        with routing_core("reference"):
-            largest_entanglement_rate_path(
-                network, LINK, SWAP, demand.source, demand.destination, 0
-            )
+    source, destination = demand.source, demand.destination
+    unknown = max(network.nodes()) + 1
+    for core in ("reference", "compiled"):
+        with routing_core(core):
+            with pytest.raises(RoutingError, match="must differ"):
+                largest_entanglement_rate_path(
+                    network, LINK, SWAP, source, source, 1
+                )
+            for bad in ((source, unknown), (unknown, destination)):
+                with pytest.raises(RoutingError, match="must exist"):
+                    largest_entanglement_rate_path(
+                        network, LINK, SWAP, *bad, 1
+                    )
+                with pytest.raises(RoutingError, match="must exist"):
+                    select_paths(
+                        network, LINK, SWAP, Demand(0, *bad), h=2, max_width=2
+                    )
+
+
+def test_batch_search_rejects_width_outside_batch():
+    """A width, ``h`` or ``max_width`` below 1 is an error at the two
+    public entry points on both cores, raised before any search — not a
+    silent ``None`` that leaves a stray rate column on the snapshot."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    demand = demands[0]
+    source, destination = demand.source, demand.destination
+    for core in ("reference", "compiled"):
+        with routing_core(core):
+            for width in (0, -1):
+                with pytest.raises(RoutingError, match="width must be >= 1"):
+                    largest_entanglement_rate_path(
+                        network, LINK, SWAP, source, destination, width
+                    )
+                with pytest.raises(RoutingError, match="max_width must be"):
+                    select_paths(
+                        network, LINK, SWAP, demand, h=2, max_width=width
+                    )
+                with pytest.raises(RoutingError, match="h must be >= 1"):
+                    select_paths(
+                        network, LINK, SWAP, demand, h=width, max_width=2
+                    )
+            assert largest_entanglement_rate_path(
+                network, LINK, SWAP, source, destination, 1
+            ) is not None
+    assert sorted(snapshot_for(network, LINK)._width_lists) == [1]
 
 
 def test_compiled_entry_points_need_the_native_kernel(
@@ -926,15 +956,18 @@ def test_compiled_entry_points_need_the_native_kernel(
     """Called directly without a loaded kernel, every compiled-core
     entry point raises a ``RoutingError`` that names the kernel (the
     routing entry points take the reference core instead)."""
-    snapshot = compile_network(diamond_network, LINK)
+    snapshot = CompiledNetwork(diamond_network, LINK)
+    ledger = QubitLedger(diamond_network)
     demand = Demand(0, 0, 1)
     monkeypatch.setattr(_native, "KERNEL", None)
     calls = (
-        lambda: WidthSearchBatch(snapshot, SWAP, 0, 1, (1,)),
-        lambda: search_widths(snapshot, SWAP, demand, (1, 2)),
-        lambda: compiled_search(snapshot, SWAP, 0, 1, 1),
-        lambda: compiled_select_paths(snapshot, SWAP, demand, 3, 2),
-        lambda: snapshot.run_search(0, 1, 1, 0.9),
+        lambda: WidthSearchBatch(
+            snapshot, SWAP, 0, 1, (1, 2), ledger
+        ).search_widths(),
+        lambda: compiled_select_paths(
+            snapshot, SWAP, demand, 3, 2, ledger, frozenset(), frozenset()
+        ),
+        lambda: snapshot.run_search(0, 1, 1, 0.9, ledger),
     )
     for call in calls:
         with pytest.raises(RoutingError, match="native search kernel"):
@@ -961,7 +994,7 @@ def test_fused_frontier_matches_per_width_standalone(scenario, seed):
     ledger = QubitLedger(network)
     for node in switches[::4]:
         ledger.reserve(node, min(2, int(ledger.remaining(node))))
-    default_snapshot = compile_network(network, LINK)
+    default_snapshot = CompiledNetwork(network, LINK)
     with routing_core("reference"):
         cache = ChannelRateCache(network, LINK)
     assert cache.compiled_snapshot is None
@@ -977,7 +1010,7 @@ def test_fused_frontier_matches_per_width_standalone(scenario, seed):
             default_snapshot, SWAP, demand.source, demand.destination,
             widths, ledger,
         ).search_widths(
-            banned_nodes=banned_nodes, banned_edges=banned_edges
+            *default_snapshot.resolve_bans(banned_nodes, banned_edges)
         )
         standalone = {
             width: largest_entanglement_rate_path(
@@ -1021,7 +1054,7 @@ def test_fused_frontier_drained_relays(diamond_network):
     ledger = QubitLedger(diamond_network)
     for node in (2, 3, 4, 5):
         ledger.reserve(node, int(ledger.remaining(node)))
-    snapshot = compile_network(diamond_network, LINK)
+    snapshot = CompiledNetwork(diamond_network, LINK)
     batch = WidthSearchBatch(
         snapshot, SWAP, 0, 1, (1, 2, 3), ledger
     )
@@ -1030,38 +1063,33 @@ def test_fused_frontier_drained_relays(diamond_network):
 
 @native_only
 def test_generator_bans_match_frozensets():
-    """Banned sets passed as generators are read exactly once: the
-    batch, sweep and snapshot entry points answer as with frozensets
-    (a membership test must not consume part of the generator)."""
+    """Banned sets passed to ``run_search`` as generators are read
+    exactly once: it answers as with frozensets (a membership test must
+    not consume part of the generator)."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
-    snapshot = compile_network(network, LINK)
+    snapshot = CompiledNetwork(network, LINK)
+    ledger = QubitLedger(network)
+    swap2 = SWAP.fusion_success(2)
     edges = network.edge_keys()
     checked = 0
     for demand in demands:
-        batch = WidthSearchBatch(
-            snapshot, SWAP, demand.source, demand.destination, (1, 2), None
-        )
-        first = batch.search(1)
+
+        def search(*bans):
+            return snapshot.run_search(
+                demand.source, demand.destination, 1, swap2, ledger, *bans
+            )
+
+        first = search()
         if first is None or len(first[0]) < 4:
             continue
         nodes = frozenset(first[0][1:3])
         banned_edges = frozenset(edges[:5])
-        assert batch.search(
-            1, iter(nodes), iter(banned_edges)
-        ) == batch.search(1, nodes, banned_edges)
-        assert batch.search_widths(
+        assert search(
             (n for n in nodes), (e for e in banned_edges)
-        ) == batch.search_widths(nodes, banned_edges)
-        assert snapshot.run_search(
-            demand.source, demand.destination, 1, batch.swap2, None,
-            iter(nodes), iter(banned_edges),
-        ) == snapshot.run_search(
-            demand.source, demand.destination, 1, batch.swap2, None,
-            nodes, banned_edges,
-        )
+        ) == search(nodes, banned_edges)
         # Banning a relay of the best path must change the answer, so
         # the comparison above is not vacuous.
-        assert batch.search(1, iter(nodes)) != first
+        assert search(iter(nodes)) != first
         checked += 1
     assert checked
 
@@ -1072,9 +1100,10 @@ def test_snapshot_copy_owns_its_native_buffers():
     native scratch: it answers correctly after the original is gone."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
     demand = demands[0]
-    snapshot = compile_network(network, LINK)
+    snapshot = CompiledNetwork(network, LINK)
+    ledger = QubitLedger(network)
     expected = WidthSearchBatch(
-        snapshot, SWAP, demand.source, demand.destination, (1, 2), None
+        snapshot, SWAP, demand.source, demand.destination, (1, 2), ledger
     ).search_widths()
     clone = copy.deepcopy(snapshot)
     assert clone._native_scratch is None
@@ -1082,7 +1111,7 @@ def test_snapshot_copy_owns_its_native_buffers():
     gc.collect()
     clone._search_memo.clear()
     assert WidthSearchBatch(
-        clone, SWAP, demand.source, demand.destination, (1, 2), None
+        clone, SWAP, demand.source, demand.destination, (1, 2), ledger
     ).search_widths() == expected
 
 
@@ -1093,19 +1122,25 @@ def test_snapshot_memory_per_ban_set_stays_small():
     one CSR row of float64 rates."""
     network, demands = _instance("waxman:switches=120,users=6,states=6", 7)
     demand = demands[0]
-    snapshot = compile_network(network, LinkModel())
-    batch = WidthSearchBatch(
-        snapshot, SWAP, demand.source, demand.destination, (1,), None
-    )
+    snapshot = CompiledNetwork(network, LinkModel())
+    ledger = QubitLedger(network)
+    swap2 = SWAP.fusion_success(2)
+
+    def search(banned_edges):
+        return snapshot.run_search(
+            demand.source, demand.destination, 1, swap2, ledger,
+            banned_edges=banned_edges,
+        )
+
     edges = network.edge_keys()
-    batch.search(1, banned_edges=(edges[0], edges[-1]))
+    search((edges[0], edges[-1]))
     queries = 300
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(queries):
-            batch.search(1, banned_edges=(edges[i], edges[i + 1]))
+            search((edges[i], edges[i + 1]))
         gc.collect()
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -1192,7 +1227,7 @@ def test_large_h_exhausts_paths_with_bounded_native_memory(monkeypatch):
             results[native] = spec.build().route(network, demands, LINK, SWAP)
             selected = select_paths(network, LINK, SWAP, demands[0], h=h)
             assert 3 < max(len(paths) for paths in selected.values()) < h
-            if native and native_kernel_active():
+            if native and active_routing_core() == "compiled":
                 scratch = snapshot_for(network, LINK)._native_scratch
                 assert 0 < scratch[3].output.held < h
     native, fallback = results[True], results[False]
@@ -1223,7 +1258,8 @@ def test_routed_network_is_freed_without_the_cyclic_collector():
     so a routed network, its snapshot and the snapshot's memo are freed
     when the last reference goes, not at the next full collection."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
-    make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
+    with routing_core("compiled"):
+        make_router("alg-n-fusion").route(network, demands, LINK, SWAP)
     assert network.__dict__["_compiled_snapshots"]
     alive = weakref.ref(network)
     gc.disable()
@@ -1242,7 +1278,8 @@ def test_search_and_snapshot_memos_stay_bounded(monkeypatch):
     ``_SNAPSHOT_MEMO_LIMIT`` snapshots."""
     monkeypatch.setattr(compiled_core, "_SEARCH_MEMO_LIMIT", 4)
     network, _ = _instance(SCENARIOS[0], SEEDS[0])
-    snapshot = compile_network(network, LINK)
+    snapshot = CompiledNetwork(network, LINK)
+    ledger = QubitLedger(network)
     users = network.users()
     queries = [
         (source, destination, width)
@@ -1252,10 +1289,10 @@ def test_search_and_snapshot_memos_stay_bounded(monkeypatch):
     ]
     assert len(queries) >= 10
     for source, destination, width in queries:
-        found = snapshot.run_search(source, destination, width, 0.9)
+        found = snapshot.run_search(source, destination, width, 0.9, ledger)
         assert len(snapshot._search_memo) <= 4
-        assert found == compile_network(network, LINK).run_search(
-            source, destination, width, 0.9
+        assert found == CompiledNetwork(network, LINK).run_search(
+            source, destination, width, 0.9, ledger
         )
 
     sizes = []

@@ -164,6 +164,15 @@ class TestPoissonEvents:
         long = poisson_events(spec, 42, 6, 60.0)
         assert long[: len(short)] == short
 
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), 0.0, -5.0]
+    )
+    def test_rejects_bad_duration(self, duration):
+        # The stream ends at the first arrival past the horizon, which
+        # a non-finite horizon never has.
+        with pytest.raises(ArrivalSpecError, match="duration"):
+            poisson_events(parse_arrivals(ARRIVALS), 42, 6, duration)
+
 
 # ----------------------------------------------------------------------
 # Serving loop
@@ -278,6 +287,9 @@ class TestServeLoop:
             run_serve(network, LINK, SWAP, router, [], 0.0, 0.0)
         with pytest.raises(ConfigurationError):
             run_serve(network, LINK, SWAP, router, [], 10.0, 10.0)
+        for duration in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="duration"):
+                run_serve(network, LINK, SWAP, router, [], duration, 0.0)
 
     def test_rejects_out_of_range_user_index(self):
         network = _small_instance()
@@ -381,6 +393,23 @@ class TestTrace:
 
 
 class TestRunner:
+    @pytest.mark.parametrize("duration, warmup", [
+        (float("nan"), 5.0),
+        (float("inf"), 5.0),
+        (-5.0, 0.0),
+        (30.0, float("nan")),
+        (30.0, float("inf")),
+        (30.0, -1.0),
+        (30.0, 30.0),
+    ])
+    def test_rejects_bad_horizon(self, duration, warmup):
+        # Checked on entry, before any event stream is generated.
+        with pytest.raises(ConfigurationError, match="duration|warmup"):
+            run_serve_experiment(
+                scenario=SCENARIO, arrivals=ARRIVALS, duration=duration,
+                warmup=warmup, replications=1, seed=7, workers=1,
+            )
+
     def test_worker_count_invariance(self):
         reports = {
             workers: run_serve_experiment(
