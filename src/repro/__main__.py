@@ -31,7 +31,7 @@ from repro.network.serialization import load_instance, save_instance
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.registry import RouterSpec, router_class, router_keys
 from repro.routing.report import render_plan_report
-from repro.utils.cli import argparse_type, non_negative_seed
+from repro.utils.cli import argparse_type, non_negative_seed, positive_int
 from repro.simulation.vectorized import VectorizedProcessSimulator
 from repro.utils.rng import ensure_rng
 
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--algorithm", type=_algorithm_spec,
                           default="alg-n-fusion", metavar="SPEC",
                           help="router registry spec key[:param=val,...]")
-    simulate.add_argument("--trials", type=int, default=2000)
+    simulate.add_argument("--trials", type=positive_int, default=2000)
     simulate.add_argument("--p", type=float, default=None)
     simulate.add_argument("--q", type=float, default=0.9)
     simulate.add_argument("--seed", type=non_negative_seed, default=0)

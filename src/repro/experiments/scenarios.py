@@ -28,6 +28,7 @@ Waxman evaluation scenario.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -112,7 +113,12 @@ def _require_int(name: str, value) -> int:
 
 
 def _require_float(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # NaN is refused too: it breaks spec equality (nan != nan).
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or math.isnan(value)
+    ):
         raise ScenarioSpecError(
             f"scenario parameter {_PARAM_BY_FIELD.get(name, name)!r} must "
             f"be a number, got {value!r}"

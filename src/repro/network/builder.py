@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.exceptions import ConfigurationError
 from repro.network.graph import QuantumNetwork
 from repro.network.registry import topology_entry
 from repro.network.topology.base import (
@@ -32,6 +34,13 @@ class NetworkConfig:
     qubit_capacity: int = DEFAULT_QUBIT_CAPACITY
     num_users: int = DEFAULT_NUM_USERS
     user_links: int = DEFAULT_USER_LINKS
+
+    def __post_init__(self) -> None:
+        if not 0 < self.average_degree < math.inf:
+            raise ConfigurationError(
+                "average_degree must be a finite number > 0, "
+                f"got {self.average_degree}"
+            )
 
     def with_updates(self, **kwargs) -> "NetworkConfig":
         """A copy of this config with the given fields replaced."""

@@ -16,7 +16,7 @@ Carlo engine in :mod:`repro.simulation` quantifies the error.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import RoutingError
 from repro.network.graph import QuantumNetwork
@@ -31,12 +31,6 @@ def _ekey(a: int, b: int) -> EdgeKey:
     return (a, b) if a < b else (b, a)
 
 
-#: Spacing between consecutive topological positions.  Midpoint
-#: insertion halves a gap per new node squeezed between the same two
-#: anchors; 2^20 allows ~20 such squeezes before the (cheap, lazy)
-#: renumber — far beyond what a flow's handful of paths can trigger.
-_ORDER_GAP = 1 << 20
-
 class FlowLikeGraph:
     """The route of one demanded state: one or more merged paths.
 
@@ -47,15 +41,13 @@ class FlowLikeGraph:
     :meth:`add_path` time, keeping Equation 1 well defined.
 
     Admission loops probe many trial merges per accepted one (Algorithm 3
-    copies the flow, adds a candidate, evaluates the rate), so the
-    structural state behind those probes is maintained incrementally
-    rather than recomputed per trial: a topological *position map* over
-    the whole child map certifies acyclicity in O(path length) for the
-    common case (an exact no-copy DFS handles the rest), the
+    copies the flow, adds a candidate, evaluates the rate).  Each merge
+    runs one DFS from the source over the child map plus the candidate's
+    edges: it rejects a cycle and, on success, its reverse post-order is
+    the memoised topological order the Equation-1 walk reads.  The
     fusion-arity map absorbs per-edge width deltas in place, and
-    :meth:`copy` clones all memos instead of dropping them.  Every memo
-    is invalidated the same way: any mutation it cannot absorb exactly
-    resets it to ``None`` for a lazy rebuild.
+    :meth:`copy` carries both memos over.  A mutation a memo cannot
+    absorb exactly resets it to ``None`` for a lazy rebuild.
     """
 
     def __init__(self, demand_id: int, source: int, destination: int):
@@ -71,18 +63,12 @@ class FlowLikeGraph:
         self._children: Dict[int, Set[int]] = {}
         self._edge_widths: Dict[EdgeKey, int] = {}
         # Derived-state memos: the node->fusion-arity map (else every
-        # rate call rescans all edges per node), the topological order
-        # the iterative Equation-1 evaluator walks, and the node->int
-        # position map witnessing that order (every edge goes from a
-        # lower to a higher position).  The position map is add_path's
-        # incremental cycle check: a candidate whose existing nodes
-        # appear in increasing position order provably cannot close a
-        # cycle, and its new nodes slot into the integer gaps.  All
-        # three are maintained in place where a mutation's effect is
-        # exact and reset to ``None`` (lazy rebuild) where it is not.
+        # rate call rescans all edges per node) and the topological order
+        # the iterative Equation-1 evaluator walks, which add_path's
+        # cycle-check DFS yields as a by-product.  Both are reset to
+        # ``None`` (lazy rebuild) by a mutation they cannot absorb.
         self._arity_cache: Optional[Dict[int, int]] = None
         self._topo_cache: Optional[List[int]] = None
-        self._order_pos: Optional[Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -125,39 +111,16 @@ class FlowLikeGraph:
                         arities[a] = arities.get(a, 0) + delta
                         arities[b] = arities.get(b, 0) + delta
             return
-        # Incremental cycle check: if the path's already-known nodes
-        # appear in strictly increasing topological position, no edge of
-        # the candidate can point "backwards", so the merged graph has a
-        # valid order (slot the new nodes into the gaps) and is acyclic.
-        # Otherwise fall back to an exact DFS over the virtual union —
-        # no trial copy of the child map either way, and a rejected
-        # merge leaves the graph untouched because nothing has mutated
-        # yet.
-        pos = self._order_pos
-        if pos is None:
-            pos = self._rebuild_order()
-        anchors: List[Tuple[int, int]] = []
-        ordered = True
-        previous = None
-        for i, node in enumerate(nodes):
-            p = pos.get(node)
-            if p is None:
-                continue
-            if previous is not None and p <= previous:
-                ordered = False
-                break
-            previous = p
-            anchors.append((i, p))
-        if ordered:
-            if not _place_between_anchors(nodes, anchors, pos):
-                self._order_pos = None  # gap exhausted; renumber lazily
-        else:
-            if _union_has_cycle(self._children, list(zip(nodes, nodes[1:]))):
-                raise RoutingError(
-                    f"merging path {nodes} would create a directed cycle "
-                    "in the flow-like graph"
-                )
-            self._order_pos = None
+        # One DFS over the child map plus the candidate's edges, before
+        # anything mutates: a rejected merge leaves the graph untouched.
+        order = _topological_sort(
+            self._children, self.source, dict(zip(nodes, nodes[1:]))
+        )
+        if order is None:
+            raise RoutingError(
+                f"merging path {nodes} would create a directed cycle "
+                "in the flow-like graph"
+            )
         children = self._children
         for a, b in zip(nodes, nodes[1:]):
             children.setdefault(a, set()).add(b)
@@ -172,7 +135,7 @@ class FlowLikeGraph:
                     delta = width - old
                     arities[a] = arities.get(a, 0) + delta
                     arities[b] = arities.get(b, 0) + delta
-        self._topo_cache = None
+        self._topo_cache = order
 
     def remove_path(self, nodes: Sequence[int]) -> Dict[EdgeKey, int]:
         """Remove one constituent path; returns the per-edge freed widths.
@@ -226,15 +189,14 @@ class FlowLikeGraph:
                 self._edge_widths[key] = new_width
         self._arity_cache = None
         self._topo_cache = None
-        self._order_pos = None
         return released
 
     def copy(self) -> "FlowLikeGraph":
         """Independent deep copy (used for trial merges).
 
-        Clones the derived-state memos too: a trial merge mutates the
-        copy once and evaluates its rate once, so arriving with warm
-        arity/order state is exactly the admission loop's hot pattern.
+        Carries the arity and topological-order memos over: a trial
+        merge mutates the copy once and evaluates its rate once, and the
+        arity map absorbs that merge in place.
         """
         clone = FlowLikeGraph(self.demand_id, self.source, self.destination)
         clone._paths = list(self._paths)
@@ -245,8 +207,6 @@ class FlowLikeGraph:
         clone._arity_cache = dict(arities) if arities is not None else None
         # The topo list is rebuilt whole, never edited, so sharing is safe.
         clone._topo_cache = self._topo_cache
-        pos = self._order_pos
-        clone._order_pos = dict(pos) if pos is not None else None
         return clone
 
     def widen_edge(self, u: int, v: int, extra: int = 1) -> None:
@@ -341,63 +301,19 @@ class FlowLikeGraph:
     def _topological_order(self) -> List[int]:
         """All nodes of the graph, parents before children.
 
-        Every node lies on some source->destination constituent path, so
-        this covers exactly the source-reachable set.  Derived from the
-        maintained position map (sorting by position is a valid
-        topological order by the map's invariant) and memoised until the
-        next structural mutation; well defined because merges that would
-        create a directed cycle are rejected.  Equation 1's result does
-        not depend on *which* valid order is walked — each node's value
-        is a function of its children's memoised values only.
+        The order :meth:`add_path`'s cycle check left, or after a removal
+        one DFS from the source (every node lies on a source->destination
+        path).  Equation 1's result does not depend on *which* valid
+        order is walked: each node's value depends on its children only.
         """
         order = self._topo_cache
         if order is None:
-            pos = self._order_pos
-            if pos is None:
-                pos = self._rebuild_order()
-            order = sorted(pos, key=pos.__getitem__)
+            order = []
+            if self._children:
+                order = _topological_sort(self._children, self.source, {})
+                assert order is not None  # merges never close a cycle
             self._topo_cache = order
         return order
-
-    def _rebuild_order(self) -> Dict[int, int]:
-        """Recompute the topological position map from the child map.
-
-        The fallback for mutations the incremental placement cannot
-        absorb exactly (an exact-DFS admission, a removal, a gap
-        collision).  DFS reverse-post-order over the (acyclic by
-        invariant) child map, positions spaced ``_ORDER_GAP`` apart.
-        """
-        children = self._children
-        order: List[int] = []
-        visited: Set[int] = set()
-        roots = set(children)
-        for kids in children.values():
-            roots.update(kids)
-        for root in sorted(roots):
-            if root in visited:
-                continue
-            visited.add(root)
-            stack: List[Tuple[int, object]] = [
-                (root, iter(sorted(children.get(root, ()))))
-            ]
-            while stack:
-                node, iterator = stack[-1]
-                advanced = False
-                for child in iterator:
-                    if child not in visited:
-                        visited.add(child)
-                        stack.append(
-                            (child, iter(sorted(children.get(child, ()))))
-                        )
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-        order.reverse()
-        pos = {node: i * _ORDER_GAP for i, node in enumerate(order)}
-        self._order_pos = pos
-        return pos
 
     def qubits_used_at(self, node: int) -> int:
         """Communication qubits this state consumes at *node*."""
@@ -566,80 +482,44 @@ def extra_widths_total(extra_widths: Dict[EdgeKey, int], node: int) -> int:
     )
 
 
-def _place_between_anchors(
-    nodes: Sequence[int],
-    anchors: List[Tuple[int, int]],
-    pos: Dict[int, int],
-) -> bool:
-    """Slot a path's new nodes into the position-map gaps, in place.
+def _topological_sort(
+    children: Dict[int, Set[int]], source: int, extra: Dict[int, int]
+) -> Optional[List[int]]:
+    """Nodes reachable from *source*, parents before children.
 
-    ``anchors`` are the ``(path index, position)`` pairs of the path's
-    already-known nodes, strictly increasing in position (the caller's
-    fast-path certificate).  Every stretch of new nodes lies between
-    two anchors — constituent paths start and end at the demand
-    endpoints, which are known the moment the graph is non-empty — and
-    gets evenly spaced positions inside the anchor gap.  The one
-    exception is the very first path of an empty graph (no anchors):
-    its nodes seed the map at ``_ORDER_GAP`` spacing.  Returns False
-    without mutating anything if some gap is too tight to hold its new
-    nodes distinctly, in which case the caller renumbers.
+    Walks ``children`` plus the *extra* edges (``{parent: child}``, at
+    most one per node: a candidate path's) without copying the child
+    map, and returns the reverse DFS post-order (Tarjan 1976), or
+    ``None`` if an edge closes a directed cycle.  The successor lookup
+    is inlined twice rather than called: it runs once per trial merge
+    per node.
     """
-    if not anchors:
-        for i, node in enumerate(nodes):
-            pos[node] = i * _ORDER_GAP
-        return True
-    for (i0, p0), (i1, p1) in zip(anchors, anchors[1:]):
-        if i1 - i0 > 1 and p1 - p0 <= i1 - i0 - 1:
-            return False
-    for (i0, p0), (i1, p1) in zip(anchors, anchors[1:]):
-        squeezed = i1 - i0 - 1
-        if squeezed:
-            step = (p1 - p0) // (squeezed + 1)
-            for j in range(1, squeezed + 1):
-                pos[nodes[i0 + j]] = p0 + j * step
-    return True
-
-
-def _union_has_cycle(
-    children: Dict[int, Set[int]], new_edges: List[Tuple[int, int]]
-) -> bool:
-    """Directed-cycle test over ``children`` plus a candidate path's edges.
-
-    The exact fallback for merges the incremental position check cannot
-    certify: iterative DFS colouring over the *virtual* union — the
-    child map is read, never copied, and each path node contributes at
-    most one extra successor.
-    """
-    extra = {a: b for a, b in new_edges}
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[int, int] = {}
-    roots = list(children)
-    roots.extend(extra)
-    for root in roots:
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack: List[Tuple[int, Optional[object]]] = [(root, None)]
-        while stack:
-            node, iterator = stack.pop()
-            if iterator is None:
-                if color.get(node, WHITE) != WHITE:
-                    continue
-                color[node] = GRAY
-                successors = sorted(children.get(node, ()))
-                bonus = extra.get(node)
-                if bonus is not None and bonus not in children.get(node, ()):
-                    successors.append(bonus)
-                iterator = iter(successors)
-            advanced = False
-            for child in iterator:
-                state = color.get(child, WHITE)
-                if state == GRAY:
-                    return True
-                if state == WHITE:
-                    stack.append((node, iterator))
-                    stack.append((child, None))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-    return False
+    get, bonus_of = children.get, extra.get
+    kids = get(source, ())
+    bonus = bonus_of(source)
+    if bonus is not None and bonus not in kids:
+        kids = (*kids, bonus)
+    # False while a node is on the DFS stack, True once it is finished.
+    finished = {source: False}
+    stack: List[Tuple[int, Iterator[int]]] = [(source, iter(kids))]
+    post: List[int] = []
+    while stack:
+        node, pending = stack[-1]
+        for child in pending:
+            state = finished.get(child)
+            if state is None:
+                finished[child] = False
+                kids = get(child, ())
+                bonus = bonus_of(child)
+                if bonus is not None and bonus not in kids:
+                    kids = (*kids, bonus)
+                stack.append((child, iter(kids)))
+                break
+            if not state:
+                return None
+        else:
+            stack.pop()
+            finished[node] = True
+            post.append(node)
+    post.reverse()
+    return post

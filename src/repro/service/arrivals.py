@@ -21,12 +21,12 @@ an edited trace.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
 from repro.specs import SpecBase, SpecError
 from repro.utils.rng import RandomState, stream_rng
 
@@ -353,110 +353,26 @@ def write_trace(
     path: Union[str, Path],
     replications: List[List[ArrivalEvent]],
 ) -> None:
-    """Record per-replication event lists as a replayable trace file.
-
-    Sorted-key JSON with ``repr``-round-tripped floats, so replaying
-    the file reproduces the recording run's events bit-exactly.
-    """
-    lines = [
-        json.dumps(
-            {
-                "format": TRACE_FORMAT,
-                "version": TRACE_VERSION,
-                "replications": len(replications),
-            },
-            sort_keys=True,
-        )
-    ]
-    for replication, events in enumerate(replications):
-        for event in events:
-            lines.append(
-                json.dumps(
-                    {
-                        "replication": replication,
-                        "time": event.time,
-                        "source": event.source_index,
-                        "dest": event.dest_index,
-                        "hold": event.hold,
-                    },
-                    sort_keys=True,
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Record per-replication event lists as a replayable trace file."""
+    write_jsonl_trace(
+        path, replications, format_tag=TRACE_FORMAT, version=TRACE_VERSION,
+        to_record=lambda event: {
+            "time": event.time, "source": event.source_index,
+            "dest": event.dest_index, "hold": event.hold,
+        },
+    )
 
 
 def read_trace(path: Union[str, Path]) -> List[List[ArrivalEvent]]:
-    """Load a trace file into per-replication event lists.
-
-    Validates the header, that every event names a declared
-    replication, and that each replication's times are non-decreasing.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ArrivalSpecError(f"cannot read trace file {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ArrivalSpecError(f"trace file {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        raise ArrivalSpecError(
-            f"trace file {path} has an unreadable header line"
-        ) from None
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != TRACE_FORMAT
-        or header.get("version") != TRACE_VERSION
-    ):
-        raise ArrivalSpecError(
-            f"trace file {path} is not a {TRACE_FORMAT} v{TRACE_VERSION} "
-            "file"
-        )
-    count = header.get("replications")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ArrivalSpecError(
-            f"trace file {path}: header 'replications' must be a "
-            f"positive int, got {count!r}"
-        )
-    replications: List[List[ArrivalEvent]] = [[] for _ in range(count)]
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise ArrivalSpecError(
-                f"trace file {path} line {lineno}: unreadable JSON"
-            ) from None
-        try:
-            replication = record["replication"]
-            if isinstance(replication, bool) or not isinstance(
-                replication, int
-            ):
-                # A float or bool here would silently alias another
-                # replication's event list (or crash the list index).
-                raise ArrivalSpecError(
-                    f"replication must be an int, got {replication!r}"
-                )
-            event = ArrivalEvent(
-                time=float(record["time"]),
-                source_index=int(record["source"]),
-                dest_index=int(record["dest"]),
-                hold=float(record["hold"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArrivalSpecError(
-                f"trace file {path} line {lineno}: {exc}"
-            ) from None
-        if not 0 <= replication < count:
-            raise ArrivalSpecError(
-                f"trace file {path} line {lineno}: replication "
-                f"{replication} outside the declared 0..{count - 1}"
-            )
-        events = replications[replication]
-        if events and event.time < events[-1].time:
-            raise ArrivalSpecError(
-                f"trace file {path} line {lineno}: times must be "
-                "non-decreasing within a replication"
-            )
-        events.append(event)
-    return replications
+    """Load a trace file into per-replication event lists, rejecting a
+    bad header, event, replication or time order by line."""
+    return read_jsonl_trace(
+        path, format_tag=TRACE_FORMAT, version=TRACE_VERSION,
+        error=ArrivalSpecError, noun="trace file",
+        from_record=lambda record: ArrivalEvent(
+            time=float(record["time"]),
+            source_index=int(record["source"]),
+            dest_index=int(record["dest"]),
+            hold=float(record["hold"]),
+        ),
+    )

@@ -38,13 +38,14 @@ delays, no clocks, no sleeps.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
 from repro.specs import SpecBase, SpecError
 from repro.utils.retry import BACKOFF_KINDS, backoff_delays
 from repro.utils.rng import stream_rng
@@ -558,109 +559,27 @@ def write_fault_trace(
     replications: List[List[FaultEvent]],
 ) -> None:
     """Record per-replication fault timelines as a replayable file."""
-    lines = [
-        json.dumps(
-            {
-                "format": FAULT_TRACE_FORMAT,
-                "version": FAULT_TRACE_VERSION,
-                "replications": len(replications),
-            },
-            sort_keys=True,
-        )
-    ]
-    for replication, events in enumerate(replications):
-        for event in events:
-            lines.append(
-                json.dumps(
-                    {
-                        "replication": replication,
-                        "time": event.time,
-                        "kind": event.kind,
-                        "element": event.element,
-                    },
-                    sort_keys=True,
-                )
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_jsonl_trace(
+        path, replications, format_tag=FAULT_TRACE_FORMAT,
+        version=FAULT_TRACE_VERSION,
+        to_record=dataclasses.asdict,
+    )
+
+
+def _fault_from_record(record: Dict[str, Any]) -> FaultEvent:
+    element = record["element"]
+    if isinstance(element, bool) or not isinstance(element, int):
+        raise FaultSpecError(f"element must be an int, got {element!r}")
+    return FaultEvent(
+        time=float(record["time"]), kind=record["kind"], element=element
+    )
 
 
 def read_fault_trace(path: Union[str, Path]) -> List[List[FaultEvent]]:
-    """Load a fault trace into per-replication timelines.
-
-    Validates the header, every event's kind/time/element, that events
-    name a declared replication, and that each replication's times are
-    non-decreasing — every rejection names the offending line.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FaultSpecError(
-            f"cannot read fault trace {path}: {exc}"
-        ) from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FaultSpecError(f"fault trace {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except ValueError:
-        raise FaultSpecError(
-            f"fault trace {path} has an unreadable header line"
-        ) from None
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != FAULT_TRACE_FORMAT
-        or header.get("version") != FAULT_TRACE_VERSION
-    ):
-        raise FaultSpecError(
-            f"fault trace {path} is not a {FAULT_TRACE_FORMAT} "
-            f"v{FAULT_TRACE_VERSION} file"
-        )
-    count = header.get("replications")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise FaultSpecError(
-            f"fault trace {path}: header 'replications' must be a "
-            f"positive int, got {count!r}"
-        )
-    replications: List[List[FaultEvent]] = [[] for _ in range(count)]
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            raise FaultSpecError(
-                f"fault trace {path} line {lineno}: unreadable JSON"
-            ) from None
-        try:
-            replication = record["replication"]
-            element = record["element"]
-            if isinstance(replication, bool) or not isinstance(
-                replication, int
-            ):
-                raise FaultSpecError(
-                    f"replication must be an int, got {replication!r}"
-                )
-            if isinstance(element, bool) or not isinstance(element, int):
-                raise FaultSpecError(
-                    f"element must be an int, got {element!r}"
-                )
-            event = FaultEvent(
-                time=float(record["time"]),
-                kind=record["kind"],
-                element=element,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultSpecError(
-                f"fault trace {path} line {lineno}: {exc}"
-            ) from None
-        if not 0 <= replication < count:
-            raise FaultSpecError(
-                f"fault trace {path} line {lineno}: replication "
-                f"{replication} outside the declared 0..{count - 1}"
-            )
-        events = replications[replication]
-        if events and event.time < events[-1].time:
-            raise FaultSpecError(
-                f"fault trace {path} line {lineno}: times must be "
-                "non-decreasing within a replication"
-            )
-        events.append(event)
-    return replications
+    """Load a fault trace into per-replication timelines, rejecting a
+    bad header, event, replication or time order by line."""
+    return read_jsonl_trace(
+        path, format_tag=FAULT_TRACE_FORMAT, version=FAULT_TRACE_VERSION,
+        error=FaultSpecError, noun="fault trace",
+        from_record=_fault_from_record,
+    )

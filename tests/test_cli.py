@@ -77,6 +77,7 @@ class TestCommands:
         ["route", "--switches", "0"],
         ["route", "--states", "0"],
         ["route", "--seed", "-1"],
+        ["route", "--degree", "nan"],
         ["simulate", "missing.json"],
         ["simulate", "not-json.txt"],
     ])
@@ -88,6 +89,22 @@ class TestCommands:
             main(argv)
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_is_a_usage_error(self, trials, tmp_path,
+                                                  capsys):
+        instance = tmp_path / "instance.json"
+        assert main([
+            "route", "--switches", "20", "--users", "4", "--states", "3",
+            "--seed", "5", "--save", str(instance),
+        ]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(instance), "--trials", trials])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --trials" in err, err
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--seed", "-1"],

@@ -1348,7 +1348,7 @@ def test_persistent_snapshot_survives_calls_and_tracks_mutations():
 
 
 # ----------------------------------------------------------------------
-# Incremental cycle check (position-map fast path + DFS fallback)
+# Cycle check and walk order (one DFS per merge, memoised order)
 
 
 def _directed_edges(paths):
@@ -1384,9 +1384,20 @@ def _oracle_has_cycle(edges):
     return False
 
 
+def _assert_topological(flow):
+    """The memoised walk order covers the flow and every edge points
+    forward in it."""
+    order = flow._topological_order()
+    assert sorted(order) == flow.nodes()
+    position = {node: i for i, node in enumerate(order)}
+    for a, b in _directed_edges(flow.paths):
+        assert position[a] < position[b]
+
+
 def test_cycle_check_randomised_against_dfs_oracle():
-    """Mixed add/remove/widen/upgrade sequences: the incremental check
-    accepts exactly the merges a from-scratch DFS accepts."""
+    """Mixed add/remove/widen/upgrade sequences: add_path accepts exactly
+    the merges a from-scratch DFS accepts, and the walk order stays a
+    topological order of the live graph."""
     rng = ensure_rng(1234)
     flow = FlowLikeGraph(0, 0, 1)
     intermediates = list(range(2, 10))
@@ -1420,34 +1431,37 @@ def test_cycle_check_randomised_against_dfs_oracle():
             keys = sorted(flow.edge_widths())
             edge = keys[int(rng.integers(len(keys)))]
             flow.widen_edge(*edge)
-        # Invariants after every operation: the live graph is acyclic
-        # and the arity memo matches a full rescan.
+        # Invariants after every operation: the live graph is acyclic,
+        # the walk order is topological and the arity memo matches a
+        # full rescan.
         assert not _oracle_has_cycle(_directed_edges(flow.paths))
+        _assert_topological(flow)
         for node in flow.nodes():
             assert flow.fusion_arity(node) == _incident_width(flow, node)
     assert accepted >= 30 and rejected >= 30
 
 
-def test_cycle_check_survives_position_gap_exhaustion():
-    """Thousands of between-anchor insertions exhaust the integer gaps
-    of the position map; the lazy renumber must keep both acceptance and
-    rejection exact."""
+def test_cycle_check_exact_after_repeated_splices():
+    """Forty nodes spliced in turn between the source and the same node,
+    then a backwards and a forwards merge: acceptance and rejection stay
+    exact."""
     flow = FlowLikeGraph(0, 0, 1)
     flow.add_path((0, 2, 1), width=1)
-    # Repeatedly splice a new node between the source and node 2: each
-    # insertion bisects the same positional gap.
+    # Repeatedly splice a new node between the source and node 2.
     chain = [0, 2]
     for fresh in range(100, 140):
         chain.insert(1, fresh)
         flow.add_path(tuple(chain + [1]), width=1)
         assert not _oracle_has_cycle(_directed_edges(flow.paths))
-    # After any renumbering, ordering semantics must be intact: a
-    # backwards edge is still rejected, a forwards one accepted.
+        _assert_topological(flow)
+    # Ordering semantics must be intact: a backwards edge is still
+    # rejected, a forwards one accepted.
     flow.add_path((0, 2, 3, 1), width=1)
     with pytest.raises(RoutingError, match="directed cycle"):
         flow.add_path((0, 3, 2, 1), width=1)
     flow.add_path((0, 100, 3, 1), width=2)
     assert not _oracle_has_cycle(_directed_edges(flow.paths))
+    _assert_topological(flow)
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,7 @@ class TestScenarioGrammar:
             "waxman:states=20,states=30",
             "waxman:switches=12.5",
             "waxman:q=none",
+            "waxman:degree=nan",
         ],
     )
     def test_invalid_specs_rejected(self, text):
