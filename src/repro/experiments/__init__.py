@@ -12,7 +12,6 @@ from repro.experiments.config import ExperimentSetting, default_workers, is_full
 from repro.experiments.estimators import (
     ANALYTIC,
     EstimatorSpec,
-    as_estimator,
     estimate_plan,
     estimation_rng,
     parse_estimator,
@@ -45,7 +44,6 @@ from repro.experiments.scenarios import (
     PAPER_DEFAULT,
     ScenarioSpec,
     ScenarioSpecError,
-    as_scenario,
     as_setting,
     parse_scenario,
     parse_scenario_names,
@@ -79,13 +77,11 @@ __all__ = [
     "ResultCache",
     "ScenarioSpec",
     "ScenarioSpecError",
-    "as_scenario",
     "as_setting",
     "parse_scenario",
     "parse_scenario_names",
     "scenario_presets",
     "topology_compare",
-    "as_estimator",
     "default_result_cache",
     "estimate_plan",
     "estimation_rng",

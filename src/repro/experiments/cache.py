@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.experiments.config import ExperimentSetting, env_text
-from repro.experiments.estimators import ANALYTIC, EstimatorSpec, as_estimator
+from repro.experiments.estimators import ANALYTIC, EstimatorSpec
 from repro.routing.registry import RouterSpecError
 
 #: Bump when the cached payload layout or the routing semantics change
@@ -130,7 +130,7 @@ class ResultCache:
             "cache_format_version": CACHE_FORMAT_VERSION,
             "setting": setting_fingerprint(setting),
             "router": router_fingerprint(router),
-            "estimator": as_estimator(estimator).fingerprint(),
+            "estimator": EstimatorSpec.coerce(estimator).fingerprint(),
         })
 
     def _path(self, key: str) -> Path:

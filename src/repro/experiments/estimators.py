@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.network.graph import QuantumNetwork
 from repro.specs import SpecBase, SpecError
@@ -73,7 +73,6 @@ class EstimatorSpecError(SpecError):
     """
 
 
-ESTIMATOR_KINDS = ("analytic", "mc")
 MC_ENGINES = ("vectorized", "reference")
 
 #: Default Monte-Carlo trial count when a spec says just ``mc``.
@@ -88,10 +87,11 @@ ESTIMATION_STREAM = 0x4D43
 class EstimatorSpec(SpecBase):
     """How a task's routing plan is turned into a rate.
 
-    ``trials``/``engine``/``antithetic`` are meaningful only for
-    ``kind="mc"`` and are pinned to ``0``/``""``/``False`` for
-    ``analytic``, so equal estimators are equal dataclasses (and hash
-    identically into cache keys).
+    ``trials``/``engine``/``antithetic`` and the survival masks are
+    meaningful only for ``kind="mc"`` and are pinned to their defaults
+    for ``analytic``, so equal estimators are equal dataclasses (and
+    hash identically into cache keys).  A parsed ``mc`` defaults to
+    ``DEFAULT_MC_TRIALS`` vectorized trials.
     """
 
     kind: str = "analytic"
@@ -103,41 +103,29 @@ class EstimatorSpec(SpecBase):
 
     spec_what = "estimator"
     spec_error = EstimatorSpecError
+    spec_key = "kind"
+    spec_kinds = {
+        "analytic": (),
+        "mc": (
+            "trials", "engine", "antithetic",
+            "link_survival", "switch_survival",
+        ),
+    }
+    spec_kind_defaults = {
+        "mc": {"trials": DEFAULT_MC_TRIALS, "engine": "vectorized"},
+    }
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise EstimatorSpecError(
-                f"unknown estimator kind {self.kind!r}; known kinds: "
-                f"{', '.join(ESTIMATOR_KINDS)}"
-            )
+        super().__post_init__()
         for name in ("link_survival", "switch_survival"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise EstimatorSpecError(
-                    f"estimator {name} must be a number, got {value!r}"
-                )
-            object.__setattr__(self, name, float(value))
-            if not 0 < getattr(self, name) <= 1:
+            if not 0 < value <= 1:
                 raise EstimatorSpecError(
                     f"estimator {name} must be in (0, 1], got {value!r}"
                 )
-        if self.kind == "analytic":
-            if self.trials != 0 or self.engine != "" or self.antithetic:
-                raise EstimatorSpecError(
-                    "the analytic estimator takes no trials/engine/"
-                    f"antithetic parameters, got trials={self.trials!r}, "
-                    f"engine={self.engine!r}, "
-                    f"antithetic={self.antithetic!r}"
-                )
-            if self.link_survival != 1.0 or self.switch_survival != 1.0:
-                raise EstimatorSpecError(
-                    "survival masks are a Monte-Carlo feature; Equation 1 "
-                    "has no loss model — use an mc estimator with "
-                    "link_survival=/switch_survival="
-                )
+        if not self.is_mc:
             return
-        if not isinstance(self.trials, int) or isinstance(self.trials, bool) \
-                or self.trials < 1:
+        if self.trials < 1:
             raise EstimatorSpecError(
                 f"mc estimator trials must be an int >= 1, got "
                 f"{self.trials!r}"
@@ -146,11 +134,6 @@ class EstimatorSpec(SpecBase):
             raise EstimatorSpecError(
                 f"unknown mc engine {self.engine!r}; known engines: "
                 f"{', '.join(MC_ENGINES)}"
-            )
-        if not isinstance(self.antithetic, bool):
-            raise EstimatorSpecError(
-                f"mc estimator antithetic must be a bool, got "
-                f"{self.antithetic!r}"
             )
         if self.antithetic:
             if self.engine != "vectorized":
@@ -188,82 +171,8 @@ class EstimatorSpec(SpecBase):
             "mc", trials, engine, antithetic, link_survival, switch_survival
         )
 
-    @classmethod
-    def from_string(cls, text: str) -> "EstimatorSpec":
-        """Parse ``analytic`` or ``mc[:trials=N][,engine=E]``."""
-        kind, rest = cls._split_spec(text)
-        kind = kind.lower()
-        if kind == "analytic":
-            if rest is not None:
-                raise EstimatorSpecError(
-                    f"the analytic estimator takes no parameters, got "
-                    f"{text!r}"
-                )
-            return ANALYTIC
-        if kind != "mc":
-            raise EstimatorSpecError(
-                f"unknown estimator kind {kind!r} in spec {text!r}; "
-                f"known kinds: {', '.join(ESTIMATOR_KINDS)}"
-            )
-        params: Dict[str, str] = {}
-        if rest is not None:
-            params = cls._parse_params(
-                rest, text=text,
-                valid=(
-                    "trials", "engine", "antithetic",
-                    "link_survival", "switch_survival",
-                ),
-            )
-        trials = DEFAULT_MC_TRIALS
-        if "trials" in params:
-            try:
-                trials = int(params["trials"])
-            except ValueError:
-                raise EstimatorSpecError(
-                    f"estimator trials must be an int, got "
-                    f"{params['trials']!r}"
-                ) from None
-        antithetic = False
-        if "antithetic" in params:
-            lowered = params["antithetic"].lower()
-            if lowered not in ("true", "false"):
-                raise EstimatorSpecError(
-                    f"estimator antithetic must be true or false, got "
-                    f"{params['antithetic']!r}"
-                )
-            antithetic = lowered == "true"
-        survivals = {}
-        for name in ("link_survival", "switch_survival"):
-            if name not in params:
-                continue
-            try:
-                survivals[name] = float(params[name])
-            except ValueError:
-                raise EstimatorSpecError(
-                    f"estimator {name} must be a number, got "
-                    f"{params[name]!r}"
-                ) from None
-        return cls(
-            "mc", trials, params.get("engine", "vectorized"), antithetic,
-            **survivals,
-        )
-
-    def to_string(self) -> str:
-        """Canonical spec string; round-trips via :meth:`from_string`."""
-        if self.kind == "analytic":
-            return "analytic"
-        rendered = f"mc:trials={self.trials},engine={self.engine}"
-        if self.antithetic:
-            rendered += ",antithetic=true"
-        if self.link_survival != 1.0:
-            rendered += f",link_survival={self.link_survival!r}"
-        if self.switch_survival != 1.0:
-            rendered += f",switch_survival={self.switch_survival!r}"
-        return rendered
-
-    def fingerprint(self) -> Dict:
-        """Stable, JSON-ready identity for cache keys (the historical
-        name; identical to :meth:`config_dict`).
+    def config_dict(self) -> Dict:
+        """Stable, JSON-ready identity for cache keys: every field.
 
         The survival fields joined the spec after cache keys were
         frozen, so the loss-free default omits them — every pre-existing
@@ -275,37 +184,16 @@ class EstimatorSpec(SpecBase):
             del data["switch_survival"]
         return data
 
-    def config_dict(self) -> Dict:
-        """Stable, JSON-ready identity (alias of :meth:`fingerprint`)."""
-        return self.fingerprint()
-
-    def __str__(self) -> str:
-        return self.to_string()
+    def fingerprint(self) -> Dict:
+        """The historical name of :meth:`config_dict`."""
+        return self.config_dict()
 
 
 #: The default estimator: the router's own analytic Equation-1 rate.
 ANALYTIC = EstimatorSpec()
 
-
-def parse_estimator(text: str) -> EstimatorSpec:
-    """Parse a CLI ``--estimator`` value (see :meth:`EstimatorSpec.from_string`)."""
-    return EstimatorSpec.from_string(text)
-
-
-def as_estimator(
-    value: Union[None, str, EstimatorSpec]
-) -> EstimatorSpec:
-    """Coerce ``None`` (→ analytic), a spec string or a spec."""
-    if value is None:
-        return ANALYTIC
-    if isinstance(value, EstimatorSpec):
-        return value
-    if isinstance(value, str):
-        return EstimatorSpec.from_string(value)
-    raise EstimatorSpecError(
-        f"estimator must be None, a spec string or an EstimatorSpec, "
-        f"got {type(value).__name__}"
-    )
+#: Parse a CLI ``--estimator`` value.
+parse_estimator = EstimatorSpec.parse
 
 
 def estimation_rng(sample_seed: int) -> RandomState:

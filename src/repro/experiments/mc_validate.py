@@ -23,11 +23,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentSetting, is_full_run
-from repro.experiments.estimators import (
-    EstimatorSpec,
-    EstimatorSpecError,
-    as_estimator,
-)
+from repro.experiments.estimators import EstimatorSpec, EstimatorSpecError
 from repro.experiments.runner import run_outcomes, standard_specs
 from repro.experiments.scenarios import as_setting
 from repro.utils.tables import AsciiTable
@@ -151,7 +147,7 @@ def mc_validate(
             trials=QUICK_TRIALS if quick else FULL_TRIALS
         )
     else:
-        estimator = as_estimator(estimator)
+        estimator = EstimatorSpec.coerce(estimator)
     if not estimator.is_mc:
         raise EstimatorSpecError(
             f"mc-validate needs a Monte-Carlo estimator, got {estimator}"

@@ -10,9 +10,9 @@ warm-vs-cold caches.
 
 Routers are addressed as :class:`~repro.routing.registry.RouterSpec`
 values (spec strings and registered router instances are coerced via
-:func:`~repro.routing.registry.as_spec`), so a sweep's router set can
-come from a CLI flag, a config file or a cache key as easily as from
-code.  Likewise each run evaluates under an
+:meth:`~repro.routing.registry.RouterSpec.coerce`), so a sweep's router
+set can come from a CLI flag, a config file or a cache key as easily as
+from code.  Likewise each run evaluates under an
 :class:`~repro.experiments.estimators.EstimatorSpec` — the analytic
 Equation-1 rate by default, or a Monte-Carlo re-evaluation of every
 routed plan (``"mc:trials=N,engine=vectorized|reference"``) — and
@@ -33,7 +33,6 @@ from repro.experiments.estimators import (
     ANALYTIC,
     EstimatorSpec,
     EstimatorSpecError,
-    as_estimator,
 )
 from repro.experiments.harness import (
     TaskOutcome,
@@ -45,7 +44,7 @@ from repro.experiments.harness import (
     validate_shard,
 )
 from repro.experiments.scenarios import as_setting
-from repro.routing.registry import Router, RouterSpec, as_spec
+from repro.routing.registry import Router, RouterSpec
 from repro.utils.tables import format_series
 
 
@@ -100,9 +99,9 @@ def run_outcomes(
     addressable exactly like the router and estimator axes.
     """
     settings = [as_setting(setting) for setting in settings]
-    estimator = as_estimator(estimator)
+    estimator = EstimatorSpec.coerce(estimator)
     specs = [
-        as_spec(router)
+        RouterSpec.coerce(router)
         for router in (routers if routers is not None else standard_specs())
     ]
     built: List[Router] = [spec.build() for spec in specs]
@@ -369,10 +368,10 @@ def run_sweep(
             f"{len(x_values)} x values but {len(settings)} settings"
         )
     settings = [as_setting(setting) for setting in settings]
-    base_spec = as_estimator(estimator)
+    base_spec = EstimatorSpec.coerce(estimator)
     overlay_spec = None
     if mc_overlay is not None:
-        overlay_spec = as_estimator(mc_overlay)
+        overlay_spec = EstimatorSpec.coerce(mc_overlay)
         if not overlay_spec.is_mc:
             raise EstimatorSpecError(
                 f"mc_overlay must be a Monte-Carlo estimator, got "
@@ -397,7 +396,7 @@ def run_sweep(
         store_cache = cache if cache is not None else default_result_cache()
         if store_cache is not None:
             specs = [
-                as_spec(r)
+                RouterSpec.coerce(r)
                 for r in (routers if routers is not None else standard_specs())
             ]
             analytic_outcomes = [

@@ -28,22 +28,21 @@ Waxman evaluation scenario.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
+from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentSetting
 from repro.network.builder import NetworkConfig
-from repro.network.registry import normalize_topology, topology_keys
+from repro.network.registry import normalize_topology
 from repro.network.topology.base import (
     DEFAULT_AREA,
     DEFAULT_NUM_USERS,
     DEFAULT_QUBIT_CAPACITY,
     DEFAULT_USER_LINKS,
 )
-from repro.quantum.noise import DEFAULT_ALPHA
-import repro.specs as specs
-from repro.specs import SpecBase, SpecError
+from repro.quantum.noise import DEFAULT_ALPHA, LinkModel, SwapModel
+from repro.specs import SpecBase, SpecError, split_spec_list
 
 
 class ScenarioSpecError(SpecError):
@@ -54,76 +53,11 @@ class ScenarioSpecError(SpecError):
     """
 
 
-#: Spec-grammar parameter name -> dataclass field, in the canonical
-#: order ``to_string`` emits.
-_PARAM_FIELDS = (
-    ("switches", "num_switches"),
-    ("degree", "average_degree"),
-    ("area", "area"),
-    ("qubits", "qubit_capacity"),
-    ("users", "num_users"),
-    ("user_links", "user_links"),
-    ("states", "num_states"),
-    ("alpha", "alpha"),
-    ("p", "fixed_p"),
-    ("q", "swap_q"),
-)
-_FIELD_BY_PARAM = dict(_PARAM_FIELDS)
-_PARAM_BY_FIELD = {field: param for param, field in _PARAM_FIELDS}
-
 #: ExperimentSetting's averaging defaults, read off the dataclass so
 #: scenario-derived settings can never drift from hand-built ones.
 _SETTING_DEFAULTS = {
     f.name: f.default for f in dataclasses.fields(ExperimentSetting)
 }
-
-
-# ----------------------------------------------------------------------
-# Value grammar (the router/estimator spec grammar, restricted to the
-# numeric/none shapes scenario fields take).
-
-
-def _parse_value(text: str):
-    """The shared value grammar restricted to scenario field shapes:
-    numbers and ``none`` (booleans and strings parse fine but are then
-    rejected by the field validators below)."""
-    value = specs.parse_value(text)
-    if value is None or (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-    ):
-        return value
-    raise ScenarioSpecError(
-        f"scenario parameter value {text!r} must be a number or 'none'"
-    )
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _require_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioSpecError(
-            f"scenario parameter {_PARAM_BY_FIELD.get(name, name)!r} must "
-            f"be an int, got {value!r}"
-        )
-    return value
-
-
-def _require_float(name: str, value) -> float:
-    # NaN is refused too: it breaks spec equality (nan != nan).
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or math.isnan(value)
-    ):
-        raise ScenarioSpecError(
-            f"scenario parameter {_PARAM_BY_FIELD.get(name, name)!r} must "
-            f"be a number, got {value!r}"
-        )
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -152,61 +86,47 @@ class ScenarioSpec(SpecBase):
 
     spec_what = "scenario"
     spec_error = ScenarioSpecError
+    spec_key = "topology"
+    #: Spec-string names of the renamed fields; ``area``, ``user_links``
+    #: and ``alpha`` keep their own.
+    spec_names = {
+        "num_switches": "switches",
+        "average_degree": "degree",
+        "qubit_capacity": "qubits",
+        "num_users": "users",
+        "num_states": "states",
+        "fixed_p": "p",
+        "swap_q": "q",
+    }
 
     def __post_init__(self):
+        super().__post_init__()
         # Normalizing here (aliases, -/_) makes equal workloads equal
         # specs — and hash identically into cache keys — however they
         # were spelled; unknown topologies fail at parse time with the
         # registry's key listing.
         object.__setattr__(self, "topology", normalize_topology(self.topology))
-        for check, fields in (
-            (_require_int, ("num_switches", "qubit_capacity", "num_users",
-                            "user_links", "num_states")),
-            (_require_float, ("average_degree", "area", "alpha", "swap_q")),
-        ):
-            for name in fields:
-                object.__setattr__(self, name, check(name, getattr(self, name)))
-        if self.fixed_p is not None:
-            object.__setattr__(
-                self, "fixed_p", _require_float("fixed_p", self.fixed_p)
-            )
-
-    # ------------------------------------------------------------------
-    # Parsing / serialization
+        # Range checks are the network and hardware models' own, run
+        # here so a bad value is a spec error, not a failure mid-run.
+        try:
+            self.network_config()
+            LinkModel(alpha=self.alpha, fixed_p=self.fixed_p)
+            SwapModel(q=self.swap_q)
+        except ConfigurationError as exc:
+            raise ScenarioSpecError(
+                f"invalid scenario {self.to_string()!r}: {exc}"
+            ) from None
 
     @classmethod
     def from_string(cls, text: str) -> "ScenarioSpec":
-        """Parse ``topology[:param=val,...]`` (see module docstring)."""
-        key, rest = cls._split_spec(text)
-        params: Dict[str, object] = {}
-        if rest is not None:
-            raw = cls._parse_params(
-                rest, text=text, valid=[p for p, _ in _PARAM_FIELDS]
-            )
-            params = {
-                _FIELD_BY_PARAM[name]: _parse_value(value)
-                for name, value in raw.items()
-            }
-        return cls(topology=key, **params)
-
-    def to_string(self) -> str:
-        """Canonical ``topology[:param=val,...]`` form (non-default
-        parameters only, fixed order); round-trips via
-        :meth:`from_string`."""
-        rendered = [
-            f"{_PARAM_BY_FIELD[f.name]}={_format_value(getattr(self, f.name))}"
-            for f in dataclasses.fields(self)
-            if f.name != "topology" and getattr(self, f.name) != f.default
-        ]
-        if not rendered:
-            return self.topology
-        return f"{self.topology}:{','.join(rendered)}"
+        """Parse a preset name (:func:`scenario_presets`) or
+        ``topology[:param=val,...]``."""
+        return super().from_string(
+            SCENARIO_PRESETS.get(text.strip().lower(), text)
+        )
 
     # ------------------------------------------------------------------
     # Conversions
-
-    # __str__ and config_dict (the topology key plus every workload
-    # parameter) come from SpecBase.
 
     def network_config(self) -> NetworkConfig:
         """The :class:`NetworkConfig` this scenario's topology implies."""
@@ -299,55 +219,26 @@ def scenario_presets() -> List[str]:
 
 def scenario_param_names() -> List[str]:
     """The grammar's parameter names, in canonical order."""
-    return [param for param, _ in _PARAM_FIELDS]
+    return list(ScenarioSpec.param_fields())
 
 
-def parse_scenario(text: str) -> ScenarioSpec:
-    """Parse a preset name or a ``topology[:param=val,...]`` spec."""
-    name = text.strip().lower()
-    if name in SCENARIO_PRESETS:
-        return ScenarioSpec.from_string(SCENARIO_PRESETS[name])
-    return ScenarioSpec.from_string(text)
+#: Parse a preset name or a ``topology[:param=val,...]`` spec.
+parse_scenario = ScenarioSpec.parse
 
 
 def parse_scenario_names(text: str) -> List[str]:
     """Split a CLI ``--scenarios`` value into individual scenario tokens.
 
-    The value is comma-separated; a segment containing ``=`` before any
-    ``:`` continues the previous scenario's parameter list, so
-    ``"grid:switches=64,users=8,ring"`` is two scenarios.  Every token
-    is validated by :func:`parse_scenario`; the original spellings are
-    returned so tables can label columns the way the user wrote them.
+    A segment containing ``=`` before any ``:`` continues the previous
+    scenario's parameter list, so ``"grid:switches=64,users=8,ring"`` is
+    two scenarios.  Every token is validated by :func:`parse_scenario`;
+    the original spellings are returned so tables can label columns the
+    way the user wrote them.
     """
-    groups: List[List[str]] = []
-    for segment in text.split(","):
-        colon, eq = segment.find(":"), segment.find("=")
-        continues = eq != -1 and (colon == -1 or eq < colon)
-        if continues:
-            if not groups:
-                raise ScenarioSpecError(
-                    f"--scenarios value {text!r} starts with a parameter "
-                    f"({segment!r}) instead of a topology key or preset"
-                )
-            groups[-1].append(segment)
-        else:
-            groups.append([segment])
-    names = [",".join(group).strip() for group in groups]
+    names = split_spec_list(text, "scenario", ScenarioSpecError)
     for name in names:
         parse_scenario(name)
     return names
-
-
-def as_scenario(value: Union[str, ScenarioSpec]) -> ScenarioSpec:
-    """Coerce a spec, preset name or spec string to a :class:`ScenarioSpec`."""
-    if isinstance(value, ScenarioSpec):
-        return value
-    if isinstance(value, str):
-        return parse_scenario(value)
-    raise ScenarioSpecError(
-        f"scenario must be a spec string, preset name or ScenarioSpec, "
-        f"got {type(value).__name__}"
-    )
 
 
 def as_setting(
@@ -362,4 +253,4 @@ def as_setting(
     """
     if isinstance(value, ExperimentSetting):
         return value
-    return as_scenario(value).setting()
+    return ScenarioSpec.coerce(value).setting()

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import is_full_run
 from repro.experiments.runner import SweepResult, run_sweep, standard_specs
-from repro.experiments.scenarios import as_scenario
+from repro.experiments.scenarios import ScenarioSpec
 
 #: The default family grid: the paper's scenario plus every other
 #: registered topology family under the paper's hardware defaults.
@@ -64,7 +64,7 @@ def topology_compare(
     ]
     settings = []
     for entry in chosen:
-        setting = as_scenario(entry).setting()
+        setting = ScenarioSpec.coerce(entry).setting()
         if quick:
             setting = setting.scaled_for_quick_run()
         settings.append(setting)

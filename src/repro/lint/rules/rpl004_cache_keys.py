@@ -1,13 +1,16 @@
 """RPL004: cache-key completeness for ``*Spec`` dataclasses.
 
 The result cache keys work by each spec's ``config_dict()`` /
-``to_string()`` emission.  Those emissions are complete today — some by
-construction (``dataclasses.asdict``), some via hand-maintained
-enumerations (``EstimatorSpec.to_string``, ``ScenarioSpec``'s
-param-name table).  The hand-maintained kind is where stale-cache
-incidents are born: add a dataclass field, forget the table, and two
-genuinely different workloads share a cache entry or a spec string
-stops round-tripping.
+``to_string()`` emission.  Most of it is derived from the dataclass
+fields by :class:`repro.specs.SpecBase`, but each grammar still
+declares tables the derivation reads — which parameters each key takes
+(``spec_kinds``, e.g. ``EstimatorSpec``'s ``mc`` parameters), renamed
+parameters (``ScenarioSpec.spec_names``) — and some keep a
+hand-written ``config_dict`` pinning historical cache digests
+(``EstimatorSpec`` omits its survival masks when they are off).  Those
+are where stale-cache incidents are born: add a dataclass field,
+forget the table or the override, and two genuinely different
+workloads share a cache entry or a spec string stops round-tripping.
 
 The check is a mention audit: every declared field of a dataclass whose
 name ends in ``Spec`` (and that has at least one emission method) must

@@ -14,6 +14,8 @@ from repro.network.topology.base import (
     DEFAULT_NUM_USERS,
     DEFAULT_QUBIT_CAPACITY,
     DEFAULT_USER_LINKS,
+    check_backbone_arguments,
+    check_num_users,
 )
 from repro.utils.rng import RandomState, ensure_rng
 
@@ -41,6 +43,8 @@ class NetworkConfig:
                 "average_degree must be a finite number > 0, "
                 f"got {self.average_degree}"
             )
+        check_backbone_arguments(self.num_switches, self.qubit_capacity)
+        check_num_users(self.num_users)
 
     def with_updates(self, **kwargs) -> "NetworkConfig":
         """A copy of this config with the given fields replaced."""

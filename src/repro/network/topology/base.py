@@ -91,8 +91,7 @@ def attach_users(
     ``links_per_user`` edges to its nearest distinct switches, which keeps
     users reachable even when one access switch is depleted.
     """
-    if num_users < 2:
-        raise ConfigurationError(f"num_users must be >= 2, got {num_users}")
+    check_num_users(num_users)
     switches = network.switches()
     if not switches:
         raise TopologyError("cannot attach users: the network has no switches")
@@ -108,6 +107,12 @@ def attach_users(
             network.add_edge(node_id, switch)
         user_ids.append(node_id)
     return user_ids
+
+
+def check_num_users(num_users: int) -> None:
+    """Validate a user count: a demand needs two distinct users."""
+    if num_users < 2:
+        raise ConfigurationError(f"num_users must be >= 2, got {num_users}")
 
 
 def check_backbone_arguments(num_switches: int, qubit_capacity: int) -> None:

@@ -54,7 +54,6 @@ from repro.routing.registry import (
     Router,
     RouterSpec,
     RouterSpecError,
-    as_spec,
     make_router,
     parse_router_specs,
     register_router,
@@ -91,7 +90,6 @@ __all__ = [
     "Router",
     "RouterSpec",
     "RouterSpecError",
-    "as_spec",
     "make_router",
     "parse_router_specs",
     "register_router",

@@ -34,7 +34,6 @@ flag can address it.
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
@@ -214,7 +213,7 @@ class RouterSpec(SpecBase):
     specs are hashable, picklable and canonically comparable.  Use
     :meth:`create` / :meth:`from_string` rather than the raw constructor;
     both normalize the key and validate parameter names against the
-    router class's fields.
+    router class's fields, whose annotations type the values.
     """
 
     key: str
@@ -222,11 +221,15 @@ class RouterSpec(SpecBase):
 
     spec_what = "router"
     spec_error = RouterSpecError
+    spec_key = "key"
+    # ``=`` and ``:`` stay out of values so every spec in a --routers
+    # list re-parses; ``name=`` (an empty label) is allowed.
+    spec_reserved = ",:="
+    spec_allow_empty_value = True
 
     def __post_init__(self):
         object.__setattr__(self, "key", normalize_key(self.key))
-        cls = _REGISTRY[self.key]
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        fields = self.spec_fields(self.key)
         params = dict(self.params)
         unknown = [name for name in params if name not in fields]
         if unknown:
@@ -235,21 +238,19 @@ class RouterSpec(SpecBase):
                 f"for router {self.key!r}; valid parameters: "
                 f"{', '.join(sorted(fields))}"
             )
-        # Coerce by the field's declared type where the spec-string
-        # value grammar is ambiguous (e.g. name=123 must stay a str,
-        # include_alg4=0 must mean False so equal configurations hash
-        # identically), rejecting type-invalid values here rather than
-        # deep inside a routing run.  Then drop explicit defaults so
-        # equal configurations are equal specs.
+        # Coerce by the field's declared type, then drop explicit
+        # defaults so equal configurations are equal specs (and hash
+        # identically into cache keys).
+        cls = _REGISTRY[self.key]
+        hints = specs.field_hints(cls)
         coerced = {
-            name: _coerce_param(name, value, fields[name].type, self.key)
+            name: specs.coerce_value(
+                value, hints.get(name),
+                f"parameter {name!r} of router {self.key!r}",
+                RouterSpecError, self.spec_reserved,
+            )
             for name, value in params.items()
         }
-        for value in coerced.values():
-            if isinstance(value, str):
-                # Catch unserializable strings here so every
-                # constructible spec has a working to_string()/__str__.
-                _check_spec_string(value)
         # Build once so a router's own value checks (its __post_init__)
         # reject an out-of-range spec here, at CLI parse time.
         cls(**coerced)
@@ -263,43 +264,53 @@ class RouterSpec(SpecBase):
         object.__setattr__(self, "params", canonical)
 
     @classmethod
+    def spec_fields(cls, key: str) -> Dict[str, dataclasses.Field]:
+        """A router spec's parameters are its router class's fields."""
+        return {f.name: f for f in dataclasses.fields(router_class(key))}
+
+    @classmethod
+    def spec_hints(cls, key: str) -> Dict[str, object]:
+        return specs.field_hints(router_class(key))
+
+    @classmethod
+    def _build(cls, key: str, values: Dict[str, object]) -> "RouterSpec":
+        return cls.create(key, **values)
+
+    @classmethod
     def create(cls, key: str, **params) -> "RouterSpec":
         """Spec for *key* with keyword parameter overrides."""
         return cls(key, tuple(params.items()))
 
     @classmethod
-    def from_string(cls, text: str) -> "RouterSpec":
-        """Parse ``"key"`` or ``"key:param=val,param=val"``.
+    def coerce(cls, router) -> "RouterSpec":
+        """A spec from a spec, spec string or registered router instance.
 
-        Values parse as booleans (``true``/``false``), ``none``, ints,
-        floats, then fall back to strings — matching what
-        :meth:`to_string` emits, so specs round-trip.  A second ``=``
-        could parse here but ``to_string`` could never re-emit it, so
-        it is rejected symmetrically; unknown parameter names are
-        checked (and listed) by ``__post_init__`` against the router
-        class's fields.
+        Instance coercion keeps only the fields that differ from the
+        class defaults, so ``RouterSpec.coerce(AlgNFusion())`` equals
+        ``RouterSpec.create("alg-n-fusion")``.
         """
-        key, rest = cls._split_spec(text)
-        params: Dict[str, object] = {}
-        if rest is not None:
-            params = {
-                name: _parse_value(value)
-                for name, value in cls._parse_params(
-                    rest, text=text,
-                    forbid_eq_in_value=True, allow_empty_value=True,
-                ).items()
+        if isinstance(router, (RouterSpec, str)):
+            return super().coerce(router)
+        key = getattr(type(router), "registry_key", None)
+        # The class itself must be the registered one: an unregistered
+        # subclass inherits registry_key, and coercing it to the base
+        # spec would silently rebuild (and evaluate) the wrong router.
+        if key is not None and _REGISTRY.get(key) is type(router):
+            overrides = {
+                field.name: getattr(router, field.name)
+                for field in dataclasses.fields(router)
+                if getattr(router, field.name) != field.default
             }
-        return cls.create(key, **params)
-
-    def to_string(self) -> str:
-        """The ``key[:param=val,...]`` form; round-trips via
-        :meth:`from_string`."""
-        if not self.params:
-            return self.key
-        rendered = ",".join(
-            f"{name}={_format_value(value)}" for name, value in self.params
+            return cls.create(key, **overrides)
+        raise RouterSpecError(
+            f"cannot derive a RouterSpec from {router!r}; pass a "
+            "RouterSpec, a spec string, or an instance of a "
+            "@register_router class (subclasses need their own "
+            "registration)"
         )
-        return f"{self.key}:{rendered}"
+
+    def spec_items(self) -> List[Tuple[str, object]]:
+        return list(self.params)
 
     def param_dict(self) -> Dict[str, object]:
         """The explicit parameter overrides as a plain dict."""
@@ -315,43 +326,10 @@ class RouterSpec(SpecBase):
         whether derived from the spec or the instance."""
         return self.build().config_dict()
 
-    def __str__(self) -> str:
-        return self.to_string()
-
 
 def make_router(key: str, **params) -> Router:
     """Build a registered router: ``make_router("alg-n-fusion", h=5)``."""
     return RouterSpec.create(key, **params).build()
-
-
-def as_spec(router) -> RouterSpec:
-    """Coerce a spec, spec string or registered router instance to a
-    :class:`RouterSpec`.
-
-    Instance coercion keeps only the fields that differ from the class
-    defaults, so ``as_spec(AlgNFusion())`` equals
-    ``RouterSpec.create("alg-n-fusion")``.
-    """
-    if isinstance(router, RouterSpec):
-        return router
-    if isinstance(router, str):
-        return RouterSpec.from_string(router)
-    key = getattr(type(router), "registry_key", None)
-    # The class itself must be the registered one: an unregistered
-    # subclass inherits registry_key, and coercing it to the base spec
-    # would silently rebuild (and evaluate) the wrong router.
-    if key is not None and _REGISTRY.get(key) is type(router):
-        overrides = {
-            field.name: getattr(router, field.name)
-            for field in dataclasses.fields(router)
-            if getattr(router, field.name) != field.default
-        }
-        return RouterSpec.create(key, **overrides)
-    raise RouterSpecError(
-        f"cannot derive a RouterSpec from {router!r}; pass a RouterSpec, "
-        "a spec string, or an instance of a @register_router class "
-        "(subclasses need their own registration)"
-    )
 
 
 def parse_router_specs(text: str) -> List[RouterSpec]:
@@ -361,94 +339,7 @@ def parse_router_specs(text: str) -> List[RouterSpec]:
     ``:`` before it continues the previous spec's parameter list, so
     ``"alg-n-fusion:include_alg4=false,h=5,q-cast"`` is two specs.
     """
-    groups: List[List[str]] = []
-    for segment in text.split(","):
-        colon, eq = segment.find(":"), segment.find("=")
-        continues = eq != -1 and (colon == -1 or eq < colon)
-        if continues:
-            if not groups:
-                raise RouterSpecError(
-                    f"--routers value {text!r} starts with a parameter "
-                    f"({segment!r}) instead of a router key"
-                )
-            groups[-1].append(segment)
-        else:
-            groups.append([segment])
-    return [RouterSpec.from_string(",".join(group)) for group in groups]
-
-
-#: Field annotations the spec grammar understands; anything else (a
-#: custom router's exotic type) is passed through unvalidated.
-_OPTIONAL_PATTERN = re.compile(r"(?:typing\.)?Optional\[(.+)\]")
-
-
-def _coerce_param(name: str, value, annotation, key: str):
-    """Coerce a parsed spec value to the field's declared type, or
-    reject it.
-
-    Spec-string values parse by shape, so ``name=123`` arrives as the
-    int 123 even though ``name`` is a str field, and ``include_alg4=0``
-    as an int that must canonicalize to ``False`` for cache keys to
-    match the ``false`` spelling.  Type-invalid values (``max_width=abc``)
-    raise here — at the CLI's parse-time validators — instead of as a
-    raw TypeError deep inside a routing run.  Annotations are compared
-    textually because the router modules use ``from __future__ import
-    annotations``.
-    """
-    text = (
-        annotation
-        if isinstance(annotation, str)
-        else getattr(annotation, "__name__", str(annotation))
-    ).strip()
-    optional = False
-    wrapped = _OPTIONAL_PATTERN.fullmatch(text)
-    if wrapped:
-        optional = True
-        text = wrapped.group(1).strip()
-    if text not in ("str", "bool", "int", "float"):
-        return value
-    if value is None:
-        if optional:
-            return None
-        raise RouterSpecError(
-            f"parameter {name!r} of router {key!r} must be {text}, "
-            "got none"
-        )
-    if text == "str":
-        return value if isinstance(value, str) else _format_value(value)
-    if text == "bool":
-        if isinstance(value, bool):
-            return value
-        if value in (0, 1):
-            return bool(value)
-    elif text == "int":
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    elif text == "float":
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = float(value)
-            if math.isnan(value):
-                # NaN breaks spec equality (nan != nan) and to_string.
-                raise RouterSpecError(
-                    f"parameter {name!r} of router {key!r} must not be NaN"
-                )
-            return value
-    raise RouterSpecError(
-        f"parameter {name!r} of router {key!r} must be "
-        f"{'an optional ' if optional else ''}{text}, got {value!r}"
-    )
-
-
-def _parse_value(text: str):
-    """Spec-string value syntax (shared grammar; see repro.specs)."""
-    return specs.parse_value(text)
-
-
-def _check_spec_string(value: str) -> str:
-    """Reject str values the spec grammar cannot re-parse."""
-    return specs.check_spec_string(value, RouterSpecError)
-
-
-def _format_value(value) -> str:
-    """Inverse of :func:`_parse_value`; rejects unrepresentable values."""
-    return specs.format_value(value, RouterSpecError)
+    return [
+        RouterSpec.from_string(group)
+        for group in specs.split_spec_list(text, "router", RouterSpecError)
+    ]

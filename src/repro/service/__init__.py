@@ -17,7 +17,6 @@ from repro.service.arrivals import (
     ArrivalSpec,
     ArrivalSpecError,
     HoldSpec,
-    as_arrivals,
     parse_arrivals,
     poisson_events,
     read_trace,
@@ -30,8 +29,6 @@ from repro.service.faults import (
     FaultSpec,
     FaultSpecError,
     RepairSpec,
-    as_faults,
-    as_repair,
     fault_events,
     parse_faults,
     parse_repair,
@@ -68,9 +65,6 @@ __all__ = [
     "ServeReport",
     "ServeRun",
     "ServeSession",
-    "as_arrivals",
-    "as_faults",
-    "as_repair",
     "fault_events",
     "latency_summary",
     "parse_arrivals",

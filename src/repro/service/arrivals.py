@@ -20,14 +20,13 @@ an edited trace.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
-from repro.specs import SpecBase, SpecError
+from repro.specs import SpecBase, SpecError, TraceFileMixin
 from repro.utils.rng import RandomState, stream_rng
 
 #: Substream index of the k-th arrival event is ``EVENT_STREAM_BASE + k``.
@@ -49,61 +48,31 @@ class ArrivalSpecError(SpecError):
     """
 
 
-def _parse_float(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ArrivalSpecError(
-            f"arrival parameter {name!r} must be a number, got {text!r}"
-        ) from None
-
-
 @dataclass(frozen=True)
-class HoldSpec:
-    """How long an admitted flow holds its capacity.
+class HoldSpec(SpecBase):
+    """How long an admitted flow holds its capacity: ``DIST:mean=M``.
 
     ``exp`` draws holding times from an exponential distribution with
     the given mean (the M/M/. holding model); ``fixed`` holds exactly
     ``mean``.  Single-parameter by construction so the enclosing
-    arrival grammar stays comma-separable.
+    arrival grammar stays comma-separable; ``mean`` has no default, so
+    the spec string always names it.
     """
 
-    dist: str = "exp"
-    mean: float = 30.0
+    dist: str
+    mean: float
+
+    spec_what = "hold"
+    spec_error = ArrivalSpecError
+    spec_key = "dist"
+    spec_kinds = {"exp": ("mean",), "fixed": ("mean",)}
 
     def __post_init__(self) -> None:
-        if self.dist not in ("exp", "fixed"):
-            raise ArrivalSpecError(
-                f"hold distribution must be 'exp' or 'fixed', got "
-                f"{self.dist!r}"
-            )
-        object.__setattr__(self, "mean", float(self.mean))
+        super().__post_init__()
         if not self.mean > 0:
             raise ArrivalSpecError(
                 f"hold mean must be > 0, got {self.mean!r}"
             )
-
-    @classmethod
-    def from_string(cls, text: str) -> "HoldSpec":
-        """Parse ``dist:mean=VALUE`` (e.g. ``exp:mean=30``)."""
-        dist, sep, rest = text.strip().partition(":")
-        if not sep or not dist:
-            raise ArrivalSpecError(
-                f"hold spec {text!r} must look like dist:mean=VALUE "
-                "(e.g. exp:mean=30)"
-            )
-        name, eq, value = rest.partition("=")
-        if not eq or name.strip() != "mean" or not value.strip():
-            raise ArrivalSpecError(
-                f"hold spec {text!r} takes exactly one parameter, "
-                "mean=VALUE"
-            )
-        return cls(dist=dist, mean=_parse_float("hold mean", value.strip()))
-
-    def to_string(self) -> str:
-        """Canonical ``dist:mean=VALUE`` form; round-trips via
-        :meth:`from_string`."""
-        return f"{self.dist}:mean={self.mean!r}"
 
     def sample(self, rng: RandomState) -> float:
         """Draw one holding time (``fixed`` consumes no randomness)."""
@@ -145,7 +114,7 @@ class ArrivalEvent:
 
 
 @dataclass(frozen=True)
-class ArrivalSpec(SpecBase):
+class ArrivalSpec(TraceFileMixin, SpecBase):
     """One arrival process: Poisson with a holding model, or a trace.
 
     ``rate``/``hold`` parameterise Poisson arrivals and are meaningless
@@ -156,107 +125,20 @@ class ArrivalSpec(SpecBase):
 
     kind: str = "poisson"
     rate: float = 2.0
-    hold: HoldSpec = HoldSpec()
+    hold: HoldSpec = HoldSpec("exp", 30.0)
     file: Optional[str] = None
 
     spec_what = "arrival"
     spec_error = ArrivalSpecError
+    spec_key = "kind"
+    spec_kinds = {"poisson": ("rate", "hold"), "trace": ("file",)}
 
     def __post_init__(self) -> None:
-        if self.kind not in ("poisson", "trace"):
+        super().__post_init__()
+        if not self.rate > 0:
             raise ArrivalSpecError(
-                f"arrival kind must be 'poisson' or 'trace', got "
-                f"{self.kind!r}"
+                f"arrival rate must be > 0, got {self.rate!r}"
             )
-        if isinstance(self.hold, str):
-            object.__setattr__(self, "hold", HoldSpec.from_string(self.hold))
-        if not isinstance(self.hold, HoldSpec):
-            raise ArrivalSpecError(
-                f"hold must be a HoldSpec or spec string, got "
-                f"{type(self.hold).__name__}"
-            )
-        if self.kind == "poisson":
-            object.__setattr__(self, "rate", float(self.rate))
-            if not self.rate > 0:
-                raise ArrivalSpecError(
-                    f"arrival rate must be > 0, got {self.rate!r}"
-                )
-            if self.file is not None:
-                raise ArrivalSpecError(
-                    "poisson arrivals take no file= parameter"
-                )
-        else:
-            if not self.file:
-                raise ArrivalSpecError(
-                    "trace arrivals need file=PATH"
-                )
-            if "," in self.file:
-                raise ArrivalSpecError(
-                    f"trace file path {self.file!r} must not contain "
-                    "','; rename the file"
-                )
-
-    # ------------------------------------------------------------------
-    # Parsing / serialization
-
-    @classmethod
-    def from_string(cls, text: str) -> "ArrivalSpec":
-        """Parse ``poisson[:rate=R,hold=DIST:mean=M]`` or
-        ``trace:file=PATH``.
-
-        ``=`` may appear inside a value (the nested hold grammar), so
-        the shared tokenizer's default first-``=``-wins split applies.
-        """
-        kind, rest = cls._split_spec(text)
-        kind = kind.lower()
-        params: Dict[str, object] = {}
-        if rest is not None:
-            raw = cls._parse_params(
-                rest, text=text, valid=("rate", "hold", "file")
-            )
-            for name, value in raw.items():
-                if name == "rate":
-                    params["rate"] = _parse_float("rate", value)
-                elif name == "hold":
-                    params["hold"] = HoldSpec.from_string(value)
-                else:
-                    params["file"] = value
-        if kind == "trace" and ("rate" in params or "hold" in params):
-            raise ArrivalSpecError(
-                "trace arrivals replay the recorded times and holds; "
-                "rate=/hold= do not apply"
-            )
-        return cls(kind=kind, **params)
-
-    def to_string(self) -> str:
-        """Canonical form (non-default parameters only); round-trips
-        via :meth:`from_string`."""
-        if self.kind == "trace":
-            return f"trace:file={self.file}"
-        rendered = []
-        if self.rate != 2.0:
-            rendered.append(f"rate={self.rate!r}")
-        if self.hold != HoldSpec():
-            rendered.append(f"hold={self.hold.to_string()}")
-        if not rendered:
-            return self.kind
-        return f"{self.kind}:{','.join(rendered)}"
-
-    def config_dict(self) -> Dict:
-        """Stable, JSON-ready identity for cache keys.
-
-        Trace identity is the file *contents* (sha256), not its path,
-        so renaming a trace hits the same entries while editing one
-        misses.
-        """
-        if self.kind == "trace":
-            digest = hashlib.sha256(Path(self.file).read_bytes()).hexdigest()
-            return {"kind": self.kind, "trace_sha256": digest}
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "hold": {"dist": self.hold.dist, "mean": self.hold.mean},
-        }
 
 
 def validate_events(events) -> None:
@@ -279,21 +161,8 @@ def validate_events(events) -> None:
         last = event.time
 
 
-def parse_arrivals(text: str) -> ArrivalSpec:
-    """Parse an arrival spec string (the CLI ``--arrivals`` type)."""
-    return ArrivalSpec.from_string(text)
-
-
-def as_arrivals(value: Union[str, ArrivalSpec]) -> ArrivalSpec:
-    """Coerce a spec or spec string to an :class:`ArrivalSpec`."""
-    if isinstance(value, ArrivalSpec):
-        return value
-    if isinstance(value, str):
-        return parse_arrivals(value)
-    raise ArrivalSpecError(
-        f"arrivals must be a spec string or ArrivalSpec, got "
-        f"{type(value).__name__}"
-    )
+#: Parse an arrival spec string (the CLI ``--arrivals`` type).
+parse_arrivals = ArrivalSpec.parse
 
 
 # ----------------------------------------------------------------------

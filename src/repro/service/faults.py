@@ -39,14 +39,13 @@ delays, no clocks, no sleeps.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
-from repro.specs import SpecBase, SpecError
+from repro.specs import SpecBase, SpecError, TraceFileMixin
 from repro.utils.retry import BACKOFF_KINDS, backoff_delays
 from repro.utils.rng import stream_rng
 
@@ -76,15 +75,6 @@ FAULT_TRACE_VERSION = 1
 
 class FaultSpecError(SpecError):
     """A fault spec string, parameter or trace file is invalid."""
-
-
-def _parse_float(name: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise FaultSpecError(
-            f"fault parameter {name!r} must be a number, got {text!r}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,7 @@ class FaultEvent:
 
 
 @dataclass(frozen=True)
-class FaultSpec(SpecBase):
+class FaultSpec(TraceFileMixin, SpecBase):
     """One fault process: per-element renewal failures, or a trace.
 
     At least one of ``link_mtbf`` / ``switch_mtbf`` / ``switch_p`` must
@@ -143,43 +133,26 @@ class FaultSpec(SpecBase):
 
     spec_what = "fault"
     spec_error = FaultSpecError
+    spec_key = "kind"
+    spec_kinds = {
+        "faults": (
+            "link_mtbf", "link_mttr", "switch_mtbf", "switch_p",
+            "switch_mttr",
+        ),
+        "trace": ("file",),
+    }
 
     def __post_init__(self) -> None:
-        if self.kind not in ("faults", "trace"):
-            raise FaultSpecError(
-                f"fault kind must be 'faults' or 'trace', got {self.kind!r}"
-            )
+        super().__post_init__()
         if self.kind == "trace":
-            if not self.file:
-                raise FaultSpecError("trace faults need file=PATH")
-            if "," in self.file:
-                raise FaultSpecError(
-                    f"trace file path {self.file!r} must not contain "
-                    "','; rename the file"
-                )
-            if (
-                self.link_mtbf is not None
-                or self.switch_mtbf is not None
-                or self.switch_p is not None
-            ):
-                raise FaultSpecError(
-                    "trace faults replay the recorded timeline; "
-                    "link_mtbf=/switch_mtbf=/switch_p= do not apply"
-                )
             return
-        if self.file is not None:
-            raise FaultSpecError("parametric faults take no file= parameter")
         for name in ("link_mtbf", "link_mttr", "switch_mtbf", "switch_mttr"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            object.__setattr__(self, name, float(value))
-            if not getattr(self, name) > 0:
+            if value is not None and not value > 0:
                 raise FaultSpecError(
                     f"fault parameter {name!r} must be > 0, got {value!r}"
                 )
         if self.switch_p is not None:
-            object.__setattr__(self, "switch_p", float(self.switch_p))
             if not 0 < self.switch_p <= 1:
                 raise FaultSpecError(
                     f"switch_p must be in (0, 1], got {self.switch_p!r}"
@@ -200,69 +173,6 @@ class FaultSpec(SpecBase):
             )
 
     # ------------------------------------------------------------------
-    # Parsing / serialization
-
-    @classmethod
-    def from_string(cls, text: str) -> "FaultSpec":
-        """Parse ``faults:link_mtbf=...,switch_p=...`` or
-        ``trace:file=PATH``."""
-        kind, rest = cls._split_spec(text)
-        kind = kind.lower()
-        params: Dict[str, object] = {}
-        if rest is not None:
-            raw = cls._parse_params(
-                rest,
-                text=text,
-                valid=(
-                    "link_mtbf", "link_mttr", "switch_mtbf", "switch_p",
-                    "switch_mttr", "file",
-                ),
-            )
-            for name, value in raw.items():
-                if name == "file":
-                    params["file"] = value
-                else:
-                    params[name] = _parse_float(name, value)
-        return cls(kind=kind, **params)
-
-    def to_string(self) -> str:
-        """Canonical form (non-default parameters only); round-trips
-        via :meth:`from_string`."""
-        if self.kind == "trace":
-            return f"trace:file={self.file}"
-        rendered = []
-        if self.link_mtbf is not None:
-            rendered.append(f"link_mtbf={self.link_mtbf!r}")
-        if self.link_mttr != 30.0:
-            rendered.append(f"link_mttr={self.link_mttr!r}")
-        if self.switch_mtbf is not None:
-            rendered.append(f"switch_mtbf={self.switch_mtbf!r}")
-        if self.switch_p is not None:
-            rendered.append(f"switch_p={self.switch_p!r}")
-        if self.switch_mttr != 30.0:
-            rendered.append(f"switch_mttr={self.switch_mttr!r}")
-        return f"{self.kind}:{','.join(rendered)}"
-
-    def config_dict(self) -> Dict:
-        """Stable, JSON-ready identity for cache keys.
-
-        Trace identity is the file *contents* (sha256), like arrival
-        traces, so cached serve results can never outlive an edited
-        timeline.
-        """
-        if self.kind == "trace":
-            digest = hashlib.sha256(Path(self.file).read_bytes()).hexdigest()
-            return {"kind": self.kind, "trace_sha256": digest}
-        return {
-            "kind": self.kind,
-            "link_mtbf": self.link_mtbf,
-            "link_mttr": self.link_mttr,
-            "switch_mtbf": self.switch_mtbf,
-            "switch_p": self.switch_p,
-            "switch_mttr": self.switch_mttr,
-        }
-
-    # ------------------------------------------------------------------
     # Derived parameters
 
     def effective_switch_mtbf(self) -> Optional[float]:
@@ -275,21 +185,8 @@ class FaultSpec(SpecBase):
         return None
 
 
-def parse_faults(text: str) -> FaultSpec:
-    """Parse a fault spec string (the CLI ``--faults`` type)."""
-    return FaultSpec.from_string(text)
-
-
-def as_faults(value: Union[str, FaultSpec]) -> FaultSpec:
-    """Coerce a spec or spec string to a :class:`FaultSpec`."""
-    if isinstance(value, FaultSpec):
-        return value
-    if isinstance(value, str):
-        return parse_faults(value)
-    raise FaultSpecError(
-        f"faults must be a spec string or FaultSpec, got "
-        f"{type(value).__name__}"
-    )
+#: Parse a fault spec string (the CLI ``--faults`` type).
+parse_faults = FaultSpec.parse
 
 
 # ----------------------------------------------------------------------
@@ -297,51 +194,29 @@ def as_faults(value: Union[str, FaultSpec]) -> FaultSpec:
 
 
 @dataclass(frozen=True)
-class BackoffSpec:
-    """Delay schedule between repair attempts.
+class BackoffSpec(SpecBase):
+    """Delay schedule between repair attempts: ``KIND:base=B``.
 
     ``exp`` doubles the delay per retry starting from ``base``;
     ``fixed`` always waits ``base``.  Single-parameter by construction
     so the enclosing repair grammar stays comma-separable (the same
-    nesting trick as the arrival grammar's hold spec).
+    nesting as the arrival grammar's hold spec).
     """
 
-    kind: str = "exp"
-    base: float = 1.0
+    kind: str
+    base: float
+
+    spec_what = "backoff"
+    spec_error = FaultSpecError
+    spec_key = "kind"
+    spec_kinds = {kind: ("base",) for kind in BACKOFF_KINDS}
 
     def __post_init__(self) -> None:
-        if self.kind not in BACKOFF_KINDS:
-            raise FaultSpecError(
-                f"backoff kind must be one of {', '.join(BACKOFF_KINDS)}, "
-                f"got {self.kind!r}"
-            )
-        object.__setattr__(self, "base", float(self.base))
+        super().__post_init__()
         if not self.base > 0:
             raise FaultSpecError(
                 f"backoff base must be > 0, got {self.base!r}"
             )
-
-    @classmethod
-    def from_string(cls, text: str) -> "BackoffSpec":
-        """Parse ``kind:base=VALUE`` (e.g. ``exp:base=1.0``)."""
-        kind, sep, rest = text.strip().partition(":")
-        if not sep or not kind:
-            raise FaultSpecError(
-                f"backoff spec {text!r} must look like kind:base=VALUE "
-                "(e.g. exp:base=1.0)"
-            )
-        name, eq, value = rest.partition("=")
-        if not eq or name.strip() != "base" or not value.strip():
-            raise FaultSpecError(
-                f"backoff spec {text!r} takes exactly one parameter, "
-                "base=VALUE"
-            )
-        return cls(kind=kind, base=_parse_float("backoff base", value.strip()))
-
-    def to_string(self) -> str:
-        """Canonical ``kind:base=VALUE`` form; round-trips via
-        :meth:`from_string`."""
-        return f"{self.kind}:base={self.base!r}"
 
 
 @dataclass(frozen=True)
@@ -356,93 +231,31 @@ class RepairSpec(SpecBase):
 
     kind: str = "reroute"
     retries: int = 2
-    backoff: BackoffSpec = BackoffSpec()
+    backoff: BackoffSpec = BackoffSpec("exp", 1.0)
 
     spec_what = "repair"
     spec_error = FaultSpecError
+    spec_key = "kind"
+    spec_kinds = {"drop": (), "reroute": ("retries", "backoff")}
+    spec_kind_defaults = {"drop": {"retries": 0}}
 
     def __post_init__(self) -> None:
-        if self.kind not in ("drop", "reroute"):
-            raise FaultSpecError(
-                f"repair kind must be 'drop' or 'reroute', got {self.kind!r}"
-            )
-        if isinstance(self.backoff, str):
-            object.__setattr__(
-                self, "backoff", BackoffSpec.from_string(self.backoff)
-            )
-        if not isinstance(self.backoff, BackoffSpec):
-            raise FaultSpecError(
-                f"backoff must be a BackoffSpec or spec string, got "
-                f"{type(self.backoff).__name__}"
-            )
-        if isinstance(self.retries, bool) or not isinstance(self.retries, int):
-            raise FaultSpecError(
-                f"retries must be an int, got {self.retries!r}"
-            )
+        super().__post_init__()
         if self.retries < 0:
             raise FaultSpecError(
                 f"retries must be >= 0, got {self.retries}"
             )
-        if self.kind == "drop" and self.retries != 0:
-            raise FaultSpecError(
-                "drop never re-attempts; retries= does not apply"
-            )
-        # Materialise eagerly so an invalid schedule fails at parse
+        # Materialise eagerly so an unusable schedule fails at parse
         # time, not mid-serve.
-        backoff_delays(self.backoff.kind, self.backoff.base, self.retries)
-
-    @classmethod
-    def from_string(cls, text: str) -> "RepairSpec":
-        """Parse ``drop`` or
-        ``reroute[:retries=N,backoff=KIND:base=B]``."""
-        kind, rest = cls._split_spec(text)
-        kind = kind.lower()
-        params: Dict[str, object] = {}
-        if rest is not None:
-            raw = cls._parse_params(
-                rest, text=text, valid=("retries", "backoff")
-            )
-            for name, value in raw.items():
-                if name == "retries":
-                    try:
-                        params["retries"] = int(value)
-                    except ValueError:
-                        raise FaultSpecError(
-                            f"repair retries must be an int, got {value!r}"
-                        ) from None
-                else:
-                    params["backoff"] = BackoffSpec.from_string(value)
-        if kind == "drop" and params:
+        try:
+            delays = self.delays()
+        except OverflowError:
+            delays = (math.inf,)
+        if delays and not math.isfinite(delays[-1]):
             raise FaultSpecError(
-                "drop never re-attempts; retries=/backoff= do not apply"
+                f"repair schedule of {self.retries} retries with backoff "
+                f"{self.backoff} overflows; its delays are not finite"
             )
-        if kind == "drop":
-            params["retries"] = 0
-        return cls(kind=kind, **params)
-
-    def to_string(self) -> str:
-        """Canonical form (non-default parameters only); round-trips
-        via :meth:`from_string`."""
-        if self.kind == "drop":
-            return "drop"
-        rendered = []
-        if self.retries != 2:
-            rendered.append(f"retries={self.retries}")
-        if self.backoff != BackoffSpec():
-            rendered.append(f"backoff={self.backoff.to_string()}")
-        if not rendered:
-            return self.kind
-        return f"{self.kind}:{','.join(rendered)}"
-
-    def config_dict(self) -> Dict:
-        """Stable, JSON-ready identity for cache keys."""
-        if self.kind == "drop":
-            return {"kind": self.kind}
-        return {
-            "kind": self.kind,
-            "retries": self.retries,
-            "backoff": {"kind": self.backoff.kind, "base": self.backoff.base},
-        }
 
     def delays(self) -> Tuple[float, ...]:
         """The deterministic retry schedule (simulated-time delays)."""
@@ -450,21 +263,8 @@ class RepairSpec(SpecBase):
                               self.retries)
 
 
-def parse_repair(text: str) -> RepairSpec:
-    """Parse a repair spec string (the CLI ``--repair`` type)."""
-    return RepairSpec.from_string(text)
-
-
-def as_repair(value: Union[str, RepairSpec]) -> RepairSpec:
-    """Coerce a spec or spec string to a :class:`RepairSpec`."""
-    if isinstance(value, RepairSpec):
-        return value
-    if isinstance(value, str):
-        return parse_repair(value)
-    raise FaultSpecError(
-        f"repair must be a spec string or RepairSpec, got "
-        f"{type(value).__name__}"
-    )
+#: Parse a repair spec string (the CLI ``--repair`` type).
+parse_repair = RepairSpec.parse
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,7 @@ from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache
 from repro.service.arrivals import ArrivalEvent, validate_events
-from repro.service.faults import KIND_ORDER, FaultEvent, RepairSpec, as_repair
+from repro.service.faults import KIND_ORDER, FaultEvent, RepairSpec
 from repro.utils.timing import perf_timer
 
 EdgeKey = Tuple[int, int]
@@ -366,7 +366,7 @@ def run_serve(
     """
     check_horizon(duration, warmup)
     validate_events(events)
-    repair_spec = as_repair(repair) if repair is not None else RepairSpec()
+    repair_spec = RepairSpec.coerce(repair)
     retry_delays = repair_spec.delays()
     session = ServeSession(network, link_model, swap_model, router, replan)
     users = session.users

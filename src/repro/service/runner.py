@@ -36,12 +36,11 @@ from repro.experiments.cache import (
 from repro.experiments.config import default_workers
 from repro.experiments.harness import parallel_map, sample_seeds
 from repro.experiments.runner import reject_duplicate_labels
-from repro.experiments.scenarios import ScenarioSpec, as_scenario
+from repro.experiments.scenarios import ScenarioSpec
 from repro.network.builder import build_network
 from repro.service.arrivals import (
     ArrivalEvent,
     ArrivalSpec,
-    as_arrivals,
     poisson_events,
     read_trace,
     write_trace,
@@ -50,8 +49,6 @@ from repro.service.faults import (
     FaultEvent,
     FaultSpec,
     RepairSpec,
-    as_faults,
-    as_repair,
     fault_events,
     read_fault_trace,
 )
@@ -409,18 +406,15 @@ def run_serve_experiment(
             f"replan mode must be one of {', '.join(REPLAN_MODES)}, "
             f"got {replan!r}"
         )
-    scenario = as_scenario(scenario)
-    arrivals = as_arrivals(
-        arrivals if arrivals is not None else ArrivalSpec()
-    )
-    faults = as_faults(faults) if faults is not None else None
+    scenario = ScenarioSpec.coerce(scenario)
+    arrivals = ArrivalSpec.coerce(arrivals)
+    faults = FaultSpec.coerce(faults) if faults is not None else None
     if repair is not None and faults is None:
         raise ConfigurationError(
             "a repair policy needs an active fault spec; pass faults="
         )
-    repair = as_repair(repair) if repair is not None else (
-        RepairSpec() if faults is not None else None
-    )
+    if faults is not None:
+        repair = RepairSpec.coerce(repair)
     check_horizon(duration, warmup)
     if routers is None:
         routers = [

@@ -129,6 +129,28 @@ class TestCommands:
         ), err
 
     @pytest.mark.parametrize("argv", [
+        ["serve", "--scenario", "waxman:degree=-1"],
+        ["serve", "--scenario", "waxman:q=1.5"],
+        ["serve", "--scenario", "waxman:switches=0"],
+        ["fig7", "--scenario", "waxman:q=1.5"],
+        ["serve", "--arrivals", "poisson:rate=inf"],
+        ["serve", "--faults", "faults:link_mtbf=inf"],
+        ["serve", "--faults", "faults:link_mtbf=30",
+         "--repair", "reroute:retries=100000000"],
+    ])
+    def test_bad_spec_is_a_usage_error(self, argv, capsys):
+        """Spec values are range-checked when parsed, so a bad one is
+        one usage line, never a traceback from inside the run."""
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "python -m repro.experiments: error: argument"
+        ), err
+
+    @pytest.mark.parametrize("argv", [
         ["serve", "--warmup", "500"],  # past the default horizon, 200
         ["serve", "--duration", "20", "--warmup", "20"],
     ])

@@ -13,7 +13,6 @@ from repro.experiments.estimators import (
     DEFAULT_MC_TRIALS,
     EstimatorSpec,
     EstimatorSpecError,
-    as_estimator,
     estimate_plan,
     estimation_rng,
     parse_estimator,
@@ -87,12 +86,12 @@ class TestEstimatorSpec:
             EstimatorSpec("mc", trials=10, engine="")
 
     def test_as_estimator_coercions(self):
-        assert as_estimator(None) == ANALYTIC
-        assert as_estimator("mc") == EstimatorSpec.mc()
+        assert EstimatorSpec.coerce(None) == ANALYTIC
+        assert EstimatorSpec.coerce("mc") == EstimatorSpec.mc()
         spec = EstimatorSpec.mc(trials=9)
-        assert as_estimator(spec) is spec
+        assert EstimatorSpec.coerce(spec) is spec
         with pytest.raises(EstimatorSpecError):
-            as_estimator(42)
+            EstimatorSpec.coerce(42)
 
 
 class TestEstimationStream:

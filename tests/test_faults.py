@@ -183,6 +183,7 @@ class TestRepairGrammar:
             "reroute:backoff=exp",
             "reroute:backoff=exp:rate=2",
             "reroute:bogus=1",
+            "reroute:retries=100000000",  # 2**k overflows the schedule
             "repair",
             "",
         ],
@@ -663,14 +664,14 @@ class TestRunnerWithFaults:
         network = _small_instance(seed=3)
         spec = parse_faults(self.FAULTS)
         from repro.experiments.harness import sample_seeds
-        from repro.experiments.scenarios import as_scenario
+        from repro.experiments.scenarios import ScenarioSpec
 
-        setting = as_scenario(SCENARIO).setting(num_networks=2, seed=3)
+        setting = ScenarioSpec.coerce(SCENARIO).setting(num_networks=2, seed=3)
         seeds = sample_seeds(setting)
         timelines = []
         for sample_seed in seeds:
             sampled = build_network(
-                as_scenario(SCENARIO).network_config(),
+                ScenarioSpec.coerce(SCENARIO).network_config(),
                 ensure_rng(sample_seed),
             )
             timelines.append(

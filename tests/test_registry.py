@@ -30,7 +30,6 @@ from repro.routing.registry import (
     Router,
     RouterSpec,
     RouterSpecError,
-    as_spec,
     make_router,
     parse_router_specs,
     register_router,
@@ -225,18 +224,18 @@ class TestRouterSpec:
             parse_router_specs(f"q-cast,{text}")
 
     def test_as_spec_from_instance_keeps_overrides_only(self):
-        spec = as_spec(AlgNFusion(include_alg4=False))
+        spec = RouterSpec.coerce(AlgNFusion(include_alg4=False))
         assert spec == RouterSpec.create("alg-n-fusion", include_alg4=False)
-        assert as_spec(B1Router()) == RouterSpec.create("b1")
+        assert RouterSpec.coerce(B1Router()) == RouterSpec.create("b1")
 
     def test_as_spec_passthrough_and_strings(self):
         spec = RouterSpec.create("q-cast")
-        assert as_spec(spec) is spec
-        assert as_spec("q-cast") == spec
+        assert RouterSpec.coerce(spec) is spec
+        assert RouterSpec.coerce("q-cast") == spec
 
     def test_as_spec_rejects_unregistered_objects(self):
         with pytest.raises(RouterSpecError):
-            as_spec(object())
+            RouterSpec.coerce(object())
 
     def test_as_spec_rejects_unregistered_subclasses(self):
         """A subclass inherits registry_key; coercing it to the base
@@ -247,7 +246,7 @@ class TestRouterSpec:
             pass
 
         with pytest.raises(RouterSpecError, match="registration"):
-            as_spec(Tweaked())
+            RouterSpec.coerce(Tweaked())
         with pytest.raises(RouterSpecError, match="not a registered"):
             Tweaked().config_dict()
 

@@ -12,7 +12,6 @@ from repro.experiments.scenarios import (
     SCENARIO_PRESETS,
     ScenarioSpec,
     ScenarioSpecError,
-    as_scenario,
     as_setting,
     parse_scenario,
     parse_scenario_names,
@@ -77,6 +76,13 @@ class TestScenarioGrammar:
             "waxman:switches=12.5",
             "waxman:q=none",
             "waxman:degree=nan",
+            # Range checks run at parse time, not mid-run.
+            "waxman:degree=-1",
+            "waxman:degree=inf",
+            "waxman:q=1.5",
+            "waxman:switches=0",
+            "waxman:users=1",
+            "waxman:p=2",
         ],
     )
     def test_invalid_specs_rejected(self, text):
@@ -89,10 +95,10 @@ class TestScenarioGrammar:
 
     def test_as_scenario_coercions(self):
         spec = ScenarioSpec(topology="grid")
-        assert as_scenario(spec) is spec
-        assert as_scenario("grid") == spec
+        assert ScenarioSpec.coerce(spec) is spec
+        assert ScenarioSpec.coerce("grid") == spec
         with pytest.raises(ScenarioSpecError):
-            as_scenario(42)
+            ScenarioSpec.coerce(42)
 
     def test_parse_scenario_names_continuation(self):
         names = parse_scenario_names("grid:switches=64,users=8,paper-ring")
