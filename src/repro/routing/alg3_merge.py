@@ -20,11 +20,47 @@ part of the same demand's flow-like graph (the new path is a branch; the
 shared edge's qubits are reused and not charged again) or fundable from
 both endpoints' free qubits.  Merges that would make the flow orientation
 cyclic are rejected (Equation 1 requires an acyclic flow).
+
+Efficiency admission is a lazy greedy (Minoux 1978; CELF, Leskovec et
+al. 2007) that admits the same paths in the same order, with the same
+floats, as a rescan of the whole pool after every admission:
+
+* **Drop lemma.**  Admitting a path P to demand d lowers the charge of a
+  candidate C of d at a node v by at most what P consumed at v (a shared
+  edge's charge falls by at most P's charge on it), and within a sweep
+  no node's count grows.  So each node's ``remaining - charge`` never
+  grows, and a candidate the ledger cannot fund is dropped for good.
+  After an admission only the candidates needing a switch P drained are
+  probed again, at that switch; a candidate of d has its charges
+  recomputed only when it shares an edge that P widened or added.
+* **Bound.**  A candidate's gain is at most ``1 - (its demand's rate)``,
+  as Equation-1 rates are at most 1.  When the merge only adds a branch
+  it is also at most the path product: the channel rates at the
+  candidate's width times ``fusion_success(2 * width)`` per interior
+  switch (such a switch fuses at least ``2 * width`` links, and the
+  swap factor never grows with the arity).  The merge only adds a branch
+  when every interior node's flow parents are a subset of {its
+  predecessor on the path}, when the destination's are too if the
+  candidate widens a shared edge (widening lifts the old branches as
+  well), and when no shared edge is wider than the candidate.
+* **Heap and window.**  When a demand's flow changes its candidates are
+  keyed by ``bound * (1 + BOUND_SLACK) / max(cost, 1)``; a bound-keyed
+  entry on top of the heap is evaluated exactly (trial merge plus
+  Equation 1) and pushed back, or parked until its flow changes when the
+  merge is cyclic or gains nothing.  Exact entries are popped in
+  descending order until the next key falls more than ``WINDOW`` below
+  the lowest one popped.  The rescan's order-dependent rule (``> best +
+  1e-15``, or a larger gain within 1e-15) replayed over the popped set
+  in pool order then picks what it would pick over the whole pool: a
+  candidate below the window can neither win nor break a tie.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+import math
+from operator import itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import CapacityError, RoutingError
 from repro.network.demands import Demand, DemandSet
@@ -32,11 +68,18 @@ from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 from repro.routing.paths import PathCandidate
 from repro.routing.plan import RoutingPlan
 
 PathSets = Dict[int, Dict[int, List[PathCandidate]]]
+
+#: Relative slack on a gain bound: Equation 1's rounding can put an
+#: exact gain a few ulps above the bound that caps it.
+BOUND_SLACK = 1e-12
+#: Selection window below the lowest exact efficiency popped: twice the
+#: tie tolerance, so rounding at the window edge cannot hide a tie.
+WINDOW = 2e-15
 
 
 def merge_paths(
@@ -121,70 +164,108 @@ def admit_paths_efficiency(
         for paths in per_width.values()
         for path in paths
     ]
-    admitted = 0
-    # A candidate's charges, cycle feasibility and rate gain are pure
-    # functions of its demand's current flow — not of the ledger — yet
-    # the scan below revisits every candidate after every admission.
-    # Memoise that structural evaluation per flow version (bumped when a
-    # demand's flow changes) and re-check only the cheap ledger
-    # feasibility each scan; every value replayed from the memo is
-    # identical to a fresh evaluation, so the admission sequence is
-    # unchanged.
+    rate_cache = rate_cache_for(network, link_model, rate_cache)
+    switch = {
+        node: network.node(node).is_switch
+        for node in dict.fromkeys(node for path in pool for node in path.nodes)
+    }
+    # Per pool index: static edge keys and path product, then the
+    # charges against the demand's flow, recomputed when it changes.
+    keys = [candidate.edges() for candidate in pool]
+    products = [
+        _path_product(swap_model, rate_cache, switch, path) for path in pool
+    ]
+    widths = {demand_id: flow.edge_widths() for demand_id, flow in flows.items()}
+    charges = [
+        _charges(path, path_keys, widths.get(path.demand_id, {}), switch)
+        for path, path_keys in zip(pool, keys)
+    ]
+    # Ledger verdicts while no count moves: many candidates need the
+    # same count at one switch.  Users never run out, so none is probed.
+    verdicts: Dict[Tuple[int, int], bool] = {}
+
+    def funds(node: int, count: int) -> bool:
+        verdict = verdicts.get((node, count))
+        if verdict is None:
+            verdict = verdicts[node, count] = ledger.has_at_least(node, count)
+        return verdict
+
+    # Unfundable candidates are dropped for good (the drop lemma).
+    alive = [
+        all(funds(node, count) for node, count in needed.items() if switch[node])
+        for needed, _ in charges
+    ]
+    by_demand: Dict[int, List[int]] = {}
+    by_node: Dict[int, List[int]] = {}
+    for index, candidate in enumerate(pool):
+        if alive[index]:
+            by_demand.setdefault(candidate.demand_id, []).append(index)
+            for node in charges[index][0]:
+                if switch[node]:
+                    by_node.setdefault(node, []).append(index)
+    # Heap entries are (-key, index, stamp, gain), gain None while the key
+    # is a bound; bumping a candidate's stamp retires its entries.
+    heap: List[Tuple[float, int, int, Optional[float]]] = []
+    stamps = [0] * len(pool)
     base_rates: Dict[int, float] = {}
-    versions: Dict[int, int] = {}
-    struct_memo: Dict[int, Tuple[int, Dict[int, int], int, float]] = {}
-    # Candidates found unadmittable are *parked* — dropped from the
-    # active scan under the flow version they were rejected at.  Exact,
-    # not heuristic: a candidate's charges and gain are pure functions
-    # of its demand's flow version, and the ledger only ever shrinks
-    # within one sweep (reservations stick, failed trials restore), so
-    # "cycle / no gain / doesn't fit" can only be revisited by the
-    # demand's version bumping — which un-parks that demand's
-    # candidates.  Indices into the (immutable) pool stand in for the
-    # candidates everywhere, keeping scan order — and therefore the
-    # admission sequence and every tie-break — identical to scanning
-    # the full pool, without re-hashing candidate dataclasses.
-    #
-    # A candidate without an evaluation at its flow's version probes the
-    # ledger with its charges *before* the costly trial merge, and is
-    # parked unevaluated when the ledger cannot fund it.  Parking it
-    # after an evaluation would have the same effect at the same scan
-    # position: it returns only when its demand's version bumps, and
-    # that bump invalidates any memoised evaluation anyway.
-    parked_by_demand: Dict[int, List[int]] = {}
-    active: List[int] = list(range(len(pool)))
-    while active:
+
+    def push_bounds(demand_id: int) -> None:
+        """Key every live candidate of *demand_id* by its gain bound."""
+        flow = flows.get(demand_id)
+        base_rate = 0.0
+        parents: Dict[int, Set[int]] = {}
+        if flow is not None:
+            base_rate = base_rates.get(demand_id)
+            if base_rate is None:
+                base_rate = base_rates[demand_id] = flow.entanglement_rate(
+                    network, link_model, swap_model, rate_cache=rate_cache
+                )
+            for path in flow.paths:
+                for a, b in zip(path, path[1:]):
+                    parents.setdefault(b, set()).add(a)
+        shared = widths.get(demand_id, {})
+        for index in by_demand[demand_id]:
+            if alive[index]:
+                stamps[index] += 1
+                bound = _gain_bound(
+                    pool[index], keys[index], products[index], base_rate,
+                    shared, parents,
+                )
+                key = bound * (1.0 + BOUND_SLACK) / max(charges[index][1], 1)
+                heapq.heappush(heap, (-key, index, stamps[index], None))
+
+    for demand_id in by_demand:
+        push_bounds(demand_id)
+    admitted = 0
+    while True:
+        popped = []
+        floor = -math.inf
+        while heap:
+            entry = heap[0]
+            negative_key, index, stamp, gain = entry
+            if stamp != stamps[index]:
+                heapq.heappop(heap)
+                continue
+            if -negative_key < floor:
+                break
+            heapq.heappop(heap)
+            if gain is None:
+                # Cyclic or gainless: parked until its flow changes.
+                gain = _evaluate_candidate(
+                    network, link_model, swap_model, pool[index], flows,
+                    rate_cache, base_rates,
+                )
+                if gain is not None:
+                    efficiency = gain / max(charges[index][1], 1)
+                    heapq.heappush(heap, (-efficiency, index, stamp, gain))
+                continue
+            popped.append(entry)
+            floor = -negative_key - WINDOW
         best_index = -1
         best_efficiency = 0.0
         best_gain = 0.0
-        keep: List[int] = []
-        for index in active:
-            candidate = pool[index]
-            version = versions.get(candidate.demand_id, 0)
-            entry = struct_memo.get(index)
-            if entry is None or entry[0] != version:
-                needed, cost = _charge_totals(
-                    network, flows.get(candidate.demand_id), candidate
-                )
-                gain = None
-                if _ledger_funds(ledger, needed):
-                    gain = _evaluate_candidate(
-                        network, link_model, swap_model, candidate, flows,
-                        rate_cache, base_rates,
-                    )
-                entry = None
-                if gain is not None:
-                    entry = struct_memo[index] = (version, needed, cost, gain)
-            elif not _ledger_funds(ledger, entry[1]):
-                entry = None
-            if entry is None:
-                parked_by_demand.setdefault(
-                    candidate.demand_id, []
-                ).append(index)
-                continue
-            _, _, cost, gain = entry
-            keep.append(index)
-            efficiency = gain / max(cost, 1)
+        for negative_key, index, _, gain in sorted(popped, key=itemgetter(1)):
+            efficiency = -negative_key
             better = efficiency > best_efficiency + 1e-15
             tie_break = (
                 best_index >= 0
@@ -195,47 +276,116 @@ def admit_paths_efficiency(
                 best_index = index
                 best_efficiency = efficiency
                 best_gain = gain
-        active = keep
         if best_index < 0 or best_gain <= 1e-12:
             break
+        for entry in popped:
+            if entry[1] != best_index:
+                heapq.heappush(heap, entry)
+        alive[best_index] = False
+        stamps[best_index] += 1
         candidate = pool[best_index]
-        active.remove(best_index)
-        if _try_admit(network, demand_by_id[candidate.demand_id], candidate,
-                      flows, ledger):
-            admitted += 1
-            demand_id = candidate.demand_id
-            base_rates.pop(demand_id, None)
-            versions[demand_id] = versions.get(demand_id, 0) + 1
-            unparked = parked_by_demand.pop(demand_id, None)
-            if unparked:
-                active.extend(unparked)
-                active.sort()
+        demand_id = candidate.demand_id
+        if not _try_admit(network, demand_by_id[demand_id], candidate,
+                          flows, ledger):
+            continue
+        admitted += 1
+        base_rates.pop(demand_id, None)
+        # Charges read the flow only on the candidate's own edges, and
+        # the admission widened only the edges it was charged for.
+        before = widths.get(demand_id, {})
+        widened = {
+            key for key in keys[best_index]
+            if before.get(key, 0) < candidate.width
+        }
+        shared = widths[demand_id] = flows[demand_id].edge_widths()
+        for index in by_demand[demand_id]:
+            if alive[index] and not widened.isdisjoint(keys[index]):
+                charges[index] = _charges(
+                    pool[index], keys[index], shared, switch
+                )
+        # Only the switches this admission drained can refuse anyone.
+        verdicts.clear()
+        for node in charges[best_index][0]:
+            if not switch[node]:
+                continue
+            live = by_node[node] = [
+                index for index in by_node[node] if alive[index]
+            ]
+            for index in live:
+                count = charges[index][0].get(node)
+                if count and not funds(node, count):
+                    alive[index] = False
+                    stamps[index] += 1
+        push_bounds(demand_id)
     return admitted
 
 
-def _charge_totals(
-    network: QuantumNetwork,
-    flow: Optional[FlowLikeGraph],
+def _charges(
     candidate: PathCandidate,
+    keys: Tuple[Tuple[int, int], ...],
+    widths: Dict[Tuple[int, int], int],
+    switch: Dict[int, bool],
 ) -> Tuple[Dict[int, int], int]:
-    """Per-node qubit charges of admitting *candidate* to *flow*, and
-    their switch-qubit total (the efficiency denominator)."""
+    """:func:`_edge_charges` of *candidate* against edge *widths*, per
+    node, and their switch-qubit total (the efficiency denominator)."""
+    nodes, width = candidate.nodes, candidate.width
     needed: Dict[int, int] = {}
     cost = 0
-    for u, v, amount in _edge_charges(flow, candidate):
-        for node in (u, v):
-            needed[node] = needed.get(node, 0) + amount
-            if network.node(node).is_switch:
-                cost += amount
+    for i, key in enumerate(keys):
+        amount = width - widths.get(key, 0)
+        if amount > 0:
+            for node in (nodes[i], nodes[i + 1]):
+                needed[node] = needed.get(node, 0) + amount
+                if switch[node]:
+                    cost += amount
     return needed, cost
 
 
-def _ledger_funds(ledger: QubitLedger, needed: Dict[int, int]) -> bool:
-    """True iff every node still holds the qubits *needed* charges it."""
-    for node, count in needed.items():
-        if not ledger.has_at_least(node, count):
-            return False
-    return True
+def _path_product(
+    swap_model: SwapModel,
+    rate_cache: ChannelRateCache,
+    switch: Dict[int, bool],
+    candidate: PathCandidate,
+) -> float:
+    """Rate of *candidate* alone at its width, with every interior
+    switch fusing ``2 * width`` links: its gain bound as a branch."""
+    nodes, width = candidate.nodes, candidate.width
+    product = 1.0
+    for u, v in zip(nodes, nodes[1:]):
+        product *= rate_cache.rate(u, v, width)
+    fusion = swap_model.fusion_success(2 * width)
+    for node in nodes[1:-1]:
+        if switch[node]:
+            product *= fusion
+    return product
+
+
+def _gain_bound(
+    candidate: PathCandidate,
+    keys: Tuple[Tuple[int, int], ...],
+    product: float,
+    base_rate: float,
+    widths: Dict[Tuple[int, int], int],
+    parents: Dict[int, Set[int]],
+) -> float:
+    """Upper bound on the Equation-1 gain of merging *candidate* into a
+    flow of rate *base_rate*, edge *widths* and node *parents*: at most
+    ``1 - base_rate``, and at most the path *product* when the merge only
+    adds a branch (the no-reconvergence guard, module docstring)."""
+    bound = 1.0 - base_rate
+    widens = False
+    for key in keys:
+        shared = widths.get(key)
+        if shared is not None:
+            if shared > candidate.width:
+                return bound
+            widens = widens or shared < candidate.width
+    nodes = candidate.nodes
+    for i in range(1, len(nodes) if widens else len(nodes) - 1):
+        for parent in parents.get(nodes[i], ()):
+            if parent != nodes[i - 1]:
+                return bound
+    return min(bound, product)
 
 
 def _evaluate_candidate(

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
 from repro.specs import SpecBase, SpecError, TraceFileMixin
-from repro.utils.retry import BACKOFF_KINDS, backoff_delays
+from repro.utils.retry import BACKOFF_KINDS, EXP_GROWTH, backoff_delays
 from repro.utils.rng import stream_rng
 
 #: Substream of edge *i*'s fault timeline is ``FAULT_STREAM_BASE + i``;
@@ -245,17 +245,25 @@ class RepairSpec(SpecBase):
             raise FaultSpecError(
                 f"retries must be >= 0, got {self.retries}"
             )
-        # Materialise eagerly so an unusable schedule fails at parse
-        # time, not mid-serve.
-        try:
-            delays = self.delays()
-        except OverflowError:
-            delays = (math.inf,)
-        if delays and not math.isfinite(delays[-1]):
+        # Check the last delay so an unusable schedule fails at parse
+        # time, not mid-serve; delays grow with the attempt, and none is
+        # materialised.
+        if self.retries and not math.isfinite(self.delay(self.retries - 1)):
             raise FaultSpecError(
                 f"repair schedule of {self.retries} retries with backoff "
                 f"{self.backoff} overflows; its delays are not finite"
             )
+
+    def delay(self, attempt: int) -> float:
+        """The simulated-time delay before retry *attempt* (0-based):
+        the same float as ``delays()[attempt]``, in closed form, or
+        ``math.inf`` where that power overflows."""
+        if self.backoff.kind != "exp":
+            return self.backoff.base
+        try:
+            return self.backoff.base * EXP_GROWTH**attempt
+        except OverflowError:
+            return math.inf
 
     def delays(self) -> Tuple[float, ...]:
         """The deterministic retry schedule (simulated-time delays)."""

@@ -367,7 +367,6 @@ def run_serve(
     check_horizon(duration, warmup)
     validate_events(events)
     repair_spec = RepairSpec.coerce(repair)
-    retry_delays = repair_spec.delays()
     session = ServeSession(network, link_model, swap_model, router, replan)
     users = session.users
     edge_keys = network.edge_keys()
@@ -464,8 +463,8 @@ def run_serve(
                 repaired += 1
             admit(flow, job.demand, job.departure, rate, now)
             return
-        if job.attempt < len(retry_delays):
-            next_time = now + retry_delays[job.attempt]
+        if job.attempt < repair_spec.retries:
+            next_time = now + repair_spec.delay(job.attempt)
             job.attempt += 1
             if next_time < job.departure and next_time < duration:
                 push(next_time, _PRI_RETRY, job)

@@ -10,6 +10,8 @@ and the replicated runner's fault-aware report.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -170,6 +172,28 @@ class TestRepairGrammar:
             "reroute:retries=2,backoff=fixed:base=2.5"
         ).delays() == (2.5, 2.5)
         assert parse_repair("drop").delays() == ()
+
+    @pytest.mark.parametrize("text", [
+        "reroute:retries=40",
+        "reroute:retries=5,backoff=fixed:base=2.5",
+        "reroute:retries=1023,backoff=exp:base=1.5",
+    ])
+    def test_delay_is_the_schedule_entry(self, text):
+        spec = parse_repair(text)
+        assert [spec.delay(k) for k in range(spec.retries)] == list(
+            spec.delays()
+        )
+
+    def test_long_fixed_schedule_parses_without_materialising(self):
+        """A million fixed retries would take ~8 MB as a tuple."""
+        tracemalloc.start()
+        try:
+            spec = parse_repair("reroute:retries=1000000,backoff=fixed:base=1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec.delay(999_999) == 1.0
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,13 +1,18 @@
 """Differential tests: the lazy admission loops against the eager ones.
 
 Q-CAST and Q-CAST-N admit from a lazy heap of (demand, width) searches
-(``greedy_single_paths``), and Algorithm 3's efficiency admission probes
-the ledger before it evaluates a candidate (``admit_paths_efficiency``).
-Both are claimed to admit exactly what the eager loops they replace
-admitted.  The eager loops live here, copied verbatim, as the oracles:
-hypothesis routes random Waxman instances through both and compares the
-plans, the per-demand rates, the leftover qubits and the order of every
-ledger reservation with ``==``.
+(``greedy_single_paths``), and Algorithm 3's efficiency admission keys
+its candidates by a gain bound and evaluates only those whose bound can
+still win (``admit_paths_efficiency``).  Both are claimed to admit
+exactly what the loops they replace admitted.  Those loops live here,
+copied verbatim, as the oracles: the eager Q-CAST loop, the rescan of
+the whole pool after every admission (``scan_admit_paths_efficiency``)
+and the scan that evaluated every candidate before its ledger check
+(``eager_admit_paths_efficiency``).  Hypothesis routes random Waxman
+instances through each and compares the plans, the per-demand rates,
+the leftover qubits and the order of every ledger reservation with
+``==``; it also checks every gain the lazy loop evaluates against the
+bound it was keyed by, and the drop lemma the lazy loop relies on.
 
 ``fixed_p`` link models give every channel of one width the same rate,
 so exact rate ties between demands, widths and paths are common and the
@@ -18,6 +23,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import RoutingError
@@ -25,9 +31,17 @@ from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
-from repro.routing import nfusion
+from repro.network.node import QuantumSwitch, QuantumUser
+from repro.routing import alg3_merge, nfusion
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
-from repro.routing.alg3_merge import PathSets, _edge_charges, _try_admit
+from repro.routing.alg3_merge import (
+    BOUND_SLACK,
+    admit_paths_efficiency,
+    PathSets,
+    _edge_charges,
+    _evaluate_candidate,
+    _try_admit,
+)
 from repro.routing.allocation import QubitLedger
 from repro.routing.baselines.qcast_n import greedy_single_paths
 from repro.routing.flow_graph import FlowLikeGraph
@@ -35,6 +49,7 @@ from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import AlgNFusion, RoutingResult
 from repro.routing.paths import PathCandidate
 from repro.routing.plan import RoutingPlan
+from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
 
@@ -90,6 +105,148 @@ def eager_greedy_single_paths(
     return RoutingResult.from_plan(
         name, plan, network, link_model, swap_model, ledger, rate_cache
     )
+
+
+# -- oracle: the Algorithm 3 efficiency rescan ------------------------------
+
+def scan_admit_paths_efficiency(
+    network: QuantumNetwork,
+    link_model: LinkModel,
+    swap_model: SwapModel,
+    demands: DemandSet,
+    path_sets: PathSets,
+    flows: Dict[int, FlowLikeGraph],
+    ledger: QubitLedger,
+    rate_cache: Optional[ChannelRateCache] = None,
+) -> int:
+    """Marginal-efficiency greedy admission sweep that rescans the whole
+    active pool after every admission, probing the ledger before it
+    evaluates a candidate."""
+    demand_by_id = {d.demand_id: d for d in demands}
+    unknown = set(path_sets) - set(demand_by_id)
+    if unknown:
+        raise RoutingError(f"path sets reference unknown demands {sorted(unknown)}")
+    pool: List[PathCandidate] = [
+        path
+        for per_width in path_sets.values()
+        for paths in per_width.values()
+        for path in paths
+    ]
+    admitted = 0
+    # A candidate's charges, cycle feasibility and rate gain are pure
+    # functions of its demand's current flow — not of the ledger — yet
+    # the scan below revisits every candidate after every admission.
+    # Memoise that structural evaluation per flow version (bumped when a
+    # demand's flow changes) and re-check only the cheap ledger
+    # feasibility each scan; every value replayed from the memo is
+    # identical to a fresh evaluation, so the admission sequence is
+    # unchanged.
+    base_rates: Dict[int, float] = {}
+    versions: Dict[int, int] = {}
+    struct_memo: Dict[int, Tuple[int, Dict[int, int], int, float]] = {}
+    # Candidates found unadmittable are *parked* — dropped from the
+    # active scan under the flow version they were rejected at.  Exact,
+    # not heuristic: a candidate's charges and gain are pure functions
+    # of its demand's flow version, and the ledger only ever shrinks
+    # within one sweep (reservations stick, failed trials restore), so
+    # "cycle / no gain / doesn't fit" can only be revisited by the
+    # demand's version bumping — which un-parks that demand's
+    # candidates.  Indices into the (immutable) pool stand in for the
+    # candidates everywhere, keeping scan order — and therefore the
+    # admission sequence and every tie-break — identical to scanning
+    # the full pool, without re-hashing candidate dataclasses.
+    #
+    # A candidate without an evaluation at its flow's version probes the
+    # ledger with its charges *before* the costly trial merge, and is
+    # parked unevaluated when the ledger cannot fund it.  Parking it
+    # after an evaluation would have the same effect at the same scan
+    # position: it returns only when its demand's version bumps, and
+    # that bump invalidates any memoised evaluation anyway.
+    parked_by_demand: Dict[int, List[int]] = {}
+    active: List[int] = list(range(len(pool)))
+    while active:
+        best_index = -1
+        best_efficiency = 0.0
+        best_gain = 0.0
+        keep: List[int] = []
+        for index in active:
+            candidate = pool[index]
+            version = versions.get(candidate.demand_id, 0)
+            entry = struct_memo.get(index)
+            if entry is None or entry[0] != version:
+                needed, cost = _charge_totals(
+                    network, flows.get(candidate.demand_id), candidate
+                )
+                gain = None
+                if _ledger_funds(ledger, needed):
+                    gain = _evaluate_candidate(
+                        network, link_model, swap_model, candidate, flows,
+                        rate_cache, base_rates,
+                    )
+                entry = None
+                if gain is not None:
+                    entry = struct_memo[index] = (version, needed, cost, gain)
+            elif not _ledger_funds(ledger, entry[1]):
+                entry = None
+            if entry is None:
+                parked_by_demand.setdefault(
+                    candidate.demand_id, []
+                ).append(index)
+                continue
+            _, _, cost, gain = entry
+            keep.append(index)
+            efficiency = gain / max(cost, 1)
+            better = efficiency > best_efficiency + 1e-15
+            tie_break = (
+                best_index >= 0
+                and abs(efficiency - best_efficiency) <= 1e-15
+                and gain > best_gain
+            )
+            if better or tie_break:
+                best_index = index
+                best_efficiency = efficiency
+                best_gain = gain
+        active = keep
+        if best_index < 0 or best_gain <= 1e-12:
+            break
+        candidate = pool[best_index]
+        active.remove(best_index)
+        if _try_admit(network, demand_by_id[candidate.demand_id], candidate,
+                      flows, ledger):
+            admitted += 1
+            demand_id = candidate.demand_id
+            base_rates.pop(demand_id, None)
+            versions[demand_id] = versions.get(demand_id, 0) + 1
+            unparked = parked_by_demand.pop(demand_id, None)
+            if unparked:
+                active.extend(unparked)
+                active.sort()
+    return admitted
+
+
+def _charge_totals(
+    network: QuantumNetwork,
+    flow: Optional[FlowLikeGraph],
+    candidate: PathCandidate,
+) -> Tuple[Dict[int, int], int]:
+    """Per-node qubit charges of admitting *candidate* to *flow*, and
+    their switch-qubit total (the efficiency denominator)."""
+    needed: Dict[int, int] = {}
+    cost = 0
+    for u, v, amount in _edge_charges(flow, candidate):
+        for node in (u, v):
+            needed[node] = needed.get(node, 0) + amount
+            if network.node(node).is_switch:
+                cost += amount
+    return needed, cost
+
+
+def _ledger_funds(ledger: QubitLedger, needed: Dict[int, int]) -> bool:
+    """True iff every node still holds the qubits *needed* charges it."""
+    for node, count in needed.items():
+        if not ledger.has_at_least(node, count):
+            return False
+    return True
 
 
 # -- oracle: the eager Algorithm 3 efficiency scan --------------------------
@@ -323,7 +480,35 @@ def test_lazy_single_path_greedy_matches_eager(instance, widths, link, swap):
     assert lazy == eager
 
 
-@settings(max_examples=60, deadline=None)
+@contextmanager
+def checked_gain_bounds():
+    """Assert that every gain the lazy loop evaluates is within the bound
+    its heap key was computed from, at the same flow state.  Yields the
+    ``(gain, bound, path product)`` of every evaluation with a gain."""
+    bounds: Dict[int, Tuple[float, float]] = {}
+    seen: List[Tuple[float, float, float]] = []
+    real_bound = alg3_merge._gain_bound
+    real_evaluate = alg3_merge._evaluate_candidate
+
+    def gain_bound(candidate, keys, product, *rest):
+        bound = real_bound(candidate, keys, product, *rest)
+        bounds[id(candidate)] = (bound, product)
+        return bound
+
+    def evaluate(network, link_model, swap_model, candidate, *rest):
+        gain = real_evaluate(network, link_model, swap_model, candidate, *rest)
+        if gain is not None:
+            bound, product = bounds[id(candidate)]
+            assert gain <= bound * (1.0 + BOUND_SLACK), (gain, bound)
+            seen.append((gain, bound, product))
+        return gain
+
+    with mock.patch.object(alg3_merge, "_gain_bound", gain_bound), \
+            mock.patch.object(alg3_merge, "_evaluate_candidate", evaluate):
+        yield seen
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     instance=waxman_instances(),
     max_width=st.sampled_from((None, 1, 2, 3, 4)),
@@ -335,12 +520,177 @@ def test_ledger_first_admission_matches_eager(
     instance, max_width, refill_rounds, link, swap
 ):
     """ALG-N-FUSION end to end (Steps I-III, refill sweeps included, so
-    later sweeps start from non-empty flows) with either admission scan."""
+    later sweeps start from non-empty flows) with the lazy heap, the
+    rescan and the eager scan; every gain the heap evaluates is within
+    its bound."""
     network, demands = instance
     router = AlgNFusion(max_width=max_width, refill_rounds=refill_rounds)
-    lazy = _outcome(lambda: router.route(network, demands, link, swap))
-    with mock.patch.object(
-        nfusion, "admit_paths_efficiency", eager_admit_paths_efficiency
-    ):
-        eager = _outcome(lambda: router.route(network, demands, link, swap))
-    assert lazy == eager
+    with checked_gain_bounds():
+        lazy = _outcome(lambda: router.route(network, demands, link, swap))
+    for oracle in (scan_admit_paths_efficiency, eager_admit_paths_efficiency):
+        with mock.patch.object(nfusion, "admit_paths_efficiency", oracle):
+            assert _outcome(
+                lambda: router.route(network, demands, link, swap)
+            ) == lazy
+
+
+def _detour_network() -> QuantumNetwork:
+    """Users 0 and 1 joined by switches 2, 3 (``0-2-3-1``) and by a
+    detour from switch 2 through switches 4..9 (``2-4-...-9-1``)."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(9000.0, 0.0)))
+    for node in range(2, 10):
+        network.add_node(QuantumSwitch(node, Point(1000.0 * node, 1.0), 10))
+    for u, v in zip((0, 2, 3), (2, 3, 1)):
+        network.add_edge(u, v)
+    detour = (2, 4, 5, 6, 7, 8, 9, 1)
+    for u, v in zip(detour, detour[1:]):
+        network.add_edge(u, v)
+    return network
+
+
+SHORT = (0, 2, 3, 1)
+DETOUR = (0, 2, 4, 5, 6, 7, 8, 9, 1)
+
+
+@pytest.mark.parametrize("first, second, product_bounds", [
+    # Widens the shared edge (0, 2), which lifts the old branch too.
+    ((SHORT, 1), (DETOUR, 2), False),
+    # Shares (0, 2) at width 3: the product prices that edge at width 1.
+    ((DETOUR, 3), (SHORT, 1), False),
+    # A plain branch off node 2: the destination's second parent is exempt.
+    ((SHORT, 1), (DETOUR, 1), True),
+])
+def test_gain_bound_guard(first, second, product_bounds):
+    """Admit *first*, then *second*, to one demand: the path product
+    bounds the second gain only when the guard lets it (the first case
+    is the counterexample that forbids exempting the destination while
+    a shared edge widens: gain 0.0426 against a product of 0.0135)."""
+    network = _detour_network()
+    link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
+    demands = DemandSet([Demand(0, 0, 1)])
+    flows: Dict[int, FlowLikeGraph] = {}
+    ledger = QubitLedger(network)
+    (nodes, width), (second_nodes, second_width) = first, second
+    admit_paths_efficiency(
+        network, link, swap, demands,
+        {0: {width: [PathCandidate(0, nodes, width, 0.5)]}}, flows, ledger,
+    )
+    base_rate = flows[0].entanglement_rate(network, link, swap)
+    candidate = PathCandidate(0, second_nodes, second_width, 0.5)
+    with checked_gain_bounds() as seen:
+        admitted = admit_paths_efficiency(
+            network, link, swap, demands, {0: {second_width: [candidate]}},
+            flows, ledger,
+        )
+    assert admitted == 1
+    [(gain, bound, product)] = seen
+    if product_bounds:
+        assert bound == product
+    else:
+        assert gain > product
+        assert bound == 1.0 - base_rate
+
+
+def test_gain_tie_break_matches_the_scan():
+    """Two candidates of exactly equal efficiency: a branch of demand 0
+    (gain 0.25 for 2 qubits) before a width-2 path of demand 1 (gain 0.5
+    for 4).  The scan's tie rule admits the later, larger gain first;
+    the heap must pop both before it picks."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(2000.0, 0.0)))
+    network.add_node(QuantumSwitch(2, Point(1000.0, 1.0), 10))
+    network.add_node(QuantumSwitch(3, Point(1000.0, -1.0), 10))
+    for u, v in ((0, 2), (2, 1), (0, 3), (3, 1)):
+        network.add_edge(u, v)
+    link, swap = LinkModel(fixed_p=1.0), SwapModel(q=0.5)
+    demands = DemandSet([Demand(0, 0, 1), Demand(1, 0, 1)])
+
+    def admission(admit):
+        flows: Dict[int, FlowLikeGraph] = {}
+        ledger = QubitLedger(network)
+        admit(network, link, swap, demands,
+              {0: {1: [PathCandidate(0, (0, 2, 1), 1, 0.5)]}}, flows, ledger)
+        path_sets = {
+            0: {1: [PathCandidate(0, (0, 3, 1), 1, 0.5)]},
+            1: {2: [PathCandidate(1, (0, 2, 1), 2, 0.5)]},
+        }
+        with recorded_reservations() as reservations:
+            admit(network, link, swap, demands, path_sets, flows, ledger)
+        return reservations
+
+    lazy = admission(admit_paths_efficiency)
+    assert lazy[0] == (0, 2, 2)
+    assert lazy == admission(scan_admit_paths_efficiency)
+
+
+@contextmanager
+def checked_drop_lemma():
+    """Assert, around every admission of each efficiency sweep, that no
+    pool candidate's slack grows: the least ``remaining - charge`` over
+    the switches on its path, charges taken against its demand's flow."""
+    real_admit = alg3_merge.admit_paths_efficiency
+    real_try_admit = alg3_merge._try_admit
+    sweep = {}
+
+    def slacks():
+        network, pool, flows, ledger = sweep["state"]
+        result = []
+        for candidate in pool:
+            needed, _ = _charge_totals(
+                network, flows.get(candidate.demand_id), candidate
+            )
+            result.append(min(
+                (ledger.remaining(node) - needed.get(node, 0)
+                 for node in candidate.nodes
+                 if network.node(node).is_switch),
+                default=float("inf"),
+            ))
+        return result
+
+    def admit(network, link_model, swap_model, demands, path_sets, flows,
+              ledger, rate_cache=None):
+        pool = [
+            path
+            for per_width in path_sets.values()
+            for paths in per_width.values()
+            for path in paths
+        ]
+        sweep["state"] = (network, pool, flows, ledger)
+        sweep["slacks"] = slacks()
+        return real_admit(network, link_model, swap_model, demands,
+                          path_sets, flows, ledger, rate_cache)
+
+    def try_admit(*args):
+        admitted = real_try_admit(*args)
+        after = slacks()
+        assert all(
+            new <= old for new, old in zip(after, sweep["slacks"])
+        )
+        sweep["slacks"] = after
+        return admitted
+
+    with mock.patch.object(nfusion, "admit_paths_efficiency", admit), \
+            mock.patch.object(alg3_merge, "_try_admit", try_admit):
+        yield
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instance=waxman_instances(),
+    max_width=st.sampled_from((None, 1, 2, 3, 4)),
+    refill_rounds=st.sampled_from((0, 2)),
+    link=LINK_MODELS,
+    swap=SWAP_MODELS,
+)
+def test_admission_never_raises_a_candidates_slack(
+    instance, max_width, refill_rounds, link, swap
+):
+    """The drop lemma: within a sweep an unfunded candidate stays
+    unfunded, so the lazy loop may drop it for good."""
+    network, demands = instance
+    router = AlgNFusion(max_width=max_width, refill_rounds=refill_rounds)
+    with checked_drop_lemma():
+        router.route(network, demands, link, swap)
