@@ -180,19 +180,13 @@ def admit_paths_efficiency(
         _charges(path, path_keys, widths.get(path.demand_id, {}), switch)
         for path, path_keys in zip(pool, keys)
     ]
-    # Ledger verdicts while no count moves: many candidates need the
-    # same count at one switch.  Users never run out, so none is probed.
-    verdicts: Dict[Tuple[int, int], bool] = {}
-
-    def funds(node: int, count: int) -> bool:
-        verdict = verdicts.get((node, count))
-        if verdict is None:
-            verdict = verdicts[node, count] = ledger.has_at_least(node, count)
-        return verdict
-
     # Unfundable candidates are dropped for good (the drop lemma).
+    # Users never run out of qubits, so only switches are probed.
     alive = [
-        all(funds(node, count) for node, count in needed.items() if switch[node])
+        all(
+            ledger.has_at_least(node, count)
+            for node, count in needed.items() if switch[node]
+        )
         for needed, _ in charges
     ]
     by_demand: Dict[int, List[int]] = {}
@@ -304,7 +298,6 @@ def admit_paths_efficiency(
                     pool[index], keys[index], shared, switch
                 )
         # Only the switches this admission drained can refuse anyone.
-        verdicts.clear()
         for node in charges[best_index][0]:
             if not switch[node]:
                 continue
@@ -313,7 +306,7 @@ def admit_paths_efficiency(
             ]
             for index in live:
                 count = charges[index][0].get(node)
-                if count and not funds(node, count):
+                if count and not ledger.has_at_least(node, count):
                     alive[index] = False
                     stamps[index] += 1
         push_bounds(demand_id)

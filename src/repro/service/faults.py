@@ -32,8 +32,8 @@ flows a down event disrupted::
     reroute:retries=2,backoff=exp:base=1.0  (re-route, bounded retries)
 
 The reroute backoff schedule comes from
-:func:`repro.utils.retry.backoff_delays` — deterministic simulated-time
-delays, no clocks, no sleeps.
+:func:`repro.utils.retry.backoff_delay`, one retry at a time —
+deterministic simulated-time delays, no clocks, no sleeps.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
 from repro.specs import SpecBase, SpecError, TraceFileMixin
-from repro.utils.retry import BACKOFF_KINDS, EXP_GROWTH, backoff_delays
+from repro.utils.retry import BACKOFF_KINDS, backoff_delay
 from repro.utils.rng import stream_rng
 
 #: Substream of edge *i*'s fault timeline is ``FAULT_STREAM_BASE + i``;
@@ -255,20 +255,9 @@ class RepairSpec(SpecBase):
             )
 
     def delay(self, attempt: int) -> float:
-        """The simulated-time delay before retry *attempt* (0-based):
-        the same float as ``delays()[attempt]``, in closed form, or
-        ``math.inf`` where that power overflows."""
-        if self.backoff.kind != "exp":
-            return self.backoff.base
-        try:
-            return self.backoff.base * EXP_GROWTH**attempt
-        except OverflowError:
-            return math.inf
-
-    def delays(self) -> Tuple[float, ...]:
-        """The deterministic retry schedule (simulated-time delays)."""
-        return backoff_delays(self.backoff.kind, self.backoff.base,
-                              self.retries)
+        """The simulated-time delay before retry *attempt* (0-based),
+        or ``math.inf`` where the exponential schedule overflows."""
+        return backoff_delay(self.backoff.kind, self.backoff.base, attempt)
 
 
 #: Parse a repair spec string (the CLI ``--repair`` type).

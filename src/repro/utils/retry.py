@@ -14,6 +14,7 @@ accessors are lint errors outside :mod:`repro.utils.timing`).
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from repro.exceptions import ConfigurationError
@@ -43,6 +44,18 @@ def backoff_delays(kind: str, base: float, retries: int) -> Tuple[float, ...]:
         raise ConfigurationError(f"backoff base must be > 0, got {base!r}")
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if kind == "exp":
-        return tuple(base * EXP_GROWTH**k for k in range(retries))
-    return (base,) * retries
+    return tuple(backoff_delay(kind, base, k) for k in range(retries))
+
+
+def backoff_delay(kind: str, base: float, attempt: int) -> float:
+    """The delay before re-attempt *attempt* (0-based) of the schedule
+    :func:`backoff_delays` lists, in closed form: ``base * 2**attempt``
+    for ``exp`` (``math.inf`` where the power overflows), ``base`` for
+    ``fixed``.  *kind* and *base* are trusted; a spec checks them once.
+    """
+    if kind != "exp":
+        return base
+    try:
+        return base * EXP_GROWTH**attempt
+    except OverflowError:
+        return math.inf

@@ -10,6 +10,7 @@ and the replicated runner's fault-aware report.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import pytest
@@ -42,7 +43,7 @@ from repro.service.faults import (
 )
 from repro.service.loop import ServeSession, run_serve
 from repro.service.runner import run_serve_experiment, serve_key
-from repro.utils.retry import backoff_delays
+from repro.utils.retry import backoff_delay, backoff_delays
 from repro.utils.rng import ensure_rng
 
 LINK = LinkModel(fixed_p=0.4)
@@ -167,11 +168,15 @@ class TestRepairGrammar:
         assert RepairSpec().to_string() == "reroute"
 
     def test_delays_follow_backoff(self):
-        assert parse_repair("reroute:retries=3").delays() == (1.0, 2.0, 4.0)
-        assert parse_repair(
-            "reroute:retries=2,backoff=fixed:base=2.5"
-        ).delays() == (2.5, 2.5)
-        assert parse_repair("drop").delays() == ()
+        def schedule(text):
+            spec = parse_repair(text)
+            return [spec.delay(k) for k in range(spec.retries)]
+
+        assert schedule("reroute:retries=3") == [1.0, 2.0, 4.0]
+        assert schedule("reroute:retries=2,backoff=fixed:base=2.5") == [
+            2.5, 2.5,
+        ]
+        assert schedule("drop") == []
 
     @pytest.mark.parametrize("text", [
         "reroute:retries=40",
@@ -180,9 +185,10 @@ class TestRepairGrammar:
     ])
     def test_delay_is_the_schedule_entry(self, text):
         spec = parse_repair(text)
-        assert [spec.delay(k) for k in range(spec.retries)] == list(
-            spec.delays()
-        )
+        base, growth = spec.backoff.base, spec.backoff.kind == "exp"
+        assert [spec.delay(k) for k in range(spec.retries)] == [
+            base * 2.0**k if growth else base for k in range(spec.retries)
+        ]
 
     def test_long_fixed_schedule_parses_without_materialising(self):
         """A million fixed retries would take ~8 MB as a tuple."""
@@ -232,6 +238,14 @@ class TestBackoffDelays:
 
     def test_zero_retries(self):
         assert backoff_delays("exp", 1.0, 0) == ()
+
+    def test_single_delay_is_the_schedule_entry(self):
+        for kind in ("exp", "fixed"):
+            assert tuple(
+                backoff_delay(kind, 1.5, k) for k in range(40)
+            ) == backoff_delays(kind, 1.5, 40)
+        assert backoff_delay("exp", 1.0, 1024) == math.inf
+        assert backoff_delay("fixed", 1.0, 1024) == 1.0
 
     def test_rejects(self):
         with pytest.raises(ConfigurationError):

@@ -78,7 +78,7 @@ WORK_BOUNDS = {
     "ALG-N-FUSION": ("ALG-N-FUSION", alg3_merge, "_evaluate_candidate", 78),
     "ALG-N-FUSION-probes": (
         "ALG-N-FUSION", QubitLedger, "has_at_least",
-        {"compiled": 826, "reference": 47441},
+        {"compiled": 1089, "reference": 47704},
     ),
 }
 
