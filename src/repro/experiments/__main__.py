@@ -19,7 +19,6 @@ Usage::
     python -m repro.experiments regen-regression
     python -m repro.experiments serve --scenario paper-default \
         --arrivals poisson:rate=2.0,hold=exp:mean=30 --duration 200 --seed 7
-    python -m repro.experiments serve --replan resnapshot
     python -m repro.experiments serve --record-trace run.trace
     python -m repro.experiments serve --arrivals trace:file=run.trace
     python -m repro.experiments serve --faults faults:link_mtbf=120,switch_p=0.01
@@ -70,11 +69,10 @@ rather than guesses.
 ``serve`` runs the online routing service (``repro.service``): demands
 arrive continuously (``--arrivals``), hold capacity for their holding
 time and release it on departure; each arrival re-plans against the
-residual network (``--replan incremental|resnapshot``, deterministic
-metrics identical either way).  Steady-state throughput / admission
-ratio go to stdout (cached, bit-identical for any ``--workers`` and
-routing core); p50/p99 re-plan latency goes to stderr and is never
-cached.  ``--record-trace FILE`` captures the event streams for replay
+residual capacity through the router's ``route`` entry.  Steady-state
+throughput / admission ratio go to stdout (cached, bit-identical for
+any ``--workers`` and routing core); p50/p99 re-plan latency goes to
+stderr and is never cached.  ``--record-trace FILE`` captures the event streams for replay
 via ``--arrivals trace:file=FILE``.
 
 ``--faults`` injects link/switch failures while serving (per-element
@@ -129,7 +127,7 @@ from repro.network.registry import topology_keys
 from repro.routing.registry import parse_router_specs, router_keys
 from repro.service.arrivals import parse_arrivals
 from repro.service.faults import parse_faults, parse_repair
-from repro.service.loop import REPLAN_MODES, check_horizon
+from repro.service.loop import check_horizon
 from repro.service.runner import run_serve_experiment
 from repro.utils.cli import (
     argparse_type,
@@ -331,17 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SEED",
         help="replication seed (default: the harness seed, 20230601)",
-    )
-    serve_group.add_argument(
-        "--replan",
-        choices=REPLAN_MODES,
-        default=None,
-        help=(
-            "re-planning mode per arrival: 'incremental' (session "
-            "ledger + caches; falls back per router) or 'resnapshot' "
-            "(rebuild a residual network copy); both produce identical "
-            "metrics (default incremental)"
-        ),
     )
     serve_group.add_argument(
         "--record-trace",
@@ -565,7 +552,6 @@ def main(argv=None) -> int:
         ("--warmup", args.warmup),
         ("--replications", args.replications),
         ("--seed", args.seed),
-        ("--replan", args.replan),
         ("--record-trace", args.record_trace),
         ("--faults", args.faults),
         ("--repair", args.repair),
@@ -646,9 +632,6 @@ def main(argv=None) -> int:
                     args.replications if args.replications is not None else 3
                 ),
                 seed=args.seed,
-                replan=(
-                    args.replan if args.replan is not None else "incremental"
-                ),
                 workers=args.workers,
                 cache=cache,
                 record_trace=args.record_trace,

@@ -24,6 +24,14 @@ _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 #: Parameters a router's ``route`` must accept after ``self``.
 _ROUTE_REQUIRED = ("network", "demands")
 _ROUTE_OPTIONAL = ("link_model", "swap_model")
+#: Keyword-only parameters, each with a default, through which a caller
+#: (the serving loop) hands in its ledger, rate cache and bans.
+_ROUTE_KEYWORD = ("ledger", "rate_cache", "banned_nodes", "banned_edges")
+_PROTOCOL = (
+    "route(self, network, demands, link_model=None, swap_model=None, *, "
+    "ledger=None, rate_cache=None, banned_nodes=frozenset(), "
+    "banned_edges=frozenset())"
+)
 
 
 def _has_decorator(node: ast.ClassDef, key: str) -> bool:
@@ -72,18 +80,33 @@ def _check_route_signature(
             ctx, route, CODE,
             f"{cls.name}.route is missing required parameter(s) "
             f"{', '.join(repr(m) for m in missing)}; the Router "
-            "protocol is route(self, network, demands, link_model=None, "
-            "swap_model=None)",
+            f"protocol is {_PROTOCOL}",
         )
     if args.kwarg is None:
-        missing_kw = [p for p in _ROUTE_OPTIONAL if p not in names]
+        missing_kw = [
+            p for p in (*_ROUTE_OPTIONAL, *_ROUTE_KEYWORD) if p not in names
+        ]
         if missing_kw:
             yield diagnostic(
                 ctx, route, CODE,
                 f"{cls.name}.route does not accept "
                 f"{', '.join(repr(m) for m in missing_kw)}; the "
-                "experiments layer passes them by keyword",
+                "experiments layer and the serving loop pass them by "
+                "keyword",
             )
+    defaulted = {
+        a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    }
+    loose = [p for p in _ROUTE_KEYWORD if p in names - defaulted]
+    if loose:
+        yield diagnostic(
+            ctx, route, CODE,
+            f"{cls.name}.route must take "
+            f"{', '.join(repr(m) for m in loose)} as keyword-only "
+            f"parameter(s) with a default; the Router protocol is "
+            f"{_PROTOCOL}",
+        )
 
 
 def _check_router_class(
@@ -113,8 +136,7 @@ def _check_router_class(
         yield diagnostic(
             ctx, cls, CODE,
             f"@register_router target {cls.name} defines no route() "
-            "method (Router protocol: route(self, network, demands, "
-            "link_model=None, swap_model=None))",
+            f"method (Router protocol: {_PROTOCOL})",
         )
     else:
         yield from _check_route_signature(ctx, cls, route)

@@ -17,9 +17,9 @@ Public entry points:
 * :mod:`repro.routing.compiled` — the CSR snapshot and native search
   kernel that Algorithms 1 and 2 run on by default.
 
-Online routing of one arriving demand is
-:meth:`~repro.routing.nfusion.AlgNFusion.route_online`, driven by
-:mod:`repro.service.loop`.
+Every router's ``route`` takes an optional ledger, rate cache and
+banned nodes/edges as keywords; :mod:`repro.service.loop` routes each
+arriving demand through it on the session's ledger and cache.
 """
 
 from repro.routing.metrics import (

@@ -130,8 +130,8 @@ def admit_paths(
         ]
         candidates.sort(key=lambda c: (-c.rate, c.demand_id, c.nodes))
         for candidate in candidates:
-            if _try_admit(network, demand_by_id[candidate.demand_id],
-                          candidate, flows, ledger):
+            if _try_admit(demand_by_id[candidate.demand_id], candidate,
+                          flows, ledger):
                 admitted += 1
     return admitted
 
@@ -279,8 +279,7 @@ def admit_paths_efficiency(
         stamps[best_index] += 1
         candidate = pool[best_index]
         demand_id = candidate.demand_id
-        if not _try_admit(network, demand_by_id[demand_id], candidate,
-                          flows, ledger):
+        if not _try_admit(demand_by_id[demand_id], candidate, flows, ledger):
             continue
         admitted += 1
         base_rates.pop(demand_id, None)
@@ -455,7 +454,6 @@ def _edge_charges(
 
 
 def _try_admit(
-    network: QuantumNetwork,
     demand: Demand,
     candidate: PathCandidate,
     flows: Dict[int, FlowLikeGraph],
@@ -463,12 +461,10 @@ def _try_admit(
 ) -> bool:
     """Admit one candidate path if resources (or shared edges) allow."""
     flow = flows.get(demand.demand_id)
-    snapshot = ledger.snapshot()
+    charges = _edge_charges(flow, candidate)
     try:
-        for u, v, amount in _edge_charges(flow, candidate):
-            ledger.reserve_edge(u, v, amount)
+        ledger.reserve_edges(charges)
     except CapacityError:
-        ledger.restore(snapshot)
         return False
     if flow is None:
         flow = FlowLikeGraph(demand.demand_id, demand.source, demand.destination)
@@ -479,6 +475,6 @@ def _try_admit(
         flow.add_path(candidate.nodes, candidate.width)
     except RoutingError:
         # Directed-cycle merge: reject the candidate, refund its qubits.
-        ledger.restore(snapshot)
+        ledger.release_edges(charges)
         return False
     return True

@@ -9,7 +9,7 @@ users so callers need no special cases.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import AllocationError, CapacityError
 from repro.network.graph import QuantumNetwork
@@ -89,6 +89,24 @@ class QubitLedger:
         except CapacityError:
             self.release(u, width)
             raise
+
+    def reserve_edges(self, charges: Iterable[Tuple[int, int, int]]) -> None:
+        """Reserve every ``(u, v, width)`` charge, or refund the ones
+        taken and re-raise: the counts end where they started."""
+        taken: List[Tuple[int, int, int]] = []
+        try:
+            for u, v, width in charges:
+                self.reserve_edge(u, v, width)
+                taken.append((u, v, width))
+        except (AllocationError, CapacityError):
+            self.release_edges(reversed(taken))
+            raise
+
+    def release_edges(self, charges: Iterable[Tuple[int, int, int]]) -> None:
+        """Return *width* qubits at both endpoints of every charge."""
+        for u, v, width in charges:
+            self.release(u, width)
+            self.release(v, width)
 
     def can_reserve_edge(self, u: int, v: int, width: int) -> bool:
         """True iff both endpoints can supply *width* qubits."""

@@ -18,7 +18,7 @@ This substitution is recorded in the README's "Implementation decisions".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional, Tuple
 
 from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
@@ -26,7 +26,7 @@ from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg2_path_selection import select_paths
 from repro.routing.alg3_merge import merge_paths
 from repro.routing.allocation import QubitLedger
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 from repro.routing.nfusion import RoutingResult
 from repro.routing.plan import RoutingPlan
 from repro.routing.registry import RouterSpecError, register_router
@@ -63,13 +63,18 @@ class B1Router:
         demands: DemandSet,
         link_model: Optional[LinkModel] = None,
         swap_model: Optional[SwapModel] = None,
+        *,
+        ledger: Optional[QubitLedger] = None,
+        rate_cache: Optional[ChannelRateCache] = None,
+        banned_nodes: FrozenSet[int] = frozenset(),
+        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
     ) -> RoutingResult:
         """Serve demands one at a time on the residual network."""
         link_model = link_model or LinkModel()
         swap_model = swap_model or SwapModel()
-        ledger = QubitLedger(network)
+        ledger = ledger or QubitLedger(network)
         plan = RoutingPlan()
-        rate_cache = ChannelRateCache(network, link_model)
+        rate_cache = rate_cache_for(network, link_model, rate_cache)
 
         for demand in demands:
             path_set = select_paths(
@@ -81,6 +86,8 @@ class B1Router:
                 max_width=self.max_width,
                 ledger=ledger,
                 rate_cache=rate_cache,
+                banned_nodes=banned_nodes,
+                banned_edges=banned_edges,
             )
             if not path_set:
                 continue
@@ -98,30 +105,24 @@ class B1Router:
                     if w == min(path_set)
                 },
             ]
-            flow = None
             for candidate_set in attempts:
-                snapshot = ledger.snapshot()
-                sub_plan = merge_paths(
-                    network,
-                    link_model,
-                    swap_model,
-                    single,
-                    {demand.demand_id: candidate_set},
-                    ledger,
-                )
-                flow = sub_plan.flow_for(demand.demand_id)
+                flow = merge_paths(
+                    network, link_model, swap_model, single,
+                    {demand.demand_id: candidate_set}, ledger,
+                ).flow_for(demand.demand_id)
                 if flow is None:
-                    ledger.restore(snapshot)
                     continue
                 if (
                     flow.num_paths <= self.max_paths
                     and not self._violates_arity_cap(network, flow)
                 ):
+                    plan.add_flow(flow)
                     break
-                ledger.restore(snapshot)
-                flow = None
-            if flow is not None:
-                plan.add_flow(flow)
+                # Admission charged each edge its final width: refund it.
+                ledger.release_edges(
+                    (u, v, width)
+                    for (u, v), width in flow.edge_widths().items()
+                )
 
         return RoutingResult.from_plan(
             self.name, plan, network, link_model, swap_model, ledger,

@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import RoutingError
+from repro.exceptions import CapacityError, RoutingError
 from repro.network.demands import Demand, DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 from repro.routing.nfusion import RoutingResult
 from repro.routing.plan import RoutingPlan
 from repro.routing.registry import register_router
@@ -57,8 +58,14 @@ class MCFRouter:
         demands: DemandSet,
         link_model: Optional[LinkModel] = None,
         swap_model: Optional[SwapModel] = None,
+        *,
+        ledger: Optional[QubitLedger] = None,
+        rate_cache: Optional[ChannelRateCache] = None,
+        banned_nodes: FrozenSet[int] = frozenset(),
+        banned_edges: FrozenSet[Arc] = frozenset(),
     ) -> RoutingResult:
-        """Solve the LP, decompose, admit, and report analytic rates."""
+        """Solve the LP over *ledger*'s remaining switch capacities and
+        the arcs off banned elements, decompose, admit, report rates."""
         try:
             from scipy.optimize import linprog
         except ImportError as exc:  # pragma: no cover - scipy is a test dep
@@ -67,8 +74,10 @@ class MCFRouter:
             ) from exc
         link_model = link_model or LinkModel()
         swap_model = swap_model or SwapModel()
+        rate_cache = rate_cache_for(network, link_model, rate_cache)
+        ledger = ledger or QubitLedger(network)
         demand_list = list(demands)
-        arcs = self._arcs(network)
+        arcs = self._arcs(network, banned_nodes, banned_edges)
         arc_index = {arc: i for i, arc in enumerate(arcs)}
         num_demands = len(demand_list)
         num_vars = num_demands * len(arcs)
@@ -93,7 +102,7 @@ class MCFRouter:
                     objective[var(d, arc)] += 1.0
 
         a_eq, b_eq = self._conservation(network, demand_list, arcs, var)
-        a_ub, b_ub = self._capacities(network, demand_list, arcs, var)
+        a_ub, b_ub = self._capacities(network, demand_list, arcs, var, ledger)
         bounds = [(0.0, float(self.max_width))] * num_vars
         solution = linprog(
             objective,
@@ -109,7 +118,6 @@ class MCFRouter:
             else np.zeros(num_vars)
         )
 
-        ledger = QubitLedger(network)
         plan = RoutingPlan()
         for d, demand in enumerate(demand_list):
             arc_flow = {
@@ -124,14 +132,17 @@ class MCFRouter:
                 plan.add_flow(flow_graph)
 
         return RoutingResult.from_plan(
-            self.name, plan, network, link_model, swap_model, ledger
+            self.name, plan, network, link_model, swap_model, ledger,
+            rate_cache,
         )
 
     # ------------------------------------------------------------------
 
-    def _arcs(self, network: QuantumNetwork) -> List[Arc]:
+    def _arcs(self, network, banned_nodes, banned_edges) -> List[Arc]:
         arcs: List[Arc] = []
         for edge in network.edges():
+            if edge.key in banned_edges or {edge.u, edge.v} & banned_nodes:
+                continue
             arcs.append((edge.u, edge.v))
             arcs.append((edge.v, edge.u))
         return arcs
@@ -181,7 +192,7 @@ class MCFRouter:
         )
         return matrix, np.array(rhs)
 
-    def _capacities(self, network, demand_list, arcs, var):
+    def _capacities(self, network, demand_list, arcs, var, ledger):
         from scipy.sparse import csr_matrix
 
         data: List[float] = []
@@ -200,7 +211,7 @@ class MCFRouter:
                         data.append(0.5)
                         row_idx.append(row)
                         col_idx.append(var(d, arc))
-            rhs.append(float(network.qubit_capacity(node)))
+            rhs.append(float(ledger.remaining(node)))
             row += 1
         # Cap the per-demand source out-flow at max_width.
         for d, demand in enumerate(demand_list):
@@ -242,25 +253,27 @@ class MCFRouter:
                 remaining[(a, b)] -= bottleneck
                 if remaining[(a, b)] <= 1e-6:
                     del remaining[(a, b)]
-            candidate = flow_graph.copy() if flow_graph else FlowLikeGraph(
+            candidate = flow_graph or FlowLikeGraph(
                 demand.demand_id, demand.source, demand.destination
             )
-            new_edges = [
-                (min(a, b), max(a, b))
+            # A shared edge costs only the width it gains.
+            charges = [
+                (a, b, width - candidate.edge_width(a, b))
+                if candidate.contains_edge(a, b) else (a, b, width)
                 for a, b in zip(path, path[1:])
-                if not candidate.contains_edge(a, b)
             ]
-            snapshot = ledger.snapshot()
-            feasible = True
+            charges = [charge for charge in charges if charge[2] > 0]
             try:
-                for u, v in new_edges:
-                    ledger.reserve_edge(u, v, width)
+                ledger.reserve_edges(charges)
+            except CapacityError:
+                continue
+            try:
+                # A rejected merge leaves the candidate untouched.
                 candidate.add_path(tuple(path), width)
-            except Exception:
-                ledger.restore(snapshot)
-                feasible = False
-            if feasible:
-                flow_graph = candidate
+            except RoutingError:
+                ledger.release_edges(charges)
+                continue
+            flow_graph = candidate
         return flow_graph
 
     def _extract_path(

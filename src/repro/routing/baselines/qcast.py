@@ -22,12 +22,14 @@ could not have changed the pick (see ``greedy_single_paths``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional, Tuple
 
 from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
+from repro.routing.allocation import QubitLedger
 from repro.routing.baselines.qcast_n import greedy_single_paths
+from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import RoutingResult
 from repro.routing.registry import register_router
 
@@ -45,8 +47,15 @@ class QCastRouter:
         demands: DemandSet,
         link_model: Optional[LinkModel] = None,
         swap_model: Optional[SwapModel] = None,
+        *,
+        ledger: Optional[QubitLedger] = None,
+        rate_cache: Optional[ChannelRateCache] = None,
+        banned_nodes: FrozenSet[int] = frozenset(),
+        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
     ) -> RoutingResult:
         """Route every demand over its best width-1 path, greedily."""
         return greedy_single_paths(
-            self.name, network, demands, (1,), link_model, swap_model
+            self.name, network, demands, (1,), link_model, swap_model,
+            ledger=ledger, rate_cache=rate_cache,
+            banned_nodes=banned_nodes, banned_edges=banned_edges,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
@@ -23,7 +23,7 @@ from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
 from repro.routing.alg2_path_selection import default_max_width
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 from repro.routing.nfusion import RoutingResult
 from repro.routing.plan import RoutingPlan
 from repro.routing.registry import RouterSpecError, register_router
@@ -36,6 +36,11 @@ def greedy_single_paths(
     widths: Sequence[int],
     link_model: Optional[LinkModel] = None,
     swap_model: Optional[SwapModel] = None,
+    *,
+    ledger: Optional[QubitLedger] = None,
+    rate_cache: Optional[ChannelRateCache] = None,
+    banned_nodes: FrozenSet[int] = frozenset(),
+    banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
 ) -> RoutingResult:
     """Q-Cast's greedy loop: admit the globally best (path, width) pair
     over all unrouted demands and *widths*, charge its qubits, repeat
@@ -53,13 +58,14 @@ def greedy_single_paths(
     ledger only shrinks here, so a pair's best rate never rises and a
     ``None`` stays ``None``.  Every stale key is therefore a lower bound
     on its pair's current key, and a fresh entry on top of the heap
-    holds the path a full re-search would pick now.
+    holds the path a full re-search would pick now.  The keywords are
+    the :class:`~repro.routing.registry.Router` protocol's.
     """
     link_model = link_model or LinkModel()
     swap_model = swap_model or SwapModel()
-    ledger = QubitLedger(network)
+    ledger = ledger or QubitLedger(network)
     plan = RoutingPlan()
-    rate_cache = ChannelRateCache(network, link_model)
+    rate_cache = rate_cache_for(network, link_model, rate_cache)
     ordered = list(demands)
     widths = tuple(widths)
 
@@ -76,6 +82,8 @@ def greedy_single_paths(
             demand.destination,
             width=widths[width_pos],
             ledger=ledger,
+            banned_nodes=banned_nodes,
+            banned_edges=banned_edges,
             rate_cache=rate_cache,
         )
         if found is None:
@@ -135,10 +143,17 @@ class QCastNRouter:
         demands: DemandSet,
         link_model: Optional[LinkModel] = None,
         swap_model: Optional[SwapModel] = None,
+        *,
+        ledger: Optional[QubitLedger] = None,
+        rate_cache: Optional[ChannelRateCache] = None,
+        banned_nodes: FrozenSet[int] = frozenset(),
+        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
     ) -> RoutingResult:
         """Route every demand over its best uniform-width path, greedily."""
-        max_width = self.max_width or default_max_width(network)
+        ledger = ledger or QubitLedger(network)
+        max_width = self.max_width or default_max_width(network, ledger)
         return greedy_single_paths(
             self.name, network, demands, range(max_width, 0, -1),
-            link_model, swap_model,
+            link_model, swap_model, ledger=ledger, rate_cache=rate_cache,
+            banned_nodes=banned_nodes, banned_edges=banned_edges,
         )

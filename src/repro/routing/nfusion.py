@@ -25,7 +25,7 @@ from repro.routing.alg3_merge import admit_paths, admit_paths_efficiency
 from repro.routing.alg4_residual import assign_remaining_qubits
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
-from repro.routing.metrics import ChannelRateCache
+from repro.routing.metrics import ChannelRateCache, rate_cache_for
 from repro.routing.plan import RoutingPlan
 from repro.routing.registry import RouterSpecError, register_router
 
@@ -63,15 +63,11 @@ class RoutingResult:
         link_model: LinkModel,
         swap_model: SwapModel,
         ledger: QubitLedger,
-        rate_cache: Optional[ChannelRateCache] = None,
+        rate_cache: ChannelRateCache,
     ) -> "RoutingResult":
-        """The result of a finished *plan* whose qubits *ledger* holds.
-
-        Rates are Equation 1 per routed demand, read through
-        *rate_cache* (a new one bound to *network* when omitted).
-        """
-        if rate_cache is None:
-            rate_cache = ChannelRateCache(network, link_model)
+        """The result of a finished *plan* whose qubits *ledger* holds;
+        rates are Equation 1 per routed demand, read through
+        *rate_cache*."""
         demand_rates = plan.demand_rates(
             network, link_model, swap_model, rate_cache
         )
@@ -148,61 +144,19 @@ class AlgNFusion:
         demands: DemandSet,
         link_model: Optional[LinkModel] = None,
         swap_model: Optional[SwapModel] = None,
-    ) -> RoutingResult:
-        """Compute routes for *demands* and return the analytic result."""
-        link_model = link_model or LinkModel()
-        return self._route(
-            network, demands, link_model, swap_model or SwapModel(),
-            QubitLedger(network), ChannelRateCache(network, link_model),
-        )
-
-    def route_online(
-        self,
-        network: QuantumNetwork,
-        demand,
-        link_model: Optional[LinkModel] = None,
-        swap_model: Optional[SwapModel] = None,
         *,
-        ledger: QubitLedger,
+        ledger: Optional[QubitLedger] = None,
         rate_cache: Optional[ChannelRateCache] = None,
         banned_nodes: FrozenSet[int] = frozenset(),
         banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
     ) -> RoutingResult:
-        """Route ONE arriving demand against the residual in *ledger*.
-
-        The serving loop's incremental re-planning interface: the
-        pipeline of :meth:`route` on a one-demand set, run against the
-        session's *ledger* and *rate_cache* (whose compiled snapshot and
-        search memo carry over between arrivals) instead
-        of fresh ones.  That makes it decision-identical to :meth:`route`
-        on a network whose switch capacities are the ledger's remaining
-        counts, so the ``incremental`` and ``resnapshot`` serving modes
-        agree bit-for-bit.  ``banned_nodes``/``banned_edges`` mask
-        elements out of every candidate search exactly as if they were
-        absent.  Admitted qubits stay reserved in *ledger*; releasing
-        them when the flow departs is the caller's job.
-        """
+        """Steps I-III for *demands* against *ledger* (a fresh one when
+        omitted), which keeps the admitted qubits; see the
+        :class:`~repro.routing.registry.Router` protocol."""
         link_model = link_model or LinkModel()
-        if rate_cache is None:
-            rate_cache = ChannelRateCache(network, link_model)
-        return self._route(
-            network, DemandSet([demand]), link_model,
-            swap_model or SwapModel(), ledger, rate_cache,
-            banned_nodes, banned_edges,
-        )
-
-    def _route(
-        self,
-        network: QuantumNetwork,
-        demands: DemandSet,
-        link_model: LinkModel,
-        swap_model: SwapModel,
-        ledger: QubitLedger,
-        rate_cache: ChannelRateCache,
-        banned_nodes: FrozenSet[int] = frozenset(),
-        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
-    ) -> RoutingResult:
-        """Steps I-III against *ledger*, sharing one *rate_cache*."""
+        swap_model = swap_model or SwapModel()
+        rate_cache = rate_cache_for(network, link_model, rate_cache)
+        ledger = ledger or QubitLedger(network)
         max_width = self.max_width or default_max_width(network, ledger)
         flows: Dict[int, FlowLikeGraph] = {}
         # Round 0 is Steps I and II: select candidate paths per demand,

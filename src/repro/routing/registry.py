@@ -23,7 +23,9 @@ Registering a new router is one decorator::
         threshold: float = 0.5
         name: str = "MY-ROUTER"
 
-        def route(self, network, demands, link_model=None, swap_model=None):
+        def route(self, network, demands, link_model=None, swap_model=None,
+                  *, ledger=None, rate_cache=None,
+                  banned_nodes=frozenset(), banned_edges=frozenset()):
             ...
 
 after which ``RouterSpec.from_string("my-router:threshold=0.25")``,
@@ -36,13 +38,20 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Protocol, Tuple,
+    runtime_checkable,
+)
 
 from repro.network.demands import DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 import repro.specs as specs
 from repro.specs import SpecBase, SpecError
+
+if TYPE_CHECKING:
+    from repro.routing.allocation import QubitLedger
+    from repro.routing.metrics import ChannelRateCache
 
 
 class RouterSpecError(SpecError):
@@ -65,8 +74,15 @@ class Router(Protocol):
         demands: DemandSet,
         link_model: Optional[LinkModel] = None,
         swap_model: Optional[SwapModel] = None,
+        *,
+        ledger: Optional[QubitLedger] = None,
+        rate_cache: Optional[ChannelRateCache] = None,
+        banned_nodes: FrozenSet[int] = frozenset(),
+        banned_edges: FrozenSet[Tuple[int, int]] = frozenset(),
     ) -> "RoutingResult":  # noqa: F821 - avoids a circular import
-        """Route *demands* over *network* and report analytic rates."""
+        """Route *demands* over *network* and report analytic rates,
+        keeping the plan's qubits in *ledger* (fresh when omitted) and
+        routing around banned elements as if they were absent."""
         ...
 
     def config_dict(self) -> Dict:

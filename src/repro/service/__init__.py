@@ -7,9 +7,10 @@ every arrival is re-planned against the residual network.  Links and
 switches can fail and recover mid-run (:mod:`repro.service.faults`),
 disrupting held flows that the loop repairs or drops per policy.  See
 :mod:`repro.service.arrivals` (the arrival-process grammar),
-:mod:`repro.service.loop` (the event loop and its two re-planning
-modes) and :mod:`repro.service.runner` (multi-seed replication,
-caching and the CLI report).
+:mod:`repro.service.loop` (the event loop, which re-plans every
+arrival through the router's one ``route`` entry) and
+:mod:`repro.service.runner` (multi-seed replication, caching and the
+CLI report).
 """
 
 from repro.service.arrivals import (
@@ -36,12 +37,10 @@ from repro.service.faults import (
     write_fault_trace,
 )
 from repro.service.loop import (
-    REPLAN_MODES,
     ServeMetrics,
     ServeRun,
     ServeSession,
     latency_summary,
-    residual_view,
     run_serve,
 )
 from repro.service.runner import (
@@ -59,7 +58,6 @@ __all__ = [
     "FaultSpec",
     "FaultSpecError",
     "HoldSpec",
-    "REPLAN_MODES",
     "RepairSpec",
     "ServeMetrics",
     "ServeReport",
@@ -73,7 +71,6 @@ __all__ = [
     "poisson_events",
     "read_fault_trace",
     "read_trace",
-    "residual_view",
     "run_serve",
     "run_serve_experiment",
     "serve_key",

@@ -1,35 +1,20 @@
 """The event-driven serving loop.
 
-Demands arrive one at a time (:mod:`repro.service.arrivals`), are
-routed against whatever capacity earlier flows left behind, hold their
-qubits for their holding time and then depart, releasing the capacity
-for later arrivals.  Two re-planning modes drive the router per
-arrival:
-
-``incremental``
-    Calls the router's ``route_online`` interface (when it has one)
-    with a session-long :class:`~repro.routing.allocation.QubitLedger`
-    and channel-rate cache, so each arrival re-plans on the session's
-    compiled snapshot and search memo instead of a rebuilt network.  The
-    snapshot rebuilds its relay flags from the ledger when the ledger's
-    ``version`` has moved (O(nodes) per width), and each arrival's
-    path selection runs through the compiled core's Algorithm-2 entry
-    and its native search kernel, so per-arrival latency benefits from
-    the same kernel as the offline sweeps.
-
-``resnapshot``
-    Rebuilds a residual-capacity copy of the network per arrival and
-    runs the router's ordinary batch ``route`` on it.  Works with
-    *any* registry router; the baseline the incremental path must beat.
+Demands arrive one at a time (:mod:`repro.service.arrivals`), hold
+qubits for their holding time and then depart, releasing them for later
+arrivals.  Each arrival is one call of the router's ``route`` on a
+one-demand set with the session-long ledger, channel-rate cache and
+down elements, so every router re-plans warm on the session's compiled
+snapshot and search memo (relay flags are rebuilt when the ledger's
+``version`` moves, O(nodes) per width).  Routing a residual copy of the
+network cold plans identically; that slower path is the oracle in
+:mod:`repro.service.residual`.
 
 Fault injection (:mod:`repro.service.faults`) merges link/switch
 down/up events into the same event stream.  A down event masks the
-element out of all future routing — the ``incremental`` mode passes
-the session's down-element sets as search-time bans (memo-keyed masks
-on the compiled snapshot, O(changes) per fault transition), the
-``resnapshot`` mode omits the elements from the residual view; the
-two are bit-identical because a masked element searches exactly like
-an absent one — and invalidates every held flow crossing it.  Each
+element out of all future routing (as a search-time ban, memo-keyed on
+the compiled snapshot and O(changes) per transition) and invalidates
+every held flow crossing it.  Each
 disrupted flow is released exactly (the release moves the ledger's
 version like any departure) and handed to the repair policy: ``drop``
 counts it, ``reroute`` re-plans it now and retries on a deterministic
@@ -37,11 +22,7 @@ backoff schedule, degrading to a counted drop when the budget runs out.
 Repair never raises out of the loop: a routing failure is a failed
 attempt, not a crash.
 
-The two modes are decision-identical by construction (``route_online``
-runs ``route``'s one pipeline against the session ledger, which is what
-``route`` on the residual view sees), so the deterministic metrics
-never depend on the mode — only the re-plan latency does.  Wall-clock
-latency (re-plan and recovery alike) is measured through the
+Wall-clock latency (re-plan and recovery alike) is measured through the
 sanctioned :func:`repro.utils.timing.perf_timer` accessor and reported
 separately from the deterministic metrics; it must never reach stdout
 or a cache.
@@ -49,7 +30,6 @@ or a cache.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -67,9 +47,6 @@ from repro.service.faults import KIND_ORDER, FaultEvent, RepairSpec
 from repro.utils.timing import perf_timer
 
 EdgeKey = Tuple[int, int]
-
-#: Valid re-planning modes, in CLI listing order.
-REPLAN_MODES = ("incremental", "resnapshot")
 
 #: Fixed tie-break order of simultaneous events, lowest first:
 #: departures release capacity before anything else sees the instant;
@@ -117,14 +94,11 @@ class ServeRun:
 
     ``latencies_s`` holds one re-plan latency (seconds) per arrival, in
     arrival order; ``repair_latencies_s`` one recovery latency per
-    repair attempt (successful or not), in attempt order; ``mode`` is
-    the re-planning path actually taken (a router without
-    ``route_online`` falls back to ``resnapshot``).
+    repair attempt (successful or not), in attempt order.
     """
 
     metrics: ServeMetrics
     latencies_s: List[float]
-    mode: str
     repair_latencies_s: List[float] = field(default_factory=list)
 
 
@@ -146,38 +120,6 @@ def latency_summary(latencies_s: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def residual_view(
-    network: QuantumNetwork,
-    ledger: QubitLedger,
-    down_edges: FrozenSet[EdgeKey] = frozenset(),
-    down_switches: FrozenSet[int] = frozenset(),
-) -> QuantumNetwork:
-    """A copy of *network* whose switch capacities are the ledger's
-    remaining counts (users stay unlimited, lengths are preserved).
-
-    Down elements are omitted *as edges only*: a down edge disappears,
-    a down switch keeps its node (so user/switch orderings — and the
-    derived default max width — match the incremental mode's view of
-    the full network) but loses every incident edge, which makes it
-    unroutable exactly like the incremental mode's node ban.
-    """
-    view = QuantumNetwork()
-    for node_id in network.nodes():
-        node = network.node(node_id)
-        if node.qubit_capacity is not None:
-            node = dataclasses.replace(
-                node, qubit_capacity=int(ledger.remaining(node_id))
-            )
-        view.add_node(node)
-    for u, v in network.edge_keys():
-        if (u, v) in down_edges:
-            continue
-        if u in down_switches or v in down_switches:
-            continue
-        view.add_edge(u, v, network.edge_length(u, v))
-    return view
-
-
 class ServeSession:
     """Mutable serving state over one network: ledger, caches, router,
     and the current fault state (down edges/switches)."""
@@ -188,21 +130,15 @@ class ServeSession:
         link_model: LinkModel,
         swap_model: SwapModel,
         router,
-        replan: str = "incremental",
     ):
-        if replan not in REPLAN_MODES:
-            raise ConfigurationError(
-                f"replan mode must be one of {', '.join(REPLAN_MODES)}, "
-                f"got {replan!r}"
-            )
         self.network = network
         self.users = network.users()
         self.link_model = link_model
         self.swap_model = swap_model
         self.router = router
         self.ledger = QubitLedger(network)
-        # Session-long channel-rate memo: the incremental path reuses it
-        # (and the compiled snapshot hanging off it) across arrivals.
+        # Session-long channel-rate memo: every re-plan reuses it (and
+        # the compiled snapshot hanging off it) across arrivals.
         self.rate_cache = ChannelRateCache(network, link_model)
         # Fault state: updated by mark_* transitions, read as frozen
         # ban sets by every routing call.  The compiled snapshot keys
@@ -210,12 +146,6 @@ class ServeSession:
         # pays its searches once and is O(1) after.
         self.down_edges: FrozenSet[EdgeKey] = frozenset()
         self.down_switches: FrozenSet[int] = frozenset()
-        self._online = (
-            getattr(router, "route_online", None)
-            if replan == "incremental"
-            else None
-        )
-        self.mode = "incremental" if self._online is not None else "resnapshot"
 
     # -- fault-state transitions ---------------------------------------
 
@@ -246,39 +176,24 @@ class ServeSession:
     ) -> Optional[Tuple[FlowLikeGraph, float]]:
         """Plan one arrival; returns ``(flow, rate)`` or ``None``.
 
-        Down elements never appear in the result: the incremental path
-        passes them as search bans, the resnapshot path routes on a
-        view without them.  On admission the session ledger is charged
-        with the flow's full qubit usage; :meth:`release_flow` undoes
-        it at departure.
+        The router plans against the session ledger, rate cache and
+        down elements (as bans, so they never appear in the result); on
+        admission the ledger holds the flow's full qubit usage, and
+        :meth:`release_flow` undoes it at departure.
         """
-        if self._online is not None:
-            result = self._online(
-                self.network,
-                demand,
-                self.link_model,
-                self.swap_model,
-                ledger=self.ledger,
-                rate_cache=self.rate_cache,
-                banned_nodes=self.down_switches,
-                banned_edges=self.down_edges,
-            )
-        else:
-            view = residual_view(
-                self.network, self.ledger, self.down_edges,
-                self.down_switches,
-            )
-            result = self.router.route(
-                view, DemandSet([demand]), self.link_model, self.swap_model
-            )
+        result = self.router.route(
+            self.network,
+            DemandSet([demand]),
+            self.link_model,
+            self.swap_model,
+            ledger=self.ledger,
+            rate_cache=self.rate_cache,
+            banned_nodes=self.down_switches,
+            banned_edges=self.down_edges,
+        )
         flow = result.plan.flow_for(demand.demand_id)
         if flow is None or flow.num_paths == 0:
             return None
-        if self._online is None:
-            # The batch route charged its own ledger over the view;
-            # mirror the reservation onto the session ledger.
-            for node in flow.nodes():
-                self.ledger.reserve(node, flow.qubits_used_at(node))
         return flow, result.demand_rates[demand.demand_id]
 
     def release_flow(self, flow: FlowLikeGraph) -> None:
@@ -288,9 +203,9 @@ class ServeSession:
         admitted the flow."""
         for path in flow.paths:
             released = flow.remove_path(path)
-            for (u, v), width in sorted(released.items()):
-                self.ledger.release(u, width)
-                self.ledger.release(v, width)
+            self.ledger.release_edges(
+                (u, v, width) for (u, v), width in sorted(released.items())
+            )
 
 
 class _HeldFlow:
@@ -363,11 +278,19 @@ def run_serve(
     *faults* is a time-sorted :class:`FaultEvent` timeline (element
     indices into the sorted ``edge_keys()``/``switches()`` lists);
     *repair* the policy for disrupted flows (default ``reroute``).
+
+    *replan* only accepts ``"incremental"``, which the benchmark in
+    ``perfbench/`` still passes; a change to that benchmark removes it.
     """
+    if replan != "incremental":
+        raise ConfigurationError(
+            f"run_serve has one re-plan path; replan must be "
+            f"'incremental', got {replan!r}"
+        )
     check_horizon(duration, warmup)
     validate_events(events)
     repair_spec = RepairSpec.coerce(repair)
-    session = ServeSession(network, link_model, swap_model, router, replan)
+    session = ServeSession(network, link_model, swap_model, router)
     users = session.users
     edge_keys = network.edge_keys()
     switch_ids = network.switches()
@@ -576,6 +499,5 @@ def run_serve(
     return ServeRun(
         metrics=metrics,
         latencies_s=latencies,
-        mode=session.mode,
         repair_latencies_s=repair_latencies,
     )

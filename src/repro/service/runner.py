@@ -12,11 +12,10 @@ worker count.
 Deterministic per-replication metrics round-trip through the shared
 :class:`~repro.experiments.cache.ResultCache` under a ``serve``-kind
 key (scenario + router + arrivals + duration + warmup + sample seed).
-The re-planning mode is deliberately **not** part of the key: the
-``incremental`` and ``resnapshot`` modes are decision-identical by
-construction, and keying them separately would let the cache hide a
-divergence instead of exposing it.  Re-plan latencies are wall-clock
-and are never cached (cache hits report no latency).
+The key has no re-planning mode: every router re-plans through its one
+``route`` entry, and entries written when a residual-view mode existed
+stay valid because that path planned identically.  Re-plan latencies
+are wall-clock and are never cached (cache hits report no latency).
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.service.faults import (
     read_fault_trace,
 )
 from repro.service.loop import (
-    REPLAN_MODES,
     ServeMetrics,
     check_horizon,
     latency_summary,
@@ -121,7 +119,6 @@ class ServeTask:
     events: Optional[Tuple[ArrivalEvent, ...]]
     duration: float
     warmup: float
-    replan: str
     collect_events: bool = False
     faults: Optional[FaultSpec] = None
     fault_timeline: Optional[Tuple[FaultEvent, ...]] = None
@@ -157,14 +154,12 @@ def _execute_serve_task(task: ServeTask) -> Dict:
         events,
         task.duration,
         task.warmup,
-        task.replan,
         faults=timeline,
         repair=task.repair,
     )
     result = {
         "router_index": task.router_index,
         "replication": task.replication,
-        "mode": run.mode,
         "metrics": dataclasses.asdict(run.metrics),
         "latencies_s": run.latencies_s,
         "repair_latencies_s": run.repair_latencies_s,
@@ -190,9 +185,7 @@ class ServeReport:
     warmup: float
     replications: int
     seed: Optional[int]
-    replan: str
     labels: List[str]
-    modes: List[str]
     rows: Dict[Tuple[int, int], ServeMetrics]
     latencies_s: Dict[int, List[float]]
     cached: Dict[int, int]
@@ -299,11 +292,10 @@ class ServeReport:
         """Wall-clock latency report (stderr only, never cached)."""
         lines = []
         for router_index, label in enumerate(self.labels):
-            mode = self.modes[router_index]
             pooled = self.latencies_s.get(router_index, [])
             if not pooled:
                 lines.append(
-                    f"re-plan latency [{label}] ({mode}): all "
+                    f"re-plan latency [{label}]: all "
                     f"{self.replications} replication(s) served from "
                     "cache; latency not re-measured"
                 )
@@ -316,7 +308,7 @@ class ServeReport:
                     "excluded)"
                 )
             lines.append(
-                f"re-plan latency [{label}] ({mode}): "
+                f"re-plan latency [{label}]: "
                 f"n={stats['count']} p50={stats['p50_ms']:.2f}ms "
                 f"p99={stats['p99_ms']:.2f}ms "
                 f"mean={stats['mean_ms']:.2f}ms{note}"
@@ -324,17 +316,16 @@ class ServeReport:
         if self.faults is None:
             return "\n".join(lines)
         for router_index, label in enumerate(self.labels):
-            mode = self.modes[router_index]
             pooled = self.repair_latencies_s.get(router_index, [])
             if not pooled:
                 lines.append(
-                    f"recovery latency [{label}] ({mode}): no repair "
+                    f"recovery latency [{label}]: no repair "
                     "attempts measured (cache hits or no disruptions)"
                 )
                 continue
             stats = latency_summary(pooled)
             lines.append(
-                f"recovery latency [{label}] ({mode}): "
+                f"recovery latency [{label}]: "
                 f"n={stats['count']} p50={stats['p50_ms']:.2f}ms "
                 f"p99={stats['p99_ms']:.2f}ms "
                 f"mean={stats['mean_ms']:.2f}ms"
@@ -376,7 +367,6 @@ def run_serve_experiment(
     warmup: float = 20.0,
     replications: int = 3,
     seed: Optional[int] = None,
-    replan: str = "incremental",
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     record_trace: Optional[str] = None,
@@ -401,11 +391,6 @@ def run_serve_experiment(
     """
     from repro.routing.registry import parse_router_specs
 
-    if replan not in REPLAN_MODES:
-        raise ConfigurationError(
-            f"replan mode must be one of {', '.join(REPLAN_MODES)}, "
-            f"got {replan!r}"
-        )
     scenario = ScenarioSpec.coerce(scenario)
     arrivals = ArrivalSpec.coerce(arrivals)
     faults = FaultSpec.coerce(faults) if faults is not None else None
@@ -493,7 +478,6 @@ def run_serve_experiment(
                     ),
                     duration=duration,
                     warmup=warmup,
-                    replan=replan,
                     collect_events=(
                         record_trace is not None and router_index == 0
                     ),
@@ -511,7 +495,6 @@ def run_serve_experiment(
 
     latencies: Dict[int, List[float]] = {}
     repair_latencies: Dict[int, List[float]] = {}
-    modes: Dict[int, str] = {}
     recorded: Dict[int, List[ArrivalEvent]] = {}
     for task, result in zip(tasks, results):
         position = (result["router_index"], result["replication"])
@@ -523,7 +506,6 @@ def run_serve_experiment(
         repair_latencies.setdefault(result["router_index"], []).extend(
             result["repair_latencies_s"]
         )
-        modes[result["router_index"]] = result["mode"]
         if "events" in result:
             recorded[result["replication"]] = result["events"]
         if cache is not None:
@@ -538,17 +520,6 @@ def run_serve_experiment(
             [recorded[r] for r in range(replications)],
         )
 
-    # A router whose replications all hit the cache never reported its
-    # mode; derive it the way the session would have.
-    mode_list = []
-    for router_index, router in enumerate(routers):
-        if router_index in modes:
-            mode_list.append(modes[router_index])
-        elif replan == "incremental" and hasattr(router, "route_online"):
-            mode_list.append("incremental")
-        else:
-            mode_list.append("resnapshot")
-
     baseline_throughput: Optional[Dict[int, float]] = None
     if faults is not None:
         # The degradation line needs the fault-free companion run; it
@@ -562,7 +533,6 @@ def run_serve_experiment(
             warmup=warmup,
             replications=replications,
             seed=seed,
-            replan=replan,
             workers=workers,
             cache=cache,
         )
@@ -578,9 +548,7 @@ def run_serve_experiment(
         warmup=warmup,
         replications=replications,
         seed=seed if seed is not None else setting.seed,
-        replan=replan,
         labels=labels,
-        modes=mode_list,
         rows=rows,
         latencies_s=latencies,
         cached=cached,

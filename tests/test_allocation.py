@@ -54,6 +54,32 @@ class TestLedger:
         assert ledger.remaining(0) == 4
         assert ledger.version == version
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_reserve_edges_overdraft_at_kth_charge_changes_nothing(self, k):
+        # User 4 - switches 0..3 - user 5; the k-th charge overdraws.
+        ledger = QubitLedger(make_line_network(num_switches=4, capacity=4))
+        ledger.reserve(3, 1)
+        charges = [(4, 0, 2), (0, 1, 2), (1, 2, 2), (2, 3, 2)][:k]
+        charges.append((k, k + 1, 5) if k < 3 else (3, 5, 5))
+        prior = ledger.snapshot()
+        with pytest.raises(CapacityError):
+            ledger.reserve_edges(charges)
+        assert ledger.snapshot() == prior
+
+    def test_reserve_edges_unknown_node_changes_nothing(self, ledger):
+        prior = ledger.snapshot()
+        with pytest.raises(AllocationError):
+            ledger.reserve_edges([(2, 0, 1), (0, 1, 1), (1, 99999, 1)])
+        assert ledger.snapshot() == prior
+
+    def test_reserve_edges_then_release_edges(self, ledger):
+        prior = ledger.snapshot()
+        charges = [(2, 0, 1), (0, 1, 3)]
+        ledger.reserve_edges(charges)
+        assert (ledger.remaining(0), ledger.remaining(1)) == (0, 1)
+        ledger.release_edges(charges)
+        assert ledger.snapshot() == prior
+
     def test_can_reserve_edge(self, ledger):
         assert ledger.can_reserve_edge(0, 1, 4)
         assert not ledger.can_reserve_edge(0, 1, 5)

@@ -4,7 +4,8 @@ Covers the fault/repair spec grammars, the deterministic backoff
 helper, fault-timeline statelessness and prefix-stability (mirroring
 the arrival-stream contracts), trace record/replay validation, the
 serving loop's disruption/repair accounting (ledger restore parity,
-dense-fault crash-freedom, mode/core bit-parity under active faults)
+dense-fault crash-freedom, bit-parity with the residual-view oracle
+and across routing cores under active faults)
 and the replicated runner's fault-aware report.
 """
 
@@ -22,7 +23,7 @@ from repro.network.builder import build_network
 from repro.network.demands import Demand
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.compiled import ROUTING_CORE_ENV
-from repro.routing.registry import make_router
+from repro.routing.registry import RouterSpec, make_router
 from repro.service.arrivals import (
     ArrivalEvent,
     parse_arrivals,
@@ -42,6 +43,7 @@ from repro.service.faults import (
     write_fault_trace,
 )
 from repro.service.loop import ServeSession, run_serve
+from repro.service.residual import ResidualViewRouter
 from repro.service.runner import run_serve_experiment, serve_key
 from repro.utils.retry import backoff_delay, backoff_delays
 from repro.utils.rng import ensure_rng
@@ -64,6 +66,12 @@ def _small_instance(seed=7):
 
 def _online_router():
     return make_router("alg-n-fusion", include_alg4=False)
+
+
+#: Every registered router, ALG-N-FUSION as served by default.
+SERVE_ROUTERS = (
+    "alg-n-fusion:include_alg4=false", "q-cast-n", "b1", "q-cast", "mcf",
+)
 
 
 def _timeline(network, text=DENSE_FAULTS, seed=7, duration=40.0):
@@ -522,21 +530,26 @@ class TestServeWithFaults:
         assert faulty.metrics.throughput < clean.metrics.throughput
 
     def test_modes_bit_identical_under_faults(self):
+        """The session path and the residual-view oracle (a rebuilt
+        network without the down elements, routed cold) serve the same
+        stream identically for every router, disruptions and repairs
+        included."""
         network = _small_instance()
         events = poisson_events(
             parse_arrivals(ARRIVALS), 7, len(network.users()), 40.0
         )
         faults = _timeline(network)
-        runs = {
-            mode: run_serve(
-                network, LINK, SWAP, _online_router(), events, 40.0, 5.0,
-                replan=mode, faults=faults,
+        for key in SERVE_ROUTERS:
+            router = RouterSpec.from_string(key).build()
+            session, oracle = (
+                run_serve(
+                    network, LINK, SWAP, served, events, 40.0, 5.0,
+                    faults=faults,
+                ).metrics
+                for served in (router, ResidualViewRouter(router))
             )
-            for mode in ("incremental", "resnapshot")
-        }
-        assert runs["incremental"].mode == "incremental"
-        assert runs["resnapshot"].mode == "resnapshot"
-        assert runs["incremental"].metrics == runs["resnapshot"].metrics
+            assert session == oracle, key
+            assert session.disruptions > 0, key
 
     def test_cores_bit_identical_under_faults(self, monkeypatch):
         network = _small_instance()

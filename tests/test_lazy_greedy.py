@@ -211,7 +211,7 @@ def scan_admit_paths_efficiency(
             break
         candidate = pool[best_index]
         active.remove(best_index)
-        if _try_admit(network, demand_by_id[candidate.demand_id], candidate,
+        if _try_admit(demand_by_id[candidate.demand_id], candidate,
                       flows, ledger):
             admitted += 1
             demand_id = candidate.demand_id
@@ -332,7 +332,7 @@ def eager_admit_paths_efficiency(
             break
         candidate = pool[best_index]
         active.remove(best_index)
-        if _try_admit(network, demand_by_id[candidate.demand_id], candidate,
+        if _try_admit(demand_by_id[candidate.demand_id], candidate,
                       flows, ledger):
             admitted += 1
             demand_id = candidate.demand_id

@@ -359,7 +359,9 @@ class TestRPL005Registry:
                 name = "X"
 
                 def route(self, network, demands, link_model=None,
-                          swap_model=None):
+                          swap_model=None, *, ledger=None,
+                          rate_cache=None, banned_nodes=frozenset(),
+                          banned_edges=frozenset()):
                     pass
             """
         assert codes(src) == ["RPL005"]
@@ -376,7 +378,61 @@ class TestRPL005Registry:
                 name: str = "X"
 
                 def route(self, network, demands, link_model=None,
+                          swap_model=None, *, ledger=None,
+                          rate_cache=None, banned_nodes=frozenset(),
+                          banned_edges=frozenset()):
+                    pass
+            """
+        assert codes(src) == []
+
+    def test_fires_on_router_without_ledger_entry(self):
+        # The batch-only signature: the serving loop could not hand
+        # this router its session ledger, rate cache or bans.
+        src = """
+            from dataclasses import dataclass
+            from repro.routing.registry import register_router
+
+            @register_router("x")
+            @dataclass
+            class XRouter:
+                name: str = "X"
+
+                def route(self, network, demands, link_model=None,
                           swap_model=None):
+                    pass
+            """
+        assert codes(src) == ["RPL005"]
+
+    def test_fires_on_positional_or_required_ledger_parameters(self):
+        src = """
+            from dataclasses import dataclass
+            from repro.routing.registry import register_router
+
+            @register_router("x")
+            @dataclass
+            class XRouter:
+                name: str = "X"
+
+                def route(self, network, demands, link_model=None,
+                          swap_model=None, ledger=None, *, rate_cache,
+                          banned_nodes=frozenset(),
+                          banned_edges=frozenset()):
+                    pass
+            """
+        assert codes(src) == ["RPL005"]
+
+    def test_silent_on_router_forwarding_keywords(self):
+        src = """
+            from dataclasses import dataclass
+            from repro.routing.registry import register_router
+
+            @register_router("x")
+            @dataclass
+            class XRouter:
+                name: str = "X"
+
+                def route(self, network, demands, link_model=None,
+                          swap_model=None, **options):
                     pass
             """
         assert codes(src) == []

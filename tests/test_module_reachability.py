@@ -57,6 +57,8 @@ ORACLES: Dict[str, str] = {
     "repro.simulation.quantum_engine":
         "tests/test_simulation.py::TestQuantumEngine"
         "::test_agrees_with_connectivity_on_single_path",
+    "repro.service.residual":
+        "tests/test_residual_oracle.py::test_ledger_entry_equals_residual_view",
 }
 
 

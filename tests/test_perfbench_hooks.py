@@ -12,10 +12,17 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import types
 
 import pytest
+
+from repro.exceptions import ConfigurationError
+from repro.network.graph import QuantumNetwork
+from repro.quantum.noise import LinkModel, SwapModel
+from repro.routing.registry import make_router
+from repro.service.loop import run_serve
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -96,3 +103,43 @@ def test_workload_imports_resolve():
         except (AttributeError, ImportError):
             missing.append(f"{module_name}: {dotted}")
     assert not missing, missing
+
+
+def _run_serve_calls():
+    """Every ``loop.run_serve(...)`` call in ``workload.py``."""
+    tree = ast.parse((PERFBENCH / "workload.py").read_text())
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "run_serve"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "loop"
+    ]
+
+
+def test_workload_run_serve_call_binds():
+    """perfbench's call, argument for argument, still binds to
+    ``run_serve``'s signature, and the one positional constant it
+    passes is the re-plan value ``run_serve`` accepts."""
+    calls = _run_serve_calls()
+    assert calls, "workload.py no longer calls loop.run_serve"
+    signature = inspect.signature(run_serve)
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        bound = signature.bind(
+            *(ast.unparse(a) for a in call.args),
+            **{k.arg: ast.unparse(k.value) for k in call.keywords},
+        )
+        if "replan" in bound.arguments:
+            assert bound.arguments["replan"] == repr("incremental")
+
+
+def test_run_serve_rejects_a_retired_replan_mode():
+    network = QuantumNetwork()
+    with pytest.raises(ConfigurationError, match="replan"):
+        run_serve(
+            network, LinkModel(), SwapModel(), make_router("q-cast"), [],
+            10.0, 0.0, "resnapshot",
+        )

@@ -10,8 +10,9 @@ from repro.routing.alg2_path_selection import default_max_width
 from repro.routing.allocation import QubitLedger
 from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter
 from repro.routing.compiled import ROUTING_CORE_ENV
+from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import AlgNFusion
-from repro.service.loop import residual_view
+from repro.service.residual import residual_view
 from repro.utils.rng import ensure_rng
 
 from tests.conftest import make_diamond_network
@@ -154,21 +155,30 @@ class TestOrderings:
 
 class TestSharedPipelines:
     @pytest.mark.parametrize("core", ["compiled", "reference"])
-    def test_route_online_on_fresh_ledger_equals_route(
+    def test_route_on_explicit_fresh_ledger_equals_route(
         self, core, monkeypatch
     ):
+        """Handing ``route`` a fresh ledger and a rate cache is the batch
+        call: ``ledger=None`` builds exactly that ledger."""
         monkeypatch.setenv(ROUTING_CORE_ENV, core)
         network, demands = small_instance(seed=12)
         link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
-        router = AlgNFusion()
-        for demand in list(demands)[:4]:
-            batch = router.route(network, DemandSet([demand]), link, swap)
-            online = router.route_online(
-                network, demand, link, swap, ledger=QubitLedger(network)
-            )
-            assert _plan_shape(online) == _plan_shape(batch)
-            assert online.demand_rates == batch.demand_rates
-            assert online.remaining_qubits == batch.remaining_qubits
+        cache = ChannelRateCache(network, link)
+        for router in ROUTERS:
+            for demand_set in (DemandSet(list(demands)[:1]), demands):
+                batch = router.route(network, demand_set, link, swap)
+                ledger = QubitLedger(network)
+                given = router.route(
+                    network, demand_set, link, swap, ledger=ledger,
+                    rate_cache=cache,
+                )
+                assert _plan_shape(given) == _plan_shape(batch)
+                assert given.demand_rates == batch.demand_rates
+                assert given.remaining_qubits == batch.remaining_qubits
+                assert (
+                    ledger.total_free_switch_qubits()
+                    == batch.remaining_qubits
+                )
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_q_cast_is_q_cast_n_at_width_one(self, seed):

@@ -26,7 +26,7 @@ from repro.exceptions import CapacityError, ConfigurationError
 from repro.experiments.scenarios import parse_scenario
 from repro.network import CompiledNetwork
 from repro.network.builder import build_network
-from repro.network.demands import Demand, generate_demands
+from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.network.graph import QuantumNetwork
 from repro.network.node import QuantumSwitch, QuantumUser
 from repro.network.serialization import load_instance
@@ -1177,8 +1177,8 @@ def test_fallback_kernel_plans_match_native(key, monkeypatch):
 
 def test_fallback_kernel_plans_match_native_with_session_bans(monkeypatch):
     """Session bans reach every spur search of the native Yen loop as
-    they reach the reference core's: serving-style ``route_online``
-    calls under banned nodes and edges, sharing one ledger and one rate
+    they reach the reference core's: serving-style one-demand
+    ``route`` calls under banned nodes and edges, sharing one ledger and one rate
     cache, admit the same plans with the native kernel as without it
     (on the reference core)."""
     scenario, seed = SCENARIOS[0], SEEDS[0]
@@ -1194,8 +1194,9 @@ def test_fallback_kernel_plans_match_native_with_session_bans(monkeypatch):
         cache = ChannelRateCache(fresh, LINK)
         plans = []
         for demand in demands:
-            result = router.route_online(
-                fresh, demand, LINK, SWAP, ledger=ledger, rate_cache=cache,
+            result = router.route(
+                fresh, DemandSet([demand]), LINK, SWAP, ledger=ledger,
+                rate_cache=cache,
                 banned_nodes=bans[0], banned_edges=bans[1],
             )
             plans.append((result.demand_rates, _plan_shape(result)))

@@ -1,7 +1,8 @@
 """Tests for the online serving subsystem (repro.service).
 
 Covers the arrival-spec grammar, stateless event-stream determinism,
-worker-count and re-plan-mode invariance of the deterministic metrics,
+worker-count invariance and residual-view-oracle parity of the
+deterministic metrics,
 Little's-law sanity of the steady-state averages, trace record/replay
 and the serve result cache.
 """
@@ -16,8 +17,12 @@ from repro.experiments.scenarios import parse_scenario
 from repro.network.builder import build_network
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
-from repro.routing.compiled import ROUTING_CORE_ENV
-from repro.routing.registry import make_router
+from repro.routing.compiled import (
+    ROUTING_CORE_ENV,
+    CompiledNetwork,
+    active_routing_core,
+)
+from repro.routing.registry import RouterSpec, make_router
 from repro.service.arrivals import (
     ArrivalEvent,
     ArrivalSpec,
@@ -28,12 +33,8 @@ from repro.service.arrivals import (
     read_trace,
     write_trace,
 )
-from repro.service.loop import (
-    ServeSession,
-    latency_summary,
-    residual_view,
-    run_serve,
-)
+from repro.service.loop import ServeSession, latency_summary, run_serve
+from repro.service.residual import ResidualViewRouter, residual_view
 from repro.service.runner import run_serve_experiment, serve_key
 from repro.network.demands import Demand
 from repro.utils.rng import ensure_rng
@@ -214,31 +215,47 @@ class TestServeLoop:
             assert view.qubit_capacity(user) is None
 
     def test_replan_modes_bit_identical(self):
+        """Serving through each router's ledger entry and through the
+        residual-view oracle (a rebuilt network routed cold, its plan
+        charged to the session ledger) gives the same metrics."""
         network = _small_instance()
         spec = parse_arrivals(ARRIVALS)
         events = poisson_events(spec, 7, len(network.users()), 40.0)
-        runs = {
-            mode: run_serve(
-                network, LINK, SWAP,
-                _online_router(),
-                events, 40.0, 5.0, replan=mode,
+        for key in ("alg-n-fusion:include_alg4=false", "q-cast-n", "b1",
+                    "q-cast", "mcf"):
+            router = RouterSpec.from_string(key).build()
+            session, oracle = (
+                run_serve(
+                    network, LINK, SWAP, served, events, 40.0, 5.0
+                ).metrics
+                for served in (router, ResidualViewRouter(router))
             )
-            for mode in ("incremental", "resnapshot")
-        }
-        assert runs["incremental"].mode == "incremental"
-        assert runs["resnapshot"].mode == "resnapshot"
-        assert runs["incremental"].metrics == runs["resnapshot"].metrics
+            assert session == oracle, key
+            assert session.admitted > 0, key
 
-    def test_router_without_online_interface_falls_back(self):
+    def test_baseline_router_serves_on_the_session_snapshot(
+        self, monkeypatch
+    ):
+        """A baseline re-plans warm: every arrival searches the session's
+        one compiled snapshot, and no residual copy is compiled."""
+        if active_routing_core() != "compiled":
+            pytest.skip("the reference core compiles no snapshot")
         network = _small_instance()
         spec = parse_arrivals(ARRIVALS)
         events = poisson_events(spec, 7, len(network.users()), 25.0)
+        compiled = []
+        original = CompiledNetwork.__init__
+
+        def counting(snapshot, graph, *args, **kwargs):
+            compiled.append(graph)
+            original(snapshot, graph, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledNetwork, "__init__", counting)
         run = run_serve(
             network, LINK, SWAP, make_router("b1"), events, 25.0, 5.0,
-            replan="incremental",
         )
-        assert run.mode == "resnapshot"
-        assert run.metrics.arrivals > 0
+        assert run.metrics.admitted > 0
+        assert compiled == [network]
 
     def test_cores_bit_identical(self, monkeypatch):
         network = _small_instance()
@@ -438,12 +455,6 @@ class TestRunner:
         assert warm.rows == cold.rows
         assert not warm.latencies_s  # nothing executed
         assert warm.cached == {0: 2}
-        # The key deliberately excludes the replan mode: a resnapshot
-        # run must hit the incremental run's entries (the modes are
-        # decision-identical by construction).
-        resnap = run_serve_experiment(**kwargs, replan="resnapshot")
-        assert resnap.rows == cold.rows
-        assert not resnap.latencies_s
 
     def test_key_sensitivity(self):
         scenario = parse_scenario(SCENARIO)
@@ -461,10 +472,6 @@ class TestRunner:
         ) != base
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigurationError):
-            run_serve_experiment(
-                scenario=SCENARIO, arrivals=ARRIVALS, replan="eager",
-            )
         with pytest.raises(ConfigurationError):
             run_serve_experiment(
                 scenario=SCENARIO, arrivals=ARRIVALS, replications=0,
