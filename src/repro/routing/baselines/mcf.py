@@ -78,31 +78,19 @@ class MCFRouter:
         ledger = ledger or QubitLedger(network)
         demand_list = list(demands)
         arcs = self._arcs(network, banned_nodes, banned_edges)
-        arc_index = {arc: i for i, arc in enumerate(arcs)}
-        num_demands = len(demand_list)
-        num_vars = num_demands * len(arcs)
+        incident = self._incidence(network, arcs)
+        num_arcs = len(arcs)
+        num_vars = len(demand_list) * num_arcs
 
-        def var(d: int, arc: Arc) -> int:
-            return d * len(arcs) + arc_index[arc]
-
-        objective = np.zeros(num_vars)
-        q = swap_model.success_probability(2)
-        for d in range(num_demands):
-            for arc in arcs:
-                a, b = arc
-                p = link_model.success_probability(network.edge_length(a, b))
-                cost = -math.log(max(p, 1e-9) * max(q, 1e-9))
-                objective[var(d, arc)] = self.cost_weight * cost
-        # Reward delivered flow: subtract 1 per unit of source out-flow.
-        for d, demand in enumerate(demand_list):
-            for arc in arcs:
-                if arc[0] == demand.source:
-                    objective[var(d, arc)] -= 1.0
-                if arc[1] == demand.source:
-                    objective[var(d, arc)] += 1.0
-
-        a_eq, b_eq = self._conservation(network, demand_list, arcs, var)
-        a_ub, b_ub = self._capacities(network, demand_list, arcs, var, ledger)
+        objective = self._objective(
+            network, demand_list, arcs, incident, link_model, swap_model
+        )
+        a_eq, b_eq = self._conservation(
+            network, demand_list, incident, num_arcs
+        )
+        a_ub, b_ub = self._capacities(
+            network, demand_list, incident, num_arcs, ledger
+        )
         bounds = [(0.0, float(self.max_width))] * num_vars
         solution = linprog(
             objective,
@@ -120,10 +108,9 @@ class MCFRouter:
 
         plan = RoutingPlan()
         for d, demand in enumerate(demand_list):
+            block = flows_vector[d * num_arcs:(d + 1) * num_arcs].tolist()
             arc_flow = {
-                arc: float(flows_vector[var(d, arc)])
-                for arc in arcs
-                if flows_vector[var(d, arc)] > 1e-6
+                arc: value for arc, value in zip(arcs, block) if value > 1e-6
             }
             flow_graph = self._decompose_and_admit(
                 network, demand, arc_flow, ledger
@@ -147,89 +134,82 @@ class MCFRouter:
             arcs.append((edge.v, edge.u))
         return arcs
 
-    def _conservation(self, network, demand_list, arcs, var):
+    @staticmethod
+    def _incidence(
+        network: QuantumNetwork, arcs: List[Arc]
+    ) -> Dict[int, Tuple[List[int], List[float]]]:
+        """Per node, its arcs' positions in *arcs* (in arcs order) and
+        their signs: ``+1.0`` leaving the node, ``-1.0`` entering it."""
+        incident: Dict[int, Tuple[List[int], List[float]]] = {
+            node: ([], []) for node in network.nodes()
+        }
+        for position, (a, b) in enumerate(arcs):
+            for node, sign in ((a, 1.0), (b, -1.0)):
+                positions, signs = incident[node]
+                positions.append(position)
+                signs.append(sign)
+        return incident
+
+    def _objective(
+        self, network, demand_list, arcs, incident, link_model, swap_model
+    ) -> np.ndarray:
+        """Per-arc cost ``-log(p_e * q)`` for every demand, minus one per
+        unit of the demand's net source out-flow."""
+        q = max(swap_model.success_probability(2), 1e-9)
+        costs = []
+        for a, b in arcs:
+            p = link_model.success_probability(network.edge_length(a, b))
+            costs.append(self.cost_weight * -math.log(max(p, 1e-9) * q))
+        objective = np.array(costs * len(demand_list), dtype=float)
+        for d, demand in enumerate(demand_list):
+            positions, signs = incident[demand.source]
+            for position, sign in zip(positions, signs):
+                objective[d * len(arcs) + position] -= sign
+        return objective
+
+    def _conservation(self, network, demand_list, incident, num_arcs):
         """Per-demand conservation at switches; users only source/sink.
 
         Built sparsely: the constraint matrix has one row per
         (demand, switch) pair but only ``degree`` nonzeros per row.
         """
-        from scipy.sparse import csr_matrix
-
-        data: List[float] = []
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        rhs: List[float] = []
-        num_vars = len(demand_list) * len(arcs)
-        row = 0
+        rows = _Triplets(len(demand_list) * num_arcs)
+        switches = network.switches()
+        users = network.users()
         for d, demand in enumerate(demand_list):
-            for node in network.switches():
-                for arc in arcs:
-                    if arc[0] == node:
-                        data.append(1.0)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-                    elif arc[1] == node:
-                        data.append(-1.0)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-                rhs.append(0.0)
-                row += 1
+            offset = d * num_arcs
+            for node in switches:
+                positions, signs = incident[node]
+                rows.add(offset, positions, signs)
+                rows.close(0.0)
             # Forbid relaying through other users.
-            for user in network.users():
+            for user in users:
                 if user in (demand.source, demand.destination):
                     continue
-                for arc in arcs:
-                    if user in arc:
-                        data.append(1.0)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-                rhs.append(0.0)
-                row += 1
-        if row == 0:
+                positions, _ = incident[user]
+                rows.add(offset, positions, [1.0] * len(positions))
+                rows.close(0.0)
+        if not rows.rhs:
             return None, None
-        matrix = csr_matrix(
-            (data, (row_idx, col_idx)), shape=(row, num_vars)
-        )
-        return matrix, np.array(rhs)
+        return rows.matrix()
 
-    def _capacities(self, network, demand_list, arcs, var, ledger):
-        from scipy.sparse import csr_matrix
-
-        data: List[float] = []
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        rhs: List[float] = []
-        num_vars = len(demand_list) * len(arcs)
-        row = 0
+    def _capacities(self, network, demand_list, incident, num_arcs, ledger):
+        rows = _Triplets(len(demand_list) * num_arcs)
         for node in network.switches():
+            positions, _ = incident[node]
+            # Each unit of undirected width at this switch costs one
+            # qubit; arcs double-count direction, so weight by 1/2 per
+            # direction.  One row sums over every demand.
+            halves = [0.5] * len(positions)
             for d in range(len(demand_list)):
-                for arc in arcs:
-                    if node in arc:
-                        # Each unit of undirected width at this switch
-                        # costs one qubit; arcs double-count direction, so
-                        # weight by 1/2 per direction.
-                        data.append(0.5)
-                        row_idx.append(row)
-                        col_idx.append(var(d, arc))
-            rhs.append(float(ledger.remaining(node)))
-            row += 1
+                rows.add(d * num_arcs, positions, halves)
+            rows.close(float(ledger.remaining(node)))
         # Cap the per-demand source out-flow at max_width.
         for d, demand in enumerate(demand_list):
-            for arc in arcs:
-                if arc[0] == demand.source:
-                    data.append(1.0)
-                    row_idx.append(row)
-                    col_idx.append(var(d, arc))
-                elif arc[1] == demand.source:
-                    data.append(-1.0)
-                    row_idx.append(row)
-                    col_idx.append(var(d, arc))
-            rhs.append(float(self.max_width))
-            row += 1
-        matrix = csr_matrix(
-            (data, (row_idx, col_idx)), shape=(row, num_vars)
-        )
-        return matrix, np.array(rhs)
+            positions, signs = incident[demand.source]
+            rows.add(d * num_arcs, positions, signs)
+            rows.close(float(self.max_width))
+        return rows.matrix()
 
     def _decompose_and_admit(
         self,
@@ -327,3 +307,37 @@ class MCFRouter:
                     parents[arc[1]] = node
                     frontier.append(arc[1])
         return None
+
+
+class _Triplets:
+    """COO triplets of a sparse constraint matrix, built row by row."""
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.data: List[float] = []
+        self.rows: List[int] = []
+        self.cols: List[int] = []
+        self.rhs: List[float] = []
+
+    def add(
+        self, offset: int, positions: List[int], values: List[float]
+    ) -> None:
+        """Append *values* at columns ``offset + position`` to the open
+        row."""
+        self.data.extend(values)
+        self.rows.extend([len(self.rhs)] * len(positions))
+        self.cols.extend([offset + position for position in positions])
+
+    def close(self, rhs: float) -> None:
+        """Close the open row with right-hand side *rhs*."""
+        self.rhs.append(rhs)
+
+    def matrix(self):
+        """``(csr_matrix, rhs array)`` of the closed rows."""
+        from scipy.sparse import csr_matrix
+
+        matrix = csr_matrix(
+            (self.data, (self.rows, self.cols)),
+            shape=(len(self.rhs), self.num_vars),
+        )
+        return matrix, np.array(self.rhs)

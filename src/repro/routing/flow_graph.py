@@ -274,6 +274,15 @@ class FlowLikeGraph:
         """Directed children of *node* (towards the destination)."""
         return sorted(self._children.get(node, ()))
 
+    def directed_edges(self) -> List[EdgeKey]:
+        """Every edge as ``(parent, child)``, parents in topological order."""
+        children = self._children
+        return [
+            (node, child)
+            for node in self._topological_order()
+            for child in sorted(children.get(node, ()))
+        ]
+
     def fusion_arity(self, node: int) -> int:
         """Number of quantum links *node* fuses for this state.
 
