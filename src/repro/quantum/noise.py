@@ -117,3 +117,9 @@ class SwapModel:
         if self.per_qubit:
             return self.q ** (arity - 1)
         return self.q
+
+    def uniform_success(self) -> Optional[float]:
+        """The :meth:`fusion_success` of every arity >= 1 when it does
+        not depend on the arity (the paper's constant ``q``), else
+        ``None``."""
+        return None if self.per_qubit else self.q

@@ -25,6 +25,31 @@
  *
  * repro_yen_paths runs yen_deviation_loop (alg2_path_selection.py, its
  * oracle) around that search for one (demand, width); see its comment.
+ *
+ * Spur bound.  Let need = h - accepted be the pops still to come, and
+ * T the need-th best rate among the queued candidates (none while
+ * fewer than need are queued).  A spur search from root[d] stops, as
+ * if it found nothing, once its heap top times the root's factor (the
+ * root's edge rates times swap2 per root interior node and the spur
+ * node) falls below T * (1 - 1e-9).  This accepts exactly the paths,
+ * rates and tie order of the unbounded loop:
+ *
+ * - T never falls within a call: a push can only raise the need-th
+ *   best, and a pop removes the best while need drops by one.
+ * - Every factor is <= 1, so a search pops rates in non-increasing
+ *   order: the destination, popped later, has a rate no larger than
+ *   the heap top, and the stitched candidate's rate is at most that
+ *   top times the root's factor.  The two products group the same
+ *   factors differently; the 1e-9 slack covers their rounding, many
+ *   orders above it.  So a pruned candidate's rate is below T.
+ * - Such a candidate ranks behind the need queued candidates rated
+ *   T or more, and they leave the queue only by being popped before
+ *   it, so it would never be among the need pops still to come: it
+ *   ranks behind every accepted path.  Nor does it change T.  Dropping
+ *   it skips its dedup entry too; a later copy of it has the same rate,
+ *   below a threshold that has not fallen, so it is never popped
+ *   either.  Pool indices keep the push order of what is kept, so tie
+ *   breaks are unchanged.
  */
 
 #include <math.h>
@@ -83,16 +108,19 @@ static entry_t heap_pop(entry_t *heap, int64_t *size)
  * unreachable.  `rates` is indexed by edge id (adj_edges[slot]) and
  * `flags` by node.  Capacities: heap nnz + 1 entries (each row relaxes
  * at most once, so at most nnz pushes follow the source's), touched
- * nnz + n + 1, path_out n, edge_banned one byte per edge.
+ * nnz + n + 1, path_out n, edge_banned one byte per edge.  It also
+ * returns 0 once a popped rate times `scale` falls below `cut` (the spur
+ * bound in the file header).
  */
-int64_t repro_relax_search(
+static int64_t relax_search(
     const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
     double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
     entry_t *heap, int64_t *touched, int64_t *path_out, double *rate_out,
     const double *rates, const uint8_t *flags,
     int64_t source, int64_t destination, double swap2,
     const int64_t *banned, int64_t n_banned,
-    const int64_t *banned_edges, int64_t n_banned_edges)
+    const int64_t *banned_edges, int64_t n_banned_edges,
+    double scale, double cut)
 {
     int64_t n_touched = 0, size = 0, counter = 1, length = 0, i;
     int found = 0;
@@ -109,6 +137,7 @@ int64_t repro_relax_search(
         entry_t top = heap_pop(heap, &size);
         int64_t node = top.node, slot;
         double rate = top.rate;
+        if (rate * scale < cut) break;
         if (visited[node]) continue;
         visited[node] = 1;
         if (node == destination) {
@@ -151,6 +180,22 @@ int64_t repro_relax_search(
     return length;
 }
 
+/* One unbounded search: rates are never negative, so no cut applies. */
+int64_t repro_relax_search(
+    const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
+    double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
+    entry_t *heap, int64_t *touched, int64_t *path_out, double *rate_out,
+    const double *rates, const uint8_t *flags,
+    int64_t source, int64_t destination, double swap2,
+    const int64_t *banned, int64_t n_banned,
+    const int64_t *banned_edges, int64_t n_banned_edges)
+{
+    return relax_search(
+        indptr, adj, adj_edges, best, pred, visited, edge_banned, heap,
+        touched, path_out, rate_out, rates, flags, source, destination,
+        swap2, banned, n_banned, banned_edges, n_banned_edges, 1.0, 0.0);
+}
+
 /*
  * Algorithm 2's Yen loop for one (demand, width): yen_deviation_loop in
  * repro/routing/alg2_path_selection.py (its oracle) with
@@ -170,7 +215,9 @@ int64_t repro_relax_search(
  *   which are never set for a user.
  *
  * Every path ever pushed stays in one pool; its index is the push
- * counter (index 0 is the first path).  The buffers live in a yen_work_t
+ * counter (index 0 is the first path).  Spur searches stop early under
+ * the spur bound (file header), which needs the queue's best `need`
+ * rates: `top` keeps them, ascending.  The buffers live in a yen_work_t
  * kept between calls and grow with the paths found, never with h.
  */
 
@@ -204,6 +251,8 @@ typedef struct {
     slot_t *table;
     int64_t table_cap, stamp;
     int64_t *queue, queue_cap;
+    double *top;
+    int64_t top_cap;
     int64_t *accepted, accepted_cap;
     int64_t *ban_nodes, ban_nodes_cap;
     int64_t *ban_edges, ban_edges_cap;
@@ -220,6 +269,7 @@ void repro_yen_work_free(yen_work_t *w)
     free(w->paths);
     free(w->table);
     free(w->queue);
+    free(w->top);
     free(w->accepted);
     free(w->ban_nodes);
     free(w->ban_edges);
@@ -356,6 +406,29 @@ static int64_t queue_pop(yen_work_t *w, int64_t *size)
 }
 
 /*
+ * Adds `rate` to the `need` best queued rates held ascending in
+ * top[0 .. *n_top): it displaces the smallest once `need` are held.
+ */
+static void top_insert(double *top, int64_t *n_top, int64_t need, double rate)
+{
+    int64_t lo = 0, hi;
+    if (*n_top == need) {
+        if (!(rate > top[0])) return;
+        (*n_top)--;
+        memmove(top, top + 1, (size_t)*n_top * sizeof *top);
+    }
+    hi = *n_top;
+    while (lo < hi) {
+        int64_t mid = lo + (hi - lo) / 2;
+        if (top[mid] < rate) lo = mid + 1;
+        else hi = mid;
+    }
+    memmove(top + lo + 1, top + lo, (size_t)(*n_top - lo) * sizeof *top);
+    top[lo] = rate;
+    (*n_top)++;
+}
+
+/*
  * Returns the number of accepted paths (first included, at most h) and
  * leaves them in w->out / w->out_rates, or returns -1 when memory runs
  * out.  `first` is the width's best path with its search rate; graph,
@@ -372,7 +445,7 @@ int64_t repro_yen_paths(
     const int64_t *banned_edges, int64_t n_banned_edges)
 {
     int64_t destination = first[first_length - 1];
-    int64_t n_accepted = 1, n_queue = 0, k, i;
+    int64_t n_accepted = 1, n_queue = 0, n_top = 0, k, i;
 
     w->stamp++;
     w->n_paths = 0;
@@ -392,14 +465,21 @@ int64_t repro_yen_paths(
     while (n_accepted < h) {
         int64_t prev_start = w->paths[w->accepted[n_accepted - 1]].start;
         int64_t prev_length = w->paths[w->accepted[n_accepted - 1]].length;
-        int64_t d;
+        int64_t need = h - n_accepted, d;
+        double root_factor = 1.0;
         RESERVE(ban_nodes, n_banned + prev_length, -1);
         RESERVE(ban_edges, n_banned_edges + n_accepted, -1);
         for (d = 0; d + 1 < prev_length; d++) {
             const int64_t *root = w->nodes + prev_start;
             int64_t n_edges = n_banned_edges, spur_length, index;
             double spur_rate;
-            if (d > 0) w->ban_nodes[n_banned + d - 1] = root[d - 1];
+            /* The spur bound (file header): top[0] is the need-th best. */
+            double cut = n_top == need ? w->top[0] * (1.0 - 1e-9) : 0.0;
+            if (d > 0) {
+                w->ban_nodes[n_banned + d - 1] = root[d - 1];
+                root_factor = root_factor * rates[edge_between(
+                    indptr, adj, adj_edges, root[d - 1], root[d])] * swap2;
+            }
             for (k = 0; k < n_accepted; k++) {
                 const path_t *p = &w->paths[w->accepted[k]];
                 const int64_t *nodes = w->nodes + p->start;
@@ -408,11 +488,11 @@ int64_t repro_yen_paths(
                     w->ban_edges[n_edges++] = edge_between(
                         indptr, adj, adj_edges, nodes[d], nodes[d + 1]);
             }
-            spur_length = repro_relax_search(
+            spur_length = relax_search(
                 indptr, adj, adj_edges, best, pred, visited, edge_banned,
                 heap, touched, path_out, &spur_rate, rates, flags, root[d],
                 destination, swap2, w->ban_nodes, n_banned + d,
-                w->ban_edges, n_edges);
+                w->ban_edges, n_edges, root_factor, cut);
             if (spur_length == 0) continue;
             RESERVE(nodes, w->nodes_len + d + spur_length, -1);
             root = w->nodes + prev_start; /* the pool may have moved */
@@ -434,10 +514,15 @@ int64_t repro_yen_paths(
             }
             RESERVE(queue, n_queue + 1, -1);
             queue_push(w, &n_queue, index);
+            RESERVE(top, n_top + 1, -1);
+            top_insert(w->top, &n_top, need, w->paths[index].rate);
         }
         if (n_queue == 0) break;
         RESERVE(accepted, n_accepted + 1, -1);
         w->accepted[n_accepted++] = queue_pop(w, &n_queue);
+        /* The popped rate is the largest held: the rest are the best
+         * need - 1 of what stays queued. */
+        n_top--;
     }
 
     RESERVE(out_rates, n_accepted, -1);

@@ -85,7 +85,6 @@ def largest_entanglement_rate_path(
         return None
     if ledger is None:
         ledger = QubitLedger(network)
-    banned_edges = canonical_edge_keys(banned_edges)
     if rate_cache.compiled_snapshot is not None:
         # Same search over the CSR snapshot; bit-identical paths/rates
         # (parity enforced by tests/test_routing_cores.py).
@@ -93,6 +92,7 @@ def largest_entanglement_rate_path(
             source, destination, width, swap_model.fusion_success(2),
             ledger, banned_nodes, banned_edges,
         )
+    banned_edges = canonical_edge_keys(banned_edges)
     # Endpoint feasibility: each endpoint commits `width` qubits.
     if not ledger.has_at_least(source, width):
         return None

@@ -80,15 +80,16 @@ def select_paths(
         return {}
     if ledger is None:
         ledger = QubitLedger(network)
-    banned_edges = canonical_edge_keys(banned_edges)
     if rate_cache.compiled_snapshot is not None:
         # One CSR snapshot and its search memo serve every width and
-        # every Yen deviation; results are bit-identical.
+        # every Yen deviation; results are bit-identical.  The snapshot
+        # canonicalises the bans itself, once per fault state.
         result = compiled_select_paths(
             rate_cache.compiled_snapshot, swap_model, demand, h, max_width,
             ledger, banned_nodes, banned_edges,
         )
     else:
+        banned_edges = canonical_edge_keys(banned_edges)
         result = {}
         for width in range(max_width, 0, -1):
             paths = _yen_best_paths(
@@ -113,12 +114,12 @@ def default_max_width(
     ``2 * width`` qubits, so half the largest switch capacity — or, given
     a *ledger*, half the largest remaining switch count (what a network
     whose capacities are the residual would report)."""
-    capacities = [
-        network.qubit_capacity(s) if ledger is None
-        else int(ledger.remaining(s))
-        for s in network.switches()
-        if network.qubit_capacity(s) is not None
-    ]
+    switches = network.switches()
+    if ledger is None:
+        counts = [network.qubit_capacity(s) for s in switches]
+    else:
+        counts = ledger.remaining_counts(switches)
+    capacities = [count for count in counts if count is not None]
     if not capacities:
         return 1
     return max(1, max(capacities) // 2)

@@ -173,7 +173,8 @@ def admit_paths_efficiency(
     # charges against the demand's flow, recomputed when it changes.
     keys = [candidate.edges() for candidate in pool]
     products = [
-        _path_product(swap_model, rate_cache, switch, path) for path in pool
+        _path_product(swap_model, rate_cache, switch, path, path_keys)
+        for path, path_keys in zip(pool, keys)
     ]
     widths = {demand_id: flow.edge_widths() for demand_id, flow in flows.items()}
     charges = [
@@ -338,13 +339,23 @@ def _path_product(
     rate_cache: ChannelRateCache,
     switch: Dict[int, bool],
     candidate: PathCandidate,
+    keys: Tuple[Tuple[int, int], ...],
 ) -> float:
-    """Rate of *candidate* alone at its width, with every interior
-    switch fusing ``2 * width`` links: its gain bound as a branch."""
+    """Rate of *candidate* (edge *keys*) alone at its width, with every
+    interior switch fusing ``2 * width`` links: its gain bound as a
+    branch.  The compiled core reads the snapshot's rate column, the
+    reference core its rate memo; both hold the same floats."""
     nodes, width = candidate.nodes, candidate.width
     product = 1.0
-    for u, v in zip(nodes, nodes[1:]):
-        product *= rate_cache.rate(u, v, width)
+    snapshot = rate_cache.compiled_snapshot
+    if snapshot is not None:
+        column = snapshot.width_lists[width]
+        edge_index = snapshot.edge_index
+        for key in keys:
+            product *= column[edge_index[key]]
+    else:
+        for u, v in keys:
+            product *= rate_cache.rate(u, v, width)
     fusion = swap_model.fusion_success(2 * width)
     for node in nodes[1:-1]:
         if switch[node]:

@@ -9,7 +9,7 @@ users so callers need no special cases.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import AllocationError, CapacityError
 from repro.network.graph import QuantumNetwork
@@ -39,6 +39,18 @@ class QubitLedger:
             raise AllocationError(f"count must be >= 0, got {count}")
         value = self._lookup(node_id)
         return value is None or value >= count
+
+    def remaining_counts(self, node_ids: Sequence[int]) -> List[Optional[int]]:
+        """Remaining qubits of every node in *node_ids*, in order
+        (``None`` = unlimited), read in one pass with no per-node
+        Python call; an unknown node raises
+        :class:`~repro.exceptions.AllocationError`."""
+        try:
+            return list(map(self._remaining.__getitem__, node_ids))
+        except KeyError as missing:
+            raise AllocationError(
+                f"node {missing.args[0]} is not in the ledger"
+            ) from None
 
     def reserve(self, node_id: int, count: int) -> None:
         """Consume *count* qubits of *node_id*; raises on overdraft."""

@@ -19,16 +19,26 @@ tuple-keyed rate memo).  :class:`CompiledNetwork` flattens one
   :mod:`repro.routing._native`; its header gives the relax rules that
   keep paths and rates bit-identical), compiled once per user cache and
   called through :mod:`ctypes`.  Algorithm 2's Yen loop runs there too,
-  one call per (demand, width), repeating the reference core's
-  :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`.  The
+  one call per (demand, width), accepting what the reference core's
+  :func:`~repro.routing.alg2_path_selection.yen_deviation_loop` accepts
+  (its spur searches stop early once they cannot reach the queue's top
+  ``h - accepted``; ``kernel.c`` gives the proof).  The
   reference core is the kernel's only oracle and its only fallback:
   without a loaded kernel (:func:`native_kernel_active`) routing runs
   on the reference core, and the entry points below raise
   :class:`~repro.exceptions.RoutingError`;
-* **ledger-versioned feasibility flags** — per-width relay flags are
-  cached with the ledger's ``version`` counter and rebuilt whole in
-  O(nodes) when it moves; their bytes key the search memo, so a ledger
-  change that flips no flag keeps every memoised search.
+* **relay flags from per-version counts** — one float64 vector holds
+  every node's free qubits (``-1`` for a user, which never relays;
+  ``inf`` for an unlimited switch, which always can), read through
+  :meth:`~repro.routing.allocation.QubitLedger.remaining_counts` in one
+  pass per ``(ledger, ledger.version)``.  Each width's flags are that
+  vector compared with ``2 * width``, built once per vector; their
+  bytes key the search memo, so a ledger change that flips no flag
+  keeps every memoised search;
+* **bans resolved once** — a session's banned node ids and edge keys
+  (either endpoint order) become node indices, edge ids and their
+  ``array('q')`` twins once per pair of frozenset objects, so every
+  demand and refill round under one fault state reuses them.
 
 Search entry points
 -------------------
@@ -197,6 +207,30 @@ def _ekey(a: int, b: int) -> EdgeKey:
     return (a, b) if a < b else (b, a)
 
 
+class _RateLists(dict):
+    """``{width: per-edge channel rates}``, each list filled on first
+    use.
+
+    ``lists[width][edge_id]`` equals ``ChannelRateCache.rate(u, v,
+    width)`` for the edge's endpoints — the same formula on the same
+    inputs, without
+    :func:`~repro.quantum.noise.channel_success_probability`'s input
+    checks (the probabilities come from the link model, and widths are
+    checked where they enter the routing API).
+    """
+
+    __slots__ = ("_probabilities",)
+
+    def __init__(self, probabilities: List[float]):
+        super().__init__()
+        self._probabilities = probabilities
+
+    def __missing__(self, width: int) -> List[float]:
+        column = [channel_success(p, width) for p in self._probabilities]
+        self[width] = column
+        return column
+
+
 class CompiledNetwork:
     """Flat-array snapshot of one ``(QuantumNetwork, LinkModel)`` pair.
 
@@ -209,14 +243,18 @@ class CompiledNetwork:
         "node_ids",
         "index_of",
         "is_user",
+        "user_ids",
         "indptr",
         "adj_nodes",
         "adj_edges",
         "edge_keys",
         "edge_index",
         "edge_probability",
+        "width_lists",
+        "_user_index",
+        "_relay_counts",
         "_relay_cache",
-        "_width_lists",
+        "_ban_memo",
         "_width_columns",
         "_search_memo",
         "_native_scratch",
@@ -231,6 +269,10 @@ class CompiledNetwork:
         self.is_user: List[bool] = [
             network.node(nid).is_user for nid in node_ids
         ]
+        self.user_ids: FrozenSet[int] = frozenset(
+            nid for nid, user in zip(node_ids, self.is_user) if user
+        )
+        self._user_index = np.flatnonzero(np.asarray(self.is_user, bool))
         edge_keys = network.edge_keys()
         self.edge_keys: List[EdgeKey] = edge_keys
         self.edge_index: Dict[EdgeKey, int] = {
@@ -258,14 +300,23 @@ class CompiledNetwork:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.adj_nodes = np.asarray(adj_nodes, dtype=np.int64)
         self.adj_edges = np.asarray(adj_edges, dtype=np.int64)
-        # Per-width relay-feasibility flags for the last ledger asked
-        # (see relay_state): width -> [weakref(ledger), ledger.version,
-        # flags, flags.tobytes()].  The reference is weak because the
-        # network memoises this snapshot and a ledger holds its network:
-        # a strong one would make a cycle that keeps a routed network
-        # (snapshot, memo and all) alive until the cyclic collector runs.
-        self._relay_cache: Dict[int, list] = {}
-        self._width_lists: Dict[int, List[float]] = {}
+        # Per-width channel-rate lists, filled on first use: Equation 1
+        # and Algorithm 3 index them directly.
+        self.width_lists: Dict[int, List[float]] = _RateLists(
+            self.edge_probability
+        )
+        # The relay counts of the last ledger asked (see relay_counts):
+        # (weakref(ledger), ledger.version, counts).  The reference is
+        # weak because the network memoises this snapshot and a ledger
+        # holds its network: a strong one would make a cycle that keeps
+        # a routed network (snapshot, memo and all) alive until the
+        # cyclic collector runs.  Per width, (counts, flags, key) built
+        # from those counts.
+        self._relay_counts: Optional[tuple] = None
+        self._relay_cache: Dict[int, tuple] = {}
+        # (banned_nodes, banned_edges, resolved) of the last frozenset
+        # pair resolved (see _resolved_bans).
+        self._ban_memo: Optional[tuple] = None
         self._width_columns: Dict[int, np.ndarray] = {}
         self._search_memo: Dict[tuple, object] = {}
         # The native kernel's scratch, allocated on the first search
@@ -274,11 +325,14 @@ class CompiledNetwork:
         self._native_scratch: Optional[tuple] = None
 
     def __getstate__(self):
-        """Copy/pickle state without raw buffer addresses: a copy gets
-        its own native scratch on first use instead of pointing into the
-        original's buffers."""
+        """Copy/pickle state without raw buffer addresses or ledger
+        references: a copy gets its own native scratch on first use
+        instead of pointing into the original's buffers, and rebuilds
+        its relay counts and flags lazily (they hold a ledger weakly)."""
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_native_scratch"] = None
+        state["_relay_counts"] = None
+        state["_relay_cache"] = {}
         return None, state
 
     @property
@@ -294,68 +348,59 @@ class CompiledNetwork:
     # ------------------------------------------------------------------
     # Rate tables and feasibility flags
 
-    def width_rate_list(self, width: int) -> List[float]:
-        """The per-edge channel-rate column for *width*, filled once.
-
-        ``column[edge_id]`` equals ``ChannelRateCache.rate(u, v, width)``
-        for the edge's endpoints — the same formula on the same inputs,
-        without :func:`~repro.quantum.noise.channel_success_probability`'s
-        input checks (the probabilities come from the link model, and
-        widths are checked where they enter the routing API).
-        Equation 1 reads this list; the native kernel reads its array
-        twin, :meth:`width_rates`.
-        """
-        column = self._width_lists.get(width)
-        if column is None:
-            column = [channel_success(p, width) for p in self.edge_probability]
-            self._width_lists[width] = column
-        return column
-
     def width_rates(self, width: int) -> np.ndarray:
-        """:meth:`width_rate_list` as a float64 array, filled once."""
+        """The *width* column of :attr:`width_lists` as a float64 array
+        (what the native kernel reads), filled once."""
         column = self._width_columns.get(width)
         if column is None:
-            column = np.asarray(self.width_rate_list(width), dtype=np.float64)
+            column = np.asarray(self.width_lists[width], dtype=np.float64)
             self._width_columns[width] = column
         return column
 
-    def relay_state(self, ledger, width: int) -> Tuple[np.ndarray, bytes]:
-        """``(flags, key)`` for relaying at *width* under *ledger*.
+    def relay_counts(self, ledger) -> np.ndarray:
+        """Per node index, the free qubits a relay may draw on under the
+        :class:`~repro.routing.allocation.QubitLedger` *ledger*: ``-1``
+        for a user (users never relay), ``inf`` for an unlimited switch.
 
-        A relay must be a switch holding ``2 * width`` free qubits
-        (*width* towards each side) in the
-        :class:`~repro.routing.allocation.QubitLedger` *ledger*.
-
-        Flags are cached per width together with the ledger's
-        ``version`` and rebuilt whole, in O(nodes), when the ledger
-        changed since (a reservation, a release — the online serving
-        loop's departures — or a restore) or a different ledger asks.
-        ``key`` is ``flags.tobytes()``: equal keys mean equal flags,
-        whichever ledger or routing call produced them, which is what
-        the search-result memo keys on.  Callers must not mutate the
-        ledger while holding the returned array.
+        Read in one pass when the ledger's ``version`` moved since the
+        last call (a reservation, a release — the online serving loop's
+        departures — or a restore) or a different ledger asks, and
+        cached otherwise.  Callers must not write to the array.
         """
-        entry = self._relay_cache.get(width)
+        entry = self._relay_counts
         if (
             entry is not None
             and entry[0]() is ledger
             and entry[1] == ledger.version
         ):
-            return entry[2], entry[3]
-        has = ledger.has_at_least
-        need = 2 * width
-        flags = np.fromiter(
-            (
-                (not user) and has(nid, need)
-                for user, nid in zip(self.is_user, self.node_ids)
-            ),
-            dtype=bool,
-            count=len(self.node_ids),
+            return entry[2]
+        # None (unlimited) converts to NaN, then to +inf.
+        counts = np.array(
+            ledger.remaining_counts(self.node_ids), dtype=np.float64
         )
+        counts[np.isnan(counts)] = np.inf
+        counts[self._user_index] = -1.0
+        self._relay_counts = (weakref.ref(ledger), ledger.version, counts)
+        return counts
+
+    def relay_state(self, ledger, width: int) -> Tuple[np.ndarray, bytes]:
+        """``(flags, key)`` for relaying at *width* under *ledger*.
+
+        A relay must be a switch holding ``2 * width`` free qubits
+        (*width* towards each side): the flags are
+        :meth:`relay_counts` compared with ``2 * width``, built once per
+        count vector.  ``key`` is ``flags.tobytes()``: equal keys mean
+        equal flags, whichever ledger or routing call produced them,
+        which is what the search-result memo keys on.  Callers must not
+        mutate the ledger while holding the returned array.
+        """
+        counts = self.relay_counts(ledger)
+        entry = self._relay_cache.get(width)
+        if entry is not None and entry[0] is counts:
+            return entry[1], entry[2]
+        flags = counts >= 2 * width
         key = flags.tobytes()
-        self._relay_cache[width] = [
-            weakref.ref(ledger), ledger.version, flags, key
-        ]
+        self._relay_cache[width] = (counts, flags, key)
         return flags, key
 
     # ------------------------------------------------------------------
@@ -479,22 +524,51 @@ class CompiledNetwork:
         return accepted
 
     def resolve_bans(
-        self, banned_nodes: FrozenSet[int], banned_edges: FrozenSet[EdgeKey]
+        self, banned_nodes: Iterable[int], banned_edges: Iterable[EdgeKey]
     ) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        """Banned node ids and edge keys as node indices and edge ids.
+        """Banned node ids and edge keys (either endpoint order) as node
+        indices and edge ids.
 
         Entries outside the network are dropped: they are unreachable
-        anyway.
+        anyway.  See :meth:`_resolved_bans` for when the answer is
+        memoised.
         """
+        return self._resolved_bans(banned_nodes, banned_edges)[:2]
+
+    def _resolved_bans(
+        self, banned_nodes: Iterable[int], banned_edges: Iterable[EdgeKey]
+    ) -> Tuple[FrozenSet[int], FrozenSet[int], array.array, array.array]:
+        """:meth:`resolve_bans` plus both answers as ``array('q')``.
+
+        Memoised on the identity of the last pair of frozensets (a
+        serving session keeps one pair per fault state, and routers
+        pass the same pair to every demand and round); any other
+        iterable is read once and resolved afresh.
+        """
+        memo = self._ban_memo
+        if (
+            memo is not None
+            and banned_nodes is memo[0]
+            and banned_edges is memo[1]
+        ):
+            return memo[2]
         index_of = self.index_of
         edge_index = self.edge_index
         node_idx = frozenset(
             index_of[n] for n in banned_nodes if n in index_of
         )
-        edge_ids = frozenset(
-            edge_index[e] for e in banned_edges if e in edge_index
+        found = (
+            edge_index.get((a, b) if a < b else (b, a))
+            for a, b in banned_edges
         )
-        return node_idx, edge_ids
+        edge_ids = frozenset(e for e in found if e is not None)
+        resolved = (
+            node_idx, edge_ids,
+            array.array("q", node_idx), array.array("q", edge_ids),
+        )
+        if type(banned_nodes) is frozenset and type(banned_edges) is frozenset:
+            self._ban_memo = (banned_nodes, banned_edges, resolved)
+        return resolved
 
     def run_search(
         self,
@@ -512,11 +586,10 @@ class CompiledNetwork:
         *swap2* is the two-qubit fusion success; the arguments were
         validated by
         :func:`~repro.routing.alg1_largest_rate.largest_entanglement_rate_path`.
-        The banned sets may be any iterables: each is read once.
+        The banned sets may be any iterables: each is read once, and an
+        edge key may name its endpoints in either order.
         """
-        node_idx, edge_ids = self.resolve_bans(
-            frozenset(banned_nodes), frozenset(banned_edges)
-        )
+        node_idx, edge_ids = self.resolve_bans(banned_nodes, banned_edges)
         return self._search(
             source, destination, width, swap2, ledger, node_idx, edge_ids
         )
@@ -678,7 +751,8 @@ def compiled_select_paths(
     during a selection, and every spur source is the source or a relay
     of a found path, so it holds at least ``2 * width`` qubits.
     *banned_nodes*/*banned_edges* are session-wide masks (the serving
-    loop's down elements), resolved once; they reach every search —
+    loop's down elements), resolved once per fault state
+    (:meth:`CompiledNetwork._resolved_bans`); they reach every search —
     including each Yen deviation, unioned with the deviation's own bans
     — so a fault state change costs fresh searches rather than a
     snapshot rebuild.  Validation, the default ledger and the
@@ -691,9 +765,10 @@ def compiled_select_paths(
         snapshot, swap_model, demand.source, demand.destination, widths,
         ledger,
     )
-    node_idx, edge_ids = snapshot.resolve_bans(banned_nodes, banned_edges)
+    node_idx, edge_ids, *session_bans = snapshot._resolved_bans(
+        banned_nodes, banned_edges
+    )
     firsts = batch.search_widths(node_idx, edge_ids)
-    session_bans = (array.array("q", node_idx), array.array("q", edge_ids))
     index_of = snapshot.index_of
     ids = snapshot.node_ids
     result: Dict[int, List[PathCandidate]] = {}

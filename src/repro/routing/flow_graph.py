@@ -398,25 +398,26 @@ class FlowLikeGraph:
 
         Per-node the failure product iterates the same child set in the
         same order as the recursive reference, so the result is
-        bit-identical; the win is the memoised arity map, channel rates
-        and user flags read straight from the snapshot
-        (:meth:`~repro.routing.compiled.CompiledNetwork.width_rate_list`
-        holds the same floats the reference memo computes) and the
-        absence of Python call frames per node.
+        bit-identical.  Channel rates are read straight from the
+        snapshot's ``width_lists`` (the same floats the reference memo
+        computes) and users from its ``user_ids``.  A switch child fuses at least the
+        width of its edge to *node*, so under an arity-independent swap
+        model its factor is that model's constant (no arity lookup).
         """
-        arities = self._fusion_arities()
         destination = self.destination
         memo: Dict[int, float] = {destination: 1.0}
         children_of = self._children
         edge_widths = self._edge_widths
         has_extra = bool(extra_widths)
-        width_rate_list = snapshot.width_rate_list
+        columns = snapshot.width_lists
         edge_index = snapshot.edge_index
-        is_user = snapshot.is_user
-        index_of = snapshot.index_of
-        # Fusion arities are non-negative ints by construction, so the
-        # walk uses the unchecked twin of success_probability.
-        swap_fn = swap_model.fusion_success
+        user_ids = snapshot.user_ids
+        uniform = swap_model.uniform_success()
+        if uniform is None:
+            arities = self._fusion_arities()
+            # Fusion arities are non-negative ints by construction, so
+            # the walk uses the unchecked twin of success_probability.
+            swap_fn = swap_model.fusion_success
         for node in reversed(self._topological_order()):
             if node == destination:
                 continue
@@ -426,9 +427,11 @@ class FlowLikeGraph:
                 width = edge_widths[key]
                 if has_extra:
                     width += extra_widths.get(key, 0)
-                edge_rate = width_rate_list(width)[edge_index[key]]
-                if child == destination or is_user[index_of[child]]:
+                edge_rate = columns[width][edge_index[key]]
+                if child == destination or child in user_ids:
                     swap = 1.0
+                elif uniform is not None:
+                    swap = uniform
                 else:
                     arity = arities[child]
                     if has_extra:

@@ -13,8 +13,11 @@ drawn to hit the cases where the two could part ways: hub rows of 32+
 slots, exact rate ties from equal edge lengths (so the push-counter
 tie-breaks decide), banned nodes and edges, all-false relay flags, user
 nodes, an unreachable destination and a destination adjacent to the
-source.  Several calls run back to back on one snapshot, so scratch
-left dirty by one would show in the next.  The loader tests cover the
+source.  Yen's loop also runs on lattices with one edge length, where
+many paths tie exactly, and with ``h`` up to 80, past any small buffer
+of the best queued rates that its spur bound keeps.  Several calls run
+back to back on one snapshot, so scratch left dirty by one would show
+in the next.  The loader tests cover the
 build into a cold cache and the fallback when no compiler exists.
 """
 
@@ -35,7 +38,10 @@ from repro.network.node import QuantumSwitch, QuantumUser
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing import _native
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
-from repro.routing.alg2_path_selection import _yen_best_paths
+from repro.routing.alg2_path_selection import (
+    _yen_best_paths,
+    yen_deviation_loop,
+)
 from repro.routing.allocation import QubitLedger
 from repro.routing.compiled import (
     ROUTING_CORE_ENV,
@@ -96,6 +102,35 @@ def graphs(draw):
         flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     else:
         flags = [mode == "all-true"] * n
+    return network, np.asarray(flags, dtype=bool)
+
+
+@st.composite
+def tie_heavy_grids(draw):
+    """A rows x cols lattice (ids row-major) with one edge length, so
+    every path of a given hop count has the same rate; mostly relaying
+    switches, a few users."""
+    rows = draw(st.integers(min_value=2, max_value=5))
+    cols = draw(st.integers(min_value=2, max_value=6))
+    n = rows * cols
+    users = draw(st.frozensets(st.integers(0, n - 1), max_size=2))
+    network = QuantumNetwork()
+    for i in range(n):
+        point = Point(float(i % cols), float(i // cols))
+        if i in users:
+            network.add_node(QuantumUser(i, point))
+        else:
+            network.add_node(QuantumSwitch(i, point, CAPACITY))
+    length = draw(st.sampled_from(LENGTHS))
+    for i in range(n):
+        if i % cols + 1 < cols:
+            network.add_edge(i, i + 1, length)
+        if i + cols < n:
+            network.add_edge(i, i + cols, length)
+    if draw(st.booleans()):
+        flags = [True] * n
+    else:
+        flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return network, np.asarray(flags, dtype=bool)
 
 
@@ -196,18 +231,22 @@ def test_native_search_matches_reference_alg1(instance, width, swap2, data):
 
 
 @native_only
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    instance=graphs(),
+    instance=st.one_of(graphs(), tie_heavy_grids()),
     width=st.integers(min_value=1, max_value=3),
     swap2=st.sampled_from((1.0, 0.9, 0.5)),
-    h=st.integers(min_value=1, max_value=8),
+    h=st.one_of(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=60, max_value=80),
+    ),
     data=st.data(),
 )
 def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
     """``repro_yen_paths`` returns what the reference Algorithm 2
     returns at one width: the same paths in the same order, the same
-    rate bits.  Session bans reach every spur search."""
+    rate bits, with or without spur searches cut by the spur bound.
+    Session bans reach every spur search."""
     network, drawn = instance
     snapshot = CompiledNetwork(network, LINK)
     cache, ledger = reference_setup(network, drawn, width)
@@ -241,6 +280,96 @@ def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
         assert [rate.hex() for _, rate in native] == [
             path.rate.hex() for path in reference
         ]
+
+
+#: Hand-built spur-bound cases: (edge rates, swap2, h, expected accepted
+#: paths).  Node 0 is the source and node 1 the destination, both users.
+#:
+#: - ``one-ulp``: the best path 0-2-3-4-1, then two candidates:
+#:   0-7-1 from the source and 0-2-3-4-5-6-1 from node 4, whose rate is
+#:   1 ulp above 0-7-1's while its search's frontier bound (the same
+#:   factors grouped another way) rounds 1 ulp below it.  Only the
+#:   slack keeps the second path, which wins.
+#: - ``need-th``: with h = 3, two candidates are queued (0-5-1 at 0.648
+#:   and 0-2-6-1 at 0.377) when the spur from node 3 finds 0-2-3-4-1 at
+#:   0.594: below the best queued rate but above the second, so the
+#:   cut must come from the need-th best, not the best.
+SPUR_BOUND_CASES = {
+    "one-ulp": (
+        {
+            (0, 2): 0.6582516075840807, (2, 3): 0.9916202483060043,
+            (3, 4): 0.8553297490856684, (1, 4): 1.0,
+            (4, 5): 0.9206657722400552, (5, 6): 0.7336741174412647,
+            (1, 6): 0.6828239564018601, (0, 7): 0.16894870815790644,
+            (1, 7): 1.0,
+        },
+        0.9, 2,
+        [(0, 2, 3, 4, 1), (0, 2, 3, 4, 5, 6, 1)],
+    ),
+    "need-th": (
+        {
+            (0, 2): 0.95, (2, 3): 0.95, (1, 3): 0.95,
+            (0, 5): 0.8, (1, 5): 0.9,
+            (2, 6): 0.7, (1, 6): 0.7,
+            (3, 4): 0.95, (1, 4): 0.95,
+        },
+        0.9, 3,
+        [(0, 2, 3, 1), (0, 5, 1), (0, 2, 3, 4, 1)],
+    ),
+}
+
+
+@native_only
+@pytest.mark.parametrize("case", sorted(SPUR_BOUND_CASES))
+def test_native_yen_spur_bound_edge_cases(case):
+    """The spur bound keeps a candidate whose frontier bound rounds
+    below the need-th best queued rate while its own rate is above it,
+    and takes its threshold from the need-th best queued rate: the
+    native Yen loop accepts what the unbounded ``yen_deviation_loop``
+    accepts around the same native search, rate bits included."""
+    edge_rates, swap2, h, expected = SPUR_BOUND_CASES[case]
+    n = 1 + max(max(key) for key in edge_rates)
+    network = QuantumNetwork()
+    for i in range(n):
+        point = Point(float(i), 0.0)
+        if i < 2:
+            network.add_node(QuantumUser(i, point))
+        else:
+            network.add_node(QuantumSwitch(i, point, CAPACITY))
+    for u, v in edge_rates:
+        network.add_edge(u, v, 1000.0)
+    snapshot = CompiledNetwork(network, LINK)
+    rates = np.zeros(snapshot.num_edges)
+    for key, rate in edge_rates.items():
+        rates[snapshot.edge_index[key]] = rate
+    flags = ~np.asarray(snapshot.is_user)
+    kernel = _native.KERNEL
+
+    def search(spur, banned_nodes, banned_edges):
+        found = snapshot._native_search(
+            kernel, spur, 1, rates, flags, swap2, frozenset(banned_nodes),
+            frozenset(snapshot.edge_index[key] for key in banned_edges),
+        )
+        return None if found is None else (tuple(found[0]), found[1])
+
+    def path_rate(nodes):
+        rate = 1.0
+        for a, b in zip(nodes, nodes[1:]):
+            rate *= edge_rates[(min(a, b), max(a, b))]
+        for _ in nodes[1:-1]:
+            rate *= swap2
+        return rate
+
+    first = search(0, (), ())
+    reference = yen_deviation_loop(first, h, search, path_rate)
+    assert [nodes for nodes, _ in reference] == expected
+    native = snapshot._native_yen(
+        kernel, first[0], first[1], h, rates, flags, swap2,
+        array.array("q"), array.array("q"),
+    )
+    assert [(tuple(nodes), rate.hex()) for nodes, rate in native] == [
+        (nodes, rate.hex()) for nodes, rate in reference
+    ]
 
 
 def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch):

@@ -15,10 +15,12 @@ import copy
 import gc
 import os
 import pathlib
+import pickle
 import shutil
 import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +30,7 @@ from repro.network import CompiledNetwork
 from repro.network.builder import build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.network.graph import QuantumNetwork
-from repro.network.node import QuantumSwitch, QuantumUser
+from repro.network.node import Node, NodeKind, QuantumSwitch, QuantumUser
 from repro.network.serialization import load_instance
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
@@ -50,6 +52,7 @@ from repro.exceptions import RoutingError
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache
 from repro.routing.registry import make_router, parse_router_specs, router_keys
+from repro.service.loop import ServeSession
 from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
@@ -766,6 +769,157 @@ def test_ledger_version_tracks_count_changes():
     assert clone.remaining(switch) == free - 2
 
 
+def _probed_relay_flags(snapshot, ledger, width):
+    """Relay flags as a per-node ``has_at_least`` probe derives them."""
+    return np.fromiter(
+        (
+            (not user) and ledger.has_at_least(nid, 2 * width)
+            for user, nid in zip(snapshot.is_user, snapshot.node_ids)
+        ),
+        dtype=bool,
+        count=snapshot.num_nodes,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacities=st.lists(
+        st.integers(min_value=0, max_value=9), min_size=1, max_size=8
+    ),
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=1),
+            st.sampled_from(("reserve", "release", "restore", "query")),
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=0, max_value=9),
+        ),
+        max_size=25,
+    ),
+)
+def test_relay_counts_flags_match_per_node_probes(capacities, steps):
+    """Flags derived from the per-version count vector, and their bytes,
+    equal the per-node ``has_at_least`` derivation at every width, for
+    two ledgers alternating on one snapshot through random reserve,
+    release and restore sequences.  The network has two users, switches
+    of the drawn capacities (zero included) and an unlimited switch."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(1.0, 0.0)))
+    network.add_node(Node(2, NodeKind.SWITCH, Point(2.0, 0.0), None))
+    for i, capacity in enumerate(capacities, start=3):
+        network.add_node(Node(i, NodeKind.SWITCH, Point(float(i), 0.0), capacity))
+    for i in range(1, network.num_nodes):
+        network.add_edge(i - 1, i, 1000.0)
+    snapshot = CompiledNetwork(network, LINK)
+    ledgers = [QubitLedger(network), QubitLedger(network)]
+    baselines = [ledger.snapshot() for ledger in ledgers]
+    widths = range(1, max(capacities) // 2 + 2)
+    nodes = network.nodes()
+
+    def check():
+        for ledger in ledgers:
+            for width in widths:
+                flags, key = snapshot.relay_state(ledger, width)
+                expected = _probed_relay_flags(snapshot, ledger, width)
+                assert flags.dtype == expected.dtype
+                assert flags.tolist() == expected.tolist()
+                assert key == expected.tobytes()
+
+    check()
+    for which, action, pick, count in steps:
+        ledger = ledgers[which]
+        node = nodes[pick % len(nodes)]
+        if action == "reserve":
+            ledger.reserve(node, min(count, ledger.remaining(node)))
+        elif action == "release":
+            capacity = network.qubit_capacity(node)
+            if capacity is not None:
+                ledger.release(
+                    node, min(count, capacity - int(ledger.remaining(node)))
+                )
+        elif action == "restore":
+            ledger.restore(baselines[which])
+        check()
+    assert snapshot.relay_state(ledgers[0], 1)[0][2]  # unlimited relays
+    assert not snapshot.relay_state(ledgers[0], 1)[0][:2].any()  # users
+
+
+@native_only
+def test_session_bans_are_never_answered_stale():
+    """Resolved bans are memoised per pair of frozenset objects: a
+    session's edge going down and up again, a reversed edge key and a
+    mutable set changed in place each get a fresh, correct answer (the
+    reference core's selection under the same bans)."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    with routing_core("compiled"):
+        session = ServeSession(
+            network, LINK, SWAP, make_router("alg-n-fusion")
+        )
+    snapshot = session.rate_cache.compiled_snapshot
+    assert snapshot is not None
+
+    def select(demand, banned_edges):
+        return select_paths(
+            network, LINK, SWAP, demand, h=3, max_width=2,
+            ledger=session.ledger, rate_cache=session.rate_cache,
+            banned_nodes=session.down_switches, banned_edges=banned_edges,
+        )
+
+    def reference(demand, banned_edges):
+        with routing_core("reference"):
+            return select_paths(
+                network, LINK, SWAP, demand, h=3, max_width=2,
+                ledger=session.ledger, banned_nodes=session.down_switches,
+                banned_edges=banned_edges,
+            )
+
+    checked = 0
+    for demand in demands:
+        before = select(demand, session.down_edges)
+        if not before:
+            continue
+        nodes = before[max(before)][0].nodes
+        edge = (min(nodes[:2]), max(nodes[:2]))
+        assert session.mark_edge(edge, True)
+        down = select(demand, session.down_edges)
+        assert down == reference(demand, session.down_edges)
+        assert down != before
+        assert snapshot.resolve_bans(
+            session.down_switches, session.down_edges
+        )[1] == {snapshot.edge_index[edge]}
+        assert session.mark_edge(edge, False)
+        assert select(demand, session.down_edges) == before
+        reversed_key = frozenset({(edge[1], edge[0])})
+        assert select(demand, reversed_key) == down
+        assert select(demand, session.down_edges) == before
+        in_place = {edge}
+        assert snapshot.resolve_bans((), in_place)[1] == {
+            snapshot.edge_index[edge]
+        }
+        in_place.clear()
+        assert snapshot.resolve_bans((), in_place)[1] == frozenset()
+        checked += 1
+    assert checked
+
+
+@native_only
+def test_routed_network_survives_a_pickle_round_trip():
+    """A network routed on the compiled core pickles (its memoised
+    snapshot drops the ledger-bound relay caches) and the copy routes to
+    the same plan and the same rate bits."""
+    network, demands = _instance(SCENARIOS[0], SEEDS[0])
+    router = make_router("alg-n-fusion")
+    with routing_core("compiled"):
+        first = router.route(network, demands, LINK, SWAP)
+        clone = pickle.loads(pickle.dumps(network))
+        assert clone.__dict__["_compiled_snapshots"]
+        again = router.route(clone, demands, LINK, SWAP)
+    assert _plan_shape(again) == _plan_shape(first)
+    assert {d: r.hex() for d, r in again.demand_rates.items()} == {
+        d: r.hex() for d, r in first.demand_rates.items()
+    }
+
+
 @native_only
 def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
     """The search memo keys on the relay flags' bytes: a reservation
@@ -947,7 +1101,7 @@ def test_batch_search_rejects_width_outside_batch():
             assert largest_entanglement_rate_path(
                 network, LINK, SWAP, source, destination, 1
             ) is not None
-    assert sorted(snapshot_for(network, LINK)._width_lists) == [1]
+    assert sorted(snapshot_for(network, LINK).width_lists) == [1]
 
 
 def test_compiled_entry_points_need_the_native_kernel(
