@@ -18,6 +18,10 @@ reference core, which gives the same paths and rates.  That decision
 is read when each :class:`~repro.routing.metrics.ChannelRateCache` is
 built, so tests can force the reference core by setting :data:`KERNEL`
 to ``None`` between routing calls.
+
+Both search entries take one :class:`Context` per network snapshot
+(``kernel.c``'s header describes it) and answer a batch of widths of
+one demand per call, so Algorithm 2 crosses into C twice per demand.
 """
 
 from __future__ import annotations
@@ -39,32 +43,33 @@ SOURCE = pathlib.Path(__file__).with_name("kernel.c")
 #: would round once for two operations and change the floats.
 CFLAGS = ("-std=c99", "-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-#: Size of one heap entry in ``kernel.c``: a double rate, an int64 push
-#: counter and an int64 node.  The caller allocates the heap buffer.
-HEAP_ENTRY_BYTES = 24
-
 _POINTER = ctypes.c_void_p
 _INT = ctypes.c_int64
 _DOUBLE = ctypes.c_double
+
+#: The arguments both batch entries end with: the session's banned node
+#: indices and edge ids, each an ``int64`` array and its length.
+_BANS = (_POINTER, _INT, _POINTER, _INT)
 
 
 class Kernel(NamedTuple):
     """The entry points of one loaded ``kernel.so``."""
 
-    #: ``repro_relax_search``: one Algorithm-1 search.
+    #: ``repro_search_widths``: the first search of each width in a batch.
     search: Callable[..., int]
-    #: ``repro_yen_paths``: Algorithm 2's k best paths for one width.
+    #: ``repro_yen_widths``: the Yen loop of each width in a batch.
     yen: Callable[..., int]
-    #: ``repro_yen_work_new``: allocates a Yen workspace.
-    new_workspace: Callable[[], Optional[int]]
-    #: ``repro_yen_work_free``: frees one.
-    free_workspace: Callable[[Any], None]
+    #: ``repro_context_new``: allocates a snapshot's kernel context.
+    new_context: Callable[..., Optional[int]]
+    #: ``repro_context_free``: frees one.
+    free_context: Callable[[Any], None]
 
 
-class YenOutput(ctypes.Structure):
-    """The leading fields of ``yen_work_t``: the last call's accepted
-    paths as ``(length, nodes...)`` records, their rates, and the bytes
-    the workspace holds."""
+class Output(ctypes.Structure):
+    """The leading fields of ``context_t``: the last call's
+    ``(length, ids...)`` path records (grouped per width as ``kernel.c``
+    describes), their int64 count, one rate per path, and the bytes of
+    the buffers that grow with the paths found."""
 
     _fields_ = [
         ("out", ctypes.POINTER(ctypes.c_int64)),
@@ -74,19 +79,25 @@ class YenOutput(ctypes.Structure):
     ]
 
 
-class YenWorkspace:
-    """One ``yen_work_t``: buffers that ``repro_yen_paths`` keeps between
-    calls and grows with the paths it finds.  Freed with this object."""
+class Context:
+    """One ``context_t``: a snapshot's CSR rows and node ids (``int64``
+    arrays it borrows, kept alive here), one search's scratch and the
+    Yen loop's pool.  Freed with this object."""
 
-    __slots__ = ("address", "output", "_free")
+    __slots__ = ("address", "output", "_free", "_borrowed")
 
-    def __init__(self, kernel: Kernel):
-        address = kernel.new_workspace()
+    def __init__(self, kernel: Kernel, n_edges: int, indptr, adj, adj_edges,
+                 ids):
+        address = kernel.new_context(
+            len(ids), n_edges, indptr.ctypes.data, adj.ctypes.data,
+            adj_edges.ctypes.data, ids.ctypes.data,
+        )
         if not address:
-            raise MemoryError("cannot allocate the native Yen workspace")
+            raise MemoryError("cannot allocate the native kernel context")
         self.address = address
-        self.output = YenOutput.from_address(address)
-        self._free = kernel.free_workspace
+        self.output = Output.from_address(address)
+        self._free = kernel.free_context
+        self._borrowed = (indptr, adj, adj_edges, ids)
 
     def __del__(self):
         self._free(self.address)
@@ -137,31 +148,19 @@ def load():
         # No compiler, a failed build, an unwritable cache, or no home
         # directory (RuntimeError from Path.home): use the fallback.
         return None
-    entry_bytes = lib.repro_heap_entry_bytes
-    entry_bytes.restype = ctypes.c_size_t
-    entry_bytes.argtypes = []
-    if entry_bytes() != HEAP_ENTRY_BYTES:
-        return None
-    search = lib.repro_relax_search
+    search = lib.repro_search_widths
     search.restype = _INT
-    search.argtypes = (
-        [_POINTER] * 13
-        + [_INT, _INT, _DOUBLE, _POINTER, _INT, _POINTER, _INT]
-    )
-    yen = lib.repro_yen_paths
+    search.argtypes = (_POINTER, _INT, _POINTER, _INT, _INT, _DOUBLE) + _BANS
+    yen = lib.repro_yen_widths
     yen.restype = _INT
-    yen.argtypes = (
-        [_POINTER] * 13
-        + [_DOUBLE, _INT, _POINTER, _INT, _DOUBLE, _POINTER, _INT, _POINTER,
-           _INT]
-    )
-    new_workspace = lib.repro_yen_work_new
-    new_workspace.restype = _POINTER
-    new_workspace.argtypes = []
-    free_workspace = lib.repro_yen_work_free
-    free_workspace.restype = None
-    free_workspace.argtypes = [_POINTER]
-    return Kernel(search, yen, new_workspace, free_workspace)
+    yen.argtypes = (_POINTER, _INT, _POINTER, _POINTER, _INT, _DOUBLE) + _BANS
+    new_context = lib.repro_context_new
+    new_context.restype = _POINTER
+    new_context.argtypes = [_INT, _INT] + [_POINTER] * 4
+    free_context = lib.repro_context_free
+    free_context.restype = None
+    free_context.argtypes = [_POINTER]
+    return Kernel(search, yen, new_context, free_context)
 
 
 #: The loaded kernel, or ``None`` (routing then runs on the reference core).

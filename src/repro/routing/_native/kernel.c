@@ -1,10 +1,10 @@
 /*
  * Algorithm 1's relax loop and Algorithm 2's Yen loop over it.
  *
- * repro_relax_search is the modified Dijkstra over the CSR adjacency
- * and one per-edge rate column, step for step the same as the reference
- * core's largest_entanglement_rate_path in
- * repro/routing/alg1_largest_rate.py (its oracle).
+ * relax_search is the modified Dijkstra over the CSR adjacency and one
+ * per-edge rate column, step for step the same as the reference core's
+ * largest_entanglement_rate_path in repro/routing/alg1_largest_rate.py
+ * (its oracle).
  *
  * - Rows relax in ascending slot order.  A slot is skipped when its
  *   neighbour may not relay (flags[nbr] == 0) and is not the
@@ -23,8 +23,26 @@
  * reset, so a search costs time in the nodes it reaches, not in the
  * network size.
  *
- * repro_yen_paths runs yen_deviation_loop (alg2_path_selection.py, its
+ * yen_paths runs yen_deviation_loop (alg2_path_selection.py, its
  * oracle) around that search for one (demand, width); see its comment.
+ *
+ * Context.  Every entry point takes one context_t, built once per
+ * network snapshot by repro_context_new: it borrows the snapshot's CSR
+ * rows (indptr, adj, adj_edges) and node ids, owns one search's scratch
+ * sized for the network, and owns the Yen loop's pool, which grows with
+ * the paths found and never with h.  The caller keeps the borrowed
+ * arrays alive and frees the context with repro_context_free.  A call
+ * answers a whole batch of widths of one demand and leaves its answer
+ * in the context's leading fields: `out` holds int64 records, `out_len`
+ * counts them, `out_rates` holds one rate per path, and `held` counts
+ * the bytes of every buffer that grows.  Paths are written in node ids,
+ * not indices.  A width's rate column and relay flags arrive as raw
+ * addresses, two int64s per width.
+ *
+ * - repro_search_widths: the first search of each width, one
+ *   (length, ids...) record per width (length 0 when none is found).
+ * - repro_yen_widths: each width's Yen loop from its first path, one
+ *   (count, then count (length, ids...) records) group per width.
  *
  * Spur bound.  Let need = h - accepted be the pops still to come, and
  * T the need-th best rate among the queued candidates (none while
@@ -50,6 +68,10 @@
  *   below a threshold that has not fallen, so it is never popped
  *   either.  Pool indices keep the push order of what is kept, so tie
  *   breaks are unchanged.
+ *
+ * Batching keeps all of this: each width's searches and Yen loop run
+ * alone, in the order given, on scratch that is zero between them, and
+ * the pool is reset per width.
  */
 
 #include <math.h>
@@ -64,8 +86,103 @@ typedef struct {
     int64_t node;
 } entry_t;
 
-/* Bytes per heap entry, so the caller can size the heap buffer. */
-size_t repro_heap_entry_bytes(void) { return sizeof(entry_t); }
+/* One pooled path: nodes[start .. start + length). */
+typedef struct {
+    int64_t start, length;
+    uint64_t hash;
+    double rate;
+} path_t;
+
+/* A dedup-table slot; it is empty unless `stamp` is the current call's. */
+typedef struct {
+    int64_t stamp, index;
+} slot_t;
+
+/* The kernel context (file header).  The first four fields are read by
+ * the caller and must stay first. */
+typedef struct {
+    int64_t *out;
+    int64_t out_len;
+    double *out_rates;
+    int64_t held;
+    /* Borrowed from the snapshot. */
+    const int64_t *indptr, *adj, *adj_edges, *ids;
+    /* One search's scratch. */
+    double *best;
+    int64_t *pred;
+    uint8_t *visited, *edge_banned;
+    entry_t *heap;
+    int64_t *touched, *path;
+    /* Grown with the paths found. */
+    int64_t out_cap, out_rates_len, out_rates_cap;
+    int64_t *nodes, nodes_cap, nodes_len;
+    path_t *paths;
+    int64_t paths_cap, n_paths;
+    slot_t *table;
+    int64_t table_cap, stamp;
+    int64_t *queue, queue_cap;
+    double *top;
+    int64_t top_cap;
+    int64_t *accepted, accepted_cap;
+    int64_t *ban_nodes, ban_nodes_cap;
+    int64_t *ban_edges, ban_edges_cap;
+} context_t;
+
+void repro_context_free(context_t *c)
+{
+    if (c == NULL) return;
+    free(c->best);
+    free(c->pred);
+    free(c->visited);
+    free(c->edge_banned);
+    free(c->heap);
+    free(c->touched);
+    free(c->path);
+    free(c->out);
+    free(c->out_rates);
+    free(c->nodes);
+    free(c->paths);
+    free(c->table);
+    free(c->queue);
+    free(c->top);
+    free(c->accepted);
+    free(c->ban_nodes);
+    free(c->ban_edges);
+    free(c);
+}
+
+/*
+ * A context over a snapshot of n_nodes nodes and n_edges edges, or NULL
+ * when memory runs out.  Scratch sizes are worst cases of one search:
+ * each row relaxes at most once, so a search pushes at most nnz entries
+ * after the source's and touches at most nnz + n_nodes + 1 nodes.
+ */
+context_t *repro_context_new(
+    int64_t n_nodes, int64_t n_edges, const int64_t *indptr,
+    const int64_t *adj, const int64_t *adj_edges, const int64_t *ids)
+{
+    size_t n = (size_t)n_nodes + 1, nnz = (size_t)indptr[n_nodes] + 1;
+    context_t *c = calloc(1, sizeof *c);
+    if (c == NULL) return NULL;
+    c->indptr = indptr;
+    c->adj = adj;
+    c->adj_edges = adj_edges;
+    c->ids = ids;
+    c->best = calloc(n, sizeof *c->best);
+    c->pred = calloc(n, sizeof *c->pred);
+    c->visited = calloc(n, sizeof *c->visited);
+    c->edge_banned = calloc((size_t)n_edges + 1, sizeof *c->edge_banned);
+    c->heap = calloc(nnz, sizeof *c->heap);
+    c->touched = calloc(nnz + n, sizeof *c->touched);
+    c->path = calloc(n, sizeof *c->path);
+    if (c->best == NULL || c->pred == NULL || c->visited == NULL
+        || c->edge_banned == NULL || c->heap == NULL || c->touched == NULL
+        || c->path == NULL) {
+        repro_context_free(c);
+        return NULL;
+    }
+    return c;
+}
 
 /* True when `a` pops before `b`. */
 static int pops_before(const entry_t *a, const entry_t *b)
@@ -103,25 +220,25 @@ static entry_t heap_pop(entry_t *heap, int64_t *size)
 }
 
 /*
- * Returns the path length in nodes (path_out[0] == source) and writes
+ * Returns the path length in nodes (c->path[0] == source) and writes
  * the path rate to *rate_out, or returns 0 when the destination is
  * unreachable.  `rates` is indexed by edge id (adj_edges[slot]) and
- * `flags` by node.  Capacities: heap nnz + 1 entries (each row relaxes
- * at most once, so at most nnz pushes follow the source's), touched
- * nnz + n + 1, path_out n, edge_banned one byte per edge.  It also
- * returns 0 once a popped rate times `scale` falls below `cut` (the spur
- * bound in the file header).
+ * `flags` by node.  It also returns 0 once a popped rate times `scale`
+ * falls below `cut` (the spur bound in the file header).
  */
 static int64_t relax_search(
-    const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
-    double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
-    entry_t *heap, int64_t *touched, int64_t *path_out, double *rate_out,
-    const double *rates, const uint8_t *flags,
+    context_t *c, const double *rates, const uint8_t *flags,
     int64_t source, int64_t destination, double swap2,
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges,
-    double scale, double cut)
+    double scale, double cut, double *rate_out)
 {
+    const int64_t *indptr = c->indptr, *adj = c->adj;
+    const int64_t *adj_edges = c->adj_edges;
+    double *best = c->best;
+    int64_t *pred = c->pred, *touched = c->touched;
+    uint8_t *visited = c->visited, *edge_banned = c->edge_banned;
+    entry_t *heap = c->heap;
     int64_t n_touched = 0, size = 0, counter = 1, length = 0, i;
     int found = 0;
 
@@ -150,14 +267,14 @@ static int64_t relax_search(
         }
         for (slot = indptr[node]; slot < indptr[node + 1]; slot++) {
             int64_t nbr = adj[slot], edge = adj_edges[slot];
-            double c;
+            double cand;
             if (!flags[nbr] && nbr != destination) continue;
             if (edge_banned[edge]) continue;
-            c = rate * rates[edge];
-            if (c > best[nbr]) {
-                best[nbr] = c;
+            cand = rate * rates[edge];
+            if (cand > best[nbr]) {
+                best[nbr] = cand;
                 pred[nbr] = node;
-                heap_push(heap, &size, (entry_t){c, counter++, nbr});
+                heap_push(heap, &size, (entry_t){cand, counter++, nbr});
                 touched[n_touched++] = nbr;
             }
         }
@@ -167,7 +284,7 @@ static int64_t relax_search(
         for (length = 1; at != source; length++) at = pred[at];
         at = destination;
         for (i = length - 1; i >= 0; i--) {
-            path_out[i] = at;
+            c->path[i] = at;
             at = pred[at];
         }
         *rate_out = best[destination];
@@ -180,28 +297,80 @@ static int64_t relax_search(
     return length;
 }
 
-/* One unbounded search: rates are never negative, so no cut applies. */
-int64_t repro_relax_search(
-    const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
-    double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
-    entry_t *heap, int64_t *touched, int64_t *path_out, double *rate_out,
-    const double *rates, const uint8_t *flags,
+static void *grow(void *buf, int64_t *cap, int64_t need, size_t size)
+{
+    int64_t grown = *cap > 0 ? *cap : 16;
+    while (grown < need) grown *= 2;
+    buf = realloc(buf, (size_t)grown * size);
+    if (buf != NULL) *cap = grown;
+    return buf;
+}
+
+/* Grows c->field to hold `need` items, or returns `fail` from the caller. */
+#define RESERVE(field, need, fail)                                         \
+    do {                                                                   \
+        if ((need) > c->field##_cap) {                                     \
+            int64_t old_ = c->field##_cap;                                 \
+            void *grown_ = grow(c->field, &c->field##_cap, (need),         \
+                                sizeof *c->field);                         \
+            if (grown_ == NULL) return (fail);                             \
+            c->field = grown_;                                             \
+            c->held += (c->field##_cap - old_) * (int64_t)sizeof *c->field; \
+        }                                                                  \
+    } while (0)
+
+/* The rate column or relay flags whose address the caller passed. */
+#define RATES(address) ((const double *)(uintptr_t)(address))
+#define FLAGS(address) ((const uint8_t *)(uintptr_t)(address))
+
+/*
+ * Appends the (length, ids...) record of an index path and its rate to
+ * the output; returns 0 when memory runs out.  A length of 0 records
+ * "no path".
+ */
+static int emit_path(
+    context_t *c, const int64_t *nodes, int64_t length, double rate)
+{
+    int64_t i;
+    RESERVE(out, c->out_len + 1 + length, 0);
+    RESERVE(out_rates, c->out_rates_len + 1, 0);
+    c->out[c->out_len++] = length;
+    for (i = 0; i < length; i++) c->out[c->out_len++] = c->ids[nodes[i]];
+    c->out_rates[c->out_rates_len++] = rate;
+    return 1;
+}
+
+/*
+ * The first search of each of n_widths widths of one demand: `columns`
+ * holds each width's rate column and relay flags (addresses).  Writes
+ * one (length, ids...) record and one rate per width, in order, and
+ * returns n_widths, or -1 when memory runs out.
+ */
+int64_t repro_search_widths(
+    context_t *c, int64_t n_widths, const int64_t *columns,
     int64_t source, int64_t destination, double swap2,
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges)
 {
-    return relax_search(
-        indptr, adj, adj_edges, best, pred, visited, edge_banned, heap,
-        touched, path_out, rate_out, rates, flags, source, destination,
-        swap2, banned, n_banned, banned_edges, n_banned_edges, 1.0, 0.0);
+    int64_t k;
+    c->out_len = 0;
+    c->out_rates_len = 0;
+    for (k = 0; k < n_widths; k++) {
+        double rate = 0.0;
+        int64_t length = relax_search(
+            c, RATES(columns[2 * k]), FLAGS(columns[2 * k + 1]), source,
+            destination, swap2, banned, n_banned, banned_edges,
+            n_banned_edges, 1.0, 0.0, &rate);
+        if (!emit_path(c, c->path, length, rate)) return -1;
+    }
+    return n_widths;
 }
 
 /*
  * Algorithm 2's Yen loop for one (demand, width): yen_deviation_loop in
- * repro/routing/alg2_path_selection.py (its oracle) with
- * repro_relax_search as the spur search and the path's own rate
- * (path_entanglement_rate in the reference core) as the scorer, step
- * for step:
+ * repro/routing/alg2_path_selection.py (its oracle) with relax_search
+ * as the spur search and the path's own rate (path_entanglement_rate in
+ * the reference core) as the scorer, step for step:
  *
  * - the spur search from root[d] bans the session's nodes plus
  *   root[0..d), and the session's edges plus edge (p[d], p[d + 1]) of
@@ -217,99 +386,19 @@ int64_t repro_relax_search(
  * Every path ever pushed stays in one pool; its index is the push
  * counter (index 0 is the first path).  Spur searches stop early under
  * the spur bound (file header), which needs the queue's best `need`
- * rates: `top` keeps them, ascending.  The buffers live in a yen_work_t
- * kept between calls and grow with the paths found, never with h.
+ * rates: `top` keeps them, ascending.
  */
-
-/* One pooled path: nodes[start .. start + length). */
-typedef struct {
-    int64_t start, length;
-    uint64_t hash;
-    double rate;
-} path_t;
-
-/* A dedup-table slot; it is empty unless `stamp` is the current call's. */
-typedef struct {
-    int64_t stamp, index;
-} slot_t;
-
-/*
- * The caller reads the first four fields after a call: `out` holds the
- * accepted paths as (length, nodes...) records, `out_len` counts its
- * int64s, `out_rates` holds one rate per path and `held` counts the
- * bytes of every buffer the workspace owns.
- */
-typedef struct {
-    int64_t *out;
-    int64_t out_len;
-    double *out_rates;
-    int64_t held;
-    int64_t out_cap, out_rates_cap;
-    int64_t *nodes, nodes_cap, nodes_len;
-    path_t *paths;
-    int64_t paths_cap, n_paths;
-    slot_t *table;
-    int64_t table_cap, stamp;
-    int64_t *queue, queue_cap;
-    double *top;
-    int64_t top_cap;
-    int64_t *accepted, accepted_cap;
-    int64_t *ban_nodes, ban_nodes_cap;
-    int64_t *ban_edges, ban_edges_cap;
-} yen_work_t;
-
-yen_work_t *repro_yen_work_new(void) { return calloc(1, sizeof(yen_work_t)); }
-
-void repro_yen_work_free(yen_work_t *w)
-{
-    if (w == NULL) return;
-    free(w->out);
-    free(w->out_rates);
-    free(w->nodes);
-    free(w->paths);
-    free(w->table);
-    free(w->queue);
-    free(w->top);
-    free(w->accepted);
-    free(w->ban_nodes);
-    free(w->ban_edges);
-    free(w);
-}
-
-static void *grow(void *buf, int64_t *cap, int64_t need, size_t size)
-{
-    int64_t grown = *cap > 0 ? *cap : 16;
-    while (grown < need) grown *= 2;
-    buf = realloc(buf, (size_t)grown * size);
-    if (buf != NULL) *cap = grown;
-    return buf;
-}
-
-/* Grows w->field to hold `need` items, or returns `fail` from the caller. */
-#define RESERVE(field, need, fail)                                         \
-    do {                                                                   \
-        if ((need) > w->field##_cap) {                                     \
-            int64_t old_ = w->field##_cap;                                 \
-            void *grown_ = grow(w->field, &w->field##_cap, (need),         \
-                                sizeof *w->field);                         \
-            if (grown_ == NULL) return (fail);                             \
-            w->field = grown_;                                             \
-            w->held += (w->field##_cap - old_) * (int64_t)sizeof *w->field; \
-        }                                                                  \
-    } while (0)
 
 /* Edge id of the slot from a to b: CSR rows ascend by neighbour. */
-static int64_t edge_between(
-    const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
-    int64_t a, int64_t b)
+static int64_t edge_between(const context_t *c, int64_t a, int64_t b)
 {
-    int64_t lo = indptr[a], hi = indptr[a + 1];
+    int64_t lo = c->indptr[a], hi = c->indptr[a + 1];
     while (lo < hi) {
         int64_t mid = lo + (hi - lo) / 2;
-        if (adj[mid] < b) lo = mid + 1;
+        if (c->adj[mid] < b) lo = mid + 1;
         else hi = mid;
     }
-    return adj_edges[lo];
+    return c->adj_edges[lo];
 }
 
 static uint64_t hash_path(const int64_t *nodes, int64_t length)
@@ -321,21 +410,21 @@ static uint64_t hash_path(const int64_t *nodes, int64_t length)
     return hash ^ (hash >> 32);
 }
 
-static int rehash(yen_work_t *w, int64_t cap)
+static int rehash(context_t *c, int64_t cap)
 {
     slot_t *table = calloc((size_t)cap, sizeof *table);
     uint64_t mask = (uint64_t)cap - 1;
     int64_t k;
     if (table == NULL) return 0;
-    for (k = 0; k < w->n_paths; k++) {
-        uint64_t i = w->paths[k].hash & mask;
-        while (table[i].stamp == w->stamp) i = (i + 1) & mask;
-        table[i] = (slot_t){w->stamp, k};
+    for (k = 0; k < c->n_paths; k++) {
+        uint64_t i = c->paths[k].hash & mask;
+        while (table[i].stamp == c->stamp) i = (i + 1) & mask;
+        table[i] = (slot_t){c->stamp, k};
     }
-    free(w->table);
-    w->held += (cap - w->table_cap) * (int64_t)sizeof *table;
-    w->table = table;
-    w->table_cap = cap;
+    free(c->table);
+    c->held += (cap - c->table_cap) * (int64_t)sizeof *table;
+    c->table = table;
+    c->table_cap = cap;
     return 1;
 }
 
@@ -344,27 +433,27 @@ static int rehash(yen_work_t *w, int64_t cap)
  * path is pooled.  Returns the new index, -1 for a duplicate, or -2
  * when memory runs out.
  */
-static int64_t add_path(yen_work_t *w, int64_t length)
+static int64_t add_path(context_t *c, int64_t length)
 {
-    const int64_t *nodes = w->nodes + w->nodes_len;
+    const int64_t *nodes = c->nodes + c->nodes_len;
     uint64_t hash = hash_path(nodes, length), mask, i;
-    int64_t index = w->n_paths;
-    if (2 * (index + 1) > w->table_cap
-        && !rehash(w, w->table_cap ? 2 * w->table_cap : 64))
+    int64_t index = c->n_paths;
+    if (2 * (index + 1) > c->table_cap
+        && !rehash(c, c->table_cap ? 2 * c->table_cap : 64))
         return -2;
-    mask = (uint64_t)w->table_cap - 1;
-    for (i = hash & mask; w->table[i].stamp == w->stamp; i = (i + 1) & mask) {
-        const path_t *p = &w->paths[w->table[i].index];
+    mask = (uint64_t)c->table_cap - 1;
+    for (i = hash & mask; c->table[i].stamp == c->stamp; i = (i + 1) & mask) {
+        const path_t *p = &c->paths[c->table[i].index];
         if (p->hash == hash && p->length == length
-            && memcmp(w->nodes + p->start, nodes,
+            && memcmp(c->nodes + p->start, nodes,
                       (size_t)length * sizeof *nodes) == 0)
             return -1;
     }
     RESERVE(paths, index + 1, -2);
-    w->paths[index] = (path_t){w->nodes_len, length, hash, 0.0};
-    w->table[i] = (slot_t){w->stamp, index};
-    w->n_paths++;
-    w->nodes_len += length;
+    c->paths[index] = (path_t){c->nodes_len, length, hash, 0.0};
+    c->table[i] = (slot_t){c->stamp, index};
+    c->n_paths++;
+    c->nodes_len += length;
     return index;
 }
 
@@ -375,33 +464,33 @@ static int path_before(const path_t *paths, int64_t a, int64_t b)
         || (paths[a].rate == paths[b].rate && a < b);
 }
 
-static void queue_push(yen_work_t *w, int64_t *size, int64_t item)
+static void queue_push(context_t *c, int64_t *size, int64_t item)
 {
     int64_t i = (*size)++;
     while (i > 0) {
         int64_t parent = (i - 1) / 2;
-        if (!path_before(w->paths, item, w->queue[parent])) break;
-        w->queue[i] = w->queue[parent];
+        if (!path_before(c->paths, item, c->queue[parent])) break;
+        c->queue[i] = c->queue[parent];
         i = parent;
     }
-    w->queue[i] = item;
+    c->queue[i] = item;
 }
 
-static int64_t queue_pop(yen_work_t *w, int64_t *size)
+static int64_t queue_pop(context_t *c, int64_t *size)
 {
-    int64_t top = w->queue[0], last = w->queue[--(*size)];
+    int64_t top = c->queue[0], last = c->queue[--(*size)];
     int64_t n = *size, i = 0;
     for (;;) {
         int64_t child = 2 * i + 1;
         if (child >= n) break;
         if (child + 1 < n
-            && path_before(w->paths, w->queue[child + 1], w->queue[child]))
+            && path_before(c->paths, c->queue[child + 1], c->queue[child]))
             child++;
-        if (!path_before(w->paths, w->queue[child], last)) break;
-        w->queue[i] = w->queue[child];
+        if (!path_before(c->paths, c->queue[child], last)) break;
+        c->queue[i] = c->queue[child];
         i = child;
     }
-    if (n > 0) w->queue[i] = last;
+    if (n > 0) c->queue[i] = last;
     return top;
 }
 
@@ -429,111 +518,130 @@ static void top_insert(double *top, int64_t *n_top, int64_t need, double rate)
 }
 
 /*
- * Returns the number of accepted paths (first included, at most h) and
- * leaves them in w->out / w->out_rates, or returns -1 when memory runs
- * out.  `first` is the width's best path with its search rate; graph,
- * scratch, rates, flags and bans are as for repro_relax_search.
+ * Appends the count of accepted paths (first included, at most h) and
+ * their records and rates to the output, and returns the count, or -1
+ * when memory runs out.  `first` is the width's best index path with
+ * its search rate; rates, flags and bans are as for relax_search.
  */
-int64_t repro_yen_paths(
-    yen_work_t *w,
-    const int64_t *indptr, const int64_t *adj, const int64_t *adj_edges,
-    double *best, int64_t *pred, uint8_t *visited, uint8_t *edge_banned,
-    entry_t *heap, int64_t *touched, int64_t *path_out,
-    const double *rates, const uint8_t *flags, double swap2, int64_t h,
-    const int64_t *first, int64_t first_length, double first_rate,
+static int64_t yen_paths(
+    context_t *c, const double *rates, const uint8_t *flags, double swap2,
+    int64_t h, const int64_t *first, int64_t first_length, double first_rate,
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges)
 {
     int64_t destination = first[first_length - 1];
     int64_t n_accepted = 1, n_queue = 0, n_top = 0, k, i;
 
-    w->stamp++;
-    w->n_paths = 0;
-    w->nodes_len = 0;
+    c->stamp++;
+    c->n_paths = 0;
+    c->nodes_len = 0;
     RESERVE(nodes, first_length, -1);
-    for (i = 0; i < first_length; i++) w->nodes[i] = first[i];
-    if (add_path(w, first_length) < 0) return -1;
-    w->paths[0].rate = first_rate;
+    for (i = 0; i < first_length; i++) c->nodes[i] = first[i];
+    if (add_path(c, first_length) < 0) return -1;
+    c->paths[0].rate = first_rate;
     RESERVE(accepted, 1, -1);
-    w->accepted[0] = 0;
+    c->accepted[0] = 0;
     /* The session's bans lead both ban lists; each spur appends its own. */
     RESERVE(ban_nodes, n_banned + first_length, -1);
-    for (i = 0; i < n_banned; i++) w->ban_nodes[i] = banned[i];
+    for (i = 0; i < n_banned; i++) c->ban_nodes[i] = banned[i];
     RESERVE(ban_edges, n_banned_edges + 1, -1);
-    for (i = 0; i < n_banned_edges; i++) w->ban_edges[i] = banned_edges[i];
+    for (i = 0; i < n_banned_edges; i++) c->ban_edges[i] = banned_edges[i];
 
     while (n_accepted < h) {
-        int64_t prev_start = w->paths[w->accepted[n_accepted - 1]].start;
-        int64_t prev_length = w->paths[w->accepted[n_accepted - 1]].length;
+        int64_t prev_start = c->paths[c->accepted[n_accepted - 1]].start;
+        int64_t prev_length = c->paths[c->accepted[n_accepted - 1]].length;
         int64_t need = h - n_accepted, d;
         double root_factor = 1.0;
         RESERVE(ban_nodes, n_banned + prev_length, -1);
         RESERVE(ban_edges, n_banned_edges + n_accepted, -1);
         for (d = 0; d + 1 < prev_length; d++) {
-            const int64_t *root = w->nodes + prev_start;
+            const int64_t *root = c->nodes + prev_start;
             int64_t n_edges = n_banned_edges, spur_length, index;
             double spur_rate;
             /* The spur bound (file header): top[0] is the need-th best. */
-            double cut = n_top == need ? w->top[0] * (1.0 - 1e-9) : 0.0;
+            double cut = n_top == need ? c->top[0] * (1.0 - 1e-9) : 0.0;
             if (d > 0) {
-                w->ban_nodes[n_banned + d - 1] = root[d - 1];
-                root_factor = root_factor * rates[edge_between(
-                    indptr, adj, adj_edges, root[d - 1], root[d])] * swap2;
+                c->ban_nodes[n_banned + d - 1] = root[d - 1];
+                root_factor = root_factor
+                    * rates[edge_between(c, root[d - 1], root[d])] * swap2;
             }
             for (k = 0; k < n_accepted; k++) {
-                const path_t *p = &w->paths[w->accepted[k]];
-                const int64_t *nodes = w->nodes + p->start;
+                const path_t *p = &c->paths[c->accepted[k]];
+                const int64_t *nodes = c->nodes + p->start;
                 if (p->length > d + 1
                     && memcmp(nodes, root, (size_t)(d + 1) * sizeof *root) == 0)
-                    w->ban_edges[n_edges++] = edge_between(
-                        indptr, adj, adj_edges, nodes[d], nodes[d + 1]);
+                    c->ban_edges[n_edges++] =
+                        edge_between(c, nodes[d], nodes[d + 1]);
             }
             spur_length = relax_search(
-                indptr, adj, adj_edges, best, pred, visited, edge_banned,
-                heap, touched, path_out, &spur_rate, rates, flags, root[d],
-                destination, swap2, w->ban_nodes, n_banned + d,
-                w->ban_edges, n_edges, root_factor, cut);
+                c, rates, flags, root[d], destination, swap2, c->ban_nodes,
+                n_banned + d, c->ban_edges, n_edges, root_factor, cut,
+                &spur_rate);
             if (spur_length == 0) continue;
-            RESERVE(nodes, w->nodes_len + d + spur_length, -1);
-            root = w->nodes + prev_start; /* the pool may have moved */
-            for (i = 0; i < d; i++) w->nodes[w->nodes_len + i] = root[i];
+            RESERVE(nodes, c->nodes_len + d + spur_length, -1);
+            root = c->nodes + prev_start; /* the pool may have moved */
+            for (i = 0; i < d; i++) c->nodes[c->nodes_len + i] = root[i];
             for (i = 0; i < spur_length; i++)
-                w->nodes[w->nodes_len + d + i] = path_out[i];
-            index = add_path(w, d + spur_length);
+                c->nodes[c->nodes_len + d + i] = c->path[i];
+            index = add_path(c, d + spur_length);
             if (index == -1) continue;
             if (index < 0) return -1;
             {
-                const int64_t *nodes = w->nodes + w->paths[index].start;
-                int64_t length = w->paths[index].length;
+                const int64_t *nodes = c->nodes + c->paths[index].start;
+                int64_t length = c->paths[index].length;
                 double rate = 1.0;
                 for (i = 0; i + 1 < length; i++)
-                    rate = rate * rates[edge_between(
-                        indptr, adj, adj_edges, nodes[i], nodes[i + 1])];
+                    rate = rate * rates[edge_between(c, nodes[i], nodes[i + 1])];
                 for (i = 1; i + 1 < length; i++) rate = rate * swap2;
-                w->paths[index].rate = rate;
+                c->paths[index].rate = rate;
             }
             RESERVE(queue, n_queue + 1, -1);
-            queue_push(w, &n_queue, index);
+            queue_push(c, &n_queue, index);
             RESERVE(top, n_top + 1, -1);
-            top_insert(w->top, &n_top, need, w->paths[index].rate);
+            top_insert(c->top, &n_top, need, c->paths[index].rate);
         }
         if (n_queue == 0) break;
         RESERVE(accepted, n_accepted + 1, -1);
-        w->accepted[n_accepted++] = queue_pop(w, &n_queue);
+        c->accepted[n_accepted++] = queue_pop(c, &n_queue);
         /* The popped rate is the largest held: the rest are the best
          * need - 1 of what stays queued. */
         n_top--;
     }
 
-    RESERVE(out_rates, n_accepted, -1);
-    w->out_len = 0;
+    RESERVE(out, c->out_len + 1, -1);
+    c->out[c->out_len++] = n_accepted;
     for (k = 0; k < n_accepted; k++) {
-        const path_t *p = &w->paths[w->accepted[k]];
-        RESERVE(out, w->out_len + 1 + p->length, -1);
-        w->out[w->out_len++] = p->length;
-        for (i = 0; i < p->length; i++)
-            w->out[w->out_len++] = w->nodes[p->start + i];
-        w->out_rates[k] = p->rate;
+        const path_t *p = &c->paths[c->accepted[k]];
+        if (!emit_path(c, c->nodes + p->start, p->length, p->rate)) return -1;
     }
     return n_accepted;
+}
+
+/*
+ * The Yen loops of n_widths widths of one demand, in order.  `request`
+ * holds, per width, its rate column and relay flags (addresses), the
+ * first path's length and its node indices; `first_rates` holds each
+ * first path's search rate.  Returns the number of paths written, or
+ * -1 when memory runs out.
+ */
+int64_t repro_yen_widths(
+    context_t *c, int64_t n_widths, const int64_t *request,
+    const double *first_rates, int64_t h, double swap2,
+    const int64_t *banned, int64_t n_banned,
+    const int64_t *banned_edges, int64_t n_banned_edges)
+{
+    int64_t k, at = 0, total = 0;
+    c->out_len = 0;
+    c->out_rates_len = 0;
+    for (k = 0; k < n_widths; k++) {
+        int64_t length = request[at + 2];
+        int64_t count = yen_paths(
+            c, RATES(request[at]), FLAGS(request[at + 1]), swap2, h,
+            request + at + 3, length, first_rates[k], banned, n_banned,
+            banned_edges, n_banned_edges);
+        if (count < 0) return -1;
+        total += count;
+        at += 3 + length;
+    }
+    return total;
 }

@@ -11,18 +11,23 @@ tuple-keyed rate memo).  :class:`CompiledNetwork` flattens one
   neighbours in ascending node-id order, the order the reference
   relaxes them, so heap tie-breaks and paths are bit-identical;
 * **width-indexed rate tables** — one per-edge column per channel
-  width, filled through :func:`~repro.quantum.noise.channel_success`,
-  the unchecked formula behind the reference
-  :class:`~repro.routing.metrics.ChannelRateCache`'s rates, so every
-  rate is bit-identical;
+  width, filled with the operations of
+  :func:`~repro.quantum.noise.channel_success`, the unchecked formula
+  behind the reference :class:`~repro.routing.metrics.ChannelRateCache`'s
+  rates (each edge's logarithm taken once), so every rate is
+  bit-identical;
 * **a native kernel** — the search runs in ``kernel.c`` (package
   :mod:`repro.routing._native`; its header gives the relax rules that
   keep paths and rates bit-identical), compiled once per user cache and
-  called through :mod:`ctypes`.  Algorithm 2's Yen loop runs there too,
-  one call per (demand, width), accepting what the reference core's
+  called through :mod:`ctypes` with one kernel context per snapshot
+  (CSR rows, scratch and output buffers).  Algorithm 2's Yen loop runs
+  there too, accepting what the reference core's
   :func:`~repro.routing.alg2_path_selection.yen_deviation_loop` accepts
   (its spur searches stop early once they cannot reach the queue's top
-  ``h - accepted``; ``kernel.c`` gives the proof).  The
+  ``h - accepted``; ``kernel.c`` gives the proof).  Each call answers a
+  batch of widths of one demand, and every rate column, relay-flag
+  vector and ban set carries its raw address from the moment it is
+  built, so a call marshals only a few integers.  The
   reference core is the kernel's only oracle and its only fallback:
   without a loaded kernel (:func:`native_kernel_active`) routing runs
   on the reference core, and the entry points below raise
@@ -36,18 +41,19 @@ tuple-keyed rate memo).  :class:`CompiledNetwork` flattens one
   bytes key the search memo, so a ledger change that flips no flag
   keeps every memoised search;
 * **bans resolved once** — a session's banned node ids and edge keys
-  (either endpoint order) become node indices, edge ids and their
-  ``array('q')`` twins once per pair of frozenset objects, so every
-  demand and refill round under one fault state reuses them.
+  (either endpoint order) become node indices, edge ids and the
+  kernel's ``array('q')`` arguments once per pair of frozenset objects,
+  so every demand and refill round under one fault state reuses them.
 
 Search entry points
 -------------------
 
 Each algorithm has one entry here.  Algorithm 1 calls
-:meth:`CompiledNetwork.run_search`; Algorithm 2 calls
-:func:`compiled_select_paths`, which sweeps the first search of every
-width through one :class:`WidthSearchBatch` and runs each width's Yen
-loop in one native call.  First searches are answered from the
+:meth:`CompiledNetwork.run_search`, one native call per memo miss;
+Algorithm 2 calls :func:`compiled_select_paths`, which sweeps the first
+search of every width through one :class:`WidthSearchBatch` (one native
+call for all the widths the memo misses) and then runs the Yen loops
+of all feasible widths in one more.  First searches are answered from the
 snapshot's **search-result memo**, keyed on the exact kernel inputs
 ``(source, destination, width, relay-flag bytes, swap, banned sets)``,
 so a hit is bit-identical to a fresh search; the Yen loop's spur
@@ -88,7 +94,7 @@ reads.
 from __future__ import annotations
 
 import array
-import ctypes
+import math
 import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -97,7 +103,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, RoutingError
 from repro.network.demands import Demand
 from repro.network.graph import QuantumNetwork
-from repro.quantum.noise import LinkModel, SwapModel, channel_success
+from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing import _native
 from repro.routing.paths import PathCandidate
 
@@ -212,21 +218,23 @@ class _RateLists(dict):
     use.
 
     ``lists[width][edge_id]`` equals ``ChannelRateCache.rate(u, v,
-    width)`` for the edge's endpoints — the same formula on the same
-    inputs, without
-    :func:`~repro.quantum.noise.channel_success_probability`'s input
-    checks (the probabilities come from the link model, and widths are
-    checked where they enter the routing API).
+    width)`` for the edge's endpoints: :func:`~repro.quantum.noise.
+    channel_success`'s operations on the same inputs, with each edge's
+    ``log1p(-p)`` taken once for every width (``-inf`` for ``p >= 1``,
+    whose rate ``-expm1(-inf)`` is then exactly ``1.0``).
     """
 
-    __slots__ = ("_probabilities",)
+    __slots__ = ("_log_failures",)
 
     def __init__(self, probabilities: List[float]):
         super().__init__()
-        self._probabilities = probabilities
+        self._log_failures = [
+            math.log1p(-p) if p < 1.0 else -math.inf for p in probabilities
+        ]
 
     def __missing__(self, width: int) -> List[float]:
-        column = [channel_success(p, width) for p in self._probabilities]
+        expm1 = math.expm1
+        column = [-expm1(width * log) for log in self._log_failures]
         self[width] = column
         return column
 
@@ -257,7 +265,7 @@ class CompiledNetwork:
         "_ban_memo",
         "_width_columns",
         "_search_memo",
-        "_native_scratch",
+        "_kernel_context",
     )
 
     def __init__(self, network: QuantumNetwork, link_model: LinkModel):
@@ -310,27 +318,31 @@ class CompiledNetwork:
         # weak because the network memoises this snapshot and a ledger
         # holds its network: a strong one would make a cycle that keeps
         # a routed network (snapshot, memo and all) alive until the
-        # cyclic collector runs.  Per width, (counts, flags, key) built
-        # from those counts.
+        # cyclic collector runs.  Per width, (counts, flags, key,
+        # flags address) built from those counts.
         self._relay_counts: Optional[tuple] = None
         self._relay_cache: Dict[int, tuple] = {}
         # (banned_nodes, banned_edges, resolved) of the last frozenset
         # pair resolved (see _resolved_bans).
         self._ban_memo: Optional[tuple] = None
-        self._width_columns: Dict[int, np.ndarray] = {}
+        # Per width, (rate column, its address) (see _rate_column).
+        self._width_columns: Dict[int, Tuple[np.ndarray, int]] = {}
         self._search_memo: Dict[tuple, object] = {}
-        # The native kernel's scratch, allocated on the first search
-        # (see _native_buffers) and reset through the touched nodes, so
+        # The native kernel context, allocated on the first search (see
+        # _context); its scratch is reset through the touched nodes, so
         # back-to-back searches skip the O(n) clear.
-        self._native_scratch: Optional[tuple] = None
+        self._kernel_context: Optional[_native.Context] = None
 
     def __getstate__(self):
         """Copy/pickle state without raw buffer addresses or ledger
-        references: a copy gets its own native scratch on first use
-        instead of pointing into the original's buffers, and rebuilds
-        its relay counts and flags lazily (they hold a ledger weakly)."""
+        references: a copy gets its own kernel context, rate-column
+        addresses and ban arrays on first use instead of pointing into
+        the original's buffers, and rebuilds its relay counts and flags
+        lazily (they hold a ledger weakly)."""
         state = {name: getattr(self, name) for name in self.__slots__}
-        state["_native_scratch"] = None
+        state["_kernel_context"] = None
+        state["_width_columns"] = {}
+        state["_ban_memo"] = None
         state["_relay_counts"] = None
         state["_relay_cache"] = {}
         return None, state
@@ -351,11 +363,16 @@ class CompiledNetwork:
     def width_rates(self, width: int) -> np.ndarray:
         """The *width* column of :attr:`width_lists` as a float64 array
         (what the native kernel reads), filled once."""
-        column = self._width_columns.get(width)
-        if column is None:
+        return self._rate_column(width)[0]
+
+    def _rate_column(self, width: int) -> Tuple[np.ndarray, int]:
+        """``(column, address)``: :meth:`width_rates` and the address
+        the native kernel reads it at, both built once."""
+        entry = self._width_columns.get(width)
+        if entry is None:
             column = np.asarray(self.width_lists[width], dtype=np.float64)
-            self._width_columns[width] = column
-        return column
+            entry = self._width_columns[width] = (column, column.ctypes.data)
+        return entry
 
     def relay_counts(self, ledger) -> np.ndarray:
         """Per node index, the free qubits a relay may draw on under the
@@ -394,134 +411,22 @@ class CompiledNetwork:
         which is what the search-result memo keys on.  Callers must not
         mutate the ledger while holding the returned array.
         """
-        counts = self.relay_counts(ledger)
+        entry = self._relay_entry(self.relay_counts(ledger), width)
+        return entry[1], entry[2]
+
+    def _relay_entry(self, counts: np.ndarray, width: int) -> tuple:
+        """``(counts, flags, key, flags address)`` at *width* for the
+        count vector *counts* (:meth:`relay_counts`), built once per
+        vector."""
         entry = self._relay_cache.get(width)
-        if entry is not None and entry[0] is counts:
-            return entry[1], entry[2]
-        flags = counts >= 2 * width
-        key = flags.tobytes()
-        self._relay_cache[width] = (counts, flags, key)
-        return flags, key
+        if entry is None or entry[0] is not counts:
+            flags = counts >= 2 * width
+            entry = (counts, flags, flags.tobytes(), flags.ctypes.data)
+            self._relay_cache[width] = entry
+        return entry
 
     # ------------------------------------------------------------------
-    # The Algorithm 1 kernel
-
-    def _native_buffers(self, kernel) -> tuple:
-        """The native kernel's scratch for this snapshot, allocated on
-        the first call: ``(addresses, path, rate, workspace, arrays)``.
-
-        ``addresses`` are the CSR arrays, ``best``, ``pred``,
-        ``visited``, ``edge_banned``, the heap, ``touched``, the path
-        buffer and the rate buffer, in the order of the relax loop's
-        arguments (the Yen loop takes all but the last).  Sizes are
-        worst cases of one search: each row relaxes at most once, so a
-        search pushes at most ``nnz`` entries after the source's.  The
-        Yen workspace grows inside ``kernel.c`` with the paths found.
-        """
-        scratch = self._native_scratch
-        if scratch is None:
-            n = len(self.node_ids)
-            nnz = self.adj_nodes.size
-            path = (ctypes.c_int64 * n)()
-            rate = (ctypes.c_double * 1)()
-            buffers = (
-                self.indptr,
-                self.adj_nodes,
-                self.adj_edges,
-                np.zeros(n, dtype=np.float64),  # best
-                np.zeros(n, dtype=np.int64),  # pred
-                np.zeros(n, dtype=np.uint8),  # visited
-                np.zeros(len(self.edge_keys), dtype=np.uint8),  # edge_banned
-                np.zeros((nnz + 1) * _native.HEAP_ENTRY_BYTES, np.uint8),
-                np.zeros(nnz + n + 1, dtype=np.int64),  # touched
-            )
-            scratch = self._native_scratch = (
-                tuple(buf.ctypes.data for buf in buffers)
-                + (ctypes.addressof(path), ctypes.addressof(rate)),
-                path,
-                rate,
-                _native.YenWorkspace(kernel),
-                buffers,
-            )
-        return scratch
-
-    def _native_search(
-        self,
-        kernel,
-        source: int,
-        destination: int,
-        rates: np.ndarray,
-        flags: np.ndarray,
-        swap2: float,
-        banned_idx: FrozenSet[int],
-        banned_edge_ids: FrozenSet[int],
-    ) -> Optional[Tuple[List[int], float]]:
-        """Algorithm 1's modified Dijkstra over the CSR rows, in the
-        native relax loop (``kernel.c``; see the module docstring's
-        in-loop masking).
-
-        *source*/*destination*/*banned_idx* are node **indices** and
-        *banned_edge_ids* edge ids; ``rates`` is the per-edge rate
-        column (:meth:`width_rates`) and ``flags`` the relay flags.
-        Returns ``(index_path, rate)`` or ``None``.
-        """
-        addresses, path, rate, _, _ = self._native_buffers(kernel)
-        # array.array fills from a set several times faster than a
-        # ctypes array, and fault-heavy sessions ban ~100 edges a search.
-        banned = array.array("q", banned_idx)
-        banned_edges = array.array("q", banned_edge_ids)
-        length = kernel.search(
-            *addresses, rates.ctypes.data, flags.ctypes.data, source,
-            destination, swap2, banned.buffer_info()[0], len(banned),
-            banned_edges.buffer_info()[0], len(banned_edges),
-        )
-        if not length:
-            return None
-        return path[:length], rate[0]
-
-    def _native_yen(
-        self,
-        kernel,
-        first: Sequence[int],
-        first_rate: float,
-        h: int,
-        rates: np.ndarray,
-        flags: np.ndarray,
-        swap2: float,
-        banned: array.array,
-        banned_edges: array.array,
-    ) -> List[Tuple[List[int], float]]:
-        """Algorithm 2's Yen loop for one width in one native call.
-
-        *first* is the width's best index path and *first_rate* its
-        search rate; *banned*/*banned_edges* are the session's node
-        indices and edge ids as ``array('q')``.  Returns what
-        the reference core's
-        :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`
-        returns when Algorithm 1 (under the session bans plus each
-        spur's own) drives it: the accepted ``(index_path, rate)``
-        pairs, best first, at most *h*.
-        """
-        addresses, _, _, workspace, _ = self._native_buffers(kernel)
-        nodes = array.array("q", first)
-        count = kernel.yen(
-            workspace.address, *addresses[:-1], rates.ctypes.data,
-            flags.ctypes.data, swap2, min(h, _H_LIMIT),
-            nodes.buffer_info()[0], len(nodes), first_rate,
-            banned.buffer_info()[0], len(banned),
-            banned_edges.buffer_info()[0], len(banned_edges),
-        )
-        if count < 0:
-            raise MemoryError("the native Yen loop ran out of memory")
-        output = workspace.output
-        flat = output.out[: output.out_len]
-        accepted = []
-        start = 0
-        for rate in output.out_rates[:count]:
-            end = start + 1 + flat[start]
-            accepted.append((flat[start + 1:end], rate))
-            start = end
-        return accepted
+    # Bans
 
     def resolve_bans(
         self, banned_nodes: Iterable[int], banned_edges: Iterable[EdgeKey]
@@ -533,12 +438,13 @@ class CompiledNetwork:
         anyway.  See :meth:`_resolved_bans` for when the answer is
         memoised.
         """
-        return self._resolved_bans(banned_nodes, banned_edges)[:2]
+        bans = self._resolved_bans(banned_nodes, banned_edges)
+        return bans.nodes, bans.edges
 
     def _resolved_bans(
         self, banned_nodes: Iterable[int], banned_edges: Iterable[EdgeKey]
-    ) -> Tuple[FrozenSet[int], FrozenSet[int], array.array, array.array]:
-        """:meth:`resolve_bans` plus both answers as ``array('q')``.
+    ) -> "_Bans":
+        """:meth:`resolve_bans` with the kernel's arguments.
 
         Memoised on the identity of the last pair of frozensets (a
         serving session keeps one pair per fault state, and routers
@@ -562,13 +468,38 @@ class CompiledNetwork:
             for a, b in banned_edges
         )
         edge_ids = frozenset(e for e in found if e is not None)
-        resolved = (
-            node_idx, edge_ids,
-            array.array("q", node_idx), array.array("q", edge_ids),
-        )
+        bans = _Bans.of(node_idx, edge_ids)
         if type(banned_nodes) is frozenset and type(banned_edges) is frozenset:
-            self._ban_memo = (banned_nodes, banned_edges, resolved)
-        return resolved
+            self._ban_memo = (banned_nodes, banned_edges, bans)
+        return bans
+
+    def _bans_for(
+        self, node_idx: FrozenSet[int], edge_ids: FrozenSet[int]
+    ) -> "_Bans":
+        """The kernel arguments of bans already resolved: the memoised
+        ones when *node_idx* and *edge_ids* are what
+        :meth:`_resolved_bans` last returned, else built here."""
+        memo = self._ban_memo
+        if (
+            memo is not None
+            and memo[2].nodes is node_idx
+            and memo[2].edges is edge_ids
+        ):
+            return memo[2]
+        return _Bans.of(node_idx, edge_ids)
+
+    # ------------------------------------------------------------------
+    # The native entry points
+
+    def _context(self, kernel: _native.Kernel) -> _native.Context:
+        """This snapshot's kernel context, allocated on first use."""
+        context = self._kernel_context
+        if context is None:
+            context = self._kernel_context = _native.Context(
+                kernel, len(self.edge_keys), self.indptr, self.adj_nodes,
+                self.adj_edges, np.asarray(self.node_ids, dtype=np.int64),
+            )
+        return context
 
     def run_search(
         self,
@@ -589,63 +520,184 @@ class CompiledNetwork:
         The banned sets may be any iterables: each is read once, and an
         edge key may name its endpoints in either order.
         """
-        node_idx, edge_ids = self.resolve_bans(banned_nodes, banned_edges)
-        return self._search(
-            source, destination, width, swap2, ledger, node_idx, edge_ids
-        )
+        return self._search_widths(
+            source, destination, (width,), swap2, ledger,
+            self._resolved_bans(banned_nodes, banned_edges),
+        )[width]
 
-    def _search(
+    def _search_widths(
         self,
         source: int,
         destination: int,
-        width: int,
+        widths: Sequence[int],
         swap2: float,
         ledger,
-        banned_node_idx: FrozenSet[int],
-        banned_edge_ids: FrozenSet[int],
-    ) -> Optional[Tuple[Tuple[int, ...], float]]:
-        """:meth:`run_search` over resolved bans (:meth:`resolve_bans`).
+        bans: "_Bans",
+    ) -> Dict[int, Optional[Tuple[Tuple[int, ...], float]]]:
+        """:meth:`run_search` at each of *widths* over resolved bans,
+        with one native call for all the widths the memo misses.
 
         Endpoint feasibility (each endpoint commits *width* qubits) is
         checked on the live ledger, never memoised: it can change
         without a relay flag flipping.  Then the memo answers (it keys
-        on the relay flags' bytes, :meth:`relay_state`), or one kernel
-        call runs on a miss.
+        on the relay flags' bytes, :meth:`relay_state`), width by width
+        in the order given.
         """
-        if not (
-            ledger.has_at_least(source, width)
-            and ledger.has_at_least(destination, width)
-        ):
-            return None
-        flags, flags_key = self.relay_state(ledger, width)
-        key = (
-            source,
-            destination,
-            width,
-            flags_key,
-            swap2,
-            banned_node_idx,
-            banned_edge_ids,
-        )
+        has_at_least = ledger.has_at_least
         memo = self._search_memo
-        hit = memo.get(key, _MISS)
-        if hit is not _MISS:
-            return hit
-        index_of = self.index_of
-        found = self._native_search(
-            _loaded_kernel(), index_of[source], index_of[destination],
-            self.width_rates(width), flags, swap2, banned_node_idx,
-            banned_edge_ids,
+        found: dict = {}
+        missed = []
+        columns: List[int] = []
+        counts = None
+        for width in widths:
+            if not (
+                has_at_least(source, width)
+                and has_at_least(destination, width)
+            ):
+                found[width] = None
+                continue
+            if counts is None:
+                counts = self.relay_counts(ledger)
+            relay = self._relay_entry(counts, width)
+            key = (
+                source, destination, width, relay[2], swap2, bans.nodes,
+                bans.edges,
+            )
+            # A miss holds the width's place, so the answer keeps the
+            # widths' order.
+            found[width] = hit = memo.get(key, _MISS)
+            if hit is _MISS:
+                missed.append((width, key))
+                columns += (self._rate_column(width)[1], relay[3])
+        if missed:
+            index_of = self.index_of
+            results = self._native_search(
+                _loaded_kernel(), index_of[source], index_of[destination],
+                columns, swap2, bans,
+            )
+            for (width, key), result in zip(missed, results):
+                if len(memo) >= _SEARCH_MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = found[width] = result
+        return found
+
+    def _native_search(
+        self,
+        kernel: _native.Kernel,
+        source: int,
+        destination: int,
+        columns: Sequence[int],
+        swap2: float,
+        bans: "_Bans",
+    ) -> List[Optional[Tuple[Tuple[int, ...], float]]]:
+        """Algorithm 1's modified Dijkstra at several widths in one
+        native call (``kernel.c``).
+
+        *source*/*destination* are node **indices**; *columns* holds, per
+        width, the addresses of its rate column (:meth:`_rate_column`)
+        and its relay flags (one byte per node).  Returns, per width,
+        ``(nodes, rate)`` with the path in node **ids**, or ``None``.
+        """
+        context = self._context(kernel)
+        request = array.array("q", columns)
+        n_widths = len(request) // 2
+        if kernel.search(
+            context.address, n_widths, request.buffer_info()[0], source,
+            destination, swap2, *bans.args,
+        ) < 0:
+            raise MemoryError("the native search ran out of memory")
+        output = context.output
+        flat = output.out[: output.out_len]
+        found: List[Optional[Tuple[Tuple[int, ...], float]]] = []
+        start = 0
+        for rate in output.out_rates[:n_widths]:
+            length = flat[start]
+            start += 1
+            found.append(
+                (tuple(flat[start:start + length]), rate) if length else None
+            )
+            start += length
+        return found
+
+    def _native_yen(
+        self,
+        kernel: _native.Kernel,
+        requests: Sequence[Tuple[int, int, Sequence[int], float]],
+        h: int,
+        swap2: float,
+        bans: "_Bans",
+    ) -> List[List[Tuple[Tuple[int, ...], float]]]:
+        """Algorithm 2's Yen loops of several widths in one native call.
+
+        Each request is ``(rates address, flags address, first, rate)``
+        for one width: its columns as for :meth:`_native_search`, its
+        best index path and that path's search rate.  Returns, per
+        request, what the reference core's
+        :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`
+        returns when Algorithm 1 (under the session bans plus each
+        spur's own) drives it: the accepted ``(nodes, rate)`` pairs in
+        node **ids**, best first, at most *h*.
+        """
+        context = self._context(kernel)
+        request = array.array("q")
+        first_rates = array.array("d")
+        for rates_address, flags_address, first, rate in requests:
+            request.extend((rates_address, flags_address, len(first)))
+            request.extend(first)
+            first_rates.append(rate)
+        total = kernel.yen(
+            context.address, len(requests), request.buffer_info()[0],
+            first_rates.buffer_info()[0], min(h, _H_LIMIT), swap2,
+            *bans.args,
         )
-        if found is None:
-            result = None
-        else:
-            ids = self.node_ids
-            result = (tuple(ids[i] for i in found[0]), found[1])
-        if len(memo) >= _SEARCH_MEMO_LIMIT:
-            memo.clear()
-        memo[key] = result
-        return result
+        if total < 0:
+            raise MemoryError("the native Yen loop ran out of memory")
+        output = context.output
+        flat = output.out[: output.out_len]
+        rates = iter(output.out_rates[:total])
+        accepted = []
+        start = 0
+        for _ in requests:
+            count = flat[start]
+            start += 1
+            paths = []
+            for _ in range(count):
+                length = flat[start]
+                start += 1
+                paths.append((tuple(flat[start:start + length]), next(rates)))
+                start += length
+            accepted.append(paths)
+        return accepted
+
+
+class _Bans:
+    """Resolved bans: node indices and edge ids as frozensets (what the
+    search memo keys on) and the native kernel's trailing arguments
+    (each as an ``array('q')`` address and length)."""
+
+    __slots__ = ("nodes", "edges", "args", "_arrays")
+
+    def __init__(self, nodes: FrozenSet[int], edges: FrozenSet[int]):
+        self.nodes = nodes
+        self.edges = edges
+        node_array = array.array("q", nodes)
+        edge_array = array.array("q", edges)
+        self._arrays = (node_array, edge_array)
+        self.args = (
+            node_array.buffer_info()[0], len(node_array),
+            edge_array.buffer_info()[0], len(edge_array),
+        )
+
+    @staticmethod
+    def of(nodes: FrozenSet[int], edges: FrozenSet[int]) -> "_Bans":
+        """The bans of *nodes* and *edges*; one shared instance when
+        both are empty."""
+        if not nodes and not edges:
+            return _NO_BANS
+        return _Bans(nodes, edges)
+
+
+_NO_BANS = _Bans(frozenset(), frozenset())
 
 
 #: Snapshot memo entries kept per network before a wholesale clear.
@@ -718,15 +770,13 @@ class WidthSearchBatch:
         """``{width: (nodes, rate) | None}`` for every batch width, each
         as :meth:`CompiledNetwork.run_search` answers under the same
         bans, given here resolved (:meth:`CompiledNetwork.resolve_bans`).
+        The widths the search memo misses run in one native call.
         """
-        search = self.snapshot._search
-        return {
-            width: search(
-                self.source, self.destination, width, self.swap2,
-                self.ledger, banned_node_idx, banned_edge_ids,
-            )
-            for width in self.widths
-        }
+        snapshot = self.snapshot
+        return snapshot._search_widths(
+            self.source, self.destination, self.widths, self.swap2,
+            self.ledger, snapshot._bans_for(banned_node_idx, banned_edge_ids),
+        )
 
 
 def compiled_select_paths(
@@ -740,13 +790,13 @@ def compiled_select_paths(
     banned_edges: FrozenSet[EdgeKey],
 ) -> Dict[int, List[PathCandidate]]:
     """Algorithm 2's compiled entry: the per-width Yen loops of one
-    demand.
+    demand, in at most two native calls.
 
     One :class:`WidthSearchBatch` serves every width: the first
     searches of all widths run as one :meth:`~WidthSearchBatch.
-    search_widths` sweep (through the snapshot's search memo), then
-    each feasible width's Yen loop runs as one native call
-    (:meth:`CompiledNetwork._native_yen`).  Its spur searches skip the
+    search_widths` sweep (through the snapshot's search memo), then the
+    Yen loops of all feasible widths run in one native call
+    (:meth:`CompiledNetwork._native_yen`).  Their spur searches skip the
     endpoint checks and the search memo: the ledger cannot change
     during a selection, and every spur source is the source or a relay
     of a found path, so it holds at least ``2 * width`` qubits.
@@ -760,32 +810,37 @@ def compiled_select_paths(
     :func:`~repro.routing.alg2_path_selection.select_paths`.
     """
     kernel = _loaded_kernel()
-    widths = tuple(range(max_width, 0, -1))
     batch = WidthSearchBatch(
-        snapshot, swap_model, demand.source, demand.destination, widths,
-        ledger,
+        snapshot, swap_model, demand.source, demand.destination,
+        range(max_width, 0, -1), ledger,
     )
-    node_idx, edge_ids, *session_bans = snapshot._resolved_bans(
-        banned_nodes, banned_edges
-    )
-    firsts = batch.search_widths(node_idx, edge_ids)
+    bans = snapshot._resolved_bans(banned_nodes, banned_edges)
+    firsts = batch.search_widths(bans.nodes, bans.edges)
+    feasible = [
+        (width, first) for width, first in firsts.items()
+        if first is not None
+    ]
+    if not feasible:
+        return {}
+    counts = snapshot.relay_counts(ledger)
     index_of = snapshot.index_of
-    ids = snapshot.node_ids
-    result: Dict[int, List[PathCandidate]] = {}
-    for width in widths:
-        first = firsts[width]
-        if first is None:
-            continue
-        found = snapshot._native_yen(
-            kernel, [index_of[node] for node in first[0]], first[1], h,
-            snapshot.width_rates(width),
-            snapshot.relay_state(ledger, width)[0], batch.swap2,
-            *session_bans,
-        )
-        result[width] = [
-            PathCandidate(
-                demand.demand_id, tuple(ids[i] for i in path), width, rate
+    accepted = snapshot._native_yen(
+        kernel,
+        [
+            (
+                snapshot._rate_column(width)[1],
+                snapshot._relay_entry(counts, width)[3],
+                [index_of[node] for node in nodes],
+                rate,
             )
-            for path, rate in found
+            for width, (nodes, rate) in feasible
+        ],
+        h, batch.swap2, bans,
+    )
+    return {
+        width: [
+            PathCandidate(demand.demand_id, nodes, width, rate)
+            for nodes, rate in paths
         ]
-    return result
+        for (width, _), paths in zip(feasible, accepted)
+    }

@@ -197,15 +197,13 @@ class ServeSession:
         return flow, result.demand_rates[demand.demand_id]
 
     def release_flow(self, flow: FlowLikeGraph) -> None:
-        """Dismantle a departing (or disrupted) flow, returning its
-        qubits to the ledger path by path (exercising the incremental
-        release APIs) — the ledger ends byte-identical to never having
-        admitted the flow."""
-        for path in flow.paths:
-            released = flow.remove_path(path)
-            self.ledger.release_edges(
-                (u, v, width) for (u, v), width in sorted(released.items())
-            )
+        """Return a departing (or disrupted) flow's qubits to the ledger
+        in one pass over its edge widths — the widths admission charged,
+        :meth:`~repro.routing.flow_graph.FlowLikeGraph.widen_edge` extras
+        included — so the ledger ends byte-identical to never having
+        admitted the flow.  The flow itself is left as it was."""
+        widths = sorted(flow.edge_widths().items())
+        self.ledger.release_edges((u, v, width) for (u, v), width in widths)
 
 
 class _HeldFlow:

@@ -60,6 +60,33 @@ def make_diamond_network(capacity: int = 10) -> QuantumNetwork:
 
 
 @pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every call into the native kernel's two search entries, as
+    ``(entry, args)`` with entry ``"search"`` or ``"yen"``, recorded by
+    wrapping the loaded :data:`repro.routing._native.KERNEL` for the
+    test.  Skips the test when no kernel is loaded."""
+    from repro.routing import _native
+
+    kernel = _native.KERNEL
+    if kernel is None:
+        pytest.skip("native kernel unavailable")
+    calls = []
+
+    def counted(name, entry):
+        def call(*args):
+            calls.append((name, args))
+            return entry(*args)
+
+        return call
+
+    monkeypatch.setattr(_native, "KERNEL", kernel._replace(
+        search=counted("search", kernel.search),
+        yen=counted("yen", kernel.yen),
+    ))
+    return calls
+
+
+@pytest.fixture
 def line_network() -> QuantumNetwork:
     return make_line_network()
 

@@ -1,11 +1,13 @@
 """Differential tests: the native kernel against the reference core.
 
-``CompiledNetwork._native_search`` (``kernel.c`` through ctypes) must
-return exactly what the reference Algorithm 1,
-``largest_entanglement_rate_path``, returns — the same path and the
-same rate bits — on any graph, width, relay flags, banned nodes and
-banned edges.  ``CompiledNetwork._native_yen`` must return exactly what
-the reference Algorithm 2 at one width, ``_yen_best_paths``, returns.
+``CompiledNetwork._native_search`` (``kernel.c``'s batched first
+search, through ctypes) must return exactly what the reference
+Algorithm 1, ``largest_entanglement_rate_path``, returns — the same
+path and the same rate bits — on any graph, width, relay flags, banned
+nodes and banned edges.  ``CompiledNetwork._native_yen`` must return
+exactly what the reference Algorithm 2 at one width,
+``_yen_best_paths``, returns.  Both differentials are derandomized, so
+every run draws the same examples.
 The drawn relay flags reach the reference core through a
 ``QubitLedger``: a switch that may not relay keeps exactly ``width``
 free qubits, so it can still be an endpoint.  The graphs below are
@@ -17,13 +19,16 @@ source.  Yen's loop also runs on lattices with one edge length, where
 many paths tie exactly, and with ``h`` up to 80, past any small buffer
 of the best queued rates that its spur bound keeps.  Several calls run
 back to back on one snapshot, so scratch left dirty by one would show
-in the next.  The loader tests cover the
-build into a cold cache and the fallback when no compiler exists.
+in the next.  Hand-built cases cover what a batch of widths adds: a
+batch that mixes found and missing widths, one where the memo answers
+some widths, session bans, and ``h`` above the number of paths; a
+work-count test pins the number of native calls.  The loader tests
+cover the build into a cold cache and the fallback when no compiler
+exists.
 """
 
 from __future__ import annotations
 
-import array
 import os
 import shutil
 from unittest import mock
@@ -32,7 +37,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.demands import Demand
+from repro.experiments.scenarios import parse_scenario
+from repro.network.builder import build_network
+from repro.network.demands import Demand, generate_demands
 from repro.network.graph import QuantumNetwork
 from repro.network.node import QuantumSwitch, QuantumUser
 from repro.quantum.noise import LinkModel, SwapModel
@@ -40,19 +47,25 @@ from repro.routing import _native
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
 from repro.routing.alg2_path_selection import (
     _yen_best_paths,
+    default_max_width,
+    select_paths,
     yen_deviation_loop,
 )
 from repro.routing.allocation import QubitLedger
 from repro.routing.compiled import (
     ROUTING_CORE_ENV,
     CompiledNetwork,
+    WidthSearchBatch,
     native_kernel_active,
+    snapshot_for,
 )
 from repro.routing.metrics import ChannelRateCache
 from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
+from tests.conftest import make_diamond_network
 
 LINK = LinkModel()
+SWAP = SwapModel(q=0.9)
 
 #: Qubits per switch: enough to relay at every drawn width.
 CAPACITY = 10
@@ -174,6 +187,12 @@ def edge_keys(snapshot, edge_ids):
     return frozenset(snapshot.edge_keys[e] for e in edge_ids)
 
 
+def columns(rates, flags):
+    """The kernel's per-width request: the rate column's and the relay
+    flags' addresses (the arrays must outlive the call)."""
+    return [rates.ctypes.data, flags.ctypes.data]
+
+
 def draw_queries(data, n, max_size):
     return [(0, 1)] + data.draw(
         st.lists(
@@ -187,7 +206,7 @@ def draw_queries(data, n, max_size):
 
 
 @native_only
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     instance=graphs(),
     width=st.integers(min_value=1, max_value=3),
@@ -212,9 +231,9 @@ def test_native_search_matches_reference_alg1(instance, width, swap2, data):
             data, snapshot, source, destination, 6
         )
         native = snapshot._native_search(
-            _native.KERNEL, source, destination, rates, flags, swap2,
-            banned, banned_edges,
-        )
+            _native.KERNEL, source, destination, columns(rates, flags),
+            swap2, snapshot._bans_for(banned, banned_edges),
+        )[0]
         reference = largest_entanglement_rate_path(
             network, LINK, SwapModel(q=swap2), source, destination, width,
             ledger, banned_nodes=banned,
@@ -231,7 +250,7 @@ def test_native_search_matches_reference_alg1(instance, width, swap2, data):
 
 
 @native_only
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     instance=st.one_of(graphs(), tie_heavy_grids()),
     width=st.integers(min_value=1, max_value=3),
@@ -262,18 +281,17 @@ def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
             network, LINK, swap_model, Demand(0, source, destination), width,
             h, ledger, cache, banned, edge_keys(snapshot, banned_edges),
         )
+        bans = snapshot._bans_for(banned, banned_edges)
         first = snapshot._native_search(
-            kernel, source, destination, rates, flags, swap2, banned,
-            banned_edges,
-        )
+            kernel, source, destination, columns(rates, flags), swap2, bans,
+        )[0]
         if first is None:
             assert reference == []
             continue
         native = snapshot._native_yen(
-            kernel, first[0], first[1], h, rates, flags, swap2,
-            array.array("q", sorted(banned)),
-            array.array("q", sorted(banned_edges)),
-        )
+            kernel, [(*columns(rates, flags), first[0], first[1])], h,
+            swap2, bans,
+        )[0]
         assert [tuple(nodes) for nodes, _ in native] == [
             path.nodes for path in reference
         ]
@@ -346,11 +364,13 @@ def test_native_yen_spur_bound_edge_cases(case):
     kernel = _native.KERNEL
 
     def search(spur, banned_nodes, banned_edges):
-        found = snapshot._native_search(
-            kernel, spur, 1, rates, flags, swap2, frozenset(banned_nodes),
-            frozenset(snapshot.edge_index[key] for key in banned_edges),
-        )
-        return None if found is None else (tuple(found[0]), found[1])
+        return snapshot._native_search(
+            kernel, spur, 1, columns(rates, flags), swap2,
+            snapshot._bans_for(
+                frozenset(banned_nodes),
+                frozenset(snapshot.edge_index[key] for key in banned_edges),
+            ),
+        )[0]
 
     def path_rate(nodes):
         rate = 1.0
@@ -364,12 +384,231 @@ def test_native_yen_spur_bound_edge_cases(case):
     reference = yen_deviation_loop(first, h, search, path_rate)
     assert [nodes for nodes, _ in reference] == expected
     native = snapshot._native_yen(
-        kernel, first[0], first[1], h, rates, flags, swap2,
-        array.array("q"), array.array("q"),
-    )
+        kernel, [(*columns(rates, flags), first[0], first[1])], h, swap2,
+        snapshot._bans_for(frozenset(), frozenset()),
+    )[0]
     assert [(tuple(nodes), rate.hex()) for nodes, rate in native] == [
         (nodes, rate.hex()) for nodes, rate in reference
     ]
+
+
+# ----------------------------------------------------------------------
+# Batches of widths: hand-built cases
+
+
+def caches(network):
+    """A reference-core and a compiled-core rate cache over *network*."""
+    with mock.patch.dict(os.environ, {ROUTING_CORE_ENV: "reference"}):
+        reference = ChannelRateCache(network, LINK)
+    with mock.patch.dict(os.environ, {ROUTING_CORE_ENV: "compiled"}):
+        compiled = ChannelRateCache(network, LINK)
+    assert reference.compiled_snapshot is None
+    assert compiled.compiled_snapshot is not None
+    return reference, compiled
+
+
+def graded_diamond():
+    """The diamond (users 0 and 1; upper arm 0-2-3-1, lower arm
+    0-4-5-1) with a ledger under which the upper switches relay up to
+    width 2 and the lower ones only at width 1."""
+    network = make_diamond_network()
+    ledger = QubitLedger(network)
+    for node, keep in ((2, 4), (3, 4), (4, 2), (5, 2)):
+        ledger.reserve(node, CAPACITY - keep)
+    return network, ledger
+
+
+def reference_searches(network, cache, source, destination, widths, ledger):
+    """The reference core's Algorithm 1 at each of *widths*."""
+    return {
+        width: largest_entanglement_rate_path(
+            network, LINK, SWAP, source, destination, width, ledger,
+            rate_cache=cache,
+        )
+        for width in widths
+    }
+
+
+def sweep(snapshot, source, destination, widths, ledger):
+    """``WidthSearchBatch.search_widths`` without bans."""
+    return WidthSearchBatch(
+        snapshot, SWAP, source, destination, widths, ledger
+    ).search_widths()
+
+
+def searched_widths(kernel_calls):
+    """The width count of every first-search call so far."""
+    return [args[1] for entry, args in kernel_calls if entry == "search"]
+
+
+@native_only
+def test_batch_mixes_found_and_missing_widths(kernel_calls):
+    """One first-search call answers widths the kernel finds a path for
+    and widths it does not, in the order asked; a width whose endpoint
+    lacks qubits never reaches the kernel.  The Yen batch then runs only
+    the feasible widths, in one call."""
+    network, ledger = graded_diamond()
+    reference, compiled = caches(network)
+    snapshot = compiled.compiled_snapshot
+    # Width 3 has no relay: the kernel itself reports no path, between
+    # two widths that have one.
+    widths = (1, 3, 2)
+    found = sweep(snapshot, 0, 1, widths, ledger)
+    assert list(found) == list(widths)
+    assert found[3] is None and found[1] and found[2]
+    assert found == reference_searches(network, reference, 0, 1, widths,
+                                       ledger)
+    assert searched_widths(kernel_calls) == [3]
+    # Switch 3 as the destination keeps 4 qubits: width 5 fails its
+    # endpoint check before any search.
+    widths = (5, 1, 2, 3)
+    found = sweep(snapshot, 0, 3, widths, ledger)
+    assert found == reference_searches(network, reference, 0, 3, widths,
+                                       ledger)
+    assert found[5] is None
+    assert searched_widths(kernel_calls) == [3, 3]
+    kernel_calls.clear()
+    demand = Demand(0, 0, 1)
+    selected = select_paths(network, LINK, SWAP, demand, h=3, max_width=3,
+                            ledger=ledger, rate_cache=compiled)
+    assert selected == select_paths(network, LINK, SWAP, demand, h=3,
+                                    max_width=3, ledger=ledger,
+                                    rate_cache=reference)
+    assert sorted(selected) == [1, 2]
+    assert [entry for entry, _ in kernel_calls] == ["yen"]
+    assert kernel_calls[0][1][1] == 2
+
+
+@native_only
+def test_batch_sends_only_memo_misses(kernel_calls):
+    """Widths the search memo answers stay out of the batch: the rest
+    go to the kernel in one call, and the merged answer keeps the
+    widths' order and matches the reference core."""
+    network, ledger = graded_diamond()
+    reference, compiled = caches(network)
+    snapshot = compiled.compiled_snapshot
+    sweep(snapshot, 0, 1, (2,), ledger)
+    assert searched_widths(kernel_calls) == [1]
+    widths = (3, 2, 1)
+    found = sweep(snapshot, 0, 1, widths, ledger)
+    assert list(found) == list(widths)
+    assert found == reference_searches(network, reference, 0, 1, widths,
+                                       ledger)
+    assert searched_widths(kernel_calls) == [1, 2]
+    assert sweep(snapshot, 0, 1, widths, ledger) == found
+    assert searched_widths(kernel_calls) == [1, 2]
+
+
+def ladder(rows=3, cols=4):
+    """A rows x cols switch lattice with one edge length, user 100
+    attached to the first column and user 101 to the last."""
+    network = QuantumNetwork()
+    for i in range(rows * cols):
+        network.add_node(
+            QuantumSwitch(i, Point(float(i % cols), float(i // cols)),
+                          CAPACITY)
+        )
+    network.add_node(QuantumUser(100, Point(-1.0, 0.0)))
+    network.add_node(QuantumUser(101, Point(float(cols), 0.0)))
+    for i in range(rows * cols):
+        if i % cols + 1 < cols:
+            network.add_edge(i, i + 1, 1000.0)
+        if i + cols < rows * cols:
+            network.add_edge(i, i + cols, 1000.0)
+    for row in range(rows):
+        network.add_edge(100, row * cols, 1000.0)
+        network.add_edge(101, row * cols + cols - 1, 1000.0)
+    return network
+
+
+@native_only
+def test_batch_under_session_bans(kernel_calls):
+    """Session bans reach every width of both batches: the first
+    searches and each Yen spur search, as on the reference core."""
+    network = ladder()
+    reference, compiled = caches(network)
+    demand = Demand(0, 100, 101)
+    banned_nodes = frozenset({1, 6})
+    banned_edges = frozenset({(8, 9), (4, 100)})
+
+    def select(cache, nodes, edges):
+        return select_paths(network, LINK, SWAP, demand, h=4, max_width=3,
+                            ledger=QubitLedger(network), rate_cache=cache,
+                            banned_nodes=nodes, banned_edges=edges)
+
+    banned = select(compiled, banned_nodes, banned_edges)
+    assert banned == select(reference, banned_nodes, banned_edges)
+    assert sorted(banned) == [1, 2, 3]
+    assert [entry for entry, _ in kernel_calls] == ["search", "yen"]
+    for paths in banned.values():
+        assert len(paths) == 4
+        for path in paths:
+            assert not banned_nodes & set(path.nodes)
+            hops = {frozenset(hop) for hop in zip(path.nodes, path.nodes[1:])}
+            assert not hops & {frozenset(edge) for edge in banned_edges}
+    # The bans change the selection, so the comparison is not vacuous.
+    assert select(compiled, frozenset(), frozenset()) != banned
+
+
+@native_only
+def test_batch_with_h_above_the_path_count(kernel_calls):
+    """``h`` far above the number of simple paths: every width's Yen
+    loop stops when its candidates run out, inside one call."""
+    network = make_diamond_network()
+    reference, compiled = caches(network)
+    demand = Demand(0, 0, 1)
+    selected = select_paths(network, LINK, SWAP, demand, h=50, max_width=3,
+                            rate_cache=compiled)
+    assert selected == select_paths(network, LINK, SWAP, demand, h=50,
+                                    max_width=3, rate_cache=reference)
+    assert {width: len(paths) for width, paths in selected.items()} == {
+        3: 2, 2: 2, 1: 2,
+    }
+    assert [entry for entry, _ in kernel_calls] == ["search", "yen"]
+
+
+@native_only
+def test_kernel_call_counts(kernel_calls):
+    """A compiled ``select_paths`` makes at most two native calls (one
+    first-search batch, one Yen batch); ``run_search`` makes one call
+    per memo miss, and a memo hit makes none."""
+    spec = parse_scenario("waxman:switches=40,users=8,states=8")
+    rng = ensure_rng(11)
+    network = build_network(spec.network_config(), rng)
+    demands = generate_demands(network, spec.num_states, rng)
+    _, cache = caches(network)
+    ledger = QubitLedger(network)
+    per_select = []
+    for demand in demands:
+        before = len(kernel_calls)
+        selected = select_paths(network, LINK, SWAP, demand, h=3,
+                                ledger=ledger, rate_cache=cache)
+        calls = [entry for entry, _ in kernel_calls[before:]]
+        assert calls in ([], ["search"], ["yen"], ["search", "yen"])
+        assert ("yen" in calls) == bool(selected)
+        per_select.append(len(calls))
+    assert max(per_select) == 2
+
+    snapshot = snapshot_for(network, LINK)
+    swap2 = SWAP.fusion_success(2)
+    queries = list(dict.fromkeys(
+        (d.source, d.destination, w) for d in demands for w in (1, 4)
+    ))
+    fresh = CompiledNetwork(network, LINK)
+    kernel_calls.clear()
+    for source, destination, width in queries:
+        fresh.run_search(source, destination, width, swap2, ledger)
+    assert searched_widths(kernel_calls) == [1] * len(queries)
+    for source, destination, width in queries:
+        fresh.run_search(source, destination, width, swap2, ledger)
+    assert len(kernel_calls) == len(queries)
+    # The selections above memoised every first search of the shared
+    # snapshot: a repeated sweep makes no call.
+    kernel_calls.clear()
+    widths = range(default_max_width(network), 0, -1)
+    for demand in demands:
+        sweep(snapshot, demand.source, demand.destination, widths, ledger)
+    assert kernel_calls == []
 
 
 def test_loader_builds_into_a_fresh_cache(tmp_path, monkeypatch):

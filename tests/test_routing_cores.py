@@ -32,7 +32,7 @@ from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.network.graph import QuantumNetwork
 from repro.network.node import Node, NodeKind, QuantumSwitch, QuantumUser
 from repro.network.serialization import load_instance
-from repro.quantum.noise import LinkModel, SwapModel
+from repro.quantum.noise import LinkModel, SwapModel, channel_success
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
 from repro.routing.alg2_path_selection import default_max_width, select_paths
 from repro.routing.allocation import QubitLedger
@@ -257,6 +257,20 @@ def test_snapshot_matches_reference_rates():
             assert column[eid] == cache.rate(u, v, width)
     assert snapshot.num_nodes == network.num_nodes
     assert snapshot.num_edges == network.num_edges
+
+
+def test_rate_columns_match_channel_success_bits():
+    """Each width column takes every edge's logarithm once and reuses it
+    across widths: the rates keep ``channel_success``'s bits, down to
+    probabilities of 0, 1 and subnormal size."""
+    probabilities = [0.0, 5e-324, 1e-17, 1e-9, 0.25, 0.5, 0.999999, 1.0]
+    rng = ensure_rng(3)
+    probabilities += [float(p) for p in rng.random(64)]
+    lists = compiled_core._RateLists(probabilities)
+    for width in (1, 2, 3, 7, 40):
+        assert [rate.hex() for rate in lists[width]] == [
+            channel_success(p, width).hex() for p in probabilities
+        ]
 
 
 def test_snapshot_shared_through_rate_cache():
@@ -921,21 +935,19 @@ def test_routed_network_survives_a_pickle_round_trip():
 
 
 @native_only
-def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
+def test_batched_search_memo_follows_relay_flag_flips(kernel_calls):
     """The search memo keys on the relay flags' bytes: a reservation
     that flips no flag leaves a repeated sweep answered from the memo,
     and one that flips a flag on the found path searches afresh."""
     network, demands = _instance(SCENARIOS[0], SEEDS[0])
     snapshot = CompiledNetwork(network, LINK)
     ledger = QubitLedger(network)
-    calls = []
-    search = CompiledNetwork._native_search
 
-    def counted(self, *args):
-        calls.append(args[1:3])
-        return search(self, *args)
+    def searched():
+        # Widths searched so far: one kernel call answers a batch.
+        return sum(args[1] for entry, args in kernel_calls
+                   if entry == "search")
 
-    monkeypatch.setattr(CompiledNetwork, "_native_search", counted)
     demand = demands[0]
     widths = (2, 1)
 
@@ -946,7 +958,7 @@ def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
 
     first = search_widths()
     assert first[1] is not None and len(first[1][0]) > 2
-    assert len(calls) == len(widths)
+    assert searched() == len(widths)
 
     # One qubit off a switch with plenty left: no width's flag flips.
     relay = first[1][0][1]
@@ -956,12 +968,12 @@ def test_batched_search_memo_follows_relay_flag_flips(monkeypatch):
     )
     ledger.reserve(spare, 1)
     assert search_widths() == first
-    assert len(calls) == len(widths)
+    assert searched() == len(widths)
 
     # Draining a relay of the width-1 path flips its flag at every width.
     ledger.reserve(relay, int(ledger.remaining(relay)) - 1)
     again = search_widths()
-    assert len(calls) > len(widths)
+    assert searched() > len(widths)
     with routing_core("reference"):
         for width in widths:
             assert again[width] == largest_entanglement_rate_path(
@@ -1260,7 +1272,7 @@ def test_snapshot_copy_owns_its_native_buffers():
         snapshot, SWAP, demand.source, demand.destination, (1, 2), ledger
     ).search_widths()
     clone = copy.deepcopy(snapshot)
-    assert clone._native_scratch is None
+    assert clone._kernel_context is None
     del snapshot
     gc.collect()
     clone._search_memo.clear()
@@ -1383,8 +1395,8 @@ def test_large_h_exhausts_paths_with_bounded_native_memory(monkeypatch):
             selected = select_paths(network, LINK, SWAP, demands[0], h=h)
             assert 3 < max(len(paths) for paths in selected.values()) < h
             if native and active_routing_core() == "compiled":
-                scratch = snapshot_for(network, LINK)._native_scratch
-                assert 0 < scratch[3].output.held < h
+                context = snapshot_for(network, LINK)._kernel_context
+                assert 0 < context.output.held < h
     native, fallback = results[True], results[False]
     assert native.total_rate == fallback.total_rate
     assert native.demand_rates == fallback.demand_rates

@@ -22,6 +22,7 @@ from repro.routing.compiled import (
     CompiledNetwork,
     active_routing_core,
 )
+from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.registry import RouterSpec, make_router
 from repro.service.arrivals import (
     ArrivalEvent,
@@ -38,6 +39,7 @@ from repro.service.residual import ResidualViewRouter, residual_view
 from repro.service.runner import run_serve_experiment, serve_key
 from repro.network.demands import Demand
 from repro.utils.rng import ensure_rng
+from tests.conftest import make_diamond_network
 
 LINK = LinkModel(fixed_p=0.4)
 SWAP = SwapModel(q=0.9)
@@ -198,6 +200,27 @@ class TestServeLoop:
         assert session.ledger.snapshot() != baseline
         for flow in flows:
             session.release_flow(flow)
+        assert session.ledger.snapshot() == baseline
+
+    def test_release_flow_restores_shared_and_widened_edges(self):
+        """A flow whose paths share an edge and whose edges carry
+        ``widen_edge`` extras (on a shared edge and on a private one)
+        releases, in one pass, exactly what admission charged."""
+        network = make_diamond_network()
+        network.add_edge(2, 5)
+        session = ServeSession(network, LINK, SWAP, _online_router())
+        baseline = session.ledger.snapshot()
+        flow = FlowLikeGraph(0, 0, 1)
+        flow.add_path((0, 2, 3, 1), 2)
+        flow.add_path((0, 2, 5, 1), 1)
+        flow.widen_edge(0, 2, 2)
+        flow.widen_edge(5, 1)
+        assert flow.edge_widths()[(0, 2)] == 4
+        session.ledger.reserve_edges(
+            (u, v, width) for (u, v), width in flow.edge_widths().items()
+        )
+        assert session.ledger.snapshot() != baseline
+        session.release_flow(flow)
         assert session.ledger.snapshot() == baseline
 
     def test_residual_view_reflects_ledger(self):
