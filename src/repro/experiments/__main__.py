@@ -25,6 +25,17 @@ Usage::
     python -m repro.experiments serve --faults faults:link_mtbf=60 \
         --repair reroute:retries=4,backoff=exp:base=0.5
 
+Each experiment id names one callable: the figure sweeps are the rows
+of :data:`repro.experiments.figures.FIGURES`, the tables and studies
+their own functions, and ``serve`` is
+:func:`repro.service.runner.run_serve_experiment`.  One rule routes
+the flags: a flag reaches an experiment iff its callable takes the
+keyword the flag fills (see :func:`_set_flags`; ``**kwargs`` takes
+every keyword), and each other flag that is set prints one ``note:
+--X has no effect on 'NAME'`` line to stderr.  ``--scenarios`` goes to
+a callable taking ``scenarios``; one taking only ``scenario`` runs once
+per listed workload.
+
 ``--full`` runs at paper scale (equivalent to REPRO_FULL=1); the default
 quick mode shrinks networks and averaging for fast turnaround.
 ``--workers N`` fans each sweep's (setting, sample, router) task grid
@@ -91,21 +102,14 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import inspect
 import pstats
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     alg4_ablation,
-    fig7_generators,
-    fig8a_link_probability,
-    fig8b_swap_probability,
-    fig9a_qubits,
-    fig9b_ext_switches,
-    fig9b_switches,
-    fig9c_states,
-    fig9d_degree,
     headline_ratios,
     lattice_distance_study,
     mc_validate,
@@ -114,6 +118,7 @@ from repro.experiments import (
 )
 from repro.experiments.cache import ResultCache, default_result_cache
 from repro.experiments.estimators import parse_estimator
+from repro.experiments.figures import FIGURES
 from repro.experiments.harness import parse_shard
 from repro.experiments.regression import regenerate_regression_fixture
 from repro.experiments.runner import reject_duplicate_labels
@@ -139,14 +144,7 @@ from repro.utils.cli import (
 )
 
 EXPERIMENTS: Dict[str, Callable] = {
-    "fig7": fig7_generators,
-    "fig8a": fig8a_link_probability,
-    "fig8b": fig8b_swap_probability,
-    "fig9a": fig9a_qubits,
-    "fig9b": fig9b_switches,
-    "fig9b-ext": fig9b_ext_switches,
-    "fig9c": fig9c_states,
-    "fig9d": fig9d_degree,
+    **FIGURES,
     "headline": headline_ratios,
     "ablation": alg4_ablation,
     "protocol": protocol_coherence_study,
@@ -154,17 +152,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "mc-validate": mc_validate,
     "topology-compare": topology_compare,
 }
-
-#: Experiments whose point loops parallelise but have no (setting,
-#: router) grid, hence no result cache, router override, shard,
-#: estimator or scenario.
-_WORKERS_ONLY = ("protocol", "lattice")
-
-#: Grid experiments whose router set is fixed by their definition
-#: (ratio/ablation tables); they still accept --shard, --cache-dir,
-#: --estimator and --scenario.  Every other grid sweep carries
-#: --mc-overlay (analytic series plus MC columns).
-_FIXED_ROUTERS = ("headline", "ablation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,97 +379,102 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _note(name: str, flag: str, reason: str) -> None:
-    print(f"note: {flag} has no effect on {name!r} ({reason})", file=sys.stderr)
+def _note(name: str, flag: str, reason: Optional[str] = None) -> None:
+    suffix = f" ({reason})" if reason is not None else ""
+    print(f"note: {flag} has no effect on {name!r}{suffix}", file=sys.stderr)
+
+
+def _takes(fn: Callable, keyword: str) -> bool:
+    """Whether *fn* accepts *keyword* (``**kwargs`` accepts every one)."""
+    parameters = inspect.signature(fn).parameters
+    return keyword in parameters or any(
+        parameter.kind is inspect.Parameter.VAR_KEYWORD
+        for parameter in parameters.values()
+    )
+
+
+def _runner(name: str) -> Callable:
+    return run_serve_experiment if name == "serve" else EXPERIMENTS[name]
+
+
+def _set_flags(args, cache, mc_overlay) -> Dict[str, Tuple[str, object]]:
+    """Each flag set on the command line -> (keyword it fills, value)."""
+    flags = {
+        "--full": ("quick", False if args.full else None),
+        "--workers": ("workers", args.workers),
+        "--cache-dir": ("cache", cache),
+        "--routers": ("routers", args.routers),
+        "--scenario": ("scenario", args.scenario),
+        "--scenarios": ("scenarios", args.scenarios),
+        "--shard": ("shard", args.shard),
+        "--estimator": ("estimator", args.estimator),
+        "--mc-overlay": ("mc_overlay", mc_overlay),
+        "--arrivals": ("arrivals", args.arrivals),
+        "--duration": ("duration", args.duration),
+        "--warmup": ("warmup", args.warmup),
+        "--replications": ("replications", args.replications),
+        "--seed": ("seed", args.seed),
+        "--record-trace": ("record_trace", args.record_trace),
+        "--faults": ("faults", args.faults),
+        "--repair": ("repair", args.repair),
+    }
+    return {
+        flag: option for flag, option in flags.items()
+        if option[1] is not None
+    }
 
 
 def run_one(
-    name: str, quick: bool, workers, cache, routers, shard, estimator,
-    mc_overlay, scenario=None, scenarios=None,
+    name: str, quick: bool, flags: Dict[str, Tuple[str, object]]
 ) -> None:
-    fn = EXPERIMENTS[name]
-    if name in _WORKERS_ONLY:
-        if cache is not None:
-            _note(name, "--cache-dir", "no (setting, router) grid to cache")
-        if routers is not None:
-            _note(name, "--routers", "the study's routers are fixed")
-        if shard is not None:
-            _note(name, "--shard", "no (setting, router) grid to shard")
-        if estimator is not None:
-            _note(name, "--estimator", "no (setting, router) grid to estimate")
-        if mc_overlay is not None:
-            _note(name, "--mc-overlay", "no (setting, router) grid to overlay")
-        if scenario is not None or scenarios is not None:
-            _note(
-                name, "--scenario/--scenarios",
-                "the study's workload is fixed by its definition",
-            )
-        result = fn(quick=quick, workers=workers)
-        print(result.to_text())
-        print()
-        return
-    if name == "topology-compare":
-        if scenario is not None:
-            _note(
-                name, "--scenario",
-                "the scenario axis is the table itself; use --scenarios "
-                "to select its columns",
-            )
-        result = fn(
-            quick=quick,
-            workers=workers,
-            cache=cache,
-            routers=routers,
-            shard=shard,
-            estimator=estimator,
-            mc_overlay=mc_overlay,
-            scenarios=scenarios,
-        )
-        print(result.to_text())
-        print()
-        return
+    """Run one experiment with the flags its callable takes.
 
-    # Grid experiments: with --scenarios, run once per workload.
-    for index, base in enumerate([scenario] if scenarios is None else scenarios):
-        if scenarios is not None:
-            print(f"--- scenario: {base} ---")
-        kwargs = dict(
-            quick=quick,
-            workers=workers,
-            cache=cache,
-            shard=shard,
-            estimator=estimator,
-            scenario=base,
-        )
-        if name in _FIXED_ROUTERS:
-            if routers is not None and index == 0:
-                _note(name, "--routers", "the table's router set is fixed")
-            if mc_overlay is not None and index == 0:
-                _note(name, "--mc-overlay", "tables have no series to overlay")
-        elif name == "mc-validate":
-            if mc_overlay is not None and index == 0:
-                _note(
-                    name, "--mc-overlay",
-                    "the validation table already pairs analytic and MC",
-                )
-            if estimator is not None and not estimator.is_mc:
-                # Reachable via `all --estimator analytic`: the other
-                # experiments honour the analytic spec, the validation
-                # table keeps its MC default instead of failing the run.
-                if index == 0:
-                    _note(
-                        name, "--estimator",
-                        "mc-validate always pairs analytic with MC; using "
-                        "its default mc spec",
-                    )
-                kwargs["estimator"] = None
-            kwargs["routers"] = routers
+    *flags* maps each set flag to the (keyword, value) it fills (see
+    :func:`_set_flags`).  A flag reaches the experiment iff its callable
+    takes the keyword; every other flag prints one "has no effect"
+    note.  ``--scenarios`` goes to a callable taking ``scenarios``;
+    one taking only ``scenario`` runs once per listed workload.
+    """
+    fn = _runner(name)
+    kwargs = {"quick": quick} if _takes(fn, "quick") else {}
+    scenarios = None
+    for flag, (keyword, value) in flags.items():
+        if _takes(fn, keyword):
+            kwargs[keyword] = value
+        elif keyword == "scenarios" and _takes(fn, "scenario"):
+            scenarios = value
         else:
-            kwargs["routers"] = routers
-            kwargs["mc_overlay"] = mc_overlay
+            _note(name, flag)
+    estimator = kwargs.get("estimator")
+    if name == "mc-validate" and estimator is not None and not estimator.is_mc:
+        # Reachable via `all --estimator analytic`: the other
+        # experiments honour the analytic spec, the validation table
+        # keeps its MC default instead of failing the run.
+        _note(
+            name, "--estimator",
+            "mc-validate always pairs analytic with MC; using its "
+            "default mc spec",
+        )
+        del kwargs["estimator"]
+    for scenario in [None] if scenarios is None else scenarios:
+        if scenarios is not None:
+            print(f"--- scenario: {scenario} ---")
+            kwargs["scenario"] = scenario
         result = fn(**kwargs)
         print(result.to_text())
         print()
+        if name == "serve":
+            print(result.latency_text(), file=sys.stderr)
+            if "record_trace" in kwargs:
+                print(
+                    f"trace written to {kwargs['record_trace']}",
+                    file=sys.stderr,
+                )
+
+
+def _error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv=None) -> int:
@@ -510,11 +502,17 @@ def main(argv=None) -> int:
         path = regenerate_regression_fixture()
         print(f"regenerated {path}")
         return 0
+    runners = [
+        _runner(name) for name in (
+            EXPERIMENTS if args.experiment == "all" else [args.experiment]
+        )
+    ]
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     if (
         args.shard is not None
         and cache is None
         and default_result_cache() is None
+        and any(_takes(fn, "shard") for fn in runners)
     ):
         print(
             "note: --shard without --cache-dir (or REPRO_CACHE_DIR) "
@@ -532,146 +530,72 @@ def main(argv=None) -> int:
                     f"got {args.mc_overlay!r}"
                 )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(str(exc))
     if (
         args.experiment == "mc-validate"
         and args.estimator is not None
         and not args.estimator.is_mc
     ):
-        print(
-            "error: mc-validate needs a Monte-Carlo --estimator "
+        return _error(
+            "mc-validate needs a Monte-Carlo --estimator "
             "(e.g. mc:trials=1000); it always renders the analytic "
-            "column alongside",
-            file=sys.stderr,
+            "column alongside"
         )
-        return 2
-    serve_flags = (
-        ("--arrivals", args.arrivals),
-        ("--duration", args.duration),
-        ("--warmup", args.warmup),
-        ("--replications", args.replications),
-        ("--seed", args.seed),
-        ("--record-trace", args.record_trace),
-        ("--faults", args.faults),
-        ("--repair", args.repair),
-    )
-    if args.experiment != "serve":
-        for flag, value in serve_flags:
-            if value is not None:
-                _note(args.experiment, flag, "only 'serve' reads it")
-    else:
-        if args.full:
-            _note("serve", "--full", "--duration controls the run scale")
-        if args.shard is not None:
-            _note("serve", "--shard", "no (setting, router) grid to shard")
-        if args.estimator is not None:
-            _note("serve", "--estimator", "serve reports analytic rates")
-        if mc_overlay is not None:
-            _note("serve", "--mc-overlay", "serve reports analytic rates")
+    if args.experiment == "serve":
         if args.scenarios is not None:
-            print(
-                "error: serve takes a single --scenario, not --scenarios",
-                file=sys.stderr,
-            )
-            return 2
+            return _error("serve takes a single --scenario, not --scenarios")
         if args.repair is not None and args.faults is None:
-            print(
-                "error: --repair picks the recovery policy for injected "
-                "faults; pass --faults as well",
-                file=sys.stderr,
+            return _error(
+                "--repair picks the recovery policy for injected "
+                "faults; pass --faults as well"
             )
-            return 2
-        if args.duration is None:
-            args.duration = 200.0
-        if args.warmup is None:
-            args.warmup = 20.0
+        defaults = inspect.signature(run_serve_experiment).parameters
         try:
-            check_horizon(args.duration, args.warmup)
+            check_horizon(
+                defaults["duration"].default
+                if args.duration is None else args.duration,
+                defaults["warmup"].default
+                if args.warmup is None else args.warmup,
+            )
         except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    quick = not args.full
-    routers_used = args.routers is not None and (
-        args.experiment == "all"
-        or args.experiment not in (*_WORKERS_ONLY, *_FIXED_ROUTERS)
-    )
-    if routers_used:
+            return _error(str(exc))
+    if args.routers is not None and any(
+        _takes(fn, "routers") for fn in runners
+    ):
         # Label collisions only arise from user-supplied specs; check
         # them here so the run fails as a clean usage error before any
-        # routing work (runner re-checks as a backstop).  Experiments
-        # that ignore --routers keep their "no effect" note instead.
+        # routing work (runner re-checks as a backstop).
         try:
             reject_duplicate_labels(
                 [spec.build() for spec in args.routers]
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(str(exc))
     if args.experiment == "all" and args.scenarios is not None:
-        print(
-            "error: --scenarios multiplies every experiment; run "
-            "'all' with a single --scenario, or one experiment with "
-            "--scenarios",
-            file=sys.stderr,
+        return _error(
+            "--scenarios multiplies every experiment; run 'all' with a "
+            "single --scenario, or one experiment with --scenarios"
         )
-        return 2
+    quick = not args.full
+    flags = _set_flags(args, cache, mc_overlay)
 
     def run_experiments() -> None:
-        if args.experiment == "serve":
-            report = run_serve_experiment(
-                scenario=(
-                    args.scenario if args.scenario is not None
-                    else "paper-default"
-                ),
-                routers=args.routers,
-                arrivals=args.arrivals,
-                duration=args.duration,
-                warmup=args.warmup,
-                replications=(
-                    args.replications if args.replications is not None else 3
-                ),
-                seed=args.seed,
-                workers=args.workers,
-                cache=cache,
-                record_trace=args.record_trace,
-                faults=args.faults,
-                repair=args.repair,
-            )
-            print(report.to_text())
-            print()
-            print(report.latency_text(), file=sys.stderr)
-            if args.record_trace is not None:
+        if args.experiment != "all":
+            run_one(args.experiment, quick, flags)
+            return
+        for name in EXPERIMENTS:
+            if name == "fig9b-ext" and quick:
+                # Quick-mode fig9b-ext is bit-identical to fig9b, which
+                # the loop just ran; recomputing it adds nothing.
                 print(
-                    f"trace written to {args.record_trace}",
+                    "note: skipping 'fig9b-ext' in quick mode "
+                    "(identical to fig9b; run with --full for the "
+                    "800/1600 points)",
                     file=sys.stderr,
                 )
-            return
-        if args.experiment == "all":
-            for name in EXPERIMENTS:
-                if name == "fig9b-ext" and quick:
-                    # Quick-mode fig9b-ext is bit-identical to fig9b,
-                    # which the loop just ran; recomputing it adds
-                    # nothing.
-                    print(
-                        "note: skipping 'fig9b-ext' in quick mode "
-                        "(identical to fig9b; run with --full for the "
-                        "800/1600 points)",
-                        file=sys.stderr,
-                    )
-                    continue
-                print(f"=== {name} ===")
-                run_one(
-                    name, quick, args.workers, cache, args.routers,
-                    args.shard, args.estimator, mc_overlay,
-                    scenario=args.scenario,
-                )
-            return
-        run_one(
-            args.experiment, quick, args.workers, cache, args.routers,
-            args.shard, args.estimator, mc_overlay, scenario=args.scenario,
-            scenarios=args.scenarios,
-        )
+                continue
+            print(f"=== {name} ===")
+            run_one(name, quick, flags)
 
     if not args.profile and args.profile_out is None:
         run_experiments()

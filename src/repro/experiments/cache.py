@@ -130,7 +130,7 @@ class ResultCache:
             "cache_format_version": CACHE_FORMAT_VERSION,
             "setting": setting_fingerprint(setting),
             "router": router_fingerprint(router),
-            "estimator": EstimatorSpec.coerce(estimator).fingerprint(),
+            "estimator": EstimatorSpec.coerce(estimator).config_dict(),
         })
 
     def _path(self, key: str) -> Path:

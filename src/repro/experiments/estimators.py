@@ -184,10 +184,6 @@ class EstimatorSpec(SpecBase):
             del data["switch_survival"]
         return data
 
-    def fingerprint(self) -> Dict:
-        """The historical name of :meth:`config_dict`."""
-        return self.config_dict()
-
 
 #: The default estimator: the router's own analytic Equation-1 rate.
 ANALYTIC = EstimatorSpec()

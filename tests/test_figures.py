@@ -4,6 +4,9 @@
 titles, settings wiring) is checked without paying for real routing.
 """
 
+import inspect
+import re
+
 import pytest
 
 import repro.experiments.runner as runner_module
@@ -112,6 +115,20 @@ class TestFigureDefinitions:
         assert all(s.network.num_switches == 100 for s in stub_runner)
         assert all(s.num_networks == 5 for s in stub_runner)
 
+    def test_fig7_quick_scales_after_the_generator(self, stub_runner):
+        # A grid base snaps its quick switch count to a square (49);
+        # each generator point scales its own count instead.
+        fig7_generators(quick=True, scenario="paper-grid")
+        assert [s.network.num_switches for s in stub_runner] == [50] * 3
+
+    @pytest.mark.parametrize("scenario", ["paper-grid", "paper-ring"])
+    def test_fig9c_quick_keeps_state_counts(self, stub_runner, scenario):
+        # Quick scaling caps a base's states at 20; the sweep's points
+        # apply after it.
+        fig9c_states(quick=True, scenario=scenario)
+        assert [s.num_states for s in stub_runner] == [10, 20, 30, 40]
+        assert all(s.num_networks == 2 for s in stub_runner)
+
     def test_series_recorded_per_point(self, stub_runner):
         sweep = fig8b_swap_probability(quick=True)
         for series in sweep.series.values():
@@ -153,3 +170,125 @@ class TestExperimentsCliAll:
         ran.clear()
         assert cli.main(["all", "--full"]) == 0
         assert set(ran) == set(cli.EXPERIMENTS)
+
+
+#: Every flag with a valid value, and the keyword each one fills.
+FLAG_ARGS = {
+    "--full": ("quick", []),
+    "--workers": ("workers", ["0"]),
+    "--cache-dir": ("cache", ["{tmp}"]),
+    "--routers": ("routers", ["alg-n-fusion"]),
+    "--shard": ("shard", ["0/2"]),
+    "--estimator": ("estimator", ["mc:trials=10"]),
+    "--mc-overlay": ("mc_overlay", []),
+    "--arrivals": ("arrivals", ["poisson:rate=1.0"]),
+    "--duration": ("duration", ["50"]),
+    "--warmup": ("warmup", ["5"]),
+    "--replications": ("replications", ["1"]),
+    "--seed": ("seed", ["3"]),
+    "--record-trace": ("record_trace", ["{tmp}/run.trace"]),
+    "--faults": ("faults", ["faults:link_mtbf=30"]),
+    "--repair": ("repair", ["drop"]),
+}
+
+
+class FakeResult:
+    def to_text(self):
+        return "fake"
+
+    def latency_text(self):
+        return "latency"
+
+
+def _stub(monkeypatch, cli, name, calls):
+    """Replace experiment *name* by a recorder with its real signature;
+    returns that signature's parameters."""
+    parameters = inspect.signature(cli._runner(name)).parameters
+
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return FakeResult()
+
+    recorder.__signature__ = inspect.Signature(list(parameters.values()))
+    if name == "serve":
+        monkeypatch.setattr(cli, "run_serve_experiment", recorder)
+    else:
+        monkeypatch.setitem(cli.EXPERIMENTS, name, recorder)
+    return parameters
+
+
+#: One experiment per distinct signature; serve rejects --scenarios.
+ROUTED = [
+    (name, scenario_flag)
+    for name in (
+        "fig7", "fig9b-ext", "headline", "ablation", "protocol",
+        "lattice", "mc-validate", "topology-compare", "serve",
+    )
+    for scenario_flag in ("--scenario", "--scenarios")
+    if (name, scenario_flag) != ("serve", "--scenarios")
+]
+
+
+class TestFlagRouting:
+    @pytest.mark.parametrize("name, scenario_flag", ROUTED)
+    def test_notes_are_the_flags_not_taken(
+        self, monkeypatch, capsys, tmp_path, name, scenario_flag
+    ):
+        import repro.experiments.__main__ as cli
+
+        calls = []
+        parameters = _stub(monkeypatch, cli, name, calls)
+        flags = dict(FLAG_ARGS)
+        flags[scenario_flag] = (
+            scenario_flag[2:],
+            ["paper-default,paper-ring" if scenario_flag == "--scenarios"
+             else "paper-default"],
+        )
+        argv = [name]
+        for flag, (_, values) in flags.items():
+            argv += [flag, *(v.format(tmp=tmp_path) for v in values)]
+        assert cli.main(argv) == 0
+        notes = re.findall(
+            rf"note: (--[a-z-]+) has no effect on '{name}'",
+            capsys.readouterr().err,
+        )
+        not_taken = {
+            flag for flag, (keyword, _) in flags.items()
+            if keyword not in parameters
+        }
+        # A callable taking one scenario runs once per --scenarios.
+        looped = (
+            scenario_flag == "--scenarios"
+            and "scenarios" not in parameters
+            and "scenario" in parameters
+        )
+        if looped:
+            not_taken.discard("--scenarios")
+        assert sorted(notes) == sorted(not_taken)
+        assert len(calls) == (2 if looped else 1)
+        for kwargs in calls:
+            assert set(kwargs) <= set(parameters)
+
+    def test_shard_without_cache_only_notes_no_effect(
+        self, monkeypatch, capsys
+    ):
+        import repro.experiments.__main__ as cli
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        _stub(monkeypatch, cli, "lattice", [])
+        assert cli.main(["lattice", "--shard", "0/2"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: --shard has no effect on 'lattice'"
+        ]
+
+    def test_shard_without_cache_warns_where_taken(
+        self, monkeypatch, capsys
+    ):
+        import repro.experiments.__main__ as cli
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        _stub(monkeypatch, cli, "fig8a", [])
+        assert cli.main(["fig8a", "--shard", "0/2"]) == 0
+        err = capsys.readouterr().err
+        assert "cannot merge with other shards" in err
+        assert "has no effect" not in err

@@ -126,8 +126,11 @@ class TestCli:
         from repro.experiments.estimators import ANALYTIC
 
         run_one(
-            "mc-validate", True, None, None, ["alg-n-fusion"], None,
-            ANALYTIC, None,
+            "mc-validate", True,
+            {
+                "--routers": ("routers", ["alg-n-fusion"]),
+                "--estimator": ("estimator", ANALYTIC),
+            },
         )
         captured = capsys.readouterr()
         assert "Monte Carlo validation" in captured.out

@@ -146,11 +146,6 @@ class TestSharedSurface:
         with pytest.raises(cls.spec_error, match="malformed parameter"):
             cls.parse(f"{key}:notanassignment")
 
-    def test_estimator_config_dict_equals_fingerprint(self):
-        for text in ("analytic", SAMPLE_STRINGS[EstimatorSpec]):
-            spec = EstimatorSpec.parse(text)
-            assert spec.config_dict() == spec.fingerprint()
-
     @pytest.mark.parametrize("cls", ALL_SPECS, ids=lambda c: c.__name__)
     def test_coerce(self, cls):
         spec = cls.parse(SAMPLE_STRINGS[cls])
