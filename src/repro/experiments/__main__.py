@@ -117,6 +117,7 @@ from repro.experiments import (
     topology_compare,
 )
 from repro.experiments.cache import ResultCache, default_result_cache
+from repro.experiments.config import is_full_run
 from repro.experiments.estimators import parse_estimator
 from repro.experiments.figures import FIGURES
 from repro.experiments.harness import parse_shard
@@ -576,37 +577,43 @@ def main(argv=None) -> int:
             "--scenarios multiplies every experiment; run 'all' with a "
             "single --scenario, or one experiment with --scenarios"
         )
-    quick = not args.full
+    quick = not (args.full or is_full_run())
     flags = _set_flags(args, cache, mc_overlay)
 
-    def run_experiments() -> None:
-        if args.experiment != "all":
-            run_one(args.experiment, quick, flags)
-            return
-        for name in EXPERIMENTS:
-            if name == "fig9b-ext" and quick:
-                # Quick-mode fig9b-ext is bit-identical to fig9b, which
-                # the loop just ran; recomputing it adds nothing.
-                print(
-                    "note: skipping 'fig9b-ext' in quick mode "
-                    "(identical to fig9b; run with --full for the "
-                    "800/1600 points)",
-                    file=sys.stderr,
-                )
-                continue
-            print(f"=== {name} ===")
-            run_one(name, quick, flags)
+    def run_experiments() -> int:
+        # A configuration only a run can check (a trace file's replay
+        # options or replication count) is a usage error too.
+        try:
+            if args.experiment != "all":
+                run_one(args.experiment, quick, flags)
+                return 0
+            for name in EXPERIMENTS:
+                if name == "fig9b-ext" and quick:
+                    # Quick-mode fig9b-ext is bit-identical to fig9b,
+                    # which the loop just ran; recomputing it adds
+                    # nothing.
+                    print(
+                        "note: skipping 'fig9b-ext' in quick mode "
+                        "(identical to fig9b; run with --full for the "
+                        "800/1600 points)",
+                        file=sys.stderr,
+                    )
+                    continue
+                print(f"=== {name} ===")
+                run_one(name, quick, flags)
+        except ConfigurationError as exc:
+            return _error(str(exc))
+        return 0
 
     if not args.profile and args.profile_out is None:
-        run_experiments()
-        return 0
+        return run_experiments()
     # Perf PRs start from data: profile the run as-is (worker processes
     # profile as pool waiting time — use sequential runs to see the
     # routing internals) and report the top of the --profile-sort tree.
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        run_experiments()
+        status = run_experiments()
     finally:
         profiler.disable()
         if args.profile_out is not None:
@@ -615,7 +622,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats(args.profile_sort).print_stats(25)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

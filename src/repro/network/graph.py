@@ -68,6 +68,30 @@ class QuantumNetwork:
         self._topology_version += 1
         return edge
 
+    def add_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Insert one edge per ``(u, v)`` pair, in order, each as
+        :meth:`add_edge` would with its default Euclidean length.
+
+        Every pair is checked before any is inserted: a missing node, a
+        self-loop, an existing edge or a pair repeated within *pairs*
+        raises as ``add_edge`` does and leaves the network unchanged.
+        The topology version rises by one per inserted edge.
+        """
+        new: Dict[EdgeKey, Edge] = {}
+        for u, v in pairs:
+            pu = self._require_node(u).position
+            pv = self._require_node(v).position
+            key = edge_key(u, v)
+            if key in self._edges or key in new:
+                raise TopologyError(f"edge {key} already exists")
+            new[key] = Edge(u, v, pu.distance_to(pv))
+        self._edges.update(new)
+        adjacency = self._adjacency
+        for u, v in new:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        self._topology_version += len(new)
+
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the edge between *u* and *v*."""
         key = edge_key(u, v)

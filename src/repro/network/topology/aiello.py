@@ -22,6 +22,7 @@ from repro.network.topology.base import (
     DEFAULT_NUM_USERS,
     DEFAULT_QUBIT_CAPACITY,
     DEFAULT_USER_LINKS,
+    SwitchPairs,
     add_switches,
     attach_users,
     check_backbone_arguments,
@@ -69,12 +70,12 @@ def aiello_power_law_network(
     weights *= average_degree / weights.mean()
 
     total = float(weights.sum())
-    iu, ju = np.triu_indices(num_switches, k=1)
-    probabilities = np.minimum(1.0, weights[iu] * weights[ju] / total)
+    pairs = SwitchPairs(switch_ids, positions)
+    probabilities = np.minimum(
+        1.0, weights[pairs.first] * weights[pairs.second] / total
+    )
     draws = rng.uniform(size=probabilities.shape)
-    for i, j, prob, draw in zip(iu, ju, probabilities, draws):
-        if draw < prob:
-            network.add_edge(switch_ids[int(i)], switch_ids[int(j)])
+    pairs.connect(network, draws < probabilities)
     connect_components(network)
     attach_users(network, num_users, rng, area, links_per_user=user_links)
     return network

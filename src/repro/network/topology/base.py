@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.network.graph import QuantumNetwork
@@ -48,6 +51,44 @@ def add_switches(
         network.add_node(QuantumSwitch(node_id, position, qubit_capacity))
         ids.append(node_id)
     return ids
+
+
+class SwitchPairs:
+    """Every switch pair ``i < j`` in ascending order, as index arrays.
+
+    The Waxman, Aiello, random-geometric and Erdős–Rényi generators make
+    one keep decision per pair; the pair order fixes which draw decides
+    which pair, so it is part of every generated network.
+    """
+
+    def __init__(
+        self, switch_ids: Sequence[int], positions: Sequence[Point]
+    ) -> None:
+        self._switch_ids = np.asarray(switch_ids)
+        self._positions = positions
+        self.first, self.second = np.triu_indices(len(switch_ids), k=1)
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def distances(self) -> np.ndarray:
+        """Euclidean distance of each pair, in pair order."""
+        xs = np.array([p.x for p in self._positions])
+        ys = np.array([p.y for p in self._positions])
+        dx = xs[self.first] - xs[self.second]
+        dy = ys[self.first] - ys[self.second]
+        return np.sqrt(dx * dx + dy * dy)
+
+    def connect(self, network: QuantumNetwork, keep: np.ndarray) -> None:
+        """Add an edge for every pair whose *keep* entry is true, in
+        ascending pair order."""
+        ids = self._switch_ids
+        network.add_edges(
+            zip(
+                ids[self.first[keep]].tolist(),
+                ids[self.second[keep]].tolist(),
+            )
+        )
 
 
 def connect_components(network: QuantumNetwork) -> int:
@@ -96,15 +137,18 @@ def attach_users(
     if not switches:
         raise TopologyError("cannot attach users: the network has no switches")
     links_per_user = max(1, min(links_per_user, len(switches)))
+    switch_points = [network.position(s) for s in switches]
     user_ids = []
     for position in random_positions(rng, num_users, area):
         node_id = network.num_nodes
         network.add_node(QuantumUser(node_id, position))
-        by_distance = sorted(
-            switches, key=lambda s: position.distance_to(network.position(s))
+        # Point.distance_to's hypot; the stable sort keeps ties ascending.
+        x, y = position.x, position.y
+        distances = [math.hypot(x - p.x, y - p.y) for p in switch_points]
+        nearest = sorted(range(len(switches)), key=distances.__getitem__)
+        network.add_edges(
+            (node_id, switches[k]) for k in nearest[:links_per_user]
         )
-        for switch in by_distance[:links_per_user]:
-            network.add_edge(node_id, switch)
         user_ids.append(node_id)
     return user_ids
 

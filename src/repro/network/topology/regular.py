@@ -17,6 +17,7 @@ from repro.network.topology.base import (
     DEFAULT_NUM_USERS,
     DEFAULT_QUBIT_CAPACITY,
     DEFAULT_USER_LINKS,
+    SwitchPairs,
     add_switches,
     attach_users,
     check_backbone_arguments,
@@ -109,10 +110,8 @@ def erdos_renyi_network(
     positions = random_positions(rng, num_switches, area)
     switch_ids = add_switches(network, positions, qubit_capacity)
     p = average_degree / (num_switches - 1)
-    for i in range(num_switches):
-        for j in range(i + 1, num_switches):
-            if rng.uniform() < p:
-                network.add_edge(switch_ids[i], switch_ids[j])
+    pairs = SwitchPairs(switch_ids, positions)
+    pairs.connect(network, rng.uniform(size=len(pairs)) < p)
     connect_components(network)
     attach_users(network, num_users, rng, area, links_per_user=user_links)
     return network

@@ -18,6 +18,7 @@ from repro.network.topology.base import (
     DEFAULT_NUM_USERS,
     DEFAULT_QUBIT_CAPACITY,
     DEFAULT_USER_LINKS,
+    SwitchPairs,
     add_switches,
     attach_users,
     check_backbone_arguments,
@@ -98,13 +99,8 @@ def random_geometric_network(
     network = QuantumNetwork()
     positions = random_positions(rng, num_switches, area)
     switch_ids = add_switches(network, positions, qubit_capacity)
-    coords = np.array([[p.x, p.y] for p in positions])
-    diff = coords[:, None, :] - coords[None, :, :]
-    distances = np.sqrt((diff**2).sum(axis=2))
-    iu, ju = np.triu_indices(num_switches, k=1)
-    for i, j in zip(iu, ju):
-        if distances[i, j] <= radius:
-            network.add_edge(switch_ids[int(i)], switch_ids[int(j)])
+    pairs = SwitchPairs(switch_ids, positions)
+    pairs.connect(network, pairs.distances() <= radius)
     connect_components(network)
     attach_users(network, num_users, rng, area, links_per_user=user_links)
     return network

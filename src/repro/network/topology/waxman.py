@@ -5,6 +5,14 @@ Waxman's model connects nodes *u*, *v* with probability
 distance and ``L`` the maximum possible distance.  The paper fixes the
 average switch degree (default 10) rather than *beta*, so we solve for the
 *beta* that makes the expected degree match the target and then sample.
+
+Sampling works on whole arrays: the distances, probabilities and one
+uniform draw per pair are computed over all n(n-1)/2 switch pairs at
+once (:class:`~repro.network.topology.base.SwitchPairs`), and the kept
+pairs are inserted in ascending pair order with one
+:meth:`~repro.network.graph.QuantumNetwork.add_edges` call.  Pair order
+fixes which draw decides which pair, so it is part of what a seed
+reproduces (``tests/test_topologies.py`` pins the generated networks).
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from repro.network.topology.base import (
     DEFAULT_NUM_USERS,
     DEFAULT_QUBIT_CAPACITY,
     DEFAULT_USER_LINKS,
+    SwitchPairs,
     add_switches,
     attach_users,
     check_backbone_arguments,
@@ -57,13 +66,9 @@ def waxman_network(
     positions = random_positions(rng, num_switches, area)
     switch_ids = add_switches(network, positions, qubit_capacity)
 
-    coords = np.array([[p.x, p.y] for p in positions])
-    diff = coords[:, None, :] - coords[None, :, :]
-    distances = np.sqrt((diff**2).sum(axis=2))
+    pairs = SwitchPairs(switch_ids, positions)
     max_distance = area * math.sqrt(2.0)
-    iu, ju = np.triu_indices(num_switches, k=1)
-    pair_distances = distances[iu, ju]
-    locality = np.exp(-pair_distances / (distance_scale * max_distance))
+    locality = np.exp(-pairs.distances() / (distance_scale * max_distance))
 
     # Solve beta so that expected total degree = num_switches * avg_degree.
     target_edges = average_degree * num_switches / 2.0
@@ -74,9 +79,7 @@ def waxman_network(
     probabilities = np.minimum(1.0, beta * locality)
 
     draws = rng.uniform(size=probabilities.shape)
-    for i, j, prob, draw in zip(iu, ju, probabilities, draws):
-        if draw < prob:
-            network.add_edge(switch_ids[int(i)], switch_ids[int(j)])
+    pairs.connect(network, draws < probabilities)
     connect_components(network)
     attach_users(network, num_users, rng, area, links_per_user=user_links)
     return network

@@ -159,3 +159,40 @@ class TestCommands:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: warmup must satisfy"), err
+
+    def test_record_trace_from_a_replay_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        argv = [
+            "serve", "--record-trace", str(tmp_path / "x.trace"),
+            "--arrivals", "trace:file=missing.trace",
+            "--duration", "30", "--warmup", "5",
+        ]
+        assert experiments_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: cannot --record-trace from a trace replay; it would "
+            "copy the input file"
+        ], err
+
+    def test_trace_replication_mismatch_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        from repro.service.arrivals import write_trace
+        from repro.service.faults import write_fault_trace
+
+        arrivals = tmp_path / "arrivals.trace"
+        faults = tmp_path / "faults.trace"
+        write_trace(arrivals, [[], []])
+        write_fault_trace(faults, [[]])
+        argv = [
+            "serve", "--arrivals", f"trace:file={arrivals}",
+            "--faults", f"trace:file={faults}",
+            "--duration", "30", "--warmup", "5",
+        ]
+        assert experiments_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: fault trace records 1 replication(s) but the arrival "
+            "trace records 2"
+        ], err

@@ -269,6 +269,39 @@ class TestFlagRouting:
         for kwargs in calls:
             assert set(kwargs) <= set(parameters)
 
+    @pytest.mark.parametrize("env, quick", [
+        (None, True), ("0", True), ("1", False),
+    ])
+    def test_repro_full_reaches_the_experiment(
+        self, monkeypatch, env, quick
+    ):
+        import repro.experiments.__main__ as cli
+
+        if env is None:
+            monkeypatch.delenv("REPRO_FULL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_FULL", env)
+        calls = []
+        _stub(monkeypatch, cli, "fig8a", calls)
+        assert cli.main(["fig8a"]) == 0
+        assert [kwargs["quick"] for kwargs in calls] == [quick]
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_all_skips_fig9b_ext_only_when_quick(
+        self, monkeypatch, capsys, full
+    ):
+        import repro.experiments.__main__ as cli
+
+        monkeypatch.setenv("REPRO_FULL", "1" if full else "0")
+        calls = {name: [] for name in cli.EXPERIMENTS}
+        for name, recorded in calls.items():
+            _stub(monkeypatch, cli, name, recorded)
+        assert cli.main(["all"]) == 0
+        ran = {name for name, recorded in calls.items() if recorded}
+        assert ran == set(calls) - ({"fig9b-ext"} if not full else set())
+        quick = [kw["quick"] for rec in calls.values() for kw in rec]
+        assert quick and set(quick) == {not full}
+
     def test_shard_without_cache_only_notes_no_effect(
         self, monkeypatch, capsys
     ):

@@ -159,3 +159,52 @@ class TestQuantumNetwork:
         net = small_network()
         keys = net.edge_keys()
         assert keys == sorted(keys)
+
+
+class TestAddEdges:
+    def test_matches_add_edge_one_by_one(self):
+        pairs = [(2, 0), (0, 1), (1, 2)]
+        bulk = QuantumNetwork()
+        single = QuantumNetwork()
+        for net in (bulk, single):
+            net.add_node(QuantumUser(0, Point(0.1, 0.7)))
+            net.add_node(QuantumSwitch(1, Point(3.3, 4.9), 10))
+            net.add_node(QuantumSwitch(2, Point(6.2, 8.4), 10))
+        bulk.add_edges(pairs)
+        for u, v in pairs:
+            single.add_edge(u, v)
+        assert bulk.edges() == single.edges()
+        assert [e.length for e in bulk.edges()] == [
+            e.length for e in single.edges()
+        ]
+        assert all(bulk.neighbors(n) == single.neighbors(n) for n in range(3))
+        assert bulk.topology_version == single.topology_version
+
+    def test_version_rises_by_edges_inserted(self):
+        net = small_network()
+        net.add_node(QuantumSwitch(3, Point(1, 1), 10))
+        before = net.topology_version
+        net.add_edges([(0, 2), (3, 0), (3, 2)])
+        assert net.topology_version == before + 3
+        net.add_edges([])
+        assert net.topology_version == before + 3
+
+    @pytest.mark.parametrize(
+        "pairs,error",
+        [
+            ([(0, 2), (2, 2)], ConfigurationError),  # self-loop
+            ([(0, 2), (0, 99)], NodeNotFoundError),  # unknown node
+            ([(0, 2), (1, 0)], TopologyError),  # existing edge
+            ([(0, 2), (2, 0)], TopologyError),  # repeated in the batch
+        ],
+    )
+    def test_rejects_as_add_edge_does_and_inserts_nothing(self, pairs, error):
+        net = small_network()
+        before = (net.edge_keys(), net.topology_version)
+        with pytest.raises(error):
+            net.add_edges(pairs)
+        assert (net.edge_keys(), net.topology_version) == before
+        one_by_one = small_network()
+        with pytest.raises(error):
+            for u, v in pairs:
+                one_by_one.add_edge(u, v)

@@ -1,5 +1,7 @@
 """Unit tests for topology generators and the network builder."""
 
+import hashlib
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -228,3 +230,100 @@ class TestBuilder:
             watts_strogatz_network(
                 num_switches=10, rewire_probability=1.5, rng=ensure_rng(1)
             )
+
+
+# ----------------------------------------------------------------------
+# Digest pins: every registered family at 20 and 100 switches (grids
+# snapped to their square), three seeds each, plus Waxman at 800.  Each
+# entry is a sha256 prefix over the built network and the hex of the
+# build rng's next ``random()`` draw, so a generator rewrite must keep
+# every node, edge length, version bump and rng position bit-identical.
+
+NETWORK_DIGESTS = {
+    ("aiello", 20, 0): ("c7e1b55858c79f109bc6bd00cdc8dfc2", "0x1.7d1f7876de9ebp-1"),
+    ("aiello", 20, 1): ("c89b0e6100d04ebee4aadddeccd5032c", "0x1.0eb3c7cfd224cp-3"),
+    ("aiello", 20, 2): ("364175095e12cdf84b916308659705df", "0x1.652ca4d5eca00p-6"),
+    ("aiello", 100, 0): ("1e5e4c519a651546a042fc41f4fb2c8c", "0x1.8e223ff5a6216p-2"),
+    ("aiello", 100, 1): ("dd83aabb023a63816050665ab98c188e", "0x1.54ca9abdf5301p-1"),
+    ("aiello", 100, 2): ("de2b9556293c5fce9ec7f9c828787435", "0x1.eedde5c9dd487p-1"),
+    ("barabasi_albert", 20, 0): ("a6f1a8f9ad59a04275215514e01a01b5", "0x1.c560ff62a0dd4p-2"),
+    ("barabasi_albert", 20, 1): ("d90ec29bb5c73b991f5d15f7d224a02e", "0x1.b993813ca3314p-2"),
+    ("barabasi_albert", 20, 2): ("5b8a1821a70f5036cd26113cce6cf8dd", "0x1.8a93fa43ec4fep-1"),
+    ("barabasi_albert", 100, 0): ("c02f52724a0984b7ab6a4febf7b381bc", "0x1.88d76dd06c5a0p-3"),
+    ("barabasi_albert", 100, 1): ("824c11a1deb675866962208c8037f8ff", "0x1.c88afd40b7875p-1"),
+    ("barabasi_albert", 100, 2): ("b3adf032751faf288f245c49959ac96b", "0x1.dd6cfb37f1696p-1"),
+    ("erdos_renyi", 20, 0): ("3fff167d45ba0118d6e4f807bdebe570", "0x1.86fa742456754p-2"),
+    ("erdos_renyi", 20, 1): ("7236154114f14eb90a9a34d3f4f66fc6", "0x1.36883a7c20939p-1"),
+    ("erdos_renyi", 20, 2): ("38371efaa8259f9b1817fad4e39195db", "0x1.6eddd31d2ecd8p-3"),
+    ("erdos_renyi", 100, 0): ("737540a4fcc45d2eeb51552213eed385", "0x1.7770a860af984p-2"),
+    ("erdos_renyi", 100, 1): ("9c3638dc3987152d177280b814d2c292", "0x1.20b4dbe23d58cp-1"),
+    ("erdos_renyi", 100, 2): ("269812a4d9001a8051ac31f600c8ef62", "0x1.9c8b21df6c6d7p-1"),
+    ("grid", 20, 0): ("62ec98ae6064292913af0875e466c06c", "0x1.cffd4f59cea80p-6"),
+    ("grid", 20, 1): ("2ff37f86d9e7398132d6668c8ffebf55", "0x1.802fcc620a262p-1"),
+    ("grid", 20, 2): ("08b7741c92c07c8ec6479cb696c4fc42", "0x1.6243834154fa8p-2"),
+    ("grid", 100, 0): ("2f7c0996c6b5146c5e1a53f2cf22de3f", "0x1.cffd4f59cea80p-6"),
+    ("grid", 100, 1): ("220703a8836d0dfca138ce046013bf71", "0x1.802fcc620a262p-1"),
+    ("grid", 100, 2): ("7f76801fbc0a9814c58a1ae0596acae5", "0x1.6243834154fa8p-2"),
+    ("random_geometric", 20, 0): ("ab08e89deb464d3e16316ba496836782", "0x1.9e42d66647c6cp-2"),
+    ("random_geometric", 20, 1): ("0ce4f2598361c0813b917f297001ed15", "0x1.18a0240a783cap-2"),
+    ("random_geometric", 20, 2): ("0f5935e37a62381667ffc748226fecc3", "0x1.5fcca0afd90b0p-3"),
+    ("random_geometric", 100, 0): ("9b7eefdecf2b054b7b01b2aeb0c0215a", "0x1.d4a55793d9b97p-1"),
+    ("random_geometric", 100, 1): ("2b2baa6785747c1f326dd71095bafc52", "0x1.44b8806cb679cp-3"),
+    ("random_geometric", 100, 2): ("5ed7b2b38651dff88aa49e68f86d6716", "0x1.bb0d2b0237688p-2"),
+    ("ring", 20, 0): ("9f7fede4767a897e5e7b292d70816fdf", "0x1.cffd4f59cea80p-6"),
+    ("ring", 20, 1): ("0e561f220efcbce126fc4356a12ab4f7", "0x1.802fcc620a262p-1"),
+    ("ring", 20, 2): ("198655815419f56b3f4c75ddde29ca4d", "0x1.6243834154fa8p-2"),
+    ("ring", 100, 0): ("f670c567b3f5b352848345144bf85846", "0x1.cffd4f59cea80p-6"),
+    ("ring", 100, 1): ("eae3c77643c6cbbc19d7cbf5159d1150", "0x1.802fcc620a262p-1"),
+    ("ring", 100, 2): ("58285637c7d59346f37bfbc5092579af", "0x1.6243834154fa8p-2"),
+    ("watts_strogatz", 20, 0): ("d2ee84823fde0180002659ccaf854844", "0x1.eef3ad422e674p-3"),
+    ("watts_strogatz", 20, 1): ("47e0c4bdfdb82f41ac23420f727144a5", "0x1.cb2866f1206b4p-2"),
+    ("watts_strogatz", 20, 2): ("bd8ceb807461a500943adc6d9e9001b0", "0x1.a5e76365c657dp-1"),
+    ("watts_strogatz", 100, 0): ("1bec370d7a5ab45cbcec5a8341778067", "0x1.3051de2ebb087p-1"),
+    ("watts_strogatz", 100, 1): ("f07e230475d0a6c520ceb4bbe8647c06", "0x1.707047479b0d1p-1"),
+    ("watts_strogatz", 100, 2): ("93248c45a0c9c23a3fb56e66112360d3", "0x1.9f69e87b33f20p-3"),
+    ("waxman", 20, 0): ("83ec4b655cc16258a371e229a9012dfa", "0x1.86fa742456754p-2"),
+    ("waxman", 20, 1): ("2803ac6270410516294b31412a006709", "0x1.36883a7c20939p-1"),
+    ("waxman", 20, 2): ("8d017eebc7b8d2521e54e02c16b4a554", "0x1.6eddd31d2ecd8p-3"),
+    ("waxman", 100, 0): ("9d6af580ca3a21af40e138c559a2ac81", "0x1.7770a860af984p-2"),
+    ("waxman", 100, 1): ("5ca6f8e4da3bab9e67748b4ae1d96527", "0x1.20b4dbe23d58cp-1"),
+    ("waxman", 100, 2): ("a5317e3d0be0b2aad84fc07209a1666f", "0x1.9c8b21df6c6d7p-1"),
+    ("waxman", 800, 0): ("7577bf6f0428e0f7db680dc6b9d5bd2f", "0x1.25691577ace24p-1"),
+}
+
+
+def network_digest(net):
+    """sha256 over node ids, kinds, capacities, exact positions, edge
+    keys with exact lengths, and the topology version."""
+    digest = hashlib.sha256()
+    for nid in net.nodes():
+        node = net.node(nid)
+        digest.update(
+            f"n {nid} {node.kind.value} {node.qubit_capacity} "
+            f"{node.position.x.hex()} {node.position.y.hex()}\n".encode()
+        )
+    for edge in net.edges():
+        digest.update(f"e {edge.u} {edge.v} {edge.length.hex()}\n".encode())
+    digest.update(f"v {net.topology_version}\n".encode())
+    return digest.hexdigest()
+
+
+def test_generated_network_digests():
+    expected_cases = {
+        (key, n, seed)
+        for key in topology_keys()
+        for n in (20, 100)
+        for seed in (0, 1, 2)
+    } | {("waxman", 800, 0)}
+    assert set(NETWORK_DIGESTS) == expected_cases
+    mismatched = []
+    for (key, n, seed), expected in sorted(NETWORK_DIGESTS.items()):
+        rng = ensure_rng(seed)
+        config = NetworkConfig(
+            generator=key, num_switches=quick_switch_count(key, n)
+        )
+        net = build_network(config, rng)
+        got = (network_digest(net)[:32], rng.random().hex())
+        if got != expected:
+            mismatched.append((key, n, seed))
+    assert mismatched == []
