@@ -136,7 +136,8 @@ def check(ctx: FileContext) -> Iterator[Diagnostic]:
                 yield diagnostic(
                     ctx, node, CODE,
                     "unseeded default_rng() draws fresh OS entropy; pass "
-                    "a seed or use repro.utils.rng.ensure_rng/stream_rng",
+                    "a seed or use repro.utils.rng.ensure_rng, stream_rng or "
+                    "stream_rngs",
                 )
         elif isinstance(node, ast.Attribute):
             resolved = resolve_dotted(node, aliases)

@@ -8,14 +8,16 @@ estimator and scenario axes use::
     poisson:rate=0.5,hold=fixed:mean=10.0
     trace:file=runs/monday.trace            (replay a recorded trace)
 
-A Poisson spec draws every event from its own RNG substream
-(:func:`stream_rng` of the replication's sample seed), so the k-th
-arrival is a pure function of ``(sample_seed, k)`` — bit-identical
-whatever the worker count and unperturbed by how earlier events were
-served.  A trace spec replays a file recorded with
-``--record-trace`` (or written by hand); its ``config_dict`` identity
-hashes the file *contents*, so cached serve results can never outlive
-an edited trace.
+A Poisson spec draws every event from its own RNG substream of the
+replication's sample seed, so the k-th arrival is a pure function of
+``(sample_seed, k)`` — bit-identical whatever the worker count and
+unperturbed by how earlier events were served.  The substreams are
+derived in blocks by :func:`~repro.utils.rng.stream_rngs`, each still
+``stream_rng(sample_seed, EVENT_STREAM_BASE + k)`` bit for bit.
+
+A trace spec replays a file recorded with ``--record-trace`` (or
+written by hand); its ``config_dict`` identity hashes the file
+*contents*, so cached serve results can never outlive an edited trace.
 """
 
 from __future__ import annotations
@@ -23,17 +25,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
 from repro.specs import SpecBase, SpecError, TraceFileMixin
-from repro.utils.rng import RandomState, stream_rng
+from repro.utils.rng import RandomState, stream_rngs
 
 #: Substream index of the k-th arrival event is ``EVENT_STREAM_BASE + k``.
 #: Far above the estimation substream (``ESTIMATION_STREAM = 0x4D43``)
 #: that shares the per-sample seed, so the two families can never
 #: collide.
 EVENT_STREAM_BASE = 0x100000
+
+#: Most event substreams derived in one block, which bounds the
+#: generators held ahead of a very long or very busy stream.
+MAX_EVENT_BLOCK = 4096
 
 #: Trace file header identity.
 TRACE_FORMAT = "repro-serve-trace"
@@ -169,6 +175,27 @@ parse_arrivals = ArrivalSpec.parse
 # Event generation
 
 
+def _event_rngs(
+    spec: ArrivalSpec, sample_seed: int, duration: float
+) -> Iterator[RandomState]:
+    """Event k's generator, substream ``EVENT_STREAM_BASE + k``, for
+    k = 0, 1, ...
+
+    The first block covers the expected count ``rate * duration`` plus
+    three standard deviations, so one block nearly always serves the
+    whole stream; later blocks double, up to :data:`MAX_EVENT_BLOCK`.
+    """
+    expected = spec.rate * duration
+    size = math.ceil(
+        min(MAX_EVENT_BLOCK, expected + 3.0 * math.sqrt(expected) + 1.0)
+    )
+    start = EVENT_STREAM_BASE
+    while True:
+        yield from stream_rngs(sample_seed, range(start, start + size))
+        start += size
+        size = min(2 * size, MAX_EVENT_BLOCK)
+
+
 def poisson_events(
     spec: ArrivalSpec,
     sample_seed: int,
@@ -196,12 +223,10 @@ def poisson_events(
         )
     events: List[ArrivalEvent] = []
     time = 0.0
-    k = 0
-    while True:
-        rng = stream_rng(sample_seed, EVENT_STREAM_BASE + k)
+    for rng in _event_rngs(spec, sample_seed, duration):
         time += float(rng.exponential(1.0 / spec.rate))
         if time >= duration:
-            return events
+            break
         i, j = rng.choice(num_users, size=2, replace=False)
         events.append(
             ArrivalEvent(
@@ -211,7 +236,7 @@ def poisson_events(
                 hold=spec.hold.sample(rng),
             )
         )
-        k += 1
+    return events
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,10 @@ grammar every other axis uses::
 
 Every element (edge or switch) runs an independent alternating renewal
 process — up for ``Exp(mtbf)``, down for ``Exp(mttr)`` — drawn from its
-own :func:`stream_rng` substream of the replication's sample seed.  The
-timeline of element *i* is therefore a pure function of
+own substream of the replication's sample seed.  One
+:func:`~repro.utils.rng.stream_rngs` call derives a whole family's
+substreams, each still ``stream_rng(sample_seed, base + i)`` bit for
+bit.  The timeline of element *i* is therefore a pure function of
 ``(sample_seed, i)``: bit-identical whatever the worker count,
 unperturbed by how many arrivals were served, and prefix-stable in the
 horizon (extending ``duration`` appends events without moving earlier
@@ -47,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.service.tracefile import read_jsonl_trace, write_jsonl_trace
 from repro.specs import SpecBase, SpecError, TraceFileMixin
 from repro.utils.retry import BACKOFF_KINDS, backoff_delay
-from repro.utils.rng import stream_rng
+from repro.utils.rng import stream_rngs
 
 #: Substream of edge *i*'s fault timeline is ``FAULT_STREAM_BASE + i``;
 #: switch *j* uses ``FAULT_STREAM_BASE + SWITCH_STREAM_OFFSET + j``.
@@ -309,7 +311,8 @@ def fault_events(
     *j* from ``FAULT_STREAM_BASE + SWITCH_STREAM_OFFSET + j``, so the
     list is a pure function of ``(spec, sample_seed, counts, duration)``
     — identical across processes, worker counts and routing cores, and
-    prefix-stable in ``duration``.
+    prefix-stable in ``duration``.  Each family's generators come from
+    one :func:`stream_rngs` call.
     """
     if spec.kind != "faults":
         raise FaultSpecError(
@@ -326,22 +329,21 @@ def fault_events(
         )
     events: List[FaultEvent] = []
     if spec.link_mtbf is not None:
-        for index in range(num_edges):
+        base = FAULT_STREAM_BASE
+        rngs = stream_rngs(sample_seed, range(base, base + num_edges))
+        for index, rng in enumerate(rngs):
             _renewal_timeline(
-                stream_rng(sample_seed, FAULT_STREAM_BASE + index),
-                spec.link_mtbf, spec.link_mttr, "link_down", "link_up",
+                rng, spec.link_mtbf, spec.link_mttr, "link_down", "link_up",
                 index, duration, events,
             )
     switch_mtbf = spec.effective_switch_mtbf()
     if switch_mtbf is not None:
-        for index in range(num_switches):
+        base = FAULT_STREAM_BASE + SWITCH_STREAM_OFFSET
+        rngs = stream_rngs(sample_seed, range(base, base + num_switches))
+        for index, rng in enumerate(rngs):
             _renewal_timeline(
-                stream_rng(
-                    sample_seed,
-                    FAULT_STREAM_BASE + SWITCH_STREAM_OFFSET + index,
-                ),
-                switch_mtbf, spec.switch_mttr, "switch_down", "switch_up",
-                index, duration, events,
+                rng, switch_mtbf, spec.switch_mttr, "switch_down",
+                "switch_up", index, duration, events,
             )
     events.sort(key=FaultEvent.sort_key)
     return events

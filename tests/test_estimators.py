@@ -121,6 +121,15 @@ class TestEstimationStream:
             stream_rng(1, -1)
         with pytest.raises(ConfigurationError):
             stream_rng("seed", 0)
+        # A stream is validated as a seed is: an int, not a bool.
+        for stream in (1.5, True, "2", None):
+            with pytest.raises(ConfigurationError, match="must be an int"):
+                stream_rng(1, stream)
+        # Seeds fill at most the four-word pool; a stream is one word.
+        stream_rng(2**128 - 1, 2**32 - 1)
+        for seed, stream in ((2**128, 0), (1, 2**32)):
+            with pytest.raises(ConfigurationError, match="must be in"):
+                stream_rng(seed, stream)
 
 
 class TestMcHarness:

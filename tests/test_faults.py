@@ -11,6 +11,7 @@ and the replicated runner's fault-aware report.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -339,6 +340,76 @@ class TestFaultEvents:
             FaultEvent(1.0, "meteor_strike", 0)
         with pytest.raises(FaultSpecError):
             FaultEvent(1.0, "link_down", -2)
+
+
+#: Pinned fault timelines: sha256 prefix and event count per (spec,
+#: (edges, switches), seed) at a 60-unit horizon.  The element counts
+#: are paper-default's (615 edges, 100 switches) and
+#: ``waxman:switches=200``'s (1,077, 200).  A change to how substreams
+#: are derived must keep every timeline; never re-record them to pass.
+FAULT_DIGEST_SPECS = {
+    "link": "faults:link_mtbf=60,link_mttr=15",
+    "switch": "faults:switch_p=0.01,switch_mttr=30",
+    "both": "faults:link_mtbf=60,link_mttr=15,switch_p=0.01",
+}
+FAULT_DIGESTS = {
+    ("link", (615, 100), 0): ("ca1cb56010d74f860f9c1cd85e09f51d", 857),
+    ("link", (615, 100), 1): ("d219f31bd2878104e0660aaf41d2c257", 888),
+    ("link", (615, 100), 2): ("894b7c5b02b844adb4169c923e96a492", 896),
+    ("link", (615, 100), 2**63 - 1): ("776684fa14ff082c6971b3d2367af841", 898),
+    ("link", (1077, 200), 0): ("0f5bd04d131027edc9e857fb127c6da6", 1510),
+    ("link", (1077, 200), 1): ("2f295c8fff79393b0fb95ded7f5418f0", 1558),
+    ("link", (1077, 200), 2): ("a1b0659b9bb067bea0e552b89b727741", 1662),
+    ("link", (1077, 200), 2**63 - 1): ("831288b59df1385e33a5792e4580d58d", 1595),
+    ("switch", (615, 100), 0): ("d8bd70039966c1c052ec07e448bd38e7", 76),
+    ("switch", (615, 100), 1): ("e69f695136a1d0312660f3de619ddc27", 87),
+    ("switch", (615, 100), 2): ("dd11d8c0d74f2c308ffdcd52c76873e6", 63),
+    ("switch", (615, 100), 2**63 - 1): ("b298af68757f246f3aee00b3758bdb52", 93),
+    ("switch", (1077, 200), 0): ("7e17d6ec448a826cb584bb666f00bb4e", 153),
+    ("switch", (1077, 200), 1): ("2fa98d357438184ae6251202ffbdf7a4", 187),
+    ("switch", (1077, 200), 2): ("7135dce092910b597ca5c225aab7e8c1", 166),
+    ("switch", (1077, 200), 2**63 - 1): ("e969c9a082f67fd0ad5a0adccd62c355", 170),
+    ("both", (615, 100), 0): ("4e0aae25406832bf890334fd694cc60f", 933),
+    ("both", (615, 100), 1): ("79d3540a41c45d21c99b5d38b723b08b", 975),
+    ("both", (615, 100), 2): ("371e8c52a5ea2392710290cce144f62e", 959),
+    ("both", (615, 100), 2**63 - 1): ("1755976a2c72fe8d0a3b06cdac728cc3", 991),
+    ("both", (1077, 200), 0): ("bc264f4efdb58ee128640efac00a272a", 1663),
+    ("both", (1077, 200), 1): ("1b581dbc94b7115bd5535a75ab073d67", 1745),
+    ("both", (1077, 200), 2): ("788dc4f1d284befe86ccce9e79cfa624", 1828),
+    ("both", (1077, 200), 2**63 - 1): ("d8346fb66511b8e06efe9d481b21d26f", 1765),
+}
+
+
+def fault_timeline_digest(events):
+    """sha256 over every event's exact time, kind and element."""
+    digest = hashlib.sha256()
+    for event in events:
+        digest.update(
+            f"{event.time.hex()} {event.kind} {event.element}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def test_fault_timeline_digests():
+    expected_cases = {
+        (name, counts, seed)
+        for name in FAULT_DIGEST_SPECS
+        for counts in ((615, 100), (1077, 200))
+        for seed in (0, 1, 2, 2**63 - 1)
+    }
+    assert set(FAULT_DIGESTS) == expected_cases
+    mismatched = []
+    for (name, (edges, switches), seed), expected in sorted(
+        FAULT_DIGESTS.items()
+    ):
+        events = fault_events(
+            parse_faults(FAULT_DIGEST_SPECS[name]), seed, edges, switches,
+            60.0,
+        )
+        got = (fault_timeline_digest(events)[:32], len(events))
+        if got != expected:
+            mismatched.append((name, (edges, switches), seed))
+    assert mismatched == []
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,8 @@ and the serve result cache.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -24,7 +26,9 @@ from repro.routing.compiled import (
 )
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.registry import RouterSpec, make_router
+from repro.service import arrivals
 from repro.service.arrivals import (
+    EVENT_STREAM_BASE,
     ArrivalEvent,
     ArrivalSpec,
     ArrivalSpecError,
@@ -38,7 +42,7 @@ from repro.service.loop import ServeSession, latency_summary, run_serve
 from repro.service.residual import ResidualViewRouter, residual_view
 from repro.service.runner import run_serve_experiment, serve_key
 from repro.network.demands import Demand
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import ensure_rng, stream_rng, stream_rngs
 from tests.conftest import make_diamond_network
 
 LINK = LinkModel(fixed_p=0.4)
@@ -175,6 +179,91 @@ class TestPoissonEvents:
         # a non-finite horizon never has.
         with pytest.raises(ArrivalSpecError, match="duration"):
             poisson_events(parse_arrivals(ARRIVALS), 42, 6, duration)
+
+
+#: Pinned arrival streams: sha256 prefix and event count per (spec,
+#: users, duration, seed).  ``serve`` is perfbench's serve-faults
+#: stream; ``dense`` runs to about 500 events with fixed holds (which
+#: draw nothing); ``sparse`` expects under one event, so some seeds
+#: have none; ``busy`` runs to about 6,000 events, past one block of
+#: derived substreams.  A change to how substreams are derived must
+#: keep every stream; never re-record them to pass.
+ARRIVAL_DIGEST_CASES = {
+    "serve": ("poisson:rate=0.3,hold=exp:mean=30", 10, 60.0),
+    "dense": ("poisson:rate=2.0,hold=fixed:mean=10", 4, 250.0),
+    "sparse": ("poisson:rate=0.02,hold=exp:mean=5", 2, 30.0),
+    "busy": ("poisson:rate=20.0,hold=exp:mean=1", 3, 300.0),
+}
+ARRIVAL_DIGESTS = {
+    ("serve", 0): ("49e5a76e6f81cfa804ccf861b18d77d8", 18),
+    ("serve", 1): ("5dd9beaaf291731721bd79bca62d0599", 18),
+    ("serve", 2): ("c132a945362ad78715d002c9cf5385d0", 24),
+    ("serve", 2**63 - 1): ("11f4e7d98cbd5d2e9da803d3bfb1b3c2", 20),
+    ("dense", 0): ("23c1e07814018190ee9662a569c11725", 497),
+    ("dense", 1): ("e8410bba2eef90bf33c7bd500438e425", 503),
+    ("dense", 2): ("ab33176f6741341f27d7afae5d2fa066", 514),
+    ("dense", 2**63 - 1): ("ddb2b329f480ef299e682811f471d672", 507),
+    ("sparse", 0): ("e3b0c44298fc1c149afbf4c8996fb924", 0),
+    ("sparse", 1): ("e3b0c44298fc1c149afbf4c8996fb924", 0),
+    ("sparse", 2): ("c16fe4c1683594aaea0537fcc5e98a06", 1),
+    ("sparse", 2**63 - 1): ("e3b0c44298fc1c149afbf4c8996fb924", 0),
+    ("busy", 0): ("1f6f67eed5e18efbd5f860a709502094", 6016),
+    ("busy", 1): ("c9ea53c3a2ce554a44207dc81e0382a2", 5973),
+    ("busy", 2): ("1e9bef533830a750600cf94bcfb0ce70", 6029),
+    ("busy", 2**63 - 1): ("038155a99209a4c87ce18b2ee2ce294f", 6057),
+}
+
+
+def arrival_stream_digest(events):
+    """sha256 over every event's exact time, user indices and hold."""
+    digest = hashlib.sha256()
+    for event in events:
+        digest.update(
+            f"{event.time.hex()} {event.source_index} {event.dest_index} "
+            f"{event.hold.hex()}\n".encode()
+        )
+    return digest.hexdigest()
+
+
+def test_arrival_timeline_digests():
+    expected_cases = {
+        (name, seed)
+        for name in ARRIVAL_DIGEST_CASES
+        for seed in (0, 1, 2, 2**63 - 1)
+    }
+    assert set(ARRIVAL_DIGESTS) == expected_cases
+    mismatched = []
+    for (name, seed), expected in sorted(ARRIVAL_DIGESTS.items()):
+        text, users, duration = ARRIVAL_DIGEST_CASES[name]
+        events = poisson_events(parse_arrivals(text), seed, users, duration)
+        got = (arrival_stream_digest(events)[:32], len(events))
+        if got != expected:
+            mismatched.append((name, seed))
+    assert mismatched == []
+
+
+def test_event_substreams_are_derived_in_doubling_blocks(monkeypatch):
+    blocks = []
+
+    def recording_stream_rngs(seed, streams):
+        blocks.append(streams)
+        return stream_rngs(seed, streams)
+
+    monkeypatch.setattr(arrivals, "stream_rngs", recording_stream_rngs)
+    # rate * duration = 0.004: a first block of 2, then 4, 8, ... up to
+    # MAX_EVENT_BLOCK, each starting where the last ended.
+    spec = parse_arrivals("poisson:rate=0.001,hold=exp:mean=5")
+    rngs = arrivals._event_rngs(spec, 5, 4.0)
+    drawn = [next(rngs).random() for _ in range(3 * arrivals.MAX_EVENT_BLOCK)]
+    sizes = [len(block) for block in blocks]
+    assert sizes[:3] == [2, 4, 8]
+    assert sizes[-2:] == [arrivals.MAX_EVENT_BLOCK] * 2
+    assert [s for block in blocks for s in block][: len(drawn)] == list(
+        range(EVENT_STREAM_BASE, EVENT_STREAM_BASE + len(drawn))
+    )
+    assert drawn[:40:7] == [
+        stream_rng(5, EVENT_STREAM_BASE + k).random() for k in range(0, 40, 7)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.service.arrivals import EVENT_STREAM_BASE
+from repro.service.faults import FAULT_STREAM_BASE
 from repro.utils.geometry import Point, bounding_box_diagonal, euclidean_distance
-from repro.utils.rng import ensure_rng, random_subset, spawn_rng
+from repro.utils.rng import (
+    ensure_rng,
+    random_subset,
+    spawn_rng,
+    stream_rng,
+    stream_rngs,
+)
 from repro.utils.tables import AsciiTable, format_series
 from repro.utils.validation import (
     check_in_range,
@@ -61,6 +71,69 @@ class TestRng:
     def test_random_subset_too_many(self):
         with pytest.raises(ConfigurationError):
             random_subset(ensure_rng(3), [1, 2], 3)
+
+
+# ----------------------------------------------------------------------
+# Batched substreams against numpy's own spawn-key derivation
+
+#: The word-size edges of a stream index, and the fault and arrival
+#: families as the serving loop derives them.
+NUMPY_DIFFERENTIAL_STREAMS = (
+    0, 2**31, 2**32 - 1,
+    *range(FAULT_STREAM_BASE, FAULT_STREAM_BASE + 700),
+    *range(EVENT_STREAM_BASE, EVENT_STREAM_BASE + 50),
+)
+
+
+def numpy_stream(seed, stream):
+    """The oracle: substream *stream* of *seed* seeded by numpy."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(stream,))
+    )
+
+
+def next_draws(rng):
+    return (
+        rng.random(),
+        rng.exponential(2.5),
+        tuple(rng.choice(7, size=2, replace=False)),
+    )
+
+
+def assert_stream_rngs_match_numpy(seed):
+    rngs = stream_rngs(seed, NUMPY_DIFFERENTIAL_STREAMS)
+    assert len(rngs) == len(NUMPY_DIFFERENTIAL_STREAMS)
+    for stream, rng in zip(NUMPY_DIFFERENTIAL_STREAMS, rngs):
+        oracle = numpy_stream(seed, stream)
+        assert rng.bit_generator.state == oracle.bit_generator.state, stream
+        assert next_draws(rng) == next_draws(oracle), stream
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32, 2**63 - 1, 2**128 - 1])
+def test_stream_rngs_match_numpy_at_edge_seeds(seed):
+    assert_stream_rngs_match_numpy(seed)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**63 - 1))
+def test_stream_rngs_match_numpy_at_int64_seeds(seed):
+    assert_stream_rngs_match_numpy(seed)
+
+
+def test_stream_rng_is_the_one_stream_batch():
+    batch = stream_rngs(11, [5, 9])
+    assert [next_draws(stream_rng(11, s)) for s in (5, 9)] == [
+        next_draws(rng) for rng in batch
+    ]
+    assert stream_rngs(11, []) == []
+    assert next_draws(stream_rng(np.int64(11), np.uint32(9))) == next_draws(
+        numpy_stream(11, 9)
+    )
+
+
+def test_stream_rngs_cannot_spawn():
+    with pytest.raises(TypeError):
+        stream_rng(3, 4).spawn(1)
 
 
 class TestValidation:
