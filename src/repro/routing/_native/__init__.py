@@ -68,14 +68,18 @@ class Kernel(NamedTuple):
 class Output(ctypes.Structure):
     """The leading fields of ``context_t``: the last call's
     ``(length, ids...)`` path records (grouped per width as ``kernel.c``
-    describes), their int64 count, one rate per path, and the bytes of
-    the buffers that grow with the paths found."""
+    describes), their int64 count, one rate per path, the bytes of the
+    buffers that grow with the paths found, and two work counters over
+    the context's life: heap pops (every search's, the goal bound's
+    included) and spur searches."""
 
     _fields_ = [
         ("out", ctypes.POINTER(ctypes.c_int64)),
         ("out_len", ctypes.c_int64),
         ("out_rates", ctypes.POINTER(ctypes.c_double)),
         ("held", ctypes.c_int64),
+        ("pops", ctypes.c_int64),
+        ("spurs", ctypes.c_int64),
     ]
 
 

@@ -35,7 +35,10 @@
  * answers a whole batch of widths of one demand and leaves its answer
  * in the context's leading fields: `out` holds int64 records, `out_len`
  * counts them, `out_rates` holds one rate per path, and `held` counts
- * the bytes of every buffer that grows.  Paths are written in node ids,
+ * the bytes of every buffer that grows.  Two more leading fields count
+ * work over the context's life: `pops`, the heap pops of every search
+ * (the goal bound's included), and `spurs`, the spur searches.  Both
+ * are pure functions of the calls made.  Paths are written in node ids,
  * not indices.  A width's rate column and relay flags arrive as raw
  * addresses, two int64s per width.
  *
@@ -69,9 +72,56 @@
  *   either.  Pool indices keep the push order of what is kept, so tie
  *   breaks are unchanged.
  *
+ * Floor.  Before each width after the first, the previous width's
+ * accepted paths, still pooled, are rescored at this width with the
+ * scorer's own operations (edge rates in path order, then swap2 per
+ * interior node).  When there are h of them and every interior node of
+ * each relays at this width, they are h distinct paths this width's
+ * loop may accept: they join the same endpoints and already avoid the
+ * session's bans.  Let F be the least of their rescored rates.  Yen's
+ * loop accepts the h best paths, so the unbounded loop never accepts a
+ * candidate rated below F (less rounding).  Every spur search of the
+ * width then runs with cut = max(T, F) * (1 - 1e-9), T as above:
+ *
+ * - A candidate cut by F is rated below F, so it is never accepted.
+ * - Dropping it leaves max(T, F) as it was: queued, it could raise T
+ *   only to a rate below F.  The rest of the spur-bound argument holds
+ *   with max(T, F) for T, so paths, rates and tie order are unchanged.
+ * - With fewer than h previous paths, or one that does not relay here,
+ *   the width has no floor.  The order of the widths does not matter:
+ *   a narrower predecessor's paths are rescored like a wider one's.
+ *
+ * Goal bound.  On the first spur search under a cut in a
+ * repro_yen_widths call, a max-product Dijkstra from the destination
+ * runs once for the whole call.  It uses the batch's largest rate per
+ * edge and the union of its relay flags, and ignores bans.  It gives
+ * ub[v] >= the product of factors that any search path can still gain
+ * from an entry at v, at any width of the call: swap2 at v and at each
+ * later relay, times the edge rates (ub[destination] = 1; 0 where no
+ * path leads on).  A spur search under cut > 0 then skips the push of
+ * a neighbour whose candidate rate times ub[neighbour] is below
+ * (cut / scale) * (1 - 1e-9).  This changes no answer:
+ *
+ * - Every path through a skipped entry reaches the destination below
+ *   the cut.  So does every path through an entry that descends from
+ *   it, or that it would have kept out of best[]: each is bounded by
+ *   the skipped entry's bound, times rounding.  These are the only
+ *   entries that differ between the two searches.
+ * - When the destination clears the cut, every entry of the answer
+ *   path is bounded at or above the cut, less rounding.  An entry that
+ *   differs at the same node has a lower rate, so it pops later and
+ *   cannot change that node's best[] or pred[].  Pushes are skipped,
+ *   never reordered, and push counters keep their relative order, so
+ *   the kept entries pop in the same order and tie-break the same way.
+ * - A destination that does not clear the cut gives none either way.
+ *
+ * The 1e-9 slack covers the rounding of these regroupings, as for the
+ * spur bound.  First searches and spur searches without a cut run
+ * unbounded.
+ *
  * Batching keeps all of this: each width's searches and Yen loop run
  * alone, in the order given, on scratch that is zero between them, and
- * the pool is reset per width.
+ * the pool is reset per width once the next width's floor has read it.
  */
 
 #include <math.h>
@@ -98,14 +148,17 @@ typedef struct {
     int64_t stamp, index;
 } slot_t;
 
-/* The kernel context (file header).  The first four fields are read by
+/* The kernel context (file header).  The first six fields are read by
  * the caller and must stay first. */
 typedef struct {
     int64_t *out;
     int64_t out_len;
     double *out_rates;
     int64_t held;
+    /* Work counters over the context's life: heap pops, spur searches. */
+    int64_t pops, spurs;
     /* Borrowed from the snapshot. */
+    int64_t n_nodes, n_edges;
     const int64_t *indptr, *adj, *adj_edges, *ids;
     /* One search's scratch. */
     double *best;
@@ -113,6 +166,11 @@ typedef struct {
     uint8_t *visited, *edge_banned;
     entry_t *heap;
     int64_t *touched, *path;
+    /* The goal bound of one Yen call (file header): the batch's largest
+     * rate per edge, its relay flags' union, and ub per node. */
+    double *bound_rates, *ub;
+    uint8_t *bound_flags;
+    int ub_ready;
     /* Grown with the paths found. */
     int64_t out_cap, out_rates_len, out_rates_cap;
     int64_t *nodes, nodes_cap, nodes_len;
@@ -138,6 +196,9 @@ void repro_context_free(context_t *c)
     free(c->heap);
     free(c->touched);
     free(c->path);
+    free(c->bound_rates);
+    free(c->ub);
+    free(c->bound_flags);
     free(c->out);
     free(c->out_rates);
     free(c->nodes);
@@ -164,6 +225,8 @@ context_t *repro_context_new(
     size_t n = (size_t)n_nodes + 1, nnz = (size_t)indptr[n_nodes] + 1;
     context_t *c = calloc(1, sizeof *c);
     if (c == NULL) return NULL;
+    c->n_nodes = n_nodes;
+    c->n_edges = n_edges;
     c->indptr = indptr;
     c->adj = adj;
     c->adj_edges = adj_edges;
@@ -175,9 +238,13 @@ context_t *repro_context_new(
     c->heap = calloc(nnz, sizeof *c->heap);
     c->touched = calloc(nnz + n, sizeof *c->touched);
     c->path = calloc(n, sizeof *c->path);
+    c->bound_rates = calloc((size_t)n_edges + 1, sizeof *c->bound_rates);
+    c->ub = calloc(n, sizeof *c->ub);
+    c->bound_flags = calloc(n, sizeof *c->bound_flags);
     if (c->best == NULL || c->pred == NULL || c->visited == NULL
         || c->edge_banned == NULL || c->heap == NULL || c->touched == NULL
-        || c->path == NULL) {
+        || c->path == NULL || c->bound_rates == NULL || c->ub == NULL
+        || c->bound_flags == NULL) {
         repro_context_free(c);
         return NULL;
     }
@@ -190,7 +257,8 @@ static int pops_before(const entry_t *a, const entry_t *b)
     return a->rate > b->rate || (a->rate == b->rate && a->counter < b->counter);
 }
 
-static void heap_push(entry_t *heap, int64_t *size, entry_t item)
+/* Inline: each search pushes and pops in its inner loop. */
+static inline void heap_push(entry_t *heap, int64_t *size, entry_t item)
 {
     int64_t i = (*size)++;
     while (i > 0) {
@@ -202,7 +270,7 @@ static void heap_push(entry_t *heap, int64_t *size, entry_t item)
     heap[i] = item;
 }
 
-static entry_t heap_pop(entry_t *heap, int64_t *size)
+static inline entry_t heap_pop(entry_t *heap, int64_t *size)
 {
     entry_t top = heap[0];
     entry_t last = heap[--(*size)];
@@ -224,14 +292,17 @@ static entry_t heap_pop(entry_t *heap, int64_t *size)
  * the path rate to *rate_out, or returns 0 when the destination is
  * unreachable.  `rates` is indexed by edge id (adj_edges[slot]) and
  * `flags` by node.  It also returns 0 once a popped rate times `scale`
- * falls below `cut` (the spur bound in the file header).
+ * falls below `cut` (the spur bound in the file header).  With `ub`
+ * set, it skips the push of a neighbour whose candidate rate times
+ * ub[neighbour] falls below `goal` (the goal bound in the file header).
  */
 static int64_t relax_search(
     context_t *c, const double *rates, const uint8_t *flags,
     int64_t source, int64_t destination, double swap2,
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges,
-    double scale, double cut, double *rate_out)
+    double scale, double cut, const double *ub, double goal,
+    double *rate_out)
 {
     const int64_t *indptr = c->indptr, *adj = c->adj;
     const int64_t *adj_edges = c->adj_edges;
@@ -239,7 +310,7 @@ static int64_t relax_search(
     int64_t *pred = c->pred, *touched = c->touched;
     uint8_t *visited = c->visited, *edge_banned = c->edge_banned;
     entry_t *heap = c->heap;
-    int64_t n_touched = 0, size = 0, counter = 1, length = 0, i;
+    int64_t n_touched = 0, size = 0, counter = 1, length = 0, pops = 0, i;
     int found = 0;
 
     touched[n_touched++] = source;
@@ -254,6 +325,7 @@ static int64_t relax_search(
         entry_t top = heap_pop(heap, &size);
         int64_t node = top.node, slot;
         double rate = top.rate;
+        pops++;
         if (rate * scale < cut) break;
         if (visited[node]) continue;
         visited[node] = 1;
@@ -272,6 +344,7 @@ static int64_t relax_search(
             if (edge_banned[edge]) continue;
             cand = rate * rates[edge];
             if (cand > best[nbr]) {
+                if (ub != NULL && cand * ub[nbr] < goal) continue;
                 best[nbr] = cand;
                 pred[nbr] = node;
                 heap_push(heap, &size, (entry_t){cand, counter++, nbr});
@@ -294,6 +367,7 @@ static int64_t relax_search(
         visited[touched[i]] = 0;
     }
     for (i = 0; i < n_banned_edges; i++) edge_banned[banned_edges[i]] = 0;
+    c->pops += pops;
     return length;
 }
 
@@ -360,7 +434,7 @@ int64_t repro_search_widths(
         int64_t length = relax_search(
             c, RATES(columns[2 * k]), FLAGS(columns[2 * k + 1]), source,
             destination, swap2, banned, n_banned, banned_edges,
-            n_banned_edges, 1.0, 0.0, &rate);
+            n_banned_edges, 1.0, 0.0, NULL, 0.0, &rate);
         if (!emit_path(c, c->path, length, rate)) return -1;
     }
     return n_widths;
@@ -385,8 +459,9 @@ int64_t repro_search_widths(
  *
  * Every path ever pushed stays in one pool; its index is the push
  * counter (index 0 is the first path).  Spur searches stop early under
- * the spur bound (file header), which needs the queue's best `need`
- * rates: `top` keeps them, ascending.
+ * the spur bound, the floor and the goal bound (file header); the spur
+ * bound needs the queue's best `need` rates: `top` keeps them,
+ * ascending.
  */
 
 /* Edge id of the slot from a to b: CSR rows ascend by neighbour. */
@@ -399,6 +474,19 @@ static int64_t edge_between(const context_t *c, int64_t a, int64_t b)
         else hi = mid;
     }
     return c->adj_edges[lo];
+}
+
+/* The Yen scorer: edge rates in path order, then swap2 per interior node. */
+static double path_rate(
+    const context_t *c, const double *rates, double swap2,
+    const int64_t *nodes, int64_t length)
+{
+    double rate = 1.0;
+    int64_t i;
+    for (i = 0; i + 1 < length; i++)
+        rate = rate * rates[edge_between(c, nodes[i], nodes[i + 1])];
+    for (i = 1; i + 1 < length; i++) rate = rate * swap2;
+    return rate;
 }
 
 static uint64_t hash_path(const int64_t *nodes, int64_t length)
@@ -518,14 +606,99 @@ static void top_insert(double *top, int64_t *n_top, int64_t need, double rate)
 }
 
 /*
+ * The goal bound's ub (file header), for the batch of repro_yen_widths'
+ * `request`: ub[destination] = 1 and, for a node v that relays at some
+ * width of the batch, the largest product of swap2 times an edge rate
+ * per step over the paths from v to the destination whose interior
+ * nodes relay at some width, each edge at its largest rate over the
+ * batch; 0 for every other node.  A max-product Dijkstra from the
+ * destination that ignores bans.
+ */
+static void goal_bounds(
+    context_t *c, int64_t n_widths, const int64_t *request,
+    int64_t destination, double swap2)
+{
+    const int64_t *indptr = c->indptr, *adj = c->adj;
+    const int64_t *adj_edges = c->adj_edges;
+    double *rates = c->bound_rates, *ub = c->ub;
+    uint8_t *flags = c->bound_flags;
+    entry_t *heap = c->heap;
+    int64_t n = c->n_nodes, size = 0, counter = 1, pops = 0, at = 0, k, i;
+
+    memset(rates, 0, (size_t)c->n_edges * sizeof *rates);
+    memset(flags, 0, (size_t)n);
+    memset(ub, 0, (size_t)n * sizeof *ub);
+    for (k = 0; k < n_widths; k++) {
+        const double *column = RATES(request[at]);
+        const uint8_t *relays = FLAGS(request[at + 1]);
+        for (i = 0; i < c->n_edges; i++)
+            if (column[i] > rates[i]) rates[i] = column[i];
+        for (i = 0; i < n; i++) flags[i] |= relays[i];
+        at += 3 + request[at + 2];
+    }
+    ub[destination] = 1.0;
+    heap[size++] = (entry_t){1.0, 0, destination};
+    while (size > 0) {
+        entry_t top = heap_pop(heap, &size);
+        int64_t node = top.node, slot;
+        pops++;
+        if (c->visited[node]) continue;
+        c->visited[node] = 1;
+        for (slot = indptr[node]; slot < indptr[node + 1]; slot++) {
+            int64_t nbr = adj[slot];
+            double cand;
+            if (nbr == destination || !flags[nbr]) continue;
+            cand = top.rate * rates[adj_edges[slot]] * swap2;
+            if (cand > ub[nbr]) {
+                ub[nbr] = cand;
+                heap_push(heap, &size, (entry_t){cand, counter++, nbr});
+            }
+        }
+    }
+    memset(c->visited, 0, (size_t)n);
+    c->pops += pops;
+    c->ub_ready = 1;
+}
+
+/*
+ * The floor (file header) that the previous width's n_prev accepted
+ * paths, still pooled, set for a width with these rates and flags: the
+ * least of their rates rescored at this width, less the slack, when
+ * all h of them relay here; 0 (no floor) otherwise.
+ */
+static double pool_floor(
+    const context_t *c, const double *rates, const uint8_t *flags,
+    double swap2, int64_t h, int64_t n_prev)
+{
+    double lowest = INFINITY;
+    int64_t k, i;
+    if (n_prev < h) return 0.0;
+    for (k = 0; k < n_prev; k++) {
+        const path_t *p = &c->paths[c->accepted[k]];
+        const int64_t *nodes = c->nodes + p->start;
+        double rate;
+        for (i = 1; i + 1 < p->length; i++)
+            if (!flags[nodes[i]]) return 0.0;
+        rate = path_rate(c, rates, swap2, nodes, p->length);
+        if (rate < lowest) lowest = rate;
+    }
+    return lowest * (1.0 - 1e-9);
+}
+
+/*
  * Appends the count of accepted paths (first included, at most h) and
  * their records and rates to the output, and returns the count, or -1
  * when memory runs out.  `first` is the width's best index path with
  * its search rate; rates, flags and bans are as for relax_search.
+ * Every spur search runs under the larger of the spur bound and
+ * `lowest` (a floor, or 0), and under the goal bound once either is
+ * active; the batch's `request` of n_widths widths builds its ub on
+ * first use.
  */
 static int64_t yen_paths(
     context_t *c, const double *rates, const uint8_t *flags, double swap2,
     int64_t h, const int64_t *first, int64_t first_length, double first_rate,
+    double lowest, const int64_t *request, int64_t n_widths,
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges)
 {
@@ -557,9 +730,11 @@ static int64_t yen_paths(
         for (d = 0; d + 1 < prev_length; d++) {
             const int64_t *root = c->nodes + prev_start;
             int64_t n_edges = n_banned_edges, spur_length, index;
-            double spur_rate;
+            double spur_rate, goal = 0.0;
+            const double *ub = NULL;
             /* The spur bound (file header): top[0] is the need-th best. */
             double cut = n_top == need ? c->top[0] * (1.0 - 1e-9) : 0.0;
+            if (lowest > cut) cut = lowest;
             if (d > 0) {
                 c->ban_nodes[n_banned + d - 1] = root[d - 1];
                 root_factor = root_factor
@@ -573,10 +748,18 @@ static int64_t yen_paths(
                     c->ban_edges[n_edges++] =
                         edge_between(c, nodes[d], nodes[d + 1]);
             }
+            if (cut > 0.0) {
+                /* The goal bound (file header). */
+                if (!c->ub_ready)
+                    goal_bounds(c, n_widths, request, destination, swap2);
+                ub = c->ub;
+                goal = cut / root_factor * (1.0 - 1e-9);
+            }
+            c->spurs++;
             spur_length = relax_search(
                 c, rates, flags, root[d], destination, swap2, c->ban_nodes,
-                n_banned + d, c->ban_edges, n_edges, root_factor, cut,
-                &spur_rate);
+                n_banned + d, c->ban_edges, n_edges, root_factor, cut, ub,
+                goal, &spur_rate);
             if (spur_length == 0) continue;
             RESERVE(nodes, c->nodes_len + d + spur_length, -1);
             root = c->nodes + prev_start; /* the pool may have moved */
@@ -586,15 +769,9 @@ static int64_t yen_paths(
             index = add_path(c, d + spur_length);
             if (index == -1) continue;
             if (index < 0) return -1;
-            {
-                const int64_t *nodes = c->nodes + c->paths[index].start;
-                int64_t length = c->paths[index].length;
-                double rate = 1.0;
-                for (i = 0; i + 1 < length; i++)
-                    rate = rate * rates[edge_between(c, nodes[i], nodes[i + 1])];
-                for (i = 1; i + 1 < length; i++) rate = rate * swap2;
-                c->paths[index].rate = rate;
-            }
+            c->paths[index].rate = path_rate(
+                c, rates, swap2, c->nodes + c->paths[index].start,
+                c->paths[index].length);
             RESERVE(queue, n_queue + 1, -1);
             queue_push(c, &n_queue, index);
             RESERVE(top, n_top + 1, -1);
@@ -630,14 +807,19 @@ int64_t repro_yen_widths(
     const int64_t *banned, int64_t n_banned,
     const int64_t *banned_edges, int64_t n_banned_edges)
 {
-    int64_t k, at = 0, total = 0;
+    int64_t k, at = 0, total = 0, count = 0;
     c->out_len = 0;
     c->out_rates_len = 0;
+    c->ub_ready = 0;
     for (k = 0; k < n_widths; k++) {
+        const double *rates = RATES(request[at]);
+        const uint8_t *flags = FLAGS(request[at + 1]);
         int64_t length = request[at + 2];
-        int64_t count = yen_paths(
-            c, RATES(request[at]), FLAGS(request[at + 1]), swap2, h,
-            request + at + 3, length, first_rates[k], banned, n_banned,
+        /* The pool still holds the previous width's `count` paths. */
+        double lowest = pool_floor(c, rates, flags, swap2, h, count);
+        count = yen_paths(
+            c, rates, flags, swap2, h, request + at + 3, length,
+            first_rates[k], lowest, request, n_widths, banned, n_banned,
             banned_edges, n_banned_edges);
         if (count < 0) return -1;
         total += count;

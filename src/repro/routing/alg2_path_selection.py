@@ -188,7 +188,7 @@ def yen_deviation_loop(first, h, search, path_rate):
     skips it).  Returns the accepted ``(nodes, rate)`` list, best first.
 
     This is the oracle of the compiled core's native Yen loop
-    (``repro_yen_paths`` in ``kernel.c``), which repeats the
+    (``yen_paths`` in ``kernel.c``), which repeats the
     orchestration that bit-parity depends on: banned-edge accumulation,
     dedup, the candidate heap and its tie-break counters.
     """

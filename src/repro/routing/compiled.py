@@ -24,7 +24,9 @@ tuple-keyed rate memo).  :class:`CompiledNetwork` flattens one
   there too, accepting what the reference core's
   :func:`~repro.routing.alg2_path_selection.yen_deviation_loop` accepts
   (its spur searches stop early once they cannot reach the queue's top
-  ``h - accepted``; ``kernel.c`` gives the proof).  Each call answers a
+  ``h - accepted`` or the floor the next-wider width's paths set, and
+  skip pushes a reverse rate bound rules out; ``kernel.c`` gives the
+  proofs).  Each call answers a
   batch of widths of one demand, and every rate column, relay-flag
   vector and ban set carries its raw address from the moment it is
   built, so a call marshals only a few integers.  The
@@ -501,6 +503,16 @@ class CompiledNetwork:
             )
         return context
 
+    def kernel_work(self) -> Tuple[int, int]:
+        """``(heap pops, spur searches)`` the native kernel has run on
+        this snapshot's context so far (``kernel.c``'s work counters;
+        ``(0, 0)`` before its first call).  Pure functions of the calls
+        made, so tests can pin them."""
+        context = self._kernel_context
+        if context is None:
+            return 0, 0
+        return context.output.pops, context.output.spurs
+
     def run_search(
         self,
         source: int,
@@ -635,8 +647,19 @@ class CompiledNetwork:
         request, what the reference core's
         :func:`~repro.routing.alg2_path_selection.yen_deviation_loop`
         returns when Algorithm 1 (under the session bans plus each
-        spur's own) drives it: the accepted ``(nodes, rate)`` pairs in
-        node **ids**, best first, at most *h*.
+        spur's own) drives it at that width alone: the accepted
+        ``(nodes, rate)`` pairs in node **ids**, best first, at most
+        *h*.
+
+        The widths share work without changing an answer (``kernel.c``
+        gives the proofs).  Spur searches stop at the spur bound.  A
+        width whose predecessor's *h* paths all relay at it takes their
+        least rate, rescored at this width, as a floor for its spur
+        searches.  Once a spur search runs under a cut, one reverse
+        search from the destination bounds, for every width of the
+        call, what a search can still gain from each node, and spur
+        searches skip pushes that cannot reach the cut.  Requests may
+        come in any width order.
         """
         context = self._context(kernel)
         request = array.array("q")
@@ -837,10 +860,11 @@ def compiled_select_paths(
         ],
         h, batch.swap2, bans,
     )
+    # The kernel's paths are loopless, of >= 2 nodes, with rates in
+    # [0, 1]: the candidates skip the checked constructor.
+    trusted = PathCandidate._trusted
+    demand_id = demand.demand_id
     return {
-        width: [
-            PathCandidate(demand.demand_id, nodes, width, rate)
-            for nodes, rate in paths
-        ]
+        width: [trusted(demand_id, nodes, width, rate) for nodes, rate in paths]
         for (width, _), paths in zip(feasible, accepted)
     }

@@ -41,6 +41,24 @@ class PathCandidate:
         if not 0.0 <= self.rate <= 1.0:
             raise RoutingError(f"rate must be in [0, 1], got {self.rate}")
 
+    @classmethod
+    def _trusted(
+        cls, demand_id: int, nodes: Tuple[int, ...], width: int, rate: float
+    ) -> "PathCandidate":
+        """The candidate, built without :meth:`__post_init__`'s checks
+        for a producer that guarantees them (the native Yen loop); it
+        equals, and hashes like, the checked construction.  Fields are
+        set one by one, as the frozen ``__init__`` does: writing
+        ``__dict__`` would give each instance a dict of its own, twice
+        the memory."""
+        path = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(path, "demand_id", demand_id)
+        setattr_(path, "nodes", nodes)
+        setattr_(path, "width", width)
+        setattr_(path, "rate", rate)
+        return path
+
     @property
     def source(self) -> int:
         """First node (the source user)."""

@@ -108,6 +108,20 @@ class FaultEvent:
                 f"fault element index must be >= 0, got {self.element!r}"
             )
 
+    @classmethod
+    def _trusted(cls, time: float, kind: str, element: int) -> "FaultEvent":
+        """The event, built without :meth:`__post_init__`'s checks for a
+        generator that guarantees them (:func:`_renewal_timeline`); it
+        equals, and hashes like, the checked construction.  Fields are
+        set as the frozen ``__init__`` sets them (see
+        :meth:`~repro.routing.paths.PathCandidate._trusted`)."""
+        event = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(event, "time", time)
+        setattr_(event, "kind", kind)
+        setattr_(event, "element", element)
+        return event
+
     def sort_key(self) -> Tuple[float, int, int]:
         """Total order of a timeline: time, then the fixed kind order,
         then element index."""
@@ -284,18 +298,21 @@ def _renewal_timeline(
 
     All of the element's draws come from *rng* (its private substream)
     in a fixed alternating order, so extending *duration* appends
-    events without perturbing earlier ones.
+    events without perturbing earlier ones.  Times are non-negative
+    (sums of exponential draws), the kinds are fault kinds and
+    *element* is an index, so events skip the checked constructor.
     """
+    event = FaultEvent._trusted
     time = 0.0
     while True:
         time += float(rng.exponential(mtbf))
         if time >= duration:
             return
-        out.append(FaultEvent(time=time, kind=down_kind, element=element))
+        out.append(event(time, down_kind, element))
         time += float(rng.exponential(mttr))
         if time >= duration:
             return
-        out.append(FaultEvent(time=time, kind=up_kind, element=element))
+        out.append(event(time, up_kind, element))
 
 
 def fault_events(

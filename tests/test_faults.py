@@ -11,6 +11,7 @@ and the replicated runner's fault-aware report.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -340,6 +341,22 @@ class TestFaultEvents:
             FaultEvent(1.0, "meteor_strike", 0)
         with pytest.raises(FaultSpecError):
             FaultEvent(1.0, "link_down", -2)
+
+    def test_trusted_events_equal_checked(self):
+        """Generated timelines skip the checked constructor: their events
+        equal, and hash like, checked ones, and stay frozen."""
+        events = fault_events(
+            parse_faults("faults:link_mtbf=60,link_mttr=15,switch_p=0.01"),
+            3, 30, 10, 120.0,
+        )
+        assert events
+        for event in events:
+            checked = FaultEvent(event.time, event.kind, event.element)
+            assert type(event) is FaultEvent
+            assert event == checked and hash(event) == hash(checked)
+            assert repr(event) == repr(checked)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            events[0].time = 0.0  # type: ignore[misc]
 
 
 #: Pinned fault timelines: sha256 prefix and event count per (spec,

@@ -1,5 +1,7 @@
 """Unit tests for routing metrics and path records."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import RoutingError
@@ -121,6 +123,22 @@ class TestPathCandidate:
             PathCandidate(0, (1, 2), 0, 0.5)
         with pytest.raises(RoutingError):
             PathCandidate(0, (1, 2), 1, 1.5)
+
+    def test_trusted_construction_equals_checked(self):
+        """The unchecked constructor the compiled Yen loop uses builds
+        the same value as the checked one: equal, equal hash and repr,
+        still frozen."""
+        args = (3, (9, 1, 2, 8), 2, 0.5)
+        checked = PathCandidate(*args)
+        trusted = PathCandidate._trusted(*args)
+        assert type(trusted) is PathCandidate
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        assert {trusted, checked} == {checked}
+        assert trusted != PathCandidate(3, (9, 1, 2, 8), 2, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.rate = 0.25  # type: ignore[misc]
 
     def test_validate_path_against_network(self, line_network):
         validate_path(line_network, [3, 0, 1, 2, 4])

@@ -6,8 +6,10 @@ Algorithm 1, ``largest_entanglement_rate_path``, returns — the same
 path and the same rate bits — on any graph, width, relay flags, banned
 nodes and banned edges.  ``CompiledNetwork._native_yen`` must return
 exactly what the reference Algorithm 2 at one width,
-``_yen_best_paths``, returns.  Both differentials are derandomized, so
-every run draws the same examples.
+``_yen_best_paths``, returns, and so must each width of a multi-width
+Yen batch, whose widths after the first run under a floor from their
+predecessor's paths.  The differentials are derandomized, so every run
+draws the same examples.
 The drawn relay flags reach the reference core through a
 ``QubitLedger``: a switch that may not relay keeps exactly ``width``
 free qubits, so it can still be an endpoint.  The graphs below are
@@ -22,7 +24,10 @@ back to back on one snapshot, so scratch left dirty by one would show
 in the next.  Hand-built cases cover what a batch of widths adds: a
 batch that mixes found and missing widths, one where the memo answers
 some widths, session bans, and ``h`` above the number of paths; a
-work-count test pins the number of native calls.  The loader tests
+work-count test pins the number of native calls.  Hand-built floor
+cases cover a predecessor with fewer than ``h`` paths or with a path
+that does not relay, widths out of descending order, exact ``fixed_p``
+ties at the floor, session bans and ``h`` = 1,000,000.  The loader tests
 cover the build into a cold cache and the fallback when no compiler
 exists.
 """
@@ -262,7 +267,7 @@ def test_native_search_matches_reference_alg1(instance, width, swap2, data):
     data=st.data(),
 )
 def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
-    """``repro_yen_paths`` returns what the reference Algorithm 2
+    """The native Yen loop returns what the reference Algorithm 2
     returns at one width: the same paths in the same order, the same
     rate bits, with or without spur searches cut by the spur bound.
     Session bans reach every spur search."""
@@ -298,6 +303,88 @@ def test_native_yen_matches_reference_yen(instance, width, swap2, h, data):
         assert [rate.hex() for _, rate in native] == [
             path.rate.hex() for path in reference
         ]
+
+
+#: Free qubits a switch whose drawn flag is false keeps in the multi-width
+#: differential: it relays up to width ``count // 2``.
+PARTIAL_COUNTS = (1, 2, 3, 4, 5, 6)
+
+
+@native_only
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    instance=st.one_of(graphs(), tie_heavy_grids()),
+    widths=st.lists(
+        st.integers(min_value=1, max_value=4), min_size=2, max_size=4,
+        unique=True,
+    ),
+    descending=st.booleans(),
+    swap2=st.sampled_from((1.0, 0.9, 0.5)),
+    h=st.one_of(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=60, max_value=80),
+    ),
+    data=st.data(),
+)
+def test_native_yen_widths_match_reference_yen(
+    instance, widths, descending, swap2, h, data
+):
+    """One native Yen call over a batch of widths returns, width by
+    width, what the reference Algorithm 2 returns at that width alone,
+    rate bits included.  Widths after the first run under the floor
+    their predecessor's paths set; the batch is in descending order
+    (as ``select_paths`` sends it) or in the drawn order, and switches
+    relay up to different widths, so a predecessor's path may not relay
+    at the next width.  Session bans reach every width."""
+    network, drawn = instance
+    if descending:
+        widths = sorted(widths, reverse=True)
+    snapshot = CompiledNetwork(network, LINK)
+    with mock.patch.dict(os.environ, {ROUTING_CORE_ENV: "reference"}):
+        cache = ChannelRateCache(network, LINK)
+    ledger = QubitLedger(network)
+    for node in network.switches():
+        if not drawn[node]:
+            keep = data.draw(st.sampled_from(PARTIAL_COUNTS))
+            ledger.reserve(node, CAPACITY - keep)
+    swap_model = SwapModel(q=swap2)
+    kernel = _native.KERNEL
+    for source, destination in draw_queries(data, network.num_nodes, 2):
+        banned, banned_edges = draw_bans(
+            data, snapshot, source, destination, 4
+        )
+        bans = snapshot._bans_for(banned, banned_edges)
+        requests, expected = [], []
+        for width in widths:
+            reference = _yen_best_paths(
+                network, LINK, swap_model, Demand(0, source, destination),
+                width, h, ledger, cache, banned,
+                edge_keys(snapshot, banned_edges),
+            )
+            first = None
+            if ledger.has_at_least(source, width) and ledger.has_at_least(
+                destination, width
+            ):
+                request = columns(
+                    snapshot.width_rates(width),
+                    snapshot.relay_state(ledger, width)[0],
+                )
+                first = snapshot._native_search(
+                    kernel, source, destination, request, swap2, bans,
+                )[0]
+            if first is None:
+                assert reference == []
+                continue
+            requests.append((*request, first[0], first[1]))
+            expected.append(reference)
+        if not requests:
+            continue
+        native = snapshot._native_yen(kernel, requests, h, swap2, bans)
+        assert len(native) == len(expected)
+        for paths, reference in zip(native, expected):
+            assert [(tuple(nodes), rate.hex()) for nodes, rate in paths] == [
+                (path.nodes, path.rate.hex()) for path in reference
+            ]
 
 
 #: Hand-built spur-bound cases: (edge rates, swap2, h, expected accepted
@@ -337,16 +424,10 @@ SPUR_BOUND_CASES = {
 }
 
 
-@native_only
-@pytest.mark.parametrize("case", sorted(SPUR_BOUND_CASES))
-def test_native_yen_spur_bound_edge_cases(case):
-    """The spur bound keeps a candidate whose frontier bound rounds
-    below the need-th best queued rate while its own rate is above it,
-    and takes its threshold from the need-th best queued rate: the
-    native Yen loop accepts what the unbounded ``yen_deviation_loop``
-    accepts around the same native search, rate bits included."""
-    edge_rates, swap2, h, expected = SPUR_BOUND_CASES[case]
-    n = 1 + max(max(key) for key in edge_rates)
+def rated_snapshot(keys):
+    """A snapshot over users 0 and 1 and switches 2.. joined by the
+    edges *keys*; the cases below set each edge's rate directly."""
+    n = 1 + max(max(key) for key in keys)
     network = QuantumNetwork()
     for i in range(n):
         point = Point(float(i), 0.0)
@@ -354,13 +435,23 @@ def test_native_yen_spur_bound_edge_cases(case):
             network.add_node(QuantumUser(i, point))
         else:
             network.add_node(QuantumSwitch(i, point, CAPACITY))
-    for u, v in edge_rates:
+    for u, v in keys:
         network.add_edge(u, v, 1000.0)
-    snapshot = CompiledNetwork(network, LINK)
+    return CompiledNetwork(network, LINK)
+
+
+def rate_column(snapshot, edge_rates):
+    """The per-edge rate column of ``{edge key: rate}``."""
     rates = np.zeros(snapshot.num_edges)
     for key, rate in edge_rates.items():
         rates[snapshot.edge_index[key]] = rate
-    flags = ~np.asarray(snapshot.is_user)
+    return rates
+
+
+def unbounded_yen(snapshot, rates, flags, swap2, h):
+    """The oracle of one width: the first path from 0 to 1 and what the
+    unbounded ``yen_deviation_loop`` accepts around the same native
+    search, scored by the Yen scorer's operations."""
     kernel = _native.KERNEL
 
     def search(spur, banned_nodes, banned_edges):
@@ -375,20 +466,106 @@ def test_native_yen_spur_bound_edge_cases(case):
     def path_rate(nodes):
         rate = 1.0
         for a, b in zip(nodes, nodes[1:]):
-            rate *= edge_rates[(min(a, b), max(a, b))]
+            rate *= float(rates[snapshot.edge_index[(min(a, b), max(a, b))]])
         for _ in nodes[1:-1]:
             rate *= swap2
         return rate
 
     first = search(0, (), ())
-    reference = yen_deviation_loop(first, h, search, path_rate)
+    return first, yen_deviation_loop(first, h, search, path_rate)
+
+
+@native_only
+@pytest.mark.parametrize("case", sorted(SPUR_BOUND_CASES))
+def test_native_yen_spur_bound_edge_cases(case):
+    """The spur bound keeps a candidate whose frontier bound rounds
+    below the need-th best queued rate while its own rate is above it,
+    and takes its threshold from the need-th best queued rate: the
+    native Yen loop accepts what the unbounded ``yen_deviation_loop``
+    accepts around the same native search, rate bits included."""
+    edge_rates, swap2, h, expected = SPUR_BOUND_CASES[case]
+    snapshot = rated_snapshot(edge_rates)
+    rates = rate_column(snapshot, edge_rates)
+    flags = ~np.asarray(snapshot.is_user)
+    first, reference = unbounded_yen(snapshot, rates, flags, swap2, h)
     assert [nodes for nodes, _ in reference] == expected
     native = snapshot._native_yen(
-        kernel, [(*columns(rates, flags), first[0], first[1])], h, swap2,
-        snapshot._bans_for(frozenset(), frozenset()),
+        _native.KERNEL, [(*columns(rates, flags), first[0], first[1])], h,
+        swap2, snapshot._bans_for(frozenset(), frozenset()),
     )[0]
     assert [(tuple(nodes), rate.hex()) for nodes, rate in native] == [
         (nodes, rate.hex()) for nodes, rate in reference
+    ]
+
+
+#: Three routes from user 0 to user 1: 0-2-1, 0-3-1 and 0-4-5-1.
+FLOOR_EDGES = ((0, 2), (1, 2), (0, 3), (1, 3), (0, 4), (4, 5), (1, 5))
+
+
+def floor_rates(near, far):
+    """Rates of FLOOR_EDGES: 0-2-1 at *near* per edge, 0-3-1 a little
+    below it, and 0-4-5-1 at *far* per edge."""
+    return dict(zip(FLOOR_EDGES, (near, near, near, near - 0.05, far, far,
+                                  far)))
+
+
+#: Hand-built floor cases: (columns, h, expected accepted paths per
+#: column), each column an (edge rates, switches that do not relay)
+#: pair, run as one batch in the order given with swap2 = 0.9.  In each,
+#: a wrong floor would cut 0-4-5-1 or 0-3-1 from the second column:
+#:
+#: - ``rescored``: the first column's rates are higher, so a floor from
+#:   its own rates, not rescored at the second column's, is too high.
+#: - ``fewer-than-h``: the first column finds 2 paths for h = 3 (switch
+#:   4 does not relay), so it sets no floor.
+#: - ``not-relaying``: 0-3-1, the first column's second path, does not
+#:   relay in the second column (switch 3), so it sets no floor.
+FLOOR_CASES = {
+    "rescored": (
+        [(floor_rates(0.95, 0.6), ()), (floor_rates(0.9, 0.5), ())], 2,
+        [[(0, 2, 1), (0, 3, 1)], [(0, 2, 1), (0, 3, 1)]],
+    ),
+    "fewer-than-h": (
+        [(floor_rates(0.9, 0.5), (4,)), (floor_rates(0.9, 0.5), ())], 3,
+        [[(0, 2, 1), (0, 3, 1)], [(0, 2, 1), (0, 3, 1), (0, 4, 5, 1)]],
+    ),
+    "not-relaying": (
+        [(floor_rates(0.9, 0.5), ()), (floor_rates(0.9, 0.5), (3,))], 2,
+        [[(0, 2, 1), (0, 3, 1)], [(0, 2, 1), (0, 4, 5, 1)]],
+    ),
+}
+
+
+@native_only
+@pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+def test_native_yen_floor_edge_cases(case):
+    """A width's floor comes from its predecessor's paths rescored at
+    this width, only when all h of them relay here: one native batch
+    accepts, column by column, what the unbounded ``yen_deviation_loop``
+    accepts on that column alone, rate bits included."""
+    cases, h, expected = FLOOR_CASES[case]
+    swap2 = 0.9
+    snapshot = rated_snapshot(FLOOR_EDGES)
+    requests, references, arrays = [], [], []
+    for edge_rates, silent in cases:
+        rates = rate_column(snapshot, edge_rates)
+        flags = ~np.asarray(snapshot.is_user)
+        flags[list(silent)] = False
+        arrays.append((rates, flags))  # alive through the native call
+        first, reference = unbounded_yen(snapshot, rates, flags, swap2, h)
+        requests.append((*columns(rates, flags), first[0], first[1]))
+        references.append(reference)
+    assert [[nodes for nodes, _ in ref] for ref in references] == expected
+    native = snapshot._native_yen(
+        _native.KERNEL, requests, h, swap2,
+        snapshot._bans_for(frozenset(), frozenset()),
+    )
+    assert [
+        [(tuple(nodes), rate.hex()) for nodes, rate in paths]
+        for paths in native
+    ] == [
+        [(nodes, rate.hex()) for nodes, rate in reference]
+        for reference in references
     ]
 
 
@@ -565,6 +742,106 @@ def test_batch_with_h_above_the_path_count(kernel_calls):
         3: 2, 2: 2, 1: 2,
     }
     assert [entry for entry, _ in kernel_calls] == ["search", "yen"]
+
+
+@native_only
+@pytest.mark.parametrize("widths", [(1, 2, 3), (2, 1, 3), (1, 3, 2)])
+def test_native_yen_floor_out_of_order_widths(widths):
+    """A Yen batch whose widths are not in descending order: each
+    width's loop accepts what the reference core accepts at that width
+    alone, although a narrower predecessor's paths cross switches that
+    do not relay at the wider width (so they set no floor there)."""
+    h = 4
+    network = ladder()
+    ledger = QubitLedger(network)
+    # Switches 1 and 5 relay only at width 1, switch 2 up to width 2.
+    for node, keep in ((1, 2), (5, 3), (2, 4)):
+        ledger.reserve(node, CAPACITY - keep)
+    reference, _ = caches(network)
+    snapshot = CompiledNetwork(network, LINK)
+    kernel = _native.KERNEL
+    swap2 = SWAP.fusion_success(2)
+    bans = snapshot._bans_for(frozenset(), frozenset())
+    index_of = snapshot.index_of
+    requests, expected = [], []
+    for width in widths:
+        request = columns(
+            snapshot.width_rates(width), snapshot.relay_state(ledger, width)[0]
+        )
+        nodes, rate = snapshot._native_search(
+            kernel, index_of[100], index_of[101], request, swap2, bans,
+        )[0]
+        requests.append((*request, [index_of[node] for node in nodes], rate))
+        expected.append(_yen_best_paths(
+            network, LINK, SWAP, Demand(0, 100, 101), width, h, ledger,
+            reference,
+        ))
+    native = snapshot._native_yen(kernel, requests, h, swap2, bans)
+    assert [
+        [(tuple(nodes), rate.hex()) for nodes, rate in paths]
+        for paths in native
+    ] == [
+        [(path.nodes, path.rate.hex()) for path in paths]
+        for paths in expected
+    ]
+    # Width 1 finds h paths, some through switch 1 or 5.
+    narrow = expected[widths.index(1)]
+    assert len(narrow) == h
+    assert any({1, 5} & set(path.nodes) for path in narrow)
+
+
+@native_only
+@pytest.mark.parametrize("banned", [False, True], ids=["open", "bans"])
+def test_native_yen_floor_fixed_p_ties(banned):
+    """With a fixed link probability every edge has one rate per width,
+    so paths of one hop count tie exactly, at the floor too (the h-th
+    path ties the one before it).  A compiled ``select_paths``, whose
+    Yen batch runs widths 3, 2 and 1 with each floor set by the width
+    before, matches the reference core, with and without session
+    bans."""
+    network = ladder()
+    link = LinkModel(fixed_p=0.4)
+    demand = Demand(0, 100, 101)
+    banned_nodes = frozenset({6}) if banned else frozenset()
+    banned_edges = frozenset({(0, 1), (100, 8)}) if banned else frozenset()
+
+    def select(core):
+        with mock.patch.dict(os.environ, {ROUTING_CORE_ENV: core}):
+            cache = ChannelRateCache(network, link)
+        return select_paths(
+            network, link, SWAP, demand, h=5, max_width=3,
+            rate_cache=cache, banned_nodes=banned_nodes,
+            banned_edges=banned_edges,
+        )
+
+    compiled = select("compiled")
+    assert compiled == select("reference")
+    assert sorted(compiled) == [1, 2, 3]
+    for paths in compiled.values():
+        assert len(paths) == 5
+        assert paths[-1].rate == paths[-2].rate
+        for path in paths:
+            assert not banned_nodes & set(path.nodes)
+            assert not banned_edges & set(path.edges())
+
+
+@native_only
+def test_native_yen_floor_huge_h():
+    """``h`` = 1,000,000, far above the number of simple paths: no width
+    finds h paths, so none sets a floor; the batch matches the reference
+    core, and the kernel holds memory for the paths found, not for h."""
+    h = 1_000_000
+    network = ladder(2, 3)
+    reference, compiled = caches(network)
+    demand = Demand(0, 100, 101)
+    selected = select_paths(network, LINK, SWAP, demand, h=h, max_width=3,
+                            rate_cache=compiled)
+    assert selected == select_paths(network, LINK, SWAP, demand, h=h,
+                                    max_width=3, rate_cache=reference)
+    found = sum(len(paths) for paths in selected.values())
+    assert sorted(selected) == [1, 2, 3] and 3 < found < h
+    held = compiled.compiled_snapshot._kernel_context.output.held
+    assert 0 < held < 4096 * found
 
 
 @native_only

@@ -25,7 +25,7 @@ from repro.routing.allocation import QubitLedger
 from repro.routing.baselines import (
     B1Router, QCastNRouter, QCastRouter, qcast_n,
 )
-from repro.routing.compiled import active_routing_core
+from repro.routing.compiled import active_routing_core, snapshot_for
 from repro.routing.nfusion import AlgNFusion
 
 INSTANCE = pathlib.Path(__file__).parent / "data" / "regression_instance.json"
@@ -132,6 +132,26 @@ def test_work_bounds(name, instance):
     ) as counted:
         ROUTERS[router]().route(network, demands, link, swap)
     assert 0 < counted.call_count <= bound
+
+
+#: The native kernel's work on one cold ALG-N-FUSION route of the
+#: fixture: heap pops over every search (the Yen goal bound's reverse
+#: search included) and spur searches, read from the kernel's counters.
+#: Pure functions of the instance, so they gate work without a clock.
+#: Without the Yen loop's goal bound and floor the route popped 7,042
+#: entries over the same 225 spur searches.
+KERNEL_WORK = {"pops": 3588, "spurs": 225}
+
+
+def test_kernel_work_pinned():
+    if active_routing_core() != "compiled":
+        pytest.skip("the kernel's counters exist on the compiled core only")
+    # A fresh load: its snapshot and kernel context start at zero.
+    network, demands = load_instance(INSTANCE)
+    link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
+    AlgNFusion().route(network, demands, link, swap)
+    pops, spurs = snapshot_for(network, link).kernel_work()
+    assert {"pops": pops, "spurs": spurs} == KERNEL_WORK
 
 
 def test_instance_is_stable(instance):
