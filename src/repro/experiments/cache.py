@@ -106,7 +106,13 @@ def setting_fingerprint(setting: ExperimentSetting) -> Dict:
 
 class ResultCache:
     """Directory-backed cache of per-(setting, router, estimator) sweep
-    results."""
+    results, plus tagged JSON entries (serve results).
+
+    Both kinds of entry go through one read, which drops a file that is
+    missing, corrupt or of another :data:`CACHE_FORMAT_VERSION`, and
+    one write, which stamps the version and replaces the file
+    atomically.
+    """
 
     def __init__(self, cache_dir: Union[str, Path]):
         self.cache_dir = Path(cache_dir)
@@ -136,6 +142,28 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
+    def _read(self, key: str) -> Optional[Dict]:
+        """The JSON object stored under *key* at this format version, or
+        ``None`` when it is missing, corrupt or of another version."""
+        try:
+            entry = json.loads(self._path(key).read_text())
+        except (OSError, ValueError):
+            return None
+        if not isinstance(entry, dict):
+            return None
+        if entry.get("cache_format_version") != CACHE_FORMAT_VERSION:
+            return None
+        return entry
+
+    def _write(self, key: str, entry: Dict) -> None:
+        """Store *entry*, stamped with the format version, atomically."""
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        entry = {"cache_format_version": CACHE_FORMAT_VERSION, **entry}
+        path = self._path(key)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(entry, sort_keys=True))
+        os.replace(tmp, path)
+
     def get(self, key: str) -> Optional[Dict]:
         """The cached entry for *key*, or ``None`` on miss/corruption.
 
@@ -144,14 +172,8 @@ class ResultCache:
         sample order (for analytic entries, stderrs are all zero,
         trials zero and analytic_rates equal rates).
         """
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("cache_format_version") != CACHE_FORMAT_VERSION:
+        entry = self._read(key)
+        if entry is None:
             return None
         algorithm = entry.get("algorithm")
         rates = entry.get("rates")
@@ -188,16 +210,8 @@ class ResultCache:
         never masquerade as each other, plus the format version gate the
         sweep entries use.  Returns the stored ``payload`` dict.
         """
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("cache_format_version") != CACHE_FORMAT_VERSION:
-            return None
-        if entry.get("kind") != kind:
+        entry = self._read(key)
+        if entry is None or entry.get("kind") != kind:
             return None
         payload = entry.get("payload")
         return payload if isinstance(payload, dict) else None
@@ -208,16 +222,7 @@ class ResultCache:
         JSON round-trips ``repr`` float precision, so a cache hit
         reproduces the cold-run payload bit-exactly.
         """
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "cache_format_version": CACHE_FORMAT_VERSION,
-            "kind": kind,
-            "payload": payload,
-        }
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
+        self._write(key, {"kind": kind, "payload": payload})
 
     def put(
         self,
@@ -247,19 +252,13 @@ class ResultCache:
                 f"{len(rates)} rates but {len(analytic_rates)} "
                 "analytic rates"
             )
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "cache_format_version": CACHE_FORMAT_VERSION,
+        self._write(key, {
             "algorithm": algorithm,
             "rates": list(rates),
             "stderrs": list(stderrs),
             "analytic_rates": list(analytic_rates),
             "trials": trials,
-        }
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
+        })
 
 
 def default_result_cache() -> Optional[ResultCache]:

@@ -20,12 +20,20 @@ estimator identity is part of each cache key.  A ``shard=(index,
 count)`` selector restricts execution to a deterministic slice of the
 (setting, router) grid; complementary shards running anywhere merge
 losslessly through a shared cache directory.
+
+The (setting, router) series — every sample of one router at one
+setting — is the one unit of cache, shard and work: a series is a
+cache hit, a miss this shard owns (which runs), or a miss another shard
+owns (which is skipped), and each run series is stored as one entry.
+A Monte-Carlo overlay needs a single Monte-Carlo pass when the base
+estimator is analytic (each outcome carries its analytic rate, and the
+analytic series is stored too) or equals the overlay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.experiments.cache import ResultCache, default_result_cache
 from repro.experiments.config import ExperimentSetting, default_workers
@@ -70,6 +78,14 @@ def standard_specs(
     return specs
 
 
+def _specs(routers: Optional[Sequence]) -> List[RouterSpec]:
+    """*routers* as specs, defaulting to :func:`standard_specs`."""
+    return [
+        RouterSpec.coerce(router)
+        for router in (routers if routers is not None else standard_specs())
+    ]
+
+
 def run_outcomes(
     settings: Sequence[ExperimentSetting],
     routers: Optional[Sequence] = None,
@@ -100,11 +116,7 @@ def run_outcomes(
     """
     settings = [as_setting(setting) for setting in settings]
     estimator = EstimatorSpec.coerce(estimator)
-    specs = [
-        RouterSpec.coerce(router)
-        for router in (routers if routers is not None else standard_specs())
-    ]
-    built: List[Router] = [spec.build() for spec in specs]
+    built: List[Router] = [spec.build() for spec in _specs(routers)]
     reject_duplicate_labels(built)
     if shard is not None:
         validate_shard(shard)
@@ -113,65 +125,42 @@ def run_outcomes(
     if cache is None:
         cache = default_result_cache()
 
+    # One walk over the (setting, router) series: a cache hit expands
+    # into outcomes here, a miss this shard owns runs, and a miss
+    # another shard owns is skipped (a later run sharing the cache
+    # directory merges it in).
     cached_outcomes: List[TaskOutcome] = []
-    pending_settings: List[ExperimentSetting] = []
-    pending_router_lists: List[List] = []
-    # Maps each pending (sub-)setting back to its original indices so
-    # fresh outcomes can be re-labelled and cached after execution.
-    pending_origin: List[tuple] = []
-
+    owned: Set[Tuple[int, int]] = set()
     for setting_index, setting in enumerate(settings):
-        fresh_routers: List = []
-        fresh_router_indices: List[int] = []
         for router_index, router in enumerate(built):
             entry = None
             if cache is not None:
                 entry = cache.get(cache.key_for(setting, router, estimator))
             if entry is not None and len(entry["rates"]) == setting.num_networks:
-                for sample_index, rate in enumerate(entry["rates"]):
-                    cached_outcomes.append(
-                        TaskOutcome(
-                            setting_index=setting_index,
-                            sample_index=sample_index,
-                            router_index=router_index,
-                            algorithm=entry["algorithm"],
-                            total_rate=rate,
-                            stderr=entry["stderrs"][sample_index],
-                            trials=entry["trials"],
-                            analytic_rate=entry["analytic_rates"][sample_index],
-                        )
+                cached_outcomes.extend(
+                    TaskOutcome(
+                        setting_index=setting_index,
+                        sample_index=sample_index,
+                        router_index=router_index,
+                        algorithm=entry["algorithm"],
+                        total_rate=rate,
+                        stderr=entry["stderrs"][sample_index],
+                        trials=entry["trials"],
+                        analytic_rate=entry["analytic_rates"][sample_index],
                     )
+                    for sample_index, rate in enumerate(entry["rates"])
+                )
             elif shard is None or shard_member(
                 shard, setting_index, router_index, len(built)
             ):
-                fresh_routers.append(router)
-                fresh_router_indices.append(router_index)
-            # else: the series belongs to another shard — skip it here;
-            # a later run sharing the cache directory merges it in.
-        if fresh_routers:
-            pending_settings.append(setting)
-            pending_router_lists.append(fresh_routers)
-            pending_origin.append((setting_index, fresh_router_indices))
+                owned.add((setting_index, router_index))
 
-    tasks = enumerate_tasks(pending_settings, pending_router_lists, estimator)
-    raw_outcomes = parallel_map(execute_task, tasks, workers)
-
-    fresh_outcomes: List[TaskOutcome] = []
-    for outcome in raw_outcomes:
-        setting_index, router_indices = pending_origin[outcome.setting_index]
-        fresh_outcomes.append(
-            TaskOutcome(
-                setting_index=setting_index,
-                sample_index=outcome.sample_index,
-                router_index=router_indices[outcome.router_index],
-                algorithm=outcome.algorithm,
-                total_rate=outcome.total_rate,
-                stderr=outcome.stderr,
-                trials=outcome.trials,
-                analytic_rate=outcome.analytic_rate,
-            )
-        )
-
+    tasks = [
+        task
+        for task in enumerate_tasks(settings, [built] * len(settings), estimator)
+        if (task.setting_index, task.router_index) in owned
+    ]
+    fresh_outcomes = parallel_map(execute_task, tasks, workers)
     if cache is not None:
         _store_fresh(cache, settings, built, fresh_outcomes, estimator)
 
@@ -252,25 +241,33 @@ def _store_fresh(
     outcomes: Sequence[TaskOutcome],
     estimator: EstimatorSpec,
 ) -> None:
-    """Persist freshly computed (setting, router, estimator) series."""
-    grouped: Dict[tuple, Dict[int, TaskOutcome]] = {}
+    """Persist each (setting, router) series of *outcomes*, given in
+    sample order, under *estimator*'s key.
+
+    An analytic entry holds the outcomes' analytic rates with stderr
+    0.0 and trials 0, so a Monte-Carlo pass backfills the analytic
+    series it routed with exactly what a plain analytic run writes.
+    """
+    series: Dict[Tuple[int, int], List[TaskOutcome]] = {}
     for outcome in outcomes:
-        slot = grouped.setdefault(
-            (outcome.setting_index, outcome.router_index), {}
+        series.setdefault(
+            (outcome.setting_index, outcome.router_index), []
+        ).append(outcome)
+    for (setting_index, router_index), ordered in series.items():
+        key = cache.key_for(
+            settings[setting_index], routers[router_index], estimator
         )
-        slot[outcome.sample_index] = outcome
-    for (setting_index, router_index), by_sample in grouped.items():
-        setting = settings[setting_index]
-        if len(by_sample) != setting.num_networks:
-            continue  # incomplete series (shouldn't happen) — don't cache
-        ordered = [by_sample[i] for i in range(setting.num_networks)]
+        analytic_rates = [outcome.analytic_rate for outcome in ordered]
+        if not estimator.is_mc:
+            cache.put(key, ordered[0].algorithm, analytic_rates)
+            continue
         cache.put(
-            cache.key_for(setting, routers[router_index], estimator),
+            key,
             ordered[0].algorithm,
             [outcome.total_rate for outcome in ordered],
             stderrs=[outcome.stderr for outcome in ordered],
             trials=ordered[0].trials,
-            analytic_rates=[outcome.analytic_rate for outcome in ordered],
+            analytic_rates=analytic_rates,
         )
 
 
@@ -377,73 +374,40 @@ def run_sweep(
                 f"mc_overlay must be a Monte-Carlo estimator, got "
                 f"{overlay_spec}"
             )
-    if overlay_spec is not None and base_spec == ANALYTIC:
-        outcomes = run_outcomes(
+    # One Monte-Carlo pass serves both column sets when the base is
+    # analytic (every MC outcome carries the analytic rate its routing
+    # produced) or equals the overlay; otherwise each estimator runs.
+    passes = [base_spec]
+    if overlay_spec is not None and base_spec in (ANALYTIC, overlay_spec):
+        passes = [overlay_spec]
+    elif overlay_spec is not None:
+        passes.append(overlay_spec)
+    runs = [
+        run_outcomes(
             settings,
             routers,
             workers=workers,
             cache=cache,
             shard=shard,
-            estimator=overlay_spec,
+            estimator=spec,
         )
-        base_points = merge_outcomes(
-            len(settings), outcomes, value=lambda o: o.analytic_rate
-        )
-        overlay_points = merge_outcomes(len(settings), outcomes)
+        for spec in passes
+    ]
+    backfill = passes[0] != base_spec
+    base_points = merge_outcomes(
+        len(settings),
+        runs[0],
+        value=(lambda o: o.analytic_rate) if backfill else None,
+    )
+    overlay_points = None
+    if overlay_spec is not None:
+        overlay_points = merge_outcomes(len(settings), runs[-1])
+    store = cache if cache is not None else default_result_cache()
+    if backfill and store is not None:
         # The analytic series came for free with the MC routing; store
-        # them under their own estimator key too, so a later plain
-        # analytic run of this grid is a cache read, not a re-route.
-        store_cache = cache if cache is not None else default_result_cache()
-        if store_cache is not None:
-            specs = [
-                RouterSpec.coerce(r)
-                for r in (routers if routers is not None else standard_specs())
-            ]
-            analytic_outcomes = [
-                TaskOutcome(
-                    setting_index=o.setting_index,
-                    sample_index=o.sample_index,
-                    router_index=o.router_index,
-                    algorithm=o.algorithm,
-                    total_rate=o.analytic_rate,
-                    analytic_rate=o.analytic_rate,
-                )
-                for o in outcomes
-            ]
-            _store_fresh(
-                store_cache, settings, specs, analytic_outcomes, ANALYTIC
-            )
-    elif overlay_spec is not None and overlay_spec == base_spec:
-        # Base and overlay are the same estimator; one pass serves both
-        # column sets.
-        base_points = run_settings(
-            settings,
-            routers,
-            workers=workers,
-            cache=cache,
-            shard=shard,
-            estimator=base_spec,
-        )
-        overlay_points = base_points
-    else:
-        base_points = run_settings(
-            settings,
-            routers,
-            workers=workers,
-            cache=cache,
-            shard=shard,
-            estimator=base_spec,
-        )
-        overlay_points = None
-        if overlay_spec is not None:
-            overlay_points = run_settings(
-                settings,
-                routers,
-                workers=workers,
-                cache=cache,
-                shard=shard,
-                estimator=overlay_spec,
-            )
+        # it under its own key too, so a later plain analytic run of
+        # this grid is a cache read, not a re-route.
+        _store_fresh(store, settings, _specs(routers), runs[0], ANALYTIC)
     sweep = SweepResult(title=title, x_label=x_label, x_values=list(x_values))
     for index, rates in enumerate(base_points):
         point = dict(rates)

@@ -91,14 +91,13 @@ class MCFRouter:
         a_ub, b_ub = self._capacities(
             network, demand_list, incident, num_arcs, ledger
         )
-        bounds = [(0.0, float(self.max_width))] * num_vars
         solution = linprog(
             objective,
             A_ub=a_ub,
             b_ub=b_ub,
             A_eq=a_eq,
             b_eq=b_eq,
-            bounds=bounds,
+            bounds=(0.0, float(self.max_width)),
             method="highs",
         )
         flows_vector = (

@@ -117,11 +117,7 @@ ROUTING_CORE_ENV = "REPRO_ROUTING_CORE"
 #: Valid core names; ``compiled`` is the default.
 ROUTING_CORES = ("compiled", "reference")
 
-#: Environment variable read by :func:`fused_width_min` (kept for the
-#: benchmark's run metadata; it no longer selects a kernel).
-FUSED_WIDTH_MIN_ENV = "REPRO_FUSED_WIDTH_MIN"
-
-#: Default of :func:`fused_width_min`.
+#: Value of :func:`fused_width_min`.
 FUSED_WIDTH_MIN_DEFAULT = 2
 
 #: Search-result memo entries kept before a wholesale clear (the clear
@@ -186,29 +182,10 @@ def _loaded_kernel() -> _native.Kernel:
 
 
 def fused_width_min() -> int:
-    """The validated value of ``REPRO_FUSED_WIDTH_MIN`` (default
-    :data:`FUSED_WIDTH_MIN_DEFAULT`).
-
-    It no longer selects a kernel: every width of a batch runs the same
-    single-width search, so the value only reaches the benchmark's run
-    metadata.  Values that are not integers >= 2 are still rejected.
-    """
-    from repro.experiments.config import env_raw
-
-    raw = env_raw(FUSED_WIDTH_MIN_ENV)
-    if raw is None:
-        return FUSED_WIDTH_MIN_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
-        ) from None
-    if value < 2:
-        raise ConfigurationError(
-            f"{FUSED_WIDTH_MIN_ENV} must be an integer >= 2; got {raw!r}"
-        )
-    return value
+    """:data:`FUSED_WIDTH_MIN_DEFAULT`, kept only for the benchmark's
+    run metadata: every width of a batch runs the same single-width
+    search, so no width threshold selects a kernel any more."""
+    return FUSED_WIDTH_MIN_DEFAULT
 
 
 def _ekey(a: int, b: int) -> EdgeKey:

@@ -337,19 +337,31 @@ class TestMcOverlay:
 
     def test_overlay_backfills_analytic_cache(self, tmp_path):
         """The overlay's free analytic series lands under the analytic
-        cache key, so a later plain analytic run is a pure cache read."""
-        cache = ResultCache(tmp_path)
-        setting = tiny_setting(num_networks=1)
+        cache key as exactly the entry a plain analytic run writes, so a
+        later plain analytic run is a pure cache read."""
+        cache = ResultCache(tmp_path / "overlay")
+        plain_cache = ResultCache(tmp_path / "plain")
+        setting = tiny_setting(num_networks=2)
         overlaid = run_sweep(
             "t", "p", [0.5], [setting], routers=["alg-n-fusion"],
             cache=cache, mc_overlay="mc:trials=100",
+        )
+        run_sweep(
+            "t", "p", [0.5], [setting], routers=["alg-n-fusion"],
+            cache=plain_cache,
         )
         analytic_key = cache.key_for(
             setting, AlgNFusion(), ANALYTIC
         )
         entry = cache.get(analytic_key)
         assert entry is not None
-        assert entry["rates"] == [overlaid.series_for("ALG-N-FUSION")[0]]
+        assert entry == plain_cache.get(analytic_key)
+        assert entry["stderrs"] == [0.0, 0.0]
+        assert entry["trials"] == 0
+        assert entry["analytic_rates"] == entry["rates"]
+        assert sum(entry["rates"]) / 2 == overlaid.series_for(
+            "ALG-N-FUSION"
+        )[0]
 
     def test_same_base_and_overlay_spec_runs_once(self):
         spec = "mc:trials=150"

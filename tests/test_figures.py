@@ -1,6 +1,6 @@
 """Structure tests for the per-figure experiment definitions.
 
-``run_settings`` is stubbed so each figure's sweep structure (x values,
+``run_outcomes`` is stubbed so each figure's sweep structure (x values,
 titles, settings wiring) is checked without paying for real routing.
 """
 
@@ -21,28 +21,33 @@ from repro.experiments.figures import (
     fig9c_states,
     fig9d_degree,
 )
+from repro.experiments.harness import TaskOutcome
 from repro.experiments.tables import headline_settings
 
 
 @pytest.fixture
 def stub_runner(monkeypatch):
-    """Replace run_settings with a recorder returning fixed rates."""
+    """Replace run_outcomes with a recorder returning fixed rates."""
     calls = []
+    rates = {"ALG-N-FUSION": 2.0, "Q-CAST": 1.0, "Q-CAST-N": 1.5, "B1": 1.2}
 
-    def fake_run_settings(settings, routers=None, workers=None, cache=None,
+    def fake_run_outcomes(settings, routers=None, workers=None, cache=None,
                           shard=None, estimator=None):
         calls.extend(settings)
         return [
-            {
-                "ALG-N-FUSION": 2.0,
-                "Q-CAST": 1.0,
-                "Q-CAST-N": 1.5,
-                "B1": 1.2,
-            }
-            for _ in settings
+            TaskOutcome(
+                setting_index=setting_index,
+                sample_index=0,
+                router_index=router_index,
+                algorithm=name,
+                total_rate=rate,
+                analytic_rate=rate,
+            )
+            for setting_index in range(len(settings))
+            for router_index, (name, rate) in enumerate(rates.items())
         ]
 
-    monkeypatch.setattr(runner_module, "run_settings", fake_run_settings)
+    monkeypatch.setattr(runner_module, "run_outcomes", fake_run_outcomes)
     return calls
 
 

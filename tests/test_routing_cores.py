@@ -38,13 +38,10 @@ from repro.routing.alg2_path_selection import default_max_width, select_paths
 from repro.routing.allocation import QubitLedger
 from repro.routing import _native, compiled as compiled_core
 from repro.routing.compiled import (
-    FUSED_WIDTH_MIN_DEFAULT,
-    FUSED_WIDTH_MIN_ENV,
     ROUTING_CORE_ENV,
     WidthSearchBatch,
     active_routing_core,
     compiled_select_paths,
-    fused_width_min,
     native_kernel_active,
     snapshot_for,
 )
@@ -1402,17 +1399,6 @@ def test_large_h_exhausts_paths_with_bounded_native_memory(monkeypatch):
     assert native.demand_rates == fallback.demand_rates
     assert _plan_shape(native) == _plan_shape(fallback)
     assert native.remaining_qubits == fallback.remaining_qubits
-
-
-def test_fused_width_min_knob(monkeypatch):
-    monkeypatch.delenv(FUSED_WIDTH_MIN_ENV, raising=False)
-    assert fused_width_min() == FUSED_WIDTH_MIN_DEFAULT
-    monkeypatch.setenv(FUSED_WIDTH_MIN_ENV, "5")
-    assert fused_width_min() == 5
-    for bad in ("abc", "1", "0", "-3", "2.5"):
-        monkeypatch.setenv(FUSED_WIDTH_MIN_ENV, bad)
-        with pytest.raises(ConfigurationError, match=FUSED_WIDTH_MIN_ENV):
-            fused_width_min()
 
 
 # ----------------------------------------------------------------------
