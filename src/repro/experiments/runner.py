@@ -114,6 +114,22 @@ def run_outcomes(
     values, preset names or spec strings) — the workload axis is
     addressable exactly like the router and estimator axes.
     """
+    cached, fresh = _cached_and_fresh(
+        settings, routers, workers, cache, shard, estimator
+    )
+    return sorted(cached + fresh, key=lambda o: o.key)
+
+
+def _cached_and_fresh(
+    settings: Sequence[ExperimentSetting],
+    routers: Optional[Sequence],
+    workers: Optional[int],
+    cache: Optional[ResultCache],
+    shard: Optional[Tuple[int, int]],
+    estimator: Union[None, str, EstimatorSpec],
+) -> Tuple[List[TaskOutcome], List[TaskOutcome]]:
+    """:func:`run_outcomes`' outcomes, unsorted and split into those read
+    from the cache and those routed (and stored) by this call."""
     settings = [as_setting(setting) for setting in settings]
     estimator = EstimatorSpec.coerce(estimator)
     built: List[Router] = [spec.build() for spec in _specs(routers)]
@@ -163,8 +179,7 @@ def run_outcomes(
     fresh_outcomes = parallel_map(execute_task, tasks, workers)
     if cache is not None:
         _store_fresh(cache, settings, built, fresh_outcomes, estimator)
-
-    return sorted(cached_outcomes + fresh_outcomes, key=lambda o: o.key)
+    return cached_outcomes, fresh_outcomes
 
 
 def run_settings(
@@ -382,17 +397,14 @@ def run_sweep(
         passes = [overlay_spec]
     elif overlay_spec is not None:
         passes.append(overlay_spec)
-    runs = [
-        run_outcomes(
-            settings,
-            routers,
-            workers=workers,
-            cache=cache,
-            shard=shard,
-            estimator=spec,
+    runs = []
+    routed = []
+    for spec in passes:
+        cached, fresh = _cached_and_fresh(
+            settings, routers, workers, cache, shard, spec
         )
-        for spec in passes
-    ]
+        runs.append(sorted(cached + fresh, key=lambda o: o.key))
+        routed.append(fresh)
     backfill = passes[0] != base_spec
     base_points = merge_outcomes(
         len(settings),
@@ -406,8 +418,10 @@ def run_sweep(
     if backfill and store is not None:
         # The analytic series came for free with the MC routing; store
         # it under its own key too, so a later plain analytic run of
-        # this grid is a cache read, not a re-route.
-        _store_fresh(store, settings, _specs(routers), runs[0], ANALYTIC)
+        # this grid is a cache read, not a re-route.  Series the MC
+        # pass read from the cache were backfilled when they were
+        # routed, and are not written again.
+        _store_fresh(store, settings, _specs(routers), routed[0], ANALYTIC)
     sweep = SweepResult(title=title, x_label=x_label, x_values=list(x_values))
     for index, rates in enumerate(base_points):
         point = dict(rates)

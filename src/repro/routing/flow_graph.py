@@ -41,13 +41,18 @@ class FlowLikeGraph:
     :meth:`add_path` time, keeping Equation 1 well defined.
 
     Admission loops probe many trial merges per accepted one (Algorithm 3
-    copies the flow, adds a candidate, evaluates the rate).  Each merge
-    runs one DFS from the source over the child map plus the candidate's
-    edges: it rejects a cycle and, on success, its reverse post-order is
-    the memoised topological order the Equation-1 walk reads.  The
-    fusion-arity map absorbs per-edge width deltas in place, and
-    :meth:`copy` carries both memos over.  A mutation a memo cannot
-    absorb exactly resets it to ``None`` for a lazy rebuild.
+    copies the flow, adds a candidate, evaluates the rate).  A merge
+    decides acyclicity from the memoised topological order: when the
+    path's flow nodes appear in it in increasing positions, the order
+    with each run of new nodes spliced in after the flow node before it
+    is a topological order of the merged graph (Algorithm 3's module
+    docstring proves it); any other path falls back to one DFS from the
+    source over the child map plus the path's edges, which rejects a
+    cycle or yields the new order.  The fusion-arity and parent maps
+    absorb a merge in place, and :meth:`copy` carries the arity map and
+    the order over.  The last Equation-1 walk's per-node values are kept
+    until the next mutation.  A mutation a memo cannot absorb exactly
+    resets it to ``None`` for a lazy rebuild.
     """
 
     def __init__(self, demand_id: int, source: int, destination: int):
@@ -63,12 +68,19 @@ class FlowLikeGraph:
         self._children: Dict[int, Set[int]] = {}
         self._edge_widths: Dict[EdgeKey, int] = {}
         # Derived-state memos: the node->fusion-arity map (else every
-        # rate call rescans all edges per node) and the topological order
-        # the iterative Equation-1 evaluator walks, which add_path's
-        # cycle-check DFS yields as a by-product.  Both are reset to
-        # ``None`` (lazy rebuild) by a mutation they cannot absorb.
+        # rate call rescans all edges per node), the topological order
+        # the iterative Equation-1 evaluator walks and each node's
+        # position in it (the merge's acyclicity test), the node->parents
+        # map, and the last Equation-1 walk's per-node values with the
+        # rate cache and swap model it ran under.  Each is reset to
+        # ``None`` (lazy rebuild) by a mutation it cannot absorb.
         self._arity_cache: Optional[Dict[int, int]] = None
         self._topo_cache: Optional[List[int]] = None
+        self._position_cache: Optional[Dict[int, int]] = None
+        self._parent_cache: Optional[Dict[int, Set[int]]] = None
+        self._rate_values: Optional[
+            Tuple[ChannelRateCache, SwapModel, Dict[int, float]]
+        ] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -95,6 +107,19 @@ class FlowLikeGraph:
             raise RoutingError(f"path must be loopless, got {nodes}")
         if width < 1:
             raise RoutingError(f"width must be >= 1, got {width}")
+        if not self.merge_path(nodes, width):
+            raise RoutingError(
+                f"merging path {nodes} would create a directed cycle "
+                "in the flow-like graph"
+            )
+
+    def merge_path(self, nodes: Tuple[int, ...], width: int) -> bool:
+        """:meth:`add_path` without its argument checks, for a caller that
+        made them once (Algorithm 3 checks each candidate when its pool
+        is built): *nodes* is a loopless source->destination tuple and
+        *width* at least 1.  Returns ``False``, with the graph untouched,
+        when the merge would create a directed cycle.
+        """
         arities = self._arity_cache
         edge_widths = self._edge_widths
         if nodes in self._paths:
@@ -102,32 +127,32 @@ class FlowLikeGraph:
             index = self._paths.index(nodes)
             self._path_widths[index] = max(self._path_widths[index], width)
             for a, b in zip(nodes, nodes[1:]):
-                key = _ekey(a, b)
+                key = (a, b) if a < b else (b, a)
                 old = edge_widths[key]
                 if width > old:
                     edge_widths[key] = width
+                    self._rate_values = None
                     if arities is not None:
                         delta = width - old
                         arities[a] = arities.get(a, 0) + delta
                         arities[b] = arities.get(b, 0) + delta
-            return
-        # One DFS over the child map plus the candidate's edges, before
-        # anything mutates: a rejected merge leaves the graph untouched.
-        order = _topological_sort(
-            self._children, self.source, dict(zip(nodes, nodes[1:]))
-        )
+            return True
+        # The new order is decided before anything mutates: a rejected
+        # merge leaves the graph untouched.
+        order = self._spliced_order(nodes)
         if order is None:
-            raise RoutingError(
-                f"merging path {nodes} would create a directed cycle "
-                "in the flow-like graph"
+            order = _topological_sort(
+                self._children, self.source, dict(zip(nodes, nodes[1:]))
             )
+            if order is None:
+                return False
         children = self._children
+        parents = self._parent_cache
         for a, b in zip(nodes, nodes[1:]):
             children.setdefault(a, set()).add(b)
-        self._paths.append(nodes)
-        self._path_widths.append(width)
-        for a, b in zip(nodes, nodes[1:]):
-            key = _ekey(a, b)
+            if parents is not None:
+                parents.setdefault(b, set()).add(a)
+            key = (a, b) if a < b else (b, a)
             old = edge_widths.get(key, 0)
             if width > old:
                 edge_widths[key] = width
@@ -135,7 +160,45 @@ class FlowLikeGraph:
                     delta = width - old
                     arities[a] = arities.get(a, 0) + delta
                     arities[b] = arities.get(b, 0) + delta
+        self._paths.append(nodes)
+        self._path_widths.append(width)
         self._topo_cache = order
+        self._position_cache = None
+        self._rate_values = None
+        return True
+
+    def _spliced_order(self, nodes: Tuple[int, ...]) -> Optional[List[int]]:
+        """The topological order after merging *nodes*, or ``None`` when
+        the path's flow nodes do not appear in increasing positions of
+        the current order (the merge may then close a cycle).
+
+        Each run of new nodes is spliced in right after the flow node
+        before it on the path (a leading run goes first): old edges keep
+        their direction in the order, and every path edge points forward.
+        """
+        positions = self._positions()
+        order = self._topo_cache
+        assert order is not None  # _positions() built it
+        spliced: List[int] = []
+        start = 0
+        last = -1
+        previous = -1
+        for i, node in enumerate(nodes):
+            at = positions.get(node)
+            if at is None:
+                continue
+            if at <= last:
+                return None
+            if i > previous + 1:
+                spliced += order[start:last + 1]
+                spliced += nodes[previous + 1:i]
+                start = last + 1
+            last = at
+            previous = i
+        spliced += order[start:last + 1]
+        spliced += nodes[previous + 1:]
+        spliced += order[last + 1:]
+        return spliced
 
     def remove_path(self, nodes: Sequence[int]) -> Dict[EdgeKey, int]:
         """Remove one constituent path; returns the per-edge freed widths.
@@ -189,14 +252,19 @@ class FlowLikeGraph:
                 self._edge_widths[key] = new_width
         self._arity_cache = None
         self._topo_cache = None
+        self._position_cache = None
+        self._parent_cache = None
+        self._rate_values = None
         return released
 
     def copy(self) -> "FlowLikeGraph":
         """Independent deep copy (used for trial merges).
 
-        Carries the arity and topological-order memos over: a trial
-        merge mutates the copy once and evaluates its rate once, and the
-        arity map absorbs that merge in place.
+        Carries the arity map and the topological order with its
+        positions over: a trial merge mutates the copy once and evaluates
+        its rate once, and the arity map absorbs that merge in place.
+        The positions are built here, once per version of this graph, so
+        every trial copy shares them.
         """
         clone = FlowLikeGraph(self.demand_id, self.source, self.destination)
         clone._paths = list(self._paths)
@@ -205,7 +273,9 @@ class FlowLikeGraph:
         clone._edge_widths = dict(self._edge_widths)
         arities = self._arity_cache
         clone._arity_cache = dict(arities) if arities is not None else None
-        # The topo list is rebuilt whole, never edited, so sharing is safe.
+        # The order and positions are rebuilt whole, never edited, so
+        # sharing them is safe.
+        clone._position_cache = self._positions()
         clone._topo_cache = self._topo_cache
         return clone
 
@@ -217,6 +287,7 @@ class FlowLikeGraph:
         if extra < 1:
             raise RoutingError(f"extra width must be >= 1, got {extra}")
         self._edge_widths[key] += extra
+        self._rate_values = None
         arities = self._arity_cache
         if arities is not None:
             arities[u] = arities.get(u, 0) + extra
@@ -310,9 +381,9 @@ class FlowLikeGraph:
     def _topological_order(self) -> List[int]:
         """All nodes of the graph, parents before children.
 
-        The order :meth:`add_path`'s cycle check left, or after a removal
-        one DFS from the source (every node lies on a source->destination
-        path).  Equation 1's result does not depend on *which* valid
+        The order the last merge left (spliced, or from its DFS), or
+        after a removal one DFS from the source (every node lies on a
+        source->destination path).  Equation 1's result does not depend on *which* valid
         order is walked: each node's value depends on its children only.
         """
         order = self._topo_cache
@@ -323,6 +394,30 @@ class FlowLikeGraph:
                 assert order is not None  # merges never close a cycle
             self._topo_cache = order
         return order
+
+    def _positions(self) -> Dict[int, int]:
+        """Each node's index in :meth:`_topological_order`, memoised
+        until the order changes."""
+        positions = self._position_cache
+        if positions is None:
+            order = self._topological_order()
+            positions = self._position_cache = dict(
+                zip(order, range(len(order)))
+            )
+        return positions
+
+    def parent_map(self) -> Dict[int, Set[int]]:
+        """Each node's directed parents (towards the source), memoised:
+        merges update it in place, a removal rebuilds it.  The map is
+        the graph's own; callers must not mutate it."""
+        parents = self._parent_cache
+        if parents is None:
+            parents = {}
+            for node, children in self._children.items():
+                for child in children:
+                    parents.setdefault(child, set()).add(node)
+            self._parent_cache = parents
+        return parents
 
     def qubits_used_at(self, node: int) -> int:
         """Communication qubits this state consumes at *node*."""
@@ -355,17 +450,51 @@ class FlowLikeGraph:
         The compiled core evaluates with the iterative scalar walk over
         the snapshot's rate columns; the reference core keeps the
         recursive evaluator as the oracle.  The two are bit-identical.
+        Without extras the walk's per-node values are kept (see
+        :meth:`node_rates`), and a repeat call under the same rate cache
+        and swap model reads the rate from them.
         """
         extras = self._canonical_extras(extra_widths) if extra_widths else {}
         rate_cache = rate_cache_for(network, link_model, rate_cache)
         if not self._paths:
             return 0.0
+        kept = self._rate_values
+        if (
+            not extras and kept is not None
+            and kept[0] is rate_cache and kept[1] is swap_model
+        ):
+            return kept[2][self.source]
         snapshot = rate_cache.compiled_snapshot
         if snapshot is not None:
-            return self._rate_iterative(snapshot, swap_model, extras)
-        return self._rate_from(
-            self.source, network, swap_model, {}, extras, rate_cache
+            values = self._rate_iterative(snapshot, swap_model, extras)
+        else:
+            values = {self.destination: 1.0}
+            self._rate_from(
+                self.source, network, swap_model, values, extras, rate_cache
+            )
+        if not extras:
+            self._rate_values = (rate_cache, swap_model, values)
+        return values[self.source]
+
+    def node_rates(
+        self,
+        network: QuantumNetwork,
+        link_model: LinkModel,
+        swap_model: SwapModel,
+        rate_cache: Optional[ChannelRateCache] = None,
+    ) -> Dict[int, float]:
+        """Equation 1's value P(v, D) at every node v of the graph (the
+        destination's is 1.0, the source's the rate): the values of the
+        walk :meth:`entanglement_rate` makes, one walk per version of
+        the graph under one rate cache and swap model.  The map is kept
+        by the graph; callers must not mutate it.
+        """
+        rate_cache = rate_cache_for(network, link_model, rate_cache)
+        self.entanglement_rate(
+            network, link_model, swap_model, rate_cache=rate_cache
         )
+        kept = self._rate_values
+        return kept[2] if kept is not None else {}
 
     def _canonical_extras(
         self, extra_widths: Dict[EdgeKey, int]
@@ -393,8 +522,9 @@ class FlowLikeGraph:
         snapshot: CompiledNetwork,
         swap_model: SwapModel,
         extra_widths: Dict[EdgeKey, int],
-    ) -> float:
-        """Equation 1 evaluated bottom-up in reverse topological order.
+    ) -> Dict[int, float]:
+        """Equation 1 evaluated bottom-up in reverse topological order:
+        every node's value.
 
         Per-node the failure product iterates the same child set in the
         same order as the recursive reference, so the result is
@@ -439,7 +569,7 @@ class FlowLikeGraph:
                     swap = swap_fn(arity)
                 failure *= 1.0 - edge_rate * swap * memo[child]
             memo[node] = 1.0 - failure
-        return memo[self.source]
+        return memo
 
     def _rate_from(
         self,
@@ -503,8 +633,8 @@ def _topological_sort(
     most one per node: a candidate path's) without copying the child
     map, and returns the reverse DFS post-order (Tarjan 1976), or
     ``None`` if an edge closes a directed cycle.  The successor lookup
-    is inlined twice rather than called: it runs once per trial merge
-    per node.
+    is inlined twice rather than called: it runs once per node of every
+    merge the spliced order cannot decide.
     """
     get, bonus_of = children.get, extra.get
     kids = get(source, ())

@@ -3,6 +3,7 @@ grammar, the estimation RNG substream, cache keying/round-trips and
 vectorized-vs-reference engine agreement."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -362,6 +363,26 @@ class TestMcOverlay:
         assert sum(entry["rates"]) / 2 == overlaid.series_for(
             "ALG-N-FUSION"
         )[0]
+
+    def test_warm_overlay_writes_no_entry(self, tmp_path):
+        """A second overlay run on a warm cache reads every series, the
+        backfilled analytic ones included, and writes nothing."""
+        cache = ResultCache(tmp_path / "overlay")
+        setting = tiny_setting(num_networks=2)
+
+        def overlay():
+            return run_sweep(
+                "t", "p", [0.5], [setting], routers=["alg-n-fusion", "b1"],
+                cache=cache, mc_overlay="mc:trials=100",
+            )
+
+        cold = overlay()
+        with mock.patch.object(
+            ResultCache, "_write", autospec=True
+        ) as write:
+            warm = overlay()
+        assert write.call_count == 0
+        assert warm.series == cold.series
 
     def test_same_base_and_overlay_spec_runs_once(self):
         spec = "mc:trials=150"

@@ -1,6 +1,7 @@
 """Structure tests for the per-figure experiment definitions.
 
-``run_outcomes`` is stubbed so each figure's sweep structure (x values,
+The runner's sweep core (``_cached_and_fresh``, under ``run_outcomes``
+and ``run_sweep``) is stubbed so each figure's sweep structure (x values,
 titles, settings wiring) is checked without paying for real routing.
 """
 
@@ -27,14 +28,15 @@ from repro.experiments.tables import headline_settings
 
 @pytest.fixture
 def stub_runner(monkeypatch):
-    """Replace run_outcomes with a recorder returning fixed rates."""
+    """Replace the sweep core with a recorder returning fixed rates, all
+    of them as cache reads."""
     calls = []
     rates = {"ALG-N-FUSION": 2.0, "Q-CAST": 1.0, "Q-CAST-N": 1.5, "B1": 1.2}
 
-    def fake_run_outcomes(settings, routers=None, workers=None, cache=None,
-                          shard=None, estimator=None):
+    def fake_cached_and_fresh(settings, routers, workers, cache, shard,
+                              estimator):
         calls.extend(settings)
-        return [
+        cached = [
             TaskOutcome(
                 setting_index=setting_index,
                 sample_index=0,
@@ -46,8 +48,11 @@ def stub_runner(monkeypatch):
             for setting_index in range(len(settings))
             for router_index, (name, rate) in enumerate(rates.items())
         ]
+        return cached, []
 
-    monkeypatch.setattr(runner_module, "run_outcomes", fake_run_outcomes)
+    monkeypatch.setattr(
+        runner_module, "_cached_and_fresh", fake_cached_and_fresh
+    )
     return calls
 
 

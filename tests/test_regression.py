@@ -69,20 +69,24 @@ PINNED_DEMAND_RATES = {
 #: greedy (an eager loop re-searching every pair each round made 165 and
 #: 36), Algorithm-3 candidate evaluations of ALG-N-FUSION (298 when every
 #: candidate was evaluated before its ledger check, 207 for the rescan
-#: of the whole pool after every admission), its ledger probes per
+#: of the whole pool after every admission, 78 while a branch was keyed
+#: by its bare path product and a path already in its flow by ``1 -
+#: rate``), its ledger probes per
 #: routing core (3,184 and 49,799 with that rescan; 1,089 on the
 #: compiled core while relay flags probed every node per width and
-#: ledger change; the reference core's Algorithm 1 probes once per
-#: relaxation) and its passes over the ledger's counts per routing core
+#: ledger change; 639 and 47,704 while admission probed each candidate's
+#: switches one by one instead of reading each switch's count once; the
+#: reference core's Algorithm 1 probes once per relaxation) and its
+#: passes over the ledger's counts per routing core
 #: (the compiled core reads them once per ledger version for its relay
 #: flags, plus once for the default width on either core).
 WORK_BOUNDS = {
     "Q-CAST-N": ("Q-CAST-N", qcast_n, "largest_entanglement_rate_path", 65),
     "Q-CAST": ("Q-CAST", qcast_n, "largest_entanglement_rate_path", 15),
-    "ALG-N-FUSION": ("ALG-N-FUSION", alg3_merge, "_evaluate_candidate", 78),
+    "ALG-N-FUSION": ("ALG-N-FUSION", alg3_merge, "_evaluate_candidate", 54),
     "ALG-N-FUSION-probes": (
         "ALG-N-FUSION", QubitLedger, "has_at_least",
-        {"compiled": 639, "reference": 47704},
+        {"compiled": 258, "reference": 47323},
     ),
     "ALG-N-FUSION-relay-counts": (
         "ALG-N-FUSION", QubitLedger, "remaining_counts",

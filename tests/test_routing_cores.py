@@ -1501,7 +1501,7 @@ def test_persistent_snapshot_survives_calls_and_tracks_mutations():
 
 
 # ----------------------------------------------------------------------
-# Cycle check and walk order (one DFS per merge, memoised order)
+# Cycle check and walk order (spliced order, else one DFS per merge)
 
 
 def _directed_edges(paths):
