@@ -15,11 +15,13 @@ Two admission policies are provided:
   "Implementation decisions" records this choice and the ablation bench
   compares both.
 
-In both policies a path is admitted only when every edge is either already
-part of the same demand's flow-like graph (the new path is a branch; the
-shared edge's qubits are reused and not charged again) or fundable from
-both endpoints' free qubits.  Merges that would make the flow orientation
-cyclic are rejected (Equation 1 requires an acyclic flow).
+Both policies price a candidate with :func:`_charges`: each edge costs
+both endpoints the width it lacks in the demand's flow, so a shared edge
+costs only its upgrade.  A candidate is funded when every node's summed
+charge fits its remaining count, exactly when reserving edge by edge
+with rollback would succeed.  :func:`_admit` merges it first and charges
+only an acyclic merge (Equation 1 requires an acyclic flow); a cyclic
+one changes nothing.
 
 Efficiency admission is a lazy greedy (Minoux 1978; CELF, Leskovec et
 al. 2007) that admits the same paths in the same order, with the same
@@ -111,7 +113,7 @@ import math
 from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.exceptions import CapacityError, RoutingError
+from repro.exceptions import RoutingError
 from repro.network.demands import Demand, DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
@@ -163,23 +165,24 @@ def admit_paths(
     """One Algorithm 3 admission sweep over *path_sets*, extending *flows*
     in place and consuming *ledger*.  Returns the number of paths admitted.
 
-    Exposed separately so the orchestrator can run *refill* sweeps: after
-    the first sweep, candidates re-selected against the residual ledger are
-    admitted with the same widest/best-first policy.
+    Candidates go widest first, then by decreasing rate (ties by demand
+    id and nodes); each the ledger funds is admitted unless its merge is
+    cyclic.  Exposed separately so the orchestrator can run *refill*
+    sweeps, which admit re-selected candidates in this same order.
     """
-    demand_by_id, _ = _checked_pool(demands, path_sets)
+    demand_by_id, pool = _checked_pool(demands, path_sets)
+    pool.sort(key=lambda c: (-c.width, -c.rate, c.demand_id, c.nodes))
+    widths = {demand_id: flow.edge_widths() for demand_id, flow in flows.items()}
     admitted = 0
-    for width in range(_max_width(path_sets), 0, -1):
-        candidates = [
-            path
-            for per_width in path_sets.values()
-            for path in per_width.get(width, ())
-        ]
-        candidates.sort(key=lambda c: (-c.rate, c.demand_id, c.nodes))
-        for candidate in candidates:
-            if _try_admit(demand_by_id[candidate.demand_id], candidate,
-                          flows, ledger):
-                admitted += 1
+    for candidate in pool:
+        keys = candidate.edges()
+        shared = widths.setdefault(candidate.demand_id, {})
+        needed = _charges(candidate, keys, shared)
+        if any(ledger.remaining(node) < count for node, count in needed.items()):
+            continue
+        if _admit(demand_by_id[candidate.demand_id], candidate, keys, shared,
+                  flows, ledger) is not None:
+            admitted += 1
     return admitted
 
 
@@ -208,7 +211,8 @@ def admit_paths_efficiency(
         for node in dict.fromkeys(node for path in pool for node in path.nodes)
     }
     # Per pool index: static edge keys and path product, then the
-    # charges against the demand's flow, recomputed when it changes.
+    # charges against the demand's flow and their switch-qubit total
+    # (the efficiency denominator), recomputed when it changes.
     keys = [candidate.edges() for candidate in pool]
     products = [
         _path_product(swap_model, rate_cache, switch, path, path_keys)
@@ -218,8 +222,12 @@ def admit_paths_efficiency(
     # admissions below (the only mutations during a sweep).
     widths = {demand_id: flow.edge_widths() for demand_id, flow in flows.items()}
     charges = [
-        _charges(path, path_keys, widths.get(path.demand_id, {}), switch)
+        _charges(path, path_keys, widths.get(path.demand_id, {}))
         for path, path_keys in zip(pool, keys)
+    ]
+    costs = [
+        sum(map(needed.__getitem__, filter(switch.__getitem__, needed)))
+        for needed in charges
     ]
     # Unfundable candidates are dropped for good (the drop lemma).  The
     # ledger does not change before the first admission, so each node's
@@ -227,14 +235,14 @@ def admit_paths_efficiency(
     remaining = {node: ledger.remaining(node) for node in switch}
     alive = [
         all(remaining[node] >= count for node, count in needed.items())
-        for needed, _ in charges
+        for needed in charges
     ]
     by_demand: Dict[int, List[int]] = {}
     by_node: Dict[int, List[int]] = {}
     for index, candidate in enumerate(pool):
         if alive[index]:
             by_demand.setdefault(candidate.demand_id, []).append(index)
-            for node in charges[index][0]:
+            for node in charges[index]:
                 if switch[node]:
                     by_node.setdefault(node, []).append(index)
     # Heap entries are (-key, index, stamp, gain), gain None while the key
@@ -264,7 +272,7 @@ def admit_paths_efficiency(
                     pool[index], keys[index], products[index], base_rate,
                     shared, parents, values,
                 )
-                key = (bound + BOUND_SLACK) / max(charges[index][1], 1)
+                key = (bound + BOUND_SLACK) / max(costs[index], 1)
                 heapq.heappush(heap, (-key, index, stamps[index], None))
 
     for demand_id in by_demand:
@@ -290,7 +298,7 @@ def admit_paths_efficiency(
                     flows.get(demand_id), base_rates[demand_id], rate_cache,
                 )
                 if gain is not None:
-                    efficiency = gain / max(charges[index][1], 1)
+                    efficiency = gain / max(costs[index], 1)
                     heapq.heappush(heap, (-efficiency, index, stamp, gain))
                 continue
             popped.append(entry)
@@ -319,26 +327,26 @@ def admit_paths_efficiency(
         stamps[best_index] += 1
         candidate = pool[best_index]
         demand_id = candidate.demand_id
-        shared = widths.setdefault(demand_id, {})
-        _admit(
-            demand_by_id[demand_id], candidate, keys[best_index], shared,
-            flows, ledger,
+        # Live candidates are funded (the drop lemma), and the winner's
+        # gain was evaluated at this flow version: its merge is acyclic.
+        widened = _admit(
+            demand_by_id[demand_id], candidate, keys[best_index],
+            widths.setdefault(demand_id, {}), flows, ledger,
         )
+        assert widened is not None, "the winner's merge was checked acyclic"
         admitted += 1
         # Charges read the flow only on the candidate's own edges, and
         # the admission widened only the edges it was charged for.
-        widened = {
-            key: candidate.width for key in keys[best_index]
-            if shared.get(key, 0) < candidate.width
-        }
-        shared.update(widened)
         for index in by_demand[demand_id]:
             if alive[index] and not widened.keys().isdisjoint(keys[index]):
-                charges[index] = _charges(
-                    pool[index], keys[index], shared, switch
+                needed = charges[index] = _charges(
+                    pool[index], keys[index], widths[demand_id]
                 )
+                costs[index] = sum(map(
+                    needed.__getitem__, filter(switch.__getitem__, needed)
+                ))
         # Only the switches this admission drained can refuse anyone.
-        for node in charges[best_index][0]:
+        for node in charges[best_index]:
             if not switch[node]:
                 continue
             left = ledger.remaining(node)
@@ -346,7 +354,7 @@ def admit_paths_efficiency(
                 index for index in by_node[node] if alive[index]
             ]
             for index in live:
-                if charges[index][0].get(node, 0) > left:
+                if charges[index].get(node, 0) > left:
                     alive[index] = False
                     stamps[index] += 1
         push_bounds(demand_id)
@@ -390,24 +398,19 @@ def _charges(
     candidate: PathCandidate,
     keys: Tuple[Tuple[int, int], ...],
     widths: Dict[Tuple[int, int], int],
-    switch: Dict[int, bool],
-) -> Tuple[Dict[int, int], int]:
-    """:func:`_edge_charges` of *candidate* against edge *widths*, per
-    node, and their switch-qubit total (the efficiency denominator)."""
+) -> Dict[int, int]:
+    """Qubits admitting *candidate* (edge *keys*) charges each node, per
+    node, against its demand's flow edge *widths*: every edge costs both
+    endpoints the width it lacks in the flow (module docstring)."""
     nodes, width = candidate.nodes, candidate.width
     needed: Dict[int, int] = {}
-    cost = 0
     for i, key in enumerate(keys):
         amount = width - widths.get(key, 0)
         if amount > 0:
             a, b = nodes[i], nodes[i + 1]
             needed[a] = needed.get(a, 0) + amount
             needed[b] = needed.get(b, 0) + amount
-            if switch[a]:
-                cost += amount
-            if switch[b]:
-                cost += amount
-    return needed, cost
+    return needed
 
 
 def _path_product(
@@ -521,57 +524,6 @@ def _evaluate_candidate(
     return gain
 
 
-def _max_width(path_sets: PathSets) -> int:
-    widths = [w for per_width in path_sets.values() for w in per_width]
-    return max(widths) if widths else 0
-
-
-def _edge_charges(
-    flow: Optional[FlowLikeGraph], candidate: PathCandidate
-) -> List[Tuple[int, int, int]]:
-    """Qubit charges ``(u, v, amount)`` for admitting *candidate*.
-
-    New edges cost the full width at each endpoint; edges shared with the
-    demand's existing flow cost only the upgrade delta (zero when the
-    existing channel is already at least as wide).
-    """
-    charges = []
-    for u, v in candidate.edges():
-        if flow is not None and flow.contains_edge(u, v):
-            delta = candidate.width - flow.edge_width(u, v)
-            if delta > 0:
-                charges.append((u, v, delta))
-        else:
-            charges.append((u, v, candidate.width))
-    return charges
-
-
-def _try_admit(
-    demand: Demand,
-    candidate: PathCandidate,
-    flows: Dict[int, FlowLikeGraph],
-    ledger: QubitLedger,
-) -> bool:
-    """Admit one candidate path (checked when its pool was built) if
-    resources (or shared edges) allow."""
-    flow = flows.get(demand.demand_id)
-    charges = _edge_charges(flow, candidate)
-    try:
-        ledger.reserve_edges(charges)
-    except CapacityError:
-        return False
-    if flow is None:
-        flow = FlowLikeGraph(demand.demand_id, demand.source, demand.destination)
-        flows[demand.demand_id] = flow
-        flow.merge_path(candidate.nodes, candidate.width)
-        return True
-    if not flow.merge_path(candidate.nodes, candidate.width):
-        # Directed-cycle merge: reject the candidate, refund its qubits.
-        ledger.release_edges(charges)
-        return False
-    return True
-
-
 def _admit(
     demand: Demand,
     candidate: PathCandidate,
@@ -579,22 +531,28 @@ def _admit(
     widths: Dict[Tuple[int, int], int],
     flows: Dict[int, FlowLikeGraph],
     ledger: QubitLedger,
-) -> None:
-    """Admit the efficiency sweep's winner to its demand's flow in
-    *flows* (a new one when there is none).  The ledger funds every
-    live candidate (the drop lemma) and the winner's merge is acyclic
-    (its gain was evaluated at this flow version), so nothing is probed:
-    each edge (*keys*) is charged the width it lacks in the flow's
-    *widths*, in the order :func:`_edge_charges` gives."""
+) -> Optional[Dict[Tuple[int, int], int]]:
+    """Admit *candidate* (checked when its pool was built, funded by the
+    caller) to its demand's flow in *flows*, a new one when there is
+    none: the admission step both policies share.
+
+    Merges first: returns ``None``, changing nothing, when the merge
+    would close a directed cycle.  Otherwise reserves, in path order,
+    the width each edge (*keys*) lacks in the flow's edge *widths*,
+    updates *widths* and returns the widened edges with their new
+    width."""
     width = candidate.width
-    ledger.reserve_edges([
-        (u, v, width - widths.get((u, v), 0))
-        for u, v in keys if widths.get((u, v), 0) < width
-    ])
     flow = flows.get(demand.demand_id)
     if flow is None:
-        flow = flows[demand.demand_id] = FlowLikeGraph(
+        flow = FlowLikeGraph(
             demand.demand_id, demand.source, demand.destination
         )
-    merged = flow.merge_path(candidate.nodes, width)
-    assert merged, "the winner's merge was checked acyclic"
+    if not flow.merge_path(candidate.nodes, width):
+        return None
+    flows[demand.demand_id] = flow
+    widened = {key: width for key in keys if widths.get(key, 0) < width}
+    ledger.reserve_edges([
+        (u, v, width - widths.get((u, v), 0)) for u, v in widened
+    ])
+    widths.update(widened)
+    return widened

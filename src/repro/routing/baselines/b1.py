@@ -48,6 +48,11 @@ class B1Router:
                 "max_paths and max_width must be >= 1, got "
                 f"{self.max_paths} and {self.max_width}"
             )
+        if self.max_fusion_arity < 2:
+            raise RouterSpecError(
+                "max_fusion_arity must be >= 2, the arity of every relay, "
+                f"got {self.max_fusion_arity}"
+            )
 
     def _violates_arity_cap(self, network, flow) -> bool:
         """True when any switch would fuse more links than [21] allows."""

@@ -37,7 +37,7 @@ from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache, rate_cache_for
 from repro.routing.nfusion import RoutingResult
 from repro.routing.plan import RoutingPlan
-from repro.routing.registry import register_router
+from repro.routing.registry import RouterSpecError, register_router
 
 Arc = Tuple[int, int]
 
@@ -51,6 +51,13 @@ class MCFRouter:
     max_paths: int = 3
     cost_weight: float = 0.15
     name: str = "MCF"
+
+    def __post_init__(self):
+        if min(self.max_width, self.max_paths) < 1:
+            raise RouterSpecError(
+                "max_width and max_paths must be >= 1, got "
+                f"{self.max_width} and {self.max_paths}"
+            )
 
     def route(
         self,

@@ -5,9 +5,10 @@ Composes the three steps of Section IV-C:
 1. **Path set construction** — Algorithm 2 (Yen + Algorithm 1) builds up
    to ``h`` candidate paths per width for every demand, ignoring resource
    contention between candidates.
-2. **Route determination** — Algorithm 3 admits paths widest-and-best
-   first, merging same-demand paths into flow-like graphs and charging the
-   qubit ledger.
+2. **Route determination** — Algorithm 3 admits paths (by default the
+   candidate with the largest rate gain per switch qubit first; the
+   paper's literal widest-and-best-first sweep on request), merging
+   same-demand paths into flow-like graphs and charging the qubit ledger.
 3. **Residual assignment** — Algorithm 4 spends leftover qubits on extra
    parallel links where they raise the entanglement rate most.
 """
@@ -99,6 +100,14 @@ class AlgNFusion:
         switch capacity (an intermediate switch needs 2w qubits).
     include_alg4:
         Disable to obtain the paper's "Alg-3" ablation series.
+    refill_rounds:
+        Refill sweeps after Step II: each re-selects paths against the
+        residual ledger and admits again; routing stops early at a
+        sweep that admits nothing.
+    admission_policy:
+        ``"efficiency"`` (rate gain per switch qubit) or
+        ``"widest_first"`` (the paper's literal sweep); see
+        :mod:`repro.routing.alg3_merge`.
     max_hops:
         Longest candidate path, in hops, that Algorithm 2 keeps;
         ``None`` keeps every length.

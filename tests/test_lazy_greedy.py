@@ -14,7 +14,10 @@ ledger before every admission, as those loops did.  Hypothesis routes random Wax
 instances through each and compares the plans, the per-demand rates,
 the leftover qubits and the order of every ledger reservation with
 ``==``; it also checks every gain the lazy loop evaluates against the
-bound it was keyed by, and the drop lemma the lazy loop relies on.
+bound it was keyed by, and the drop lemma the lazy loop relies on.  The
+literal ``widest_first`` sweep, which funds a candidate before its
+merge, is compared with the loop that reserved first and refunded a
+failed or cyclic admission (``literal_admit_paths``).
 
 ``fixed_p`` link models give every channel of one width the same rate,
 so exact rate ties between demands, widths and paths are common and the
@@ -29,18 +32,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import CapacityError, RoutingError
+from repro.experiments.scenarios import parse_scenario
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.network.node import QuantumSwitch, QuantumUser
+from repro.network.registry import topology_keys
 from repro.routing import alg3_merge, nfusion
 from repro.routing.alg1_largest_rate import largest_entanglement_rate_path
+from repro.routing.alg2_path_selection import default_max_width, select_paths
 from repro.routing.alg3_merge import (
     BOUND_SLACK,
+    admit_paths,
     admit_paths_efficiency,
+    merge_paths,
     PathSets,
-    _edge_charges,
 )
 from repro.routing.allocation import QubitLedger
 from repro.routing.baselines.qcast_n import greedy_single_paths
@@ -294,6 +301,26 @@ def checked_try_admit(
     return True
 
 
+def _edge_charges(
+    flow: Optional[FlowLikeGraph], candidate: PathCandidate
+) -> List[Tuple[int, int, int]]:
+    """Qubit charges ``(u, v, amount)`` for admitting *candidate*.
+
+    New edges cost the full width at each endpoint; edges shared with the
+    demand's existing flow cost only the upgrade delta (zero when the
+    existing channel is already at least as wide).
+    """
+    charges = []
+    for u, v in candidate.edges():
+        if flow is not None and flow.contains_edge(u, v):
+            delta = candidate.width - flow.edge_width(u, v)
+            if delta > 0:
+                charges.append((u, v, delta))
+        else:
+            charges.append((u, v, candidate.width))
+    return charges
+
+
 def _charge_totals(
     network: QuantumNetwork,
     flow: Optional[FlowLikeGraph],
@@ -461,6 +488,35 @@ def eager_evaluate_candidate(
     if gain <= 0.0:
         return None
     return needed, gain, cost
+
+
+# -- oracle: the literal Algorithm 3 sweep ----------------------------------
+
+def literal_admit_paths(
+    network: QuantumNetwork,
+    demands: DemandSet,
+    path_sets: PathSets,
+    flows: Dict[int, FlowLikeGraph],
+    ledger: QubitLedger,
+) -> int:
+    """The paper's literal admission sweep, reserving each candidate's
+    charges before its merge and refunding them when the reservation
+    fails part-way or the merge would close a cycle."""
+    demand_by_id = {d.demand_id: d for d in demands}
+    widths = [w for per_width in path_sets.values() for w in per_width]
+    admitted = 0
+    for width in range(max(widths, default=0), 0, -1):
+        candidates = [
+            path
+            for per_width in path_sets.values()
+            for path in per_width.get(width, ())
+        ]
+        candidates.sort(key=lambda c: (-c.rate, c.demand_id, c.nodes))
+        for candidate in candidates:
+            if checked_try_admit(demand_by_id[candidate.demand_id], candidate,
+                                 flows, ledger):
+                admitted += 1
+    return admitted
 
 
 # -- instances and comparison -----------------------------------------------
@@ -838,12 +894,13 @@ def checked_drop_lemma():
                           path_sets, flows, ledger, rate_cache)
 
     def admit_winner(*args):
-        real_admit_winner(*args)
+        widened = real_admit_winner(*args)
         after = slacks()
         assert all(
             new <= old for new, old in zip(after, sweep["slacks"])
         )
         sweep["slacks"] = after
+        return widened
 
     with mock.patch.object(nfusion, "admit_paths_efficiency", admit), \
             mock.patch.object(alg3_merge, "_admit", admit_winner):
@@ -867,3 +924,157 @@ def test_admission_never_raises_a_candidates_slack(
     router = AlgNFusion(max_width=max_width, refill_rounds=refill_rounds)
     with checked_drop_lemma():
         router.route(network, demands, link, swap)
+
+
+# -- the literal policy against the reserve-then-refund loop ----------------
+
+#: Every registered topology family, shrunk to keep the suite fast.
+LITERAL_SCENARIOS = tuple(
+    f"{key}:switches=25,users=6,states=8" for key in topology_keys()
+)
+
+
+def _literal_outcome(admit, route):
+    """Run *route* with Algorithm 3's literal sweep replaced by *admit*
+    (the real ``admit_paths`` or the oracle); the admitted flows (paths,
+    edge widths), the sweeps' return values and everything *route*
+    returns."""
+    returned: List[int] = []
+
+    def recorded(*args):
+        returned.append(admit(*args))
+        return returned[-1]
+
+    with mock.patch.object(alg3_merge, "admit_paths", recorded), \
+            mock.patch.object(nfusion, "admit_paths", recorded):
+        flows, rest = route()
+    return [
+        (flow.demand_id, tuple(flow.paths), sorted(flow.edge_widths().items()))
+        for flow in flows
+    ], returned, rest
+
+
+def _literal_comparisons(network, demands, link, swap, max_width):
+    """The three entries of the literal policy on one instance: two
+    ``admit_paths`` sweeps (the second on the first's flows, against
+    paths re-selected on the residual ledger), ``merge_paths`` and the
+    ``widest_first`` router."""
+    nodes = list(network.nodes())
+    width = max_width or default_max_width(network)
+
+    def path_sets(ledger):
+        selected = {
+            demand.demand_id: select_paths(
+                network, link, swap, demand, h=3, max_width=width,
+                ledger=ledger,
+            )
+            for demand in demands
+        }
+        return {key: paths for key, paths in selected.items() if paths}
+
+    def sweeps():
+        flows: Dict[int, FlowLikeGraph] = {}
+        ledger = QubitLedger(network)
+        counts = []
+        for _ in range(2):
+            alg3_merge.admit_paths(
+                network, demands, path_sets(ledger), flows, ledger
+            )
+            counts.append(ledger.remaining_counts(nodes))
+        return flows.values(), counts
+
+    first = path_sets(QubitLedger(network))
+
+    def merged():
+        ledger = QubitLedger(network)
+        plan = merge_paths(network, link, swap, demands, first, ledger)
+        return plan.flows(), ledger.remaining_counts(nodes)
+
+    router = AlgNFusion(max_width=max_width, admission_policy="widest_first")
+
+    def routed():
+        ledger = QubitLedger(network)
+        result = router.route(network, demands, link, swap, ledger=ledger)
+        return result.plan.flows(), (
+            result.demand_rates, ledger.remaining_counts(nodes)
+        )
+
+    for route in (sweeps, merged, routed):
+        assert _literal_outcome(admit_paths, route) == _literal_outcome(
+            literal_admit_paths, route
+        )
+
+
+@pytest.mark.parametrize("scenario", LITERAL_SCENARIOS)
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("max_width", (None, 1, 2, 3))
+def test_literal_admission_matches_reserve_then_refund(
+    scenario, seed, max_width
+):
+    """``admit_paths``, which funds a candidate against the ledger's
+    counts and merges before it charges, admits what reserving first and
+    refunding a failed or cyclic admission did, with the same flows,
+    leftover counts and admitted counts, on every registered topology."""
+    spec = parse_scenario(scenario)
+    rng = ensure_rng(seed)
+    network = build_network(spec.network_config(), rng)
+    demands = generate_demands(network, spec.num_states, rng)
+    _literal_comparisons(
+        network, demands, LinkModel(), SwapModel(q=spec.swap_q), max_width
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    instance=waxman_instances(),
+    max_width=st.sampled_from((None, 1, 2, 3, 4)),
+    link=LINK_MODELS,
+    swap=SWAP_MODELS,
+)
+def test_literal_admission_matches_reserve_then_refund_on_ties(
+    instance, max_width, link, swap
+):
+    """As above on random Waxman instances, where ``fixed_p`` models make
+    exact rate ties, and so the sort's tie rules, common."""
+    network, demands = instance
+    _literal_comparisons(network, demands, link, swap, max_width)
+
+
+def test_literal_admission_hand_built_refusals():
+    """A fundable candidate whose merge closes a cycle (``0-3-2-1``
+    against the admitted ``0-2-3-1``) and one funded on its first edges
+    but not on its last (``0-2-4-1`` through switch 4, which holds one
+    qubit) are refused, leaving the flow and counts as the
+    reserve-then-refund loop left them."""
+    network = QuantumNetwork()
+    network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+    network.add_node(QuantumUser(1, Point(3000.0, 0.0)))
+    for node, capacity in ((2, 10), (3, 10), (4, 1)):
+        network.add_node(
+            QuantumSwitch(node, Point(1000.0 * node, 1.0), capacity)
+        )
+    for u, v in ((0, 2), (2, 3), (3, 1), (0, 3), (2, 1), (2, 4), (4, 1)):
+        network.add_edge(u, v)
+    demands = DemandSet([Demand(0, 0, 1)])
+    short, cyclic, drained = (
+        PathCandidate(0, (0, 2, 3, 1), 1, 0.5),
+        PathCandidate(0, (0, 3, 2, 1), 1, 0.4),
+        PathCandidate(0, (0, 2, 4, 1), 1, 0.3),
+    )
+    path_sets = {0: {1: [drained, cyclic, short]}}
+    outcomes = []
+    for admit in (admit_paths, literal_admit_paths):
+        flows: Dict[int, FlowLikeGraph] = {}
+        ledger = QubitLedger(network)
+        admitted = admit(network, demands, path_sets, flows, ledger)
+        outcomes.append((
+            admitted,
+            [(demand_id, flow.paths, flow.edge_widths())
+             for demand_id, flow in flows.items()],
+            ledger.remaining_counts([2, 3, 4]),
+        ))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (
+        1, [(0, [short.nodes], {(0, 2): 1, (2, 3): 1, (1, 3): 1})],
+        [8, 8, 1],
+    )

@@ -216,6 +216,10 @@ class TestRouterSpec:
         "q-cast-n:max_width=0",
         "b1:max_paths=0",
         "b1:max_width=0",
+        "b1:max_fusion_arity=1",
+        "b1:max_fusion_arity=0",
+        "mcf:max_width=0",
+        "mcf:max_paths=0",
     ])
     def test_out_of_range_values_rejected_at_parse_time(self, text):
         with pytest.raises(RouterSpecError):
