@@ -15,13 +15,13 @@ Two admission policies are provided:
   "Implementation decisions" records this choice and the ablation bench
   compares both.
 
-Both policies price a candidate with :func:`_charges`: each edge costs
-both endpoints the width it lacks in the demand's flow, so a shared edge
-costs only its upgrade.  A candidate is funded when every node's summed
-charge fits its remaining count, exactly when reserving edge by edge
-with rollback would succeed.  :func:`_admit` merges it first and charges
-only an acyclic merge (Equation 1 requires an acyclic flow); a cyclic
-one changes nothing.
+Both policies, B1 (through :func:`merge_paths`) and MCF price a path
+with :func:`path_charges`: each edge costs both endpoints the width it
+lacks in the demand's flow, so a shared edge costs only its upgrade.  A
+path is funded when every node's summed charge fits its remaining
+count, exactly when reserving edge by edge with rollback would succeed.
+:func:`admit_path` merges it first and charges only an acyclic merge
+(Equation 1 requires an acyclic flow); a cyclic one changes nothing.
 
 Efficiency admission is a lazy greedy (Minoux 1978; CELF, Leskovec et
 al. 2007) that admits the same paths in the same order, with the same
@@ -177,11 +177,12 @@ def admit_paths(
     for candidate in pool:
         keys = candidate.edges()
         shared = widths.setdefault(candidate.demand_id, {})
-        needed = _charges(candidate, keys, shared)
+        nodes, width = candidate.nodes, candidate.width
+        needed = path_charges(nodes, width, keys, shared)
         if any(ledger.remaining(node) < count for node, count in needed.items()):
             continue
-        if _admit(demand_by_id[candidate.demand_id], candidate, keys, shared,
-                  flows, ledger) is not None:
+        if admit_path(demand_by_id[candidate.demand_id], nodes, width, keys,
+                      shared, flows, ledger) is not None:
             admitted += 1
     return admitted
 
@@ -222,7 +223,9 @@ def admit_paths_efficiency(
     # admissions below (the only mutations during a sweep).
     widths = {demand_id: flow.edge_widths() for demand_id, flow in flows.items()}
     charges = [
-        _charges(path, path_keys, widths.get(path.demand_id, {}))
+        path_charges(
+            path.nodes, path.width, path_keys, widths.get(path.demand_id, {})
+        )
         for path, path_keys in zip(pool, keys)
     ]
     costs = [
@@ -329,9 +332,9 @@ def admit_paths_efficiency(
         demand_id = candidate.demand_id
         # Live candidates are funded (the drop lemma), and the winner's
         # gain was evaluated at this flow version: its merge is acyclic.
-        widened = _admit(
-            demand_by_id[demand_id], candidate, keys[best_index],
-            widths.setdefault(demand_id, {}), flows, ledger,
+        widened = admit_path(
+            demand_by_id[demand_id], candidate.nodes, candidate.width,
+            keys[best_index], widths.setdefault(demand_id, {}), flows, ledger,
         )
         assert widened is not None, "the winner's merge was checked acyclic"
         admitted += 1
@@ -339,8 +342,9 @@ def admit_paths_efficiency(
         # the admission widened only the edges it was charged for.
         for index in by_demand[demand_id]:
             if alive[index] and not widened.keys().isdisjoint(keys[index]):
-                needed = charges[index] = _charges(
-                    pool[index], keys[index], widths[demand_id]
+                path = pool[index]
+                needed = charges[index] = path_charges(
+                    path.nodes, path.width, keys[index], widths[demand_id]
                 )
                 costs[index] = sum(map(
                     needed.__getitem__, filter(switch.__getitem__, needed)
@@ -394,15 +398,16 @@ def _checked_pool(
     return demand_by_id, pool
 
 
-def _charges(
-    candidate: PathCandidate,
+def path_charges(
+    nodes: Tuple[int, ...],
+    width: int,
     keys: Tuple[Tuple[int, int], ...],
     widths: Dict[Tuple[int, int], int],
 ) -> Dict[int, int]:
-    """Qubits admitting *candidate* (edge *keys*) charges each node, per
-    node, against its demand's flow edge *widths*: every edge costs both
-    endpoints the width it lacks in the flow (module docstring)."""
-    nodes, width = candidate.nodes, candidate.width
+    """Qubits admitting the path *nodes* (edge *keys*) at *width*
+    charges each node, per node, against its demand's flow edge
+    *widths*: every edge costs both endpoints the width it lacks in the
+    flow (module docstring)."""
     needed: Dict[int, int] = {}
     for i, key in enumerate(keys):
         amount = width - widths.get(key, 0)
@@ -524,30 +529,31 @@ def _evaluate_candidate(
     return gain
 
 
-def _admit(
+def admit_path(
     demand: Demand,
-    candidate: PathCandidate,
+    nodes: Tuple[int, ...],
+    width: int,
     keys: Tuple[Tuple[int, int], ...],
     widths: Dict[Tuple[int, int], int],
     flows: Dict[int, FlowLikeGraph],
     ledger: QubitLedger,
 ) -> Optional[Dict[Tuple[int, int], int]]:
-    """Admit *candidate* (checked when its pool was built, funded by the
-    caller) to its demand's flow in *flows*, a new one when there is
-    none: the admission step both policies share.
+    """Admit the path *nodes* at *width* (a loopless walk between the
+    endpoints, width >= 1, funded per :func:`path_charges`: all checked
+    by the caller) to *demand*'s flow in *flows*, a new one when there
+    is none: the admission step of both policies, B1 and MCF.
 
     Merges first: returns ``None``, changing nothing, when the merge
-    would close a directed cycle.  Otherwise reserves, in path order,
-    the width each edge (*keys*) lacks in the flow's edge *widths*,
-    updates *widths* and returns the widened edges with their new
-    width."""
-    width = candidate.width
+    would close a directed cycle.  Otherwise reserves, in path order and
+    under each edge's canonical key (*keys*), the width the edge lacks
+    in the flow's edge *widths*, updates *widths* and returns the
+    widened edges with their new width."""
     flow = flows.get(demand.demand_id)
     if flow is None:
         flow = FlowLikeGraph(
             demand.demand_id, demand.source, demand.destination
         )
-    if not flow.merge_path(candidate.nodes, width):
+    if not flow.merge_path(nodes, width):
         return None
     flows[demand.demand_id] = flow
     widened = {key: width for key in keys if widths.get(key, 0) < width}

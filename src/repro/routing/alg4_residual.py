@@ -10,7 +10,7 @@ or no demand benefits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
@@ -51,10 +51,6 @@ def assign_remaining_qubits(
     candidate_edges = sorted(
         {edge for flow in flows for edge in flow.edges()}
     )
-    # A flow's base rate only changes when the flow itself is widened,
-    # yet the candidate loop re-reads it per (edge, probe); memoise it
-    # per demand and drop the entry on widening.
-    base_rates: Dict[int, float] = {}
     for u, v in candidate_edges:
         while ledger.can_reserve_edge(u, v, 1):
             best_gain = 0.0
@@ -62,12 +58,10 @@ def assign_remaining_qubits(
             for flow in flows:
                 if not flow.contains_edge(u, v):
                     continue
-                base = base_rates.get(flow.demand_id)
-                if base is None:
-                    base = flow.entanglement_rate(
-                        network, link_model, swap_model, rate_cache=rate_cache
-                    )
-                    base_rates[flow.demand_id] = base
+                # Memoised by the flow until it is widened.
+                base = flow.entanglement_rate(
+                    network, link_model, swap_model, rate_cache=rate_cache
+                )
                 widened = flow.entanglement_rate(
                     network, link_model, swap_model,
                     extra_widths={(u, v) if u < v else (v, u): 1},
@@ -81,6 +75,5 @@ def assign_remaining_qubits(
                 break
             ledger.reserve_edge(u, v, 1)
             best_flow.widen_edge(u, v)
-            base_rates.pop(best_flow.demand_id, None)
             assignments.append(((u, v) if u < v else (v, u), best_flow.demand_id))
     return assignments

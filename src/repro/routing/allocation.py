@@ -146,8 +146,10 @@ class QubitLedger:
 
     def copy(self) -> "QubitLedger":
         """Independent copy of this ledger over the same network."""
-        clone = QubitLedger(self._network)
+        clone = QubitLedger.__new__(QubitLedger)
+        clone._network = self._network
         clone._remaining = dict(self._remaining)
+        clone.version = 0
         return clone
 
     def _lookup(self, node_id: int) -> Optional[int]:

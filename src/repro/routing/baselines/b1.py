@@ -100,7 +100,8 @@ class B1Router:
             # [21]'s switches perform at most 4-qubit GHZ measurements, so
             # merged flows must keep every switch's fusion arity <= 4 and
             # at most two branch paths.  Try progressively smaller
-            # candidate sets until the caps hold.
+            # candidate sets until the caps hold, each on a copy of the
+            # ledger that *ledger* adopts only when they do.
             attempts = [
                 path_set,
                 {w: paths[:1] for w, paths in path_set.items()},
@@ -111,9 +112,10 @@ class B1Router:
                 },
             ]
             for candidate_set in attempts:
+                trial = ledger.copy()
                 flow = merge_paths(
                     network, link_model, swap_model, single,
-                    {demand.demand_id: candidate_set}, ledger,
+                    {demand.demand_id: candidate_set}, trial,
                 ).flow_for(demand.demand_id)
                 if flow is None:
                     continue
@@ -121,13 +123,9 @@ class B1Router:
                     flow.num_paths <= self.max_paths
                     and not self._violates_arity_cap(network, flow)
                 ):
+                    ledger.restore(trial.snapshot())
                     plan.add_flow(flow)
                     break
-                # Admission charged each edge its final width: refund it.
-                ledger.release_edges(
-                    (u, v, width)
-                    for (u, v), width in flow.edge_widths().items()
-                )
 
         return RoutingResult.from_plan(
             self.name, plan, network, link_model, swap_model, ledger,

@@ -15,9 +15,10 @@ to the paper's model as an additional comparator:
   ``-log(p_e * q)``, the LP surrogate for the multiplicative rate metric.
 
 The fractional solution is decomposed into at most ``max_paths`` paths
-per demand (greedy max-bottleneck extraction) and admitted through the
-same ledger/flow-graph machinery as every other router, so the reported
-entanglement rate is computed by the identical Equation 1 code path.
+per demand (greedy max-bottleneck extraction), each priced and admitted
+by Algorithm 3's step (``alg3_merge``'s ``path_charges`` and
+``admit_path``, as in ALG-N-FUSION and B1), so the reported entanglement
+rate is computed by the identical Equation 1 code path.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import CapacityError, RoutingError
+from repro.exceptions import RoutingError
 from repro.network.demands import Demand, DemandSet
 from repro.network.graph import QuantumNetwork
 from repro.quantum.noise import LinkModel, SwapModel
+from repro.routing.alg3_merge import admit_path, path_charges
 from repro.routing.allocation import QubitLedger
 from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.metrics import ChannelRateCache, rate_cache_for
@@ -57,6 +59,10 @@ class MCFRouter:
             raise RouterSpecError(
                 "max_width and max_paths must be >= 1, got "
                 f"{self.max_width} and {self.max_paths}"
+            )
+        if self.cost_weight < 0:  # the arc cost would become a reward
+            raise RouterSpecError(
+                f"cost_weight must be >= 0, got {self.cost_weight}"
             )
 
     def route(
@@ -224,8 +230,10 @@ class MCFRouter:
         arc_flow: Dict[Arc, float],
         ledger: QubitLedger,
     ) -> Optional[FlowLikeGraph]:
-        """Greedy max-bottleneck path extraction + ledger admission."""
-        flow_graph: Optional[FlowLikeGraph] = None
+        """Greedy max-bottleneck path extraction, each path admitted by
+        Algorithm 3's step when *ledger* funds it (module docstring)."""
+        flows: Dict[int, FlowLikeGraph] = {}
+        widths: Dict[Arc, int] = {}
         remaining = dict(arc_flow)
         for _ in range(self.max_paths):
             path = self._extract_path(network, demand, remaining)
@@ -239,28 +247,17 @@ class MCFRouter:
                 remaining[(a, b)] -= bottleneck
                 if remaining[(a, b)] <= 1e-6:
                     del remaining[(a, b)]
-            candidate = flow_graph or FlowLikeGraph(
-                demand.demand_id, demand.source, demand.destination
+            # Both walks (the greedy one's seen set, the BFS parents)
+            # give a loopless source-to-destination path, and width is
+            # at least 1: what admit_path's merge takes unchecked.
+            nodes = tuple(path)
+            keys = tuple(
+                (a, b) if a < b else (b, a) for a, b in zip(path, path[1:])
             )
-            # A shared edge costs only the width it gains.
-            charges = [
-                (a, b, width - candidate.edge_width(a, b))
-                if candidate.contains_edge(a, b) else (a, b, width)
-                for a, b in zip(path, path[1:])
-            ]
-            charges = [charge for charge in charges if charge[2] > 0]
-            try:
-                ledger.reserve_edges(charges)
-            except CapacityError:
-                continue
-            try:
-                # A rejected merge leaves the candidate untouched.
-                candidate.add_path(tuple(path), width)
-            except RoutingError:
-                ledger.release_edges(charges)
-                continue
-            flow_graph = candidate
-        return flow_graph
+            needed = path_charges(nodes, width, keys, widths)
+            if all(ledger.remaining(n) >= c for n, c in needed.items()):
+                admit_path(demand, nodes, width, keys, widths, flows, ledger)
+        return flows.get(demand.demand_id)
 
     def _extract_path(
         self,

@@ -862,7 +862,7 @@ def checked_drop_lemma():
     pool candidate's slack grows: the least ``remaining - charge`` over
     the switches on its path, charges taken against its demand's flow."""
     real_admit = alg3_merge.admit_paths_efficiency
-    real_admit_winner = alg3_merge._admit
+    real_admit_winner = alg3_merge.admit_path
     sweep = {}
 
     def slacks():
@@ -903,7 +903,7 @@ def checked_drop_lemma():
         return widened
 
     with mock.patch.object(nfusion, "admit_paths_efficiency", admit), \
-            mock.patch.object(alg3_merge, "_admit", admit_winner):
+            mock.patch.object(alg3_merge, "admit_path", admit_winner):
         yield
 
 

@@ -2,20 +2,27 @@
 
 import math
 from typing import List
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("scipy")
 
+from repro.exceptions import CapacityError, RoutingError
 from repro.experiments.scenarios import parse_scenario
 from repro.experiments.harness import sample_seeds
 from repro.network.builder import NetworkConfig, build_network
 from repro.network.demands import Demand, DemandSet, generate_demands
+from repro.network.graph import QuantumNetwork
+from repro.network.node import QuantumSwitch, QuantumUser
+from repro.network.registry import topology_keys
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.allocation import QubitLedger
 from repro.routing.baselines.mcf import MCFRouter
+from repro.routing.flow_graph import FlowLikeGraph
 from repro.routing.nfusion import AlgNFusion
+from repro.utils.geometry import Point
 from repro.utils.rng import ensure_rng
 
 from tests.conftest import make_diamond_network, make_line_network
@@ -246,3 +253,174 @@ class TestLPAssembly:
         want = oracle._capacities(network, demand_list, arcs, var, ledger)
         _assert_same_csr(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
+
+
+class _RefundingAdmission(MCFRouter):
+    """The admission step that charged a decomposed path with
+    ``reserve_edges`` (its ``CapacityError`` the funding test), merged
+    it with the checked ``add_path`` and refunded a cyclic merge,
+    verbatim: the admission oracle."""
+
+    def _decompose_and_admit(self, network, demand, arc_flow, ledger):
+        flow_graph = None
+        remaining = dict(arc_flow)
+        for _ in range(self.max_paths):
+            path = self._extract_path(network, demand, remaining)
+            if path is None:
+                break
+            bottleneck = min(
+                remaining[(a, b)] for a, b in zip(path, path[1:])
+            )
+            width = max(1, int(round(bottleneck)))
+            for a, b in zip(path, path[1:]):
+                remaining[(a, b)] -= bottleneck
+                if remaining[(a, b)] <= 1e-6:
+                    del remaining[(a, b)]
+            candidate = flow_graph or FlowLikeGraph(
+                demand.demand_id, demand.source, demand.destination
+            )
+            # A shared edge costs only the width it gains.
+            charges = [
+                (a, b, width - candidate.edge_width(a, b))
+                if candidate.contains_edge(a, b) else (a, b, width)
+                for a, b in zip(path, path[1:])
+            ]
+            charges = [charge for charge in charges if charge[2] > 0]
+            try:
+                ledger.reserve_edges(charges)
+            except CapacityError:
+                continue
+            try:
+                # A rejected merge leaves the candidate untouched.
+                candidate.add_path(tuple(path), width)
+            except RoutingError:
+                ledger.release_edges(charges)
+                continue
+            flow_graph = candidate
+        return flow_graph
+
+
+def _admission_outcome(router, network, demands, link, swap):
+    """Flows (paths, edge widths), bit-exact demand rates and leftover
+    counts of one route of *router* on a fresh ledger."""
+    ledger = QubitLedger(network)
+    result = router.route(network, demands, link, swap, ledger=ledger)
+    flows = [
+        (flow.demand_id, tuple(flow.paths), sorted(flow.edge_widths().items()))
+        for flow in result.plan.flows()
+    ]
+    rates = {d: rate.hex() for d, rate in result.demand_rates.items()}
+    return flows, rates, ledger.remaining_counts(list(network.nodes()))
+
+
+class TestAdmission:
+    """MCF prices each decomposed path with Algorithm 3's
+    ``path_charges`` and admits it through ``admit_path``: the flows and
+    counts the reserve-then-refund step left, with no refund."""
+
+    @pytest.mark.parametrize("key", topology_keys())
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("qubits", ("", ",qubits=4"))
+    def test_mcf_admission_matches_reserve_then_refund(
+        self, key, seed, qubits
+    ):
+        spec = parse_scenario(f"{key}:switches=25,users=6,states=8{qubits}")
+        rng = ensure_rng(seed)
+        network = build_network(spec.network_config(), rng)
+        demands = generate_demands(network, spec.num_states, rng)
+        link, swap = LinkModel(), SwapModel(q=spec.swap_q)
+        with mock.patch.object(
+            QubitLedger, "release", autospec=True,
+            side_effect=QubitLedger.release,
+        ) as released:
+            got = _admission_outcome(MCFRouter(), network, demands, link, swap)
+        assert released.call_count == 0
+        assert got == _admission_outcome(
+            _RefundingAdmission(), network, demands, link, swap
+        )
+
+    @staticmethod
+    def _square(capacity_a: int = 10, capacity_b: int = 10):
+        """Users 0 (S) and 1 (D); switches 2 (a) and 3 (b) with edges
+        S-a, a-b, b-D, S-b and a-D; a and b hold *capacity_a* and
+        *capacity_b* qubits."""
+        network = QuantumNetwork()
+        network.add_node(QuantumUser(0, Point(0.0, 0.0)))
+        network.add_node(QuantumUser(1, Point(3000.0, 0.0)))
+        network.add_node(QuantumSwitch(2, Point(1000.0, 1.0), capacity_a))
+        network.add_node(QuantumSwitch(3, Point(2000.0, 1.0), capacity_b))
+        for u, v in ((0, 2), (2, 3), (3, 1), (0, 3), (2, 1)):
+            network.add_edge(u, v)
+        return network
+
+    @staticmethod
+    def _admitted(router, network, arc_flow):
+        """Flow and leftover switch counts of admitting *arc_flow* for
+        demand 0 -> 1, and the ledger's (reserve, release) call counts."""
+        ledger = QubitLedger(network)
+        with mock.patch.object(
+            QubitLedger, "reserve", autospec=True,
+            side_effect=QubitLedger.reserve,
+        ) as reserved, mock.patch.object(
+            QubitLedger, "release", autospec=True,
+            side_effect=QubitLedger.release,
+        ) as released:
+            flow = router._decompose_and_admit(
+                network, Demand(0, 0, 1), arc_flow, ledger
+            )
+        shape = None if flow is None else (flow.paths, flow.edge_widths())
+        return (shape, ledger.remaining_counts([2, 3]),
+                (reserved.call_count, released.call_count))
+
+    def test_a_cyclic_second_path_is_refused_without_a_charge(self):
+        """S-a-b-D at width 2 is admitted; S-b-a-D (width 1, funded: it
+        shares a-b at width 2) would close the cycle a -> b -> a and is
+        skipped without touching the ledger."""
+        network = self._square()
+        arc_flow = {
+            (0, 2): 2.0, (2, 3): 2.0, (3, 1): 2.0,
+            (0, 3): 1.0, (3, 2): 1.0, (2, 1): 1.0,
+        }
+        first = MCFRouter(max_paths=1)._decompose_and_admit(
+            network, Demand(0, 0, 1), dict(arc_flow), QubitLedger(network)
+        )
+        assert first.paths == [(0, 2, 3, 1)]
+        shape = ([(0, 2, 3, 1)], {(0, 2): 2, (2, 3): 2, (1, 3): 2})
+        # Three edges charge both endpoints once each.
+        assert self._admitted(MCFRouter(), network, dict(arc_flow)) == (
+            shape, [6, 6], (6, 0)
+        )
+        # The oracle reserved S-b and a-D and gave them back.
+        assert self._admitted(_RefundingAdmission(), network, arc_flow) == (
+            shape, [6, 6], (10, 4)
+        )
+
+    def test_an_unfundable_path_is_refused_without_a_charge(self):
+        """S-b-D at width 2 needs 4 of b's 3 qubits: no flow, and the
+        ledger is never charged (the oracle reserved S-b, failed on b-D
+        and rolled S-b back)."""
+        network = self._square(capacity_b=3)
+        arc_flow = {(0, 3): 2.0, (3, 1): 2.0}
+        assert self._admitted(MCFRouter(), network, dict(arc_flow)) == (
+            None, [10, 3], (0, 0)
+        )
+        assert self._admitted(_RefundingAdmission(), network, arc_flow) == (
+            None, [10, 3], (3, 2)
+        )
+
+    def test_a_shared_edge_charges_only_its_upgrade(self):
+        """S-a-b-D at width 1 leaves a one of its 3 qubits; S-a-D shares
+        S-a at width 1, so it costs a only the qubit of a-D and is
+        admitted."""
+        network = self._square(capacity_a=3)
+        arc_flow = {(0, 2): 2.0, (2, 3): 1.0, (3, 1): 1.0, (2, 1): 1.0}
+        shape = (
+            [(0, 2, 3, 1), (0, 2, 1)],
+            {(0, 2): 1, (2, 3): 1, (1, 3): 1, (1, 2): 1},
+        )
+        assert self._admitted(MCFRouter(), network, dict(arc_flow)) == (
+            shape, [0, 8], (8, 0)
+        )
+        assert self._admitted(_RefundingAdmission(), network, arc_flow) == (
+            shape, [0, 8], (8, 0)
+        )

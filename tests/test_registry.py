@@ -220,6 +220,7 @@ class TestRouterSpec:
         "b1:max_fusion_arity=0",
         "mcf:max_width=0",
         "mcf:max_paths=0",
+        "mcf:cost_weight=-1",
     ])
     def test_out_of_range_values_rejected_at_parse_time(self, text):
         with pytest.raises(RouterSpecError):

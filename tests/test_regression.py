@@ -24,7 +24,7 @@ from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing import alg3_merge
 from repro.routing.allocation import QubitLedger
 from repro.routing.baselines import (
-    B1Router, QCastNRouter, QCastRouter, qcast_n,
+    B1Router, MCFRouter, QCastNRouter, QCastRouter, qcast_n,
 )
 from repro.routing.compiled import active_routing_core, snapshot_for
 from repro.routing.nfusion import AlgNFusion
@@ -82,10 +82,12 @@ PINNED_DEMAND_RATES = {
 #: (the compiled core reads them once per ledger version for its relay
 #: flags, plus once for the default width on either core).  The
 #: ledger's per-node reserve and release calls of the literal
-#: ``widest_first`` sweep and of B1 (217/80 and 141/82 while the sweep
-#: reserved each candidate's charges before its merge and refunded a
-#: failed or cyclic admission; B1's releases are its fusion-cap
-#: refunds), the same on both cores; a bound of 0 pins no call at all.
+#: ``widest_first`` sweep, of B1 and of MCF (217/80, 141/82 and 30/8
+#: while the sweep reserved each candidate's charges before its merge
+#: and refunded a failed or cyclic admission; 138/80 while B1 charged
+#: every attempt to the caller's ledger and refunded the ones its path
+#: or fusion-arity cap refused; MCF's refunds were its cyclic merges),
+#: the same on both cores; a bound of 0 pins no call at all.
 WORK_BOUNDS = {
     "Q-CAST-N": ("Q-CAST-N", qcast_n, "largest_entanglement_rate_path", 65),
     "Q-CAST": ("Q-CAST", qcast_n, "largest_entanglement_rate_path", 15),
@@ -105,7 +107,9 @@ WORK_BOUNDS = {
         "ALG-N-FUSION-WF", QubitLedger, "release", 0,
     ),
     "B1-reserves": ("B1", QubitLedger, "reserve", 138),
-    "B1-releases": ("B1", QubitLedger, "release", 80),
+    "B1-releases": ("B1", QubitLedger, "release", 0),
+    "MCF-reserves": ("MCF", QubitLedger, "reserve", 18),
+    "MCF-releases": ("MCF", QubitLedger, "release", 0),
 }
 
 ROUTERS = {
@@ -114,6 +118,7 @@ ROUTERS = {
     "Q-CAST": QCastRouter,
     "Q-CAST-N": QCastNRouter,
     "B1": B1Router,
+    "MCF": MCFRouter,
 }
 
 
@@ -144,6 +149,8 @@ def test_work_bounds(name, instance):
     network, demands = instance
     link, swap = LinkModel(fixed_p=0.4), SwapModel(q=0.9)
     router, owner, attribute, bound = WORK_BOUNDS[name]
+    if router == "MCF":
+        pytest.importorskip("scipy")
     if isinstance(bound, dict):
         bound = bound[active_routing_core()]
     with mock.patch.object(

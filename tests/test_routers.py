@@ -1,5 +1,7 @@
 """Unit and integration tests for ALG-N-FUSION and the baselines."""
 
+from unittest import mock
+
 import pytest
 
 from repro.experiments.scenarios import parse_scenario
@@ -8,7 +10,7 @@ from repro.network.demands import Demand, DemandSet, generate_demands
 from repro.quantum.noise import LinkModel, SwapModel
 from repro.routing.alg2_path_selection import default_max_width
 from repro.routing.allocation import QubitLedger
-from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter
+from repro.routing.baselines import B1Router, QCastNRouter, QCastRouter, b1
 from repro.routing.compiled import ROUTING_CORE_ENV
 from repro.routing.metrics import ChannelRateCache
 from repro.routing.nfusion import AlgNFusion
@@ -123,6 +125,43 @@ class TestOrderings:
             for node in flow.nodes():
                 if network.node(node).is_switch:
                     assert flow.fusion_arity(node) <= 4
+
+    def test_b1_refused_attempts_leave_the_ledger_unchanged(self):
+        """With a fusion-arity cap of 2, B1's first two attempts on the
+        diamond (both with width-2 paths) are refused and the third is
+        admitted: the caller's ledger is charged once, for that flow
+        alone, and nothing is refunded."""
+        network = make_diamond_network()
+        demands = DemandSet([Demand(0, 0, 1)])
+        ledger = QubitLedger(network)
+        attempts = []
+        real_merge = b1.merge_paths
+
+        def recorded(*args):
+            plan = real_merge(*args)
+            attempts.append((args[-1] is ledger, plan.flow_for(0)))
+            return plan
+
+        with mock.patch.object(b1, "merge_paths", recorded), \
+                mock.patch.object(
+                    QubitLedger, "release", autospec=True,
+                    side_effect=QubitLedger.release,
+                ) as released:
+            result = B1Router(max_fusion_arity=2).route(
+                network, demands, LinkModel(fixed_p=0.3), SwapModel(q=0.9),
+                ledger=ledger,
+            )
+        assert [charged_caller for charged_caller, _ in attempts] == [
+            False, False, False,
+        ]
+        assert [max(flow.fusion_arity(node) for node in (2, 3))
+                for _, flow in attempts] == [4, 4, 2]
+        assert released.call_count == 0
+        assert result.plan.flow_for(0).edge_widths() == {
+            (0, 2): 1, (2, 3): 1, (1, 3): 1,
+        }
+        assert ledger.remaining_counts([2, 3, 4, 5]) == [8, 8, 10, 10]
+        assert ledger.version == 1
 
     def test_alg3_only_is_no_better_than_full(self):
         network, demands = small_instance(seed=9)
